@@ -20,10 +20,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from . import io as pio
 from .geometry import InstanceSet, Point2, Polygon, Ring, ScoredPolygon
-from .metrics import EvalConfig, MetricsError, coco_ap_ar_from_masks, evaluate_corpus
+from .metrics import EvalConfig, MetricsError, coco_ap_ar_from_crops, evaluate_corpus
 from .polygonize import PolygonizeConfig, connected_components, polygonize_pipeline, threshold_mask
 from .raster import (
     DegradeSpec,
@@ -32,7 +33,7 @@ from .raster import (
     downscale_targets,
     encode_afm,
     encode_vertices,
-    polygon_mask,
+    polygon_mask_crop,
     rasterize_mask,
 )
 
@@ -137,7 +138,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         except Exception as exc:  # collected per tile
             return None, f"{type(exc).__name__}: {exc}"
 
-    for (rec, name), (encoded, err) in zip(names, _tile_map(work, names, _worker_count(args.workers))):
+    for (rec, name), (encoded, err) in zip(names, _tile_map(work, names, args.workers)):
         if err is not None:
             errors.append({"tile_id": rec.tile_id, "error": err})
             continue
@@ -179,7 +180,12 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
     manifest_path = raster_dir / "manifest.json"
     if not manifest_path.exists():
         return _fail([{"tile_id": None, "error": f"missing manifest {manifest_path}"}])
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        tiles = json.loads(manifest_path.read_text(encoding="utf-8"))["tiles"]
+        if not all(isinstance(entry, dict) and "tile_id" in entry for entry in tiles):
+            raise ValueError("every tile entry needs a tile_id")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise pio.FormatError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
     cfg = _polygonize_config(args, args.scale)
     errors = []
 
@@ -199,9 +205,9 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _tile_map(work, manifest["tiles"], _worker_count(args.workers))
+    results = _tile_map(work, tiles, args.workers)
     records = []
-    for entry, (record, err) in zip(manifest["tiles"], results):
+    for entry, (record, err) in zip(tiles, results):
         if err is not None:
             errors.append({"tile_id": entry["tile_id"], "error": err})
         else:
@@ -231,12 +237,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _upscale_mask(mask: np.ndarray, s: int) -> np.ndarray:
-    if s == 1:
-        return mask
-    return np.repeat(np.repeat(mask, s, axis=0), s, axis=1)
-
-
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     gt_records = _load_records(args.gt)
     spec = DegradeSpec(
@@ -260,20 +260,21 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             fy = frame[0] / rec.image_size[0]
             fx = frame[1] / rec.image_size[1]
             gt_rec = pio.TileRecord(rec.tile_id, frame, _resize_instances(rec.instances, fx, fy))
-            binary = threshold_mask(soft, cfg.mask_threshold)
-            labels, count = connected_components(binary, cfg.connectivity)
+            labels, _ = connected_components(threshold_mask(soft, cfg.mask_threshold), cfg.connectivity)
             lab = labels.channel()
             soft_arr = soft.channel()
-            comp_masks = [
-                (_upscale_mask(lab == comp, args.scale), float(soft_arr[lab == comp].mean()))
-                for comp in range(1, count + 1)
-            ]
-            gt_inst = [polygon_mask(sp.polygon, *frame) for sp in gt_rec.instances]
+            comp_masks = []
+            for comp, (rows, cols) in enumerate(ndimage.find_objects(lab.astype(np.int32)), start=1):
+                region = lab[rows, cols] == comp
+                upscaled = region.repeat(args.scale, axis=0).repeat(args.scale, axis=1)
+                crop = (rows.start * args.scale, cols.start * args.scale, upscaled)
+                comp_masks.append((crop, float(soft_arr[rows, cols][region].mean())))
+            gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
             return (poly_rec, gt_rec, comp_masks, gt_inst), None
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _tile_map(work, gt_records, _worker_count(args.workers))
+    results = _tile_map(work, gt_records, args.workers)
     pred_records, gt_eval = [], []
     mask_preds, gt_masks = {}, {}
     for rec, (result, err) in zip(gt_records, results):
@@ -289,7 +290,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         return _fail(errors or [{"tile_id": None, "error": "no tiles processed"}])
 
     report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
-    mask_ap = coco_ap_ar_from_masks(mask_preds, gt_masks, mode="mask")[0]
+    mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
     payload = {
         "mask_ap": mask_ap,
         "polygon_ap": report.ap,
@@ -380,6 +381,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             _polygonize_config(args, float(getattr(args, "scale", 1.0)))
         except ValueError as exc:
             parser.error(str(exc))
+    if hasattr(args, "workers"):
+        try:
+            args.workers = _worker_count(args.workers)
+        except ValueError as exc:
+            return _fail([{"tile_id": None, "error": f"POLYFORM_WORKERS: {exc}"}])
     try:
         return args.fn(args)
     except (pio.FormatError, MetricsError) as exc:

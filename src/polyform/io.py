@@ -144,7 +144,10 @@ def _parse_geojson_ring(positions: object, what: str) -> Ring:
     for pos in positions:
         if not (isinstance(pos, list) and len(pos) == 2):
             raise GeoJsonError(f"{what}: bad position {pos!r}")
-        pts.append((float(pos[0]), float(pos[1])))
+        try:
+            pts.append((float(pos[0]), float(pos[1])))
+        except (TypeError, ValueError) as exc:
+            raise GeoJsonError(f"{what}: bad position {pos!r}") from exc
     if pts[0] != pts[-1]:
         raise GeoJsonError(f"{what}: unclosed ring")
     try:
@@ -174,17 +177,25 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
     except (KeyError, TypeError, ValueError) as exc:
         raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
     by_tile: dict[str, list[ScoredPolygon]] = {tid: [] for tid in order}
-    for i, feature in enumerate(doc.get("features", [])):
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise GeoJsonError("'features' is not a list")
+    for i, feature in enumerate(features):
         what = f"feature {i}"
-        geom = feature.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            raise GeoJsonError(f"{what}: unsupported geometry type {geom.get('type')!r}")
+        if not isinstance(feature, dict):
+            raise GeoJsonError(f"{what}: not an object")
+        geom = feature.get("geometry")
+        kind = geom.get("type") if isinstance(geom, dict) else None
+        if kind != "Polygon":
+            raise GeoJsonError(f"{what}: unsupported geometry type {kind!r}")
         rings = geom.get("coordinates")
         if not isinstance(rings, list) or not rings:
             raise GeoJsonError(f"{what}: empty coordinates")
         outer = _parse_geojson_ring(rings[0], what)
         holes = tuple(_parse_geojson_ring(r, what) for r in rings[1:])
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise GeoJsonError(f"{what}: properties is not an object")
         tile_id = str(props.get("tile_id", ""))
         if tile_id not in by_tile:
             raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")

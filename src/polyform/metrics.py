@@ -4,6 +4,14 @@ Covers plain mask IoU, Boundary IoU, the symmetric vertex-to-boundary
 PoLiS distance, complexity-aware IoU, COCO-style AP/AR over IoU thresholds
 0.50:0.05:0.95 with 101-point interpolated precision, a greedy vertex F1,
 and a corpus-level aggregator producing a flat report.
+
+Instance masks are compared as crops (r0, c0, mask): the boolean mask of
+the instance's bounding box at frame offset (r0, c0), background outside
+it, so disjoint boxes give intersection 0 and every count equals the
+full-frame one. The Boundary IoU band is taken on the crop padded by one
+pixel, which is exact: the pad ring is background (or past the image
+border, which counts as background), and no background pixel farther out
+is nearer in Chebyshev distance than the ring pixel on the way to it.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from scipy import ndimage
 from .geometry import InstanceSet, Polygon
 from .io import TileRecord
 from .polygonize import VertexSet
-from .raster import RasterGrid, polygon_mask
+from .raster import RasterGrid, bounding_crop, polygon_mask_crop, union_of_crops
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -73,6 +81,23 @@ class EvalReport:
         return "\n".join(lines)
 
 
+_Crop = tuple[int, int, np.ndarray]  # (r0, c0, bounding-box mask), see the module docstring
+
+
+def _crop_iou(a: _Crop, b: _Crop, area_a: int, area_b: int) -> float:
+    """IoU of two crops with the given pixel counts; two empty masks count as 1."""
+    (ar, ac, am), (br, bc, bm) = a, b
+    r0, r1 = max(ar, br), min(ar + am.shape[0], br + bm.shape[0])
+    c0, c1 = max(ac, bc), min(ac + am.shape[1], bc + bm.shape[1])
+    inter = 0
+    if r0 < r1 and c0 < c1:
+        inter = np.count_nonzero(am[r0 - ar : r1 - ar, c0 - ac : c1 - ac] & bm[r0 - br : r1 - br, c0 - bc : c1 - bc])
+    union = area_a + area_b - inter
+    if union == 0:
+        return 1.0
+    return inter / union
+
+
 def _binary(grid: RasterGrid) -> np.ndarray:
     return grid.channel() > 0.5
 
@@ -97,8 +122,8 @@ def _band_distance(h: int, w: int, d_frac: float) -> int:
 
 
 def _inner_band(mask: np.ndarray, d: int) -> np.ndarray:
-    """Mask pixels within Chebyshev distance d of the contour (image border
-    counts as outside, matching the COCO boundary convention)."""
+    """Mask pixels within Chebyshev distance d of the contour (the array border
+    counts as outside, matching the COCO boundary convention; exact on crops)."""
     padded = np.pad(mask, 1)
     dist = ndimage.distance_transform_cdt(padded, metric="chessboard")
     return (dist[1:-1, 1:-1] <= d) & mask
@@ -149,31 +174,36 @@ def polis(a: Polygon, b: Polygon) -> float:
     return 0.5 * term_a + 0.5 * term_b
 
 
-def _union_mask(polys: Sequence[Polygon], h: int, w: int) -> np.ndarray:
-    out = np.zeros((h, w), dtype=bool)
-    for p in polys:
-        out |= polygon_mask(p, h, w)
-    return out
+def _instance_crops(instances: InstanceSet, h: int, w: int) -> list[_Crop]:
+    return [polygon_mask_crop(sp.polygon, h, w) for sp in instances]
+
+
+def _vertex_discount(a: Iterable[Polygon], b: Iterable[Polygon]) -> float:
+    """The C-IoU factor 1 - |N_A - N_B| / (N_A + N_B) over total vertex counts."""
+    na = sum(p.vertex_count() for p in a)
+    nb = sum(p.vertex_count() for p in b)
+    return 1.0 - (0.0 if na + nb == 0 else abs(na - nb) / (na + nb))
 
 
 def ciou(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> float:
     """Complexity-aware IoU: mask IoU discounted by the relative difference
     of total vertex counts, IoU * (1 - |N_A - N_B| / (N_A + N_B))."""
-    na = sum(p.vertex_count() for p in a)
-    nb = sum(p.vertex_count() for p in b)
-    rd = 0.0 if na + nb == 0 else abs(na - nb) / (na + nb)
-    return _iou_counts(_union_mask(a, h, w), _union_mask(b, h, w)) * (1.0 - rd)
+    union_a = union_of_crops((polygon_mask_crop(p, h, w) for p in a), h, w)
+    union_b = union_of_crops((polygon_mask_crop(p, h, w) for p in b), h, w)
+    return _iou_counts(union_a, union_b) * _vertex_discount(a, b)
 
 
-def _instance_masks(instances: InstanceSet, h: int, w: int) -> list[np.ndarray]:
-    return [polygon_mask(sp.polygon, h, w) for sp in instances]
-
-
-def _iou_matrix(pred_masks: Sequence[np.ndarray], gt_masks: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros((len(pred_masks), len(gt_masks)))
-    for i, pm in enumerate(pred_masks):
-        for j, gm in enumerate(gt_masks):
-            out[i, j] = _iou_counts(pm, gm)
+def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> np.ndarray:
+    """Pred x gt mask IoU, or with band > 0 the Boundary IoU at that distance."""
+    if band:
+        preds = [(r0, c0, _inner_band(m, band)) for r0, c0, m in preds]
+        gts = [(r0, c0, _inner_band(m, band)) for r0, c0, m in gts]
+    pred_areas = [np.count_nonzero(m) for _, _, m in preds]
+    gt_areas = [np.count_nonzero(m) for _, _, m in gts]
+    out = np.zeros((len(preds), len(gts)))
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            out[i, j] = _crop_iou(p, g, pred_areas[i], gt_areas[j])
     return out
 
 
@@ -203,7 +233,7 @@ def match_instances(
 ) -> MatchResult:
     """Greedy one-to-one matching in descending prediction score order; each
     prediction takes the highest-IoU unmatched ground truth with IoU >= iou_thr."""
-    ious = _iou_matrix(_instance_masks(preds, h, w), _instance_masks(gts, h, w))
+    ious = _iou_matrix(_instance_crops(preds, h, w), _instance_crops(gts, h, w))
     return _greedy_match(ious, [sp.score for sp in preds], iou_thr)
 
 
@@ -269,45 +299,48 @@ def _ap_ar_summary(aps: list[float], ars: list[float]) -> tuple[float, float, fl
     )
 
 
+def coco_ap_ar_from_crops(
+    preds: Mapping[str, Sequence[tuple[tuple[int, int, np.ndarray], float]]],
+    gts: Mapping[str, Sequence[tuple[int, int, np.ndarray]]],
+    sizes: Mapping[str, tuple[int, int]],
+    mode: str = "mask",
+    d_frac: float = 0.02,
+) -> tuple[float, float, float, float, float, float]:
+    """COCO AP/AR over instance masks given as (r0, c0, crop) as returned by
+    raster.polygon_mask_crop. preds maps tile id to (crop, score) pairs, gts
+    to crops, and sizes to the frame (h, w) that sets the Boundary IoU
+    distance. mode "boundary" matches on Boundary IoU instead of mask IoU.
+    """
+    if set(preds) != set(gts):
+        raise MetricsError(f"tile ids do not align: {sorted(set(preds) ^ set(gts))}")
+    if mode not in ("mask", "boundary"):
+        raise MetricsError(f"unknown mode {mode!r}")
+    detections: list[_Detection] = []
+    gt_counts: dict[str, int] = {}
+    for tile in sorted(gts):
+        band = _band_distance(*sizes[tile], d_frac) if mode == "boundary" else 0
+        ious = _iou_matrix([crop for crop, _ in preds[tile]], gts[tile], band)
+        gt_counts[tile] = len(gts[tile])
+        detections += [_Detection(float(score), tile, row) for (_, score), row in zip(preds[tile], ious)]
+    aps, ars = _coco_curves(detections, gt_counts, IOU_THRESHOLDS)
+    return _ap_ar_summary(aps, ars)
+
+
 def coco_ap_ar_from_masks(
     preds: Mapping[str, Sequence[tuple[np.ndarray, float]]],
     gts: Mapping[str, Sequence[np.ndarray]],
     mode: str = "mask",
     d_frac: float = 0.02,
 ) -> tuple[float, float, float, float, float, float]:
-    """COCO AP/AR over pre-rasterized instance masks.
+    """COCO AP/AR over pre-rasterized full-frame instance masks.
 
     preds maps tile id to (boolean mask, score) pairs and gts to boolean
     masks. mode "boundary" matches on Boundary IoU instead of mask IoU.
     """
-    if set(preds) != set(gts):
-        missing = sorted(set(preds) ^ set(gts))
-        raise MetricsError(f"tile ids do not align: {missing}")
-    if mode not in ("mask", "boundary"):
-        raise MetricsError(f"unknown mode {mode!r}")
-    detections: list[_Detection] = []
-    gt_counts: dict[str, int] = {}
-    for tile in sorted(gts):
-        gt_masks = list(gts[tile])
-        pred_pairs = list(preds[tile])
-        if mode == "boundary" and gt_masks:
-            d = _band_distance(*gt_masks[0].shape, d_frac)
-        elif mode == "boundary" and pred_pairs:
-            d = _band_distance(*pred_pairs[0][0].shape, d_frac)
-        else:
-            d = 0
-        if mode == "boundary":
-            gt_masks_cmp = [_inner_band(m, d) for m in gt_masks]
-            pred_cmp = [(_inner_band(m, d), s) for m, s in pred_pairs]
-        else:
-            gt_masks_cmp = gt_masks
-            pred_cmp = pred_pairs
-        gt_counts[tile] = len(gt_masks)
-        for mask, score in pred_cmp:
-            row = np.asarray([_iou_counts(mask, gm) for gm in gt_masks_cmp])
-            detections.append(_Detection(float(score), tile, row))
-    aps, ars = _coco_curves(detections, gt_counts, IOU_THRESHOLDS)
-    return _ap_ar_summary(aps, ars)
+    pred_crops = {tile: [(bounding_crop(m), s) for m, s in pairs] for tile, pairs in preds.items()}
+    gt_crops = {tile: [bounding_crop(m) for m in masks] for tile, masks in gts.items()}
+    sizes = {t: next(iter([m.shape for m in gts[t]] + [m.shape for m, _ in preds.get(t, ())]), (1, 1)) for t in gts}
+    return coco_ap_ar_from_crops(pred_crops, gt_crops, sizes, mode=mode, d_frac=d_frac)
 
 
 def coco_ap_ar(
@@ -323,12 +356,12 @@ def coco_ap_ar(
     to ground truths greedily in score order per IoU threshold (0.50:0.05:0.95)
     and averages 101-point interpolated precision over the thresholds.
     """
-    pred_masks = {
-        tile: [(m, sp.score) for m, sp in zip(_instance_masks(inst, *sizes[tile]), inst)]
+    pred_crops = {
+        tile: [(polygon_mask_crop(sp.polygon, *sizes[tile]), sp.score) for sp in inst]
         for tile, inst in preds.items()
     }
-    gt_masks = {tile: _instance_masks(inst, *sizes[tile]) for tile, inst in gts.items()}
-    return coco_ap_ar_from_masks(pred_masks, gt_masks, mode=mode, d_frac=d_frac)
+    gt_crops = {tile: [polygon_mask_crop(sp.polygon, *sizes[tile]) for sp in inst] for tile, inst in gts.items()}
+    return coco_ap_ar_from_crops(pred_crops, gt_crops, sizes, mode=mode, d_frac=d_frac)
 
 
 def vertex_f1(pred: VertexSet, gt: VertexSet, dist_thr: float = 5.0) -> float:
@@ -386,8 +419,7 @@ def evaluate_corpus(
     pred_by_id = {r.tile_id: r for r in preds}
     gt_by_id = {r.tile_id: r for r in gts}
     if set(pred_by_id) != set(gt_by_id):
-        missing = sorted(set(pred_by_id) ^ set(gt_by_id))
-        raise MetricsError(f"tile ids do not align: {missing}")
+        raise MetricsError(f"tile ids do not align: {sorted(set(pred_by_id) ^ set(gt_by_id))}")
 
     detections_mask: list[_Detection] = []
     detections_boundary: list[_Detection] = []
@@ -406,33 +438,20 @@ def evaluate_corpus(
         gt_polys = [sp.polygon for sp in gt_rec.instances]
         pred_polys = [sp.polygon for sp in pred_rec.instances]
         scores = [sp.score for sp in pred_rec.instances]
-        gt_masks = [polygon_mask(p, h, w) for p in gt_polys]
-        pred_masks = [polygon_mask(p, h, w) for p in pred_polys]
+        gt_crops = _instance_crops(gt_rec.instances, h, w)
+        pred_crops = _instance_crops(pred_rec.instances, h, w)
 
-        ious = _iou_matrix(pred_masks, gt_masks)
-        d = _band_distance(h, w, cfg.boundary_d_frac)
-        gt_bands = [_inner_band(m, d) for m in gt_masks]
-        pred_bands = [_inner_band(m, d) for m in pred_masks]
-        b_ious = _iou_matrix(pred_bands, gt_bands)
+        ious = _iou_matrix(pred_crops, gt_crops)
+        b_ious = _iou_matrix(pred_crops, gt_crops, _band_distance(h, w, cfg.boundary_d_frac))
 
-        gt_counts[tile] = len(gt_masks)
-        total_gts += len(gt_masks)
+        gt_counts[tile] = len(gt_crops)
+        total_gts += len(gt_crops)
         for i, score in enumerate(scores):
             detections_mask.append(_Detection(float(score), tile, ious[i]))
             detections_boundary.append(_Detection(float(score), tile, b_ious[i]))
 
-        union_pred = np.zeros((h, w), dtype=bool)
-        for m in pred_masks:
-            union_pred |= m
-        union_gt = np.zeros((h, w), dtype=bool)
-        for m in gt_masks:
-            union_gt |= m
-        tile_ious.append(_iou_counts(union_pred, union_gt))
-
-        na = sum(p.vertex_count() for p in pred_polys)
-        nb = sum(p.vertex_count() for p in gt_polys)
-        rd = 0.0 if na + nb == 0 else abs(na - nb) / (na + nb)
-        tile_cious.append(tile_ious[-1] * (1.0 - rd))
+        tile_ious.append(_iou_counts(union_of_crops(pred_crops, h, w), union_of_crops(gt_crops, h, w)))
+        tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
 
         match = _greedy_match(ious, scores, cfg.iou_thr)
         matched_gts += len(match.pairs)

@@ -27,7 +27,7 @@ from .geometry import (
     ScoredPolygon,
     merge_collinear_edges,
 )
-from .raster import RasterGrid, VertexGrids
+from .raster import RasterGrid, VertexGrids, bounding_crop
 
 FOUR = "four"
 EIGHT = "eight"
@@ -195,13 +195,14 @@ def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]
     (outer) or to the enclosed hole region (hole chains). The outer chain is
     stored CCW (positive shoelace on (x, y) = (col, row)), holes CW.
     """
-    full = labels.channel() == component_id
-    coords = np.argwhere(full)
-    if coords.size == 0:
+    r0, c0, window = bounding_crop(labels.channel() == component_id)
+    if window.size == 0:
         raise PolygonizeError(f"component {component_id} not found")
-    r0, c0 = coords.min(axis=0)
-    r1, c1 = coords.max(axis=0)
-    window = full[r0 : r1 + 1, c0 : c1 + 1]
+    return _trace_window(window, r0, c0)
+
+
+def _trace_window(window: np.ndarray, r0: int, c0: int) -> list[BoundaryChain]:
+    """trace_boundary on one component's bounding-box mask at frame offset (r0, c0)."""
     # one-pixel pad so hole detection can treat the window border as outside
     mask = np.pad(window, 1)
 
@@ -224,7 +225,7 @@ def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]
             hole = _moore_trace(mask, (hr - 1, hc), (hr, hc))
             chains.append(BoundaryChain(_oriented(hole, "hole"), "hole"))
 
-    offset_r, offset_c = int(r0) - 1, int(c0) - 1
+    offset_r, offset_c = r0 - 1, c0 - 1
     return [
         BoundaryChain(tuple((r + offset_r, c + offset_c) for r, c in ch.pixels), ch.ring_kind)
         for ch in chains
@@ -419,7 +420,9 @@ def polygonize_pipeline(
     dropped = 0
     scored: list[ScoredPolygon] = []
     for comp in range(1, count + 1):
-        chains = trace_boundary(labels, comp)
+        rows, cols = slices[comp - 1]
+        region = label_arr[rows, cols] == comp
+        chains = _trace_window(region, rows.start, cols.start)
         outer_ring = _simplify_chain(chains[0], vertices, cfg)
         if outer_ring is None:
             dropped += 1
@@ -429,8 +432,7 @@ def polygonize_pipeline(
             hole_ring = _simplify_chain(hole_chain, vertices, cfg)
             if hole_ring is not None:
                 holes.append(hole_ring)
-        region = label_arr[slices[comp - 1]] == comp
-        score = float(soft[slices[comp - 1]][region].mean())
+        score = float(soft[rows, cols][region].mean())
         scored.append(ScoredPolygon(Polygon(outer_ring, tuple(holes)), score))
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
@@ -122,17 +123,17 @@ def _pixel_centers(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return xs[None, :], ys[:, None]
 
 
-def polygon_mask(poly: Polygon, h: int, w: int) -> np.ndarray:
-    """Boolean mask of pixel centers inside the polygon (boundary inclusive)."""
+def polygon_mask_crop(poly: Polygon, h: int, w: int) -> tuple[int, int, np.ndarray]:
+    """polygon_mask cropped to (r0, c0, crop): crop[i, j] is frame pixel
+    (r0 + i, c0 + j); the crop spans the polygon's bounding box within the frame."""
     xs = [v.x for v in poly.all_vertices()]
     ys = [v.y for v in poly.all_vertices()]
     c0 = max(0, int(math.floor(min(xs) - 0.5)) - 1)
     c1 = min(w - 1, int(math.ceil(max(xs) - 0.5)) + 1)
     r0 = max(0, int(math.floor(min(ys) - 0.5)) - 1)
     r1 = min(h - 1, int(math.ceil(max(ys) - 0.5)) + 1)
-    out = np.zeros((h, w), dtype=bool)
     if c0 > c1 or r0 > r1:
-        return out
+        return 0, 0, np.zeros((0, 0), dtype=bool)
     x = np.arange(c0, c1 + 1, dtype=np.float64)[None, :] + 0.5
     y = np.arange(r0, r1 + 1, dtype=np.float64)[:, None] + 0.5
     parity = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
@@ -155,17 +156,38 @@ def polygon_mask(poly: Polygon, h: int, w: int) -> np.ndarray:
             cross = ex * (y - ay) - ey * (x - ax)
             dot = (x - ax) * ex + (y - ay) * ey
             boundary |= (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= seg_len2 + tol)
-    out[r0 : r1 + 1, c0 : c1 + 1] = parity | boundary
+    return r0, c0, parity | boundary
+
+
+def bounding_crop(mask: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """A full-frame boolean mask as (r0, c0, crop) on the bounding box of its
+    pixels; an empty mask gives (0, 0, 0 x 0 crop)."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return 0, 0, mask[:0, :0]
+    band = mask[rows[0] : rows[-1] + 1]
+    cols = np.flatnonzero(band.any(axis=0))
+    return int(rows[0]), int(cols[0]), band[:, cols[0] : cols[-1] + 1]
+
+
+def union_of_crops(crops: Iterable[tuple[int, int, np.ndarray]], h: int, w: int) -> np.ndarray:
+    """The h x w boolean frame set wherever any (r0, c0, crop) is set."""
+    out = np.zeros((h, w), dtype=bool)
+    for r0, c0, crop in crops:
+        out[r0 : r0 + crop.shape[0], c0 : c0 + crop.shape[1]] |= crop
     return out
+
+
+def polygon_mask(poly: Polygon, h: int, w: int) -> np.ndarray:
+    """Boolean mask of pixel centers inside the polygon (boundary inclusive)."""
+    return union_of_crops([polygon_mask_crop(poly, h, w)], h, w)
 
 
 def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     """Binary u8 mask: 1 where a pixel center falls in any instance, holes excluded."""
     if h < 1 or w < 1:
         raise RasterError(f"mask shape must be positive, got {h}x{w}")
-    grid = np.zeros((h, w), dtype=bool)
-    for scored in instances:
-        grid |= polygon_mask(scored.polygon, h, w)
+    grid = union_of_crops((polygon_mask_crop(sp.polygon, h, w) for sp in instances), h, w)
     return RasterGrid.from_array(grid.astype(np.uint8))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from polyform.geometry import Polygon
 
@@ -96,6 +97,32 @@ def boundary_band_enum(mask: np.ndarray, d: int) -> np.ndarray:
                 if found:
                     break
             out[r, c] = found
+    return out
+
+
+def inner_band_full(mask: np.ndarray, d: int) -> np.ndarray:
+    """Full-frame Boundary IoU band: mask pixels within Chebyshev distance d
+    of the contour, the image border counting as outside."""
+    padded = np.pad(mask, 1)
+    dist = ndimage.distance_transform_cdt(padded, metric="chessboard")
+    return (dist[1:-1, 1:-1] <= d) & mask
+
+
+def iou_full(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of two full-frame masks counted over every pixel; two empty masks count as 1."""
+    inter = np.count_nonzero(a & b)
+    union = np.count_nonzero(a | b)
+    if union == 0:
+        return 1.0
+    return inter / union
+
+
+def iou_matrix_full(pred_masks, gt_masks) -> np.ndarray:
+    """Pred x gt IoU over full frames, every pair counted pixel by pixel."""
+    out = np.zeros((len(pred_masks), len(gt_masks)))
+    for i, pm in enumerate(pred_masks):
+        for j, gm in enumerate(gt_masks):
+            out[i, j] = iou_full(pm, gm)
     return out
 
 

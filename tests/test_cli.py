@@ -123,6 +123,16 @@ class TestPolygonize:
             main(["polygonize", str(tmp_path), str(tmp_path / "o.geojson"), "--topk", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("text", ['{"tiles": [', "[]", '{"tiles": 5}', '{"tiles": [{"files": {}}]}'])
+    def test_corrupt_manifest_is_named_error(self, tmp_path, capsys, text):
+        raster_dir = tmp_path / "rasters"
+        raster_dir.mkdir()
+        (raster_dir / "manifest.json").write_text(text)
+        assert main(["polygonize", str(raster_dir), str(tmp_path / "o.geojson")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "corrupt manifest" in err["errors"][0]["error"]
+        assert not (tmp_path / "o.geojson").exists()
+
     def test_missing_manifest_is_named_error(self, tmp_path, capsys):
         assert main(["polygonize", str(tmp_path / "nowhere"), str(tmp_path / "o.geojson")]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -221,6 +231,14 @@ class TestRender:
 
 
 class TestWorkers:
+    def test_non_integer_env_is_named_error(self, gt_geojson, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POLYFORM_WORKERS", "two")
+        out = tmp_path / "rasters"
+        assert main(["encode", str(gt_geojson), str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "POLYFORM_WORKERS" in err["errors"][0]["error"] and "two" in err["errors"][0]["error"]
+        assert not out.exists()
+
     def test_env_override_and_order_independence(self, gt_geojson, tmp_path, monkeypatch):
         out1 = tmp_path / "r1"
         main(["encode", str(gt_geojson), str(out1)])

@@ -84,6 +84,10 @@ class TestRgf:
             write_rgf(grid)
 
 
+_TILE_T = '{"type": "FeatureCollection", "tiles": [{"tile_id": "t", "image_size": [8, 8]}], '
+_SQUARE = '{"type": "Polygon", "coordinates": [[[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]]}'
+
+
 class TestGeoJson:
     def test_empty_records(self):
         doc = json.loads(write_geojson([]))
@@ -134,6 +138,12 @@ class TestGeoJson:
             '{"type": "FeatureCollection", "tiles": "nope", "features": []}',
             '{"type": "Feature"}',
             "[1, 2, 3]",
+            _TILE_T + '"features": [3]}',
+            _TILE_T + '"features": 5}',
+            _TILE_T + '"features": [{"geometry": [1], "properties": {"tile_id": "t"}}]}',
+            _TILE_T + '"features": [{"geometry": ' + _SQUARE + ', "properties": [1]}]}',
+            _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", '["x", 0]') + "}]}",
+            _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", "[null, 0]") + "}]}",
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, doc):
