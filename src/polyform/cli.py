@@ -20,12 +20,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import io as pio
-from .geometry import InstanceSet, Point2, Polygon, Ring, ScoredPolygon
 from .metrics import EvalConfig, MetricsError, coco_ap_ar_from_crops, evaluate_corpus
-from .polygonize import PolygonizeConfig, connected_components, polygonize_pipeline, threshold_mask
+from .polygonize import PolygonizeConfig, component_crops, polygonize_pipeline
 from .raster import (
     DegradeSpec,
     RasterGrid,
@@ -55,7 +53,7 @@ def _tile_map(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def _load_records(path: str) -> list[pio.TileRecord]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = pio.read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -78,19 +76,6 @@ def _sanitize(tile_id: str, used: set[str]) -> str:
     return name
 
 
-def _resize_instances(instances: InstanceSet, fx: float, fy: float) -> InstanceSet:
-    if fx == 1.0 and fy == 1.0:
-        return instances
-    out = []
-    for sp in instances:
-        rings = [
-            Ring(tuple(Point2(v.x * fx, v.y * fy) for v in ring.vertices))
-            for ring in sp.polygon.rings()
-        ]
-        out.append(ScoredPolygon(Polygon(rings[0], tuple(rings[1:])), sp.score))
-    return InstanceSet(tuple(out))
-
-
 def _parse_size(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
@@ -106,20 +91,20 @@ def _fail(errors: list[dict]) -> int:
 def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int, with_afm: bool):
     """Rescale a tile into the target frame, downscale by `scale`, and encode.
 
-    Returns (frame, grid_size, mask, afm_f32_or_None, vertex_grids).
+    Returns (frame, grid_size, frame_instances, mask, afm_f32_or_None, vertex_grids).
     """
     h, w = size if size is not None else rec.image_size
     if h % scale or w % scale:
         raise ValueError(f"size {h}x{w} not divisible by scale {scale}")
-    instances = _resize_instances(rec.instances, w / rec.image_size[1], h / rec.image_size[0])
-    instances = downscale_targets(instances, scale)
+    frame_instances = rec.instances.scaled(w / rec.image_size[1], h / rec.image_size[0])
+    instances = downscale_targets(frame_instances, scale)
     gh, gw = h // scale, w // scale
     mask = rasterize_mask(instances, gh, gw)
     afm32 = None
     if with_afm:
         afm32 = RasterGrid(encode_afm(instances, gh, gw).data.astype(np.float32))
     grids = encode_vertices(instances, gh, gw)
-    return (h, w), (gh, gw), mask, afm32, grids
+    return (h, w), (gh, gw), frame_instances, mask, afm32, grids
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -142,7 +127,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         if err is not None:
             errors.append({"tile_id": rec.tile_id, "error": err})
             continue
-        (h, w), (gh, gw), mask, afm32, grids = encoded
+        (h, w), (gh, gw), _instances, mask, afm32, grids = encoded
         files = {
             "mask": f"{name}.mask.rgf",
             "afm": f"{name}.afm.rgf",
@@ -181,7 +166,7 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         return _fail([{"tile_id": None, "error": f"missing manifest {manifest_path}"}])
     try:
-        tiles = json.loads(manifest_path.read_text(encoding="utf-8"))["tiles"]
+        tiles = json.loads(pio.read_text(manifest_path))["tiles"]
         if not all(isinstance(entry, dict) and "tile_id" in entry for entry in tiles):
             raise ValueError("every tile entry needs a tile_id")
     except (ValueError, KeyError, TypeError) as exc:
@@ -253,22 +238,16 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
     def work(rec: pio.TileRecord):
         try:
-            frame, _grid, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
+            frame, _grid, frame_instances, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
             soft, grids = degrade(mask, grids, spec)
             instances = polygonize_pipeline(soft, grids.heatmap, grids.offsets, cfg)
             poly_rec = pio.TileRecord(rec.tile_id, frame, instances)
-            fy = frame[0] / rec.image_size[0]
-            fx = frame[1] / rec.image_size[1]
-            gt_rec = pio.TileRecord(rec.tile_id, frame, _resize_instances(rec.instances, fx, fy))
-            labels, _ = connected_components(threshold_mask(soft, cfg.mask_threshold), cfg.connectivity)
-            lab = labels.channel()
-            soft_arr = soft.channel()
-            comp_masks = []
-            for comp, (rows, cols) in enumerate(ndimage.find_objects(lab.astype(np.int32)), start=1):
-                region = lab[rows, cols] == comp
-                upscaled = region.repeat(args.scale, axis=0).repeat(args.scale, axis=1)
-                crop = (rows.start * args.scale, cols.start * args.scale, upscaled)
-                comp_masks.append((crop, float(soft_arr[rows, cols][region].mean())))
+            gt_rec = pio.TileRecord(rec.tile_id, frame, frame_instances)
+            s = args.scale
+            comp_masks = [
+                ((r0 * s, c0 * s, crop.repeat(s, axis=0).repeat(s, axis=1)), score)
+                for r0, c0, crop, score in component_crops(soft, cfg.mask_threshold, cfg.connectivity)
+            ]
             gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
             return (poly_rec, gt_rec, comp_masks, gt_inst), None
         except Exception as exc:
@@ -304,7 +283,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    records = pio.read_geojson(Path(args.input).read_text(encoding="utf-8"))
+    records = pio.read_geojson(pio.read_text(args.input))
     svg = pio.render_svg(records, pio.SvgStyle(background=args.background))
     Path(args.output).write_text(svg)
     print(f"rendered {len(records)} tiles -> {args.output}")

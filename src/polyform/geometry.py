@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
+import numpy as np
+
 
 class GeometryError(ValueError):
     """Invalid geometric input."""
@@ -91,8 +93,10 @@ class Ring:
     def reversed(self) -> "Ring":
         return Ring(tuple(reversed(self.vertices)))
 
-    def scaled(self, factor: float) -> "Ring":
-        return Ring(tuple(Point2(v.x * factor, v.y * factor) for v in self.vertices))
+    def scaled(self, fx: float, fy: float | None = None) -> "Ring":
+        """Multiply x by fx and y by fy (default fx)."""
+        fy = fx if fy is None else fy
+        return Ring(tuple(Point2(v.x * fx, v.y * fy) for v in self.vertices))
 
     def edges(self) -> list[LineSegment]:
         vs = self.vertices
@@ -137,8 +141,14 @@ class Polygon:
     def boundary_segments(self) -> list[LineSegment]:
         return [e for ring in self.rings() for e in ring.edges()]
 
-    def scaled(self, factor: float) -> "Polygon":
-        return Polygon(self.outer.scaled(factor), tuple(h.scaled(factor) for h in self.holes))
+    def segment_coords(self) -> list[tuple[float, float, float, float]]:
+        """boundary_segments as (ax, ay, bx, by) tuples, in the same order."""
+        pairs = (zip(r.vertices, r.vertices[1:] + r.vertices[:1]) for r in self.rings())
+        return [(a.x, a.y, b.x, b.y) for ring_pairs in pairs for a, b in ring_pairs]
+
+    def scaled(self, fx: float, fy: float | None = None) -> "Polygon":
+        """Multiply x by fx and y by fy (default fx); orientation is renormalized."""
+        return Polygon(self.outer.scaled(fx, fy), tuple(h.scaled(fx, fy) for h in self.holes))
 
     def area(self) -> float:
         return abs(signed_area(self.outer)) - sum(abs(signed_area(h)) for h in self.holes)
@@ -173,8 +183,12 @@ class InstanceSet:
     def __len__(self) -> int:
         return len(self.instances)
 
-    def scaled(self, factor: float) -> "InstanceSet":
-        return InstanceSet(tuple(ScoredPolygon(sp.polygon.scaled(factor), sp.score) for sp in self))
+    def scaled(self, fx: float, fy: float | None = None) -> "InstanceSet":
+        """Multiply x by fx and y by fy (default fx); factors of 1 return self."""
+        fy = fx if fy is None else fy
+        if fx == 1 and fy == 1:
+            return self
+        return InstanceSet(tuple(ScoredPolygon(sp.polygon.scaled(fx, fy), sp.score) for sp in self))
 
 
 @dataclass(frozen=True)
@@ -198,6 +212,38 @@ def signed_area(ring: Ring) -> float:
     return acc / 2.0
 
 
+def project_points_to_segments(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project points (px, py) onto nonzero-length segments (ax, ay)-(bx, by),
+    broadcast elementwise to an array: the foot (fx, fy) = a + t * (b - a)
+    with t clamped to [0, 1], and d2 the squared distance to it."""
+    ex, ey = bx - ax, by - ay
+    l2 = ex * ex + ey * ey
+    t = ((px - ax) * ex + (py - ay) * ey) / l2
+    np.clip(t, 0.0, 1.0, out=t)
+    fx = ax + t * ex
+    fy = ay + t * ey
+    return fx, fy, (px - fx) ** 2 + (py - fy) ** 2
+
+
+def point_segment_foot(
+    px: float, py: float, ax: float, ay: float, bx: float, by: float
+) -> tuple[float, float, float, float]:
+    """Scalar project_points_to_segments as (fx, fy, t, dist), dist by math.hypot.
+    A segment whose squared length is 0 (coincident or numerically coincident
+    endpoints) projects onto its nearer endpoint, the start on a tie."""
+    ex, ey = bx - ax, by - ay
+    l2 = ex * ex + ey * ey
+    if l2 == 0.0:
+        d_start = math.hypot(px - ax, py - ay)
+        d_end = math.hypot(px - bx, py - by)
+        return (ax, ay, 0.0, d_start) if d_start <= d_end else (bx, by, 1.0, d_end)
+    t = ((px - ax) * ex + (py - ay) * ey) / l2
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    fx = ax + t * ex
+    fy = ay + t * ey
+    return fx, fy, t, math.hypot(px - fx, py - fy)
+
+
 def project_point_to_segment(p: Point2, seg: LineSegment) -> tuple[Point2, float, float]:
     """Project a point onto a segment.
 
@@ -205,34 +251,17 @@ def project_point_to_segment(p: Point2, seg: LineSegment) -> tuple[Point2, float
     clamped to [0, 1] and dist the Euclidean distance from p to the foot.
     """
     p = Point2(*p)
-    sx, sy = seg.start
-    dx = seg.end.x - sx
-    dy = seg.end.y - sy
-    l2 = dx * dx + dy * dy
-    if l2 == 0.0:
-        if seg.start == seg.end:
-            raise GeometryError(f"degenerate segment at {seg.start}")
-        # squared length underflowed; the endpoints are numerically coincident
-        d_start = math.hypot(p.x - sx, p.y - sy)
-        d_end = math.hypot(p.x - seg.end.x, p.y - seg.end.y)
-        return (seg.start, 0.0, d_start) if d_start <= d_end else (seg.end, 1.0, d_end)
-    t = ((p.x - sx) * dx + (p.y - sy) * dy) / l2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    foot = Point2(sx + t * dx, sy + t * dy)
-    return foot, t, math.hypot(p.x - foot.x, p.y - foot.y)
+    fx, fy, t, dist = point_segment_foot(p.x, p.y, *seg.start, *seg.end)
+    return Point2(fx, fy), t, dist
 
 
 def nearest_segment(p: Point2, segments: Sequence[LineSegment]) -> tuple[int, Point2, float]:
     """Index, foot and distance of the closest segment; ties go to the lowest index."""
     if not segments:
         raise GeometryError("empty segment list")
-    best: tuple[int, Point2, float] | None = None
-    for i, seg in enumerate(segments):
-        foot, _t, dist = project_point_to_segment(p, seg)
-        if best is None or dist < best[2]:
-            best = (i, foot, dist)
-    assert best is not None
-    return best
+    projections = enumerate(project_point_to_segment(p, seg) for seg in segments)
+    i, (foot, _t, dist) = min(projections, key=lambda item: item[1][2])  # min keeps the first of ties
+    return i, foot, dist
 
 
 def _convex_hull(points: Sequence[Point2]) -> list[Point2]:

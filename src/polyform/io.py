@@ -54,6 +54,17 @@ class CocoError(FormatError):
     pass
 
 
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text. Undecodable bytes or a directory raise
+    FormatError; a missing file raises FileNotFoundError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except IsADirectoryError as exc:
+        raise FormatError(f"{path}: a directory, not a file") from exc
+
+
 @dataclass(frozen=True)
 class TileRecord:
     """Instances of one image tile, with the tile's pixel size as (h, w)."""
@@ -157,7 +168,10 @@ def _parse_geojson_ring(positions: object, what: str) -> Ring:
 
 
 def read_geojson(data: bytes | str) -> list[TileRecord]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise GeoJsonError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -236,7 +250,7 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
     when a supposed hole lies outside the outer ring). "iscrowd" flags are
     ignored with a warning.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

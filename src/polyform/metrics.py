@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon
+from .geometry import InstanceSet, Polygon, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crop, union_of_crops
@@ -140,25 +140,11 @@ def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
     return _iou_counts(_inner_band(_binary(a), d), _inner_band(_binary(b), d))
 
 
-def _segments_array(poly: Polygon) -> np.ndarray:
-    return np.asarray(
-        [(s.start.x, s.start.y, s.end.x, s.end.y) for s in poly.boundary_segments()],
-        dtype=np.float64,
-    )
-
-
-def _min_dists_to_boundary(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Exact minimum point-to-segment distances, points (q, 2) x segs (m, 4)."""
-    ax, ay = segs[:, 0], segs[:, 1]
-    ex, ey = segs[:, 2] - ax, segs[:, 3] - ay
-    l2 = ex * ex + ey * ey
-    px = points[:, 0:1]
-    py = points[:, 1:2]
-    t = ((px - ax) * ex + (py - ay) * ey) / l2
-    np.clip(t, 0.0, 1.0, out=t)
-    dx = px - (ax + t * ex)
-    dy = py - (ay + t * ey)
-    return np.sqrt((dx * dx + dy * dy).min(axis=1))
+def _min_dists_to_boundary(points: np.ndarray, poly: Polygon) -> np.ndarray:
+    """Exact minimum distances from points (q, 2) to the polygon's boundary segments."""
+    segs = np.asarray(poly.segment_coords(), dtype=np.float64)
+    d2 = project_points_to_segments(points[:, 0:1], points[:, 1:2], *segs.T)[2]
+    return np.sqrt(d2.min(axis=1))
 
 
 def polis(a: Polygon, b: Polygon) -> float:
@@ -169,8 +155,8 @@ def polis(a: Polygon, b: Polygon) -> float:
     """
     va = np.asarray([(v.x, v.y) for v in a.all_vertices()])
     vb = np.asarray([(v.x, v.y) for v in b.all_vertices()])
-    term_a = _min_dists_to_boundary(va, _segments_array(b)).mean()
-    term_b = _min_dists_to_boundary(vb, _segments_array(a)).mean()
+    term_a = _min_dists_to_boundary(va, b).mean()
+    term_b = _min_dists_to_boundary(vb, a).mean()
     return 0.5 * term_a + 0.5 * term_b
 
 

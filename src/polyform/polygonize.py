@@ -9,7 +9,6 @@ simplifier and as the fallback when vertex snapping degenerates.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +25,9 @@ from .geometry import (
     Ring,
     ScoredPolygon,
     merge_collinear_edges,
+    point_segment_foot,
 )
-from .raster import RasterGrid, VertexGrids, bounding_crop
+from .raster import RasterGrid, bounding_crop, offset_points
 
 FOUR = "four"
 EIGHT = "eight"
@@ -102,6 +102,23 @@ class VertexSet:
 def threshold_mask(soft: RasterGrid, tau: float) -> RasterGrid:
     """Binarize a soft mask: 1 iff value is strictly greater than tau."""
     return RasterGrid.from_array((soft.channel() > tau).astype(np.uint8))
+
+
+def component_crops(
+    soft: RasterGrid, tau: float, connectivity: str = EIGHT
+) -> list[tuple[int, int, np.ndarray, float]]:
+    """The connected components of soft > tau, in label order, as
+    (r0, c0, crop, score): the component's bounding-box mask at frame offset
+    (r0, c0) and the f64 mean of the soft mask over its pixels."""
+    labels, _count = connected_components(threshold_mask(soft, tau), connectivity)
+    lab = labels.channel()
+    values = soft.channel()
+    out = []
+    for comp, (rows, cols) in enumerate(ndimage.find_objects(lab.astype(np.int32)), start=1):
+        region = lab[rows, cols] == comp
+        score = float(values[rows, cols][region].astype(np.float64).mean())
+        out.append((rows.start, cols.start, region, score))
+    return out
 
 
 def _structure(connectivity: str) -> np.ndarray:
@@ -265,14 +282,7 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
     scores = heat[rows, cols]
     flat = rows * heat.shape[1] + cols
     order = np.lexsort((flat, -scores))[:top_k]
-    off = offsets.data
-    points = []
-    for i in order:
-        r, c = int(rows[i]), int(cols[i])
-        x = c + 0.5 + float(off[r, c, 0])
-        y = r + 0.5 + float(off[r, c, 1])
-        points.append((Point2(x, y), float(scores[i])))
-    return VertexSet(tuple(points))
+    return VertexSet(tuple(offset_points(rows[order], cols[order], offsets.data, scores[order])))
 
 
 def mav_attract_simplify(
@@ -313,16 +323,6 @@ def mav_attract_simplify(
         raise FallbackRequired(str(exc)) from exc
 
 
-def _point_segment_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    ex, ey = bx - ax, by - ay
-    l2 = ex * ex + ey * ey
-    if l2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * ex + (py - ay) * ey) / l2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(px - (ax + t * ex), py - (ay + t * ey))
-
-
 def _dp_open(points: list[tuple[float, float]], tolerance: float) -> list[tuple[float, float]]:
     n = len(points)
     if n <= 2:
@@ -338,7 +338,7 @@ def _dp_open(points: list[tuple[float, float]], tolerance: float) -> list[tuple[
         best_d = -1.0
         best_i = lo + 1
         for i in range(lo + 1, hi):
-            d = _point_segment_dist(points[i][0], points[i][1], ax, ay, bx, by)
+            d = point_segment_foot(points[i][0], points[i][1], ax, ay, bx, by)[3]
             if d > best_d:
                 best_d = d
                 best_i = i
@@ -409,20 +409,14 @@ def polygonize_pipeline(
     cfg = config or PolygonizeConfig()
     if (soft_mask.height, soft_mask.width) != (heatmap.height, heatmap.width):
         raise PolygonizeError("mask and heatmap shapes differ")
-    binary = threshold_mask(soft_mask, cfg.mask_threshold)
-    labels, count = connected_components(binary, cfg.connectivity)
-    if count == 0:
+    crops = component_crops(soft_mask, cfg.mask_threshold, cfg.connectivity)
+    if not crops:
         return InstanceSet()
     vertices = extract_vertices(heatmap, offsets, cfg.top_k, cfg.vertex_threshold)
-    soft = soft_mask.channel().astype(np.float64)
-    label_arr = labels.channel()
-    slices = ndimage.find_objects(label_arr.astype(np.int32))
     dropped = 0
     scored: list[ScoredPolygon] = []
-    for comp in range(1, count + 1):
-        rows, cols = slices[comp - 1]
-        region = label_arr[rows, cols] == comp
-        chains = _trace_window(region, rows.start, cols.start)
+    for r0, c0, region, score in crops:
+        chains = _trace_window(region, r0, c0)
         outer_ring = _simplify_chain(chains[0], vertices, cfg)
         if outer_ring is None:
             dropped += 1
@@ -432,18 +426,14 @@ def polygonize_pipeline(
             hole_ring = _simplify_chain(hole_chain, vertices, cfg)
             if hole_ring is not None:
                 holes.append(hole_ring)
-        score = float(soft[rows, cols][region].mean())
         scored.append(ScoredPolygon(Polygon(outer_ring, tuple(holes)), score))
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)
-    result = InstanceSet(tuple(scored))
-    return rescale_polygons(result, cfg.scale) if cfg.scale != 1 else result
+    return rescale_polygons(InstanceSet(tuple(scored)), cfg.scale)
 
 
 def rescale_polygons(instances: InstanceSet, s: float) -> InstanceSet:
     """Multiply every coordinate by s (s > 0)."""
     if s <= 0:
         raise PolygonizeError(f"scale must be > 0, got {s}")
-    if s == 1:
-        return instances
     return instances.scaled(s)

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Point2, Polygon
+from .geometry import InstanceSet, Point2, Polygon, project_points_to_segments
 
 _ALLOWED_DTYPES = {
     np.dtype(np.uint8): "u8",
@@ -191,14 +191,6 @@ def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     return RasterGrid.from_array(grid.astype(np.uint8))
 
 
-def _all_segments(instances: InstanceSet) -> list[tuple[float, float, float, float]]:
-    segs = []
-    for scored in instances:
-        for seg in scored.polygon.boundary_segments():
-            segs.append((seg.start.x, seg.start.y, seg.end.x, seg.end.y))
-    return segs
-
-
 def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     """Attraction field: for every pixel center x, the displacement x' - x to its
     projection x' on the nearest boundary segment over all instances.
@@ -207,25 +199,24 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     (instance order, outer ring then holes, edges in ring order). Returned
     at f64 precision; convert to f32 explicitly before serializing.
     """
-    segs = _all_segments(instances)
+    segs = [seg for sp in instances for seg in sp.polygon.segment_coords()]
     if not segs:
         raise RasterError("no segments")
     x, y = _pixel_centers(h, w)
     best_d2 = np.full((h, w), np.inf)
     best_fx = np.zeros((h, w))
     best_fy = np.zeros((h, w))
-    for ax, ay, bx, by in segs:
-        ex, ey = bx - ax, by - ay
-        l2 = ex * ex + ey * ey
-        t = ((x - ax) * ex + (y - ay) * ey) / l2
-        np.clip(t, 0.0, 1.0, out=t)
-        fx = ax + t * ex
-        fy = ay + t * ey
-        d2 = (x - fx) ** 2 + (y - fy) ** 2
-        better = d2 < best_d2
-        best_d2[better] = d2[better]
-        best_fx[better] = fx[better]
-        best_fy[better] = fy[better]
+    # bands of 64 rows keep each temporary small: full-frame temporaries
+    # spend more time faulting in fresh pages than on the arithmetic
+    for r0 in range(0, h, 64):
+        band = slice(r0, r0 + 64)
+        band_d2, band_fx, band_fy = best_d2[band], best_fx[band], best_fy[band]
+        for ax, ay, bx, by in segs:
+            fx, fy, d2 = project_points_to_segments(x, y[band], ax, ay, bx, by)
+            better = d2 < band_d2
+            band_d2[better] = d2[better]
+            band_fx[better] = fx[better]
+            band_fy[better] = fy[better]
     afm = np.stack([best_fx - x, best_fy - y], axis=-1)
     return RasterGrid(afm)
 
@@ -269,16 +260,25 @@ def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
     return VertexGrids(RasterGrid.from_array(heat), RasterGrid(off))
 
 
+def offset_points(
+    rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, scores: np.ndarray
+) -> list[tuple[Point2, float]]:
+    """Scored sub-pixel points of the given pixels in the encode_vertices
+    format: pixel (r, c) with offsets (off_x, off_y) is the point
+    (c + 0.5 + off_x, r + 0.5 + off_y)."""
+    points = []
+    for r, c, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+        x = c + 0.5 + float(offsets[r, c, 0])
+        y = r + 0.5 + float(offsets[r, c, 1])
+        points.append((Point2(x, y), score))
+    return points
+
+
 def decode_vertices(grids: VertexGrids) -> list[tuple[Point2, float]]:
     """Inverse of encode_vertices: nonzero heatmap pixels back to scored points."""
     heat = grids.heatmap.channel()
-    off = grids.offsets.data
-    points = []
-    for r, c in np.argwhere(heat > 0):
-        x = c + 0.5 + float(off[r, c, 0])
-        y = r + 0.5 + float(off[r, c, 1])
-        points.append((Point2(x, y), float(heat[r, c])))
-    return points
+    rows, cols = np.nonzero(heat > 0)
+    return offset_points(rows, cols, grids.offsets.data, heat[rows, cols])
 
 
 def _square(radius: int) -> np.ndarray:
@@ -342,6 +342,4 @@ def downscale_targets(instances: InstanceSet, s: float) -> InstanceSet:
     """Divide every vertex coordinate by the down-sampling factor s (s >= 1)."""
     if s < 1:
         raise RasterError(f"down-sampling factor must be >= 1, got {s}")
-    if s == 1:
-        return instances
     return instances.scaled(1.0 / s)

@@ -165,3 +165,67 @@ def max_chain_deviation(chain_points, ring_points) -> float:
             best = min(best, point_segment_distance(px, py, ax, ay, bx, by))
         worst = max(worst, best)
     return worst
+
+
+def afm_full_sweep(instances, h: int, w: int) -> np.ndarray:
+    """Attraction field (h, w, 2) at f64: every boundary segment swept over the
+    whole tile, the lowest segment index winning ties."""
+    segs = [(s.start.x, s.start.y, s.end.x, s.end.y) for sp in instances for s in sp.polygon.boundary_segments()]
+    x = np.arange(w, dtype=np.float64)[None, :] + 0.5
+    y = np.arange(h, dtype=np.float64)[:, None] + 0.5
+    best_d2 = np.full((h, w), np.inf)
+    best_fx = np.zeros((h, w))
+    best_fy = np.zeros((h, w))
+    for ax, ay, bx, by in segs:
+        ex, ey = bx - ax, by - ay
+        l2 = ex * ex + ey * ey
+        t = ((x - ax) * ex + (y - ay) * ey) / l2
+        np.clip(t, 0.0, 1.0, out=t)
+        fx = ax + t * ex
+        fy = ay + t * ey
+        d2 = (x - fx) ** 2 + (y - fy) ** 2
+        better = d2 < best_d2
+        best_d2[better] = d2[better]
+        best_fx[better] = fx[better]
+        best_fy[better] = fy[better]
+    return np.stack([best_fx - x, best_fy - y], axis=-1)
+
+
+def _dp_span(points, tolerance) -> list[int]:
+    """Indices kept by Douglas-Peucker on an open polyline: split at the first
+    point of greatest point_segment_distance while it exceeds tolerance."""
+    keep = {0, len(points) - 1}
+    spans = [(0, len(points) - 1)]
+    while spans:
+        lo, hi = spans.pop()
+        (ax, ay), (bx, by) = points[lo], points[hi]
+        dists = [point_segment_distance(px, py, ax, ay, bx, by) for px, py in points[lo + 1 : hi]]
+        if dists and max(dists) > tolerance:
+            split = lo + 1 + dists.index(max(dists))
+            keep.add(split)
+            spans += [(lo, split), (split, hi)]
+    return sorted(keep)
+
+
+def _drop_repeats(points) -> list:
+    out = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    while len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
+
+
+def douglas_peucker_closed(points, tolerance):
+    """Closed-chain Douglas-Peucker over (x, y) points in scalar arithmetic, or
+    None when fewer than three vertices remain. Consecutive repeats go first;
+    the chain splits at its first point and the first point of greatest
+    squared distance from it, and each half is simplified on its own."""
+    pts = _drop_repeats([(float(x), float(y)) for x, y in points])
+    if len(pts) < 3:
+        return None
+    sq = [(x - pts[0][0]) ** 2 + (y - pts[0][1]) ** 2 for x, y in pts]
+    anchor = sq.index(max(sq))
+    first = pts[: anchor + 1]
+    second = pts[anchor:] + [pts[0]]
+    kept = [first[i] for i in _dp_span(first, tolerance)][:-1] + [second[i] for i in _dp_span(second, tolerance)][:-1]
+    out = _drop_repeats(kept)
+    return out if len(out) >= 3 else None

@@ -25,7 +25,7 @@ from polyform.metrics import (
     boundary_iou,
     ciou,
     coco_ap_ar,
-    coco_ap_ar_from_masks,
+    coco_ap_ar_from_crops,
     evaluate_corpus,
     match_instances,
     polis,
@@ -33,11 +33,11 @@ from polyform.metrics import (
 from polyform.polygonize import (
     FallbackRequired,
     VertexSet,
+    component_crops,
     connected_components,
     extract_vertices,
     mav_attract_simplify,
     polygonize_pipeline,
-    threshold_mask,
     trace_boundary,
 )
 from polyform.raster import (
@@ -47,6 +47,7 @@ from polyform.raster import (
     encode_afm,
     encode_vertices,
     polygon_mask,
+    polygon_mask_crop,
     rasterize_mask,
 )
 
@@ -78,17 +79,6 @@ def _encode(inst: InstanceSet):
     return soft, grids
 
 
-def _component_masks(soft: RasterGrid):
-    labels, count = connected_components(threshold_mask(soft, 0.5), "eight")
-    lab = labels.channel()
-    soft_arr = soft.channel()
-    out = []
-    for comp in range(1, count + 1):
-        m = lab == comp
-        out.append((m, float(soft_arr[m].mean())))
-    return out
-
-
 def test_criterion_1_roundtrip_reversibility(corpus):
     t0 = time.perf_counter()
     preds = []
@@ -97,14 +87,14 @@ def test_criterion_1_roundtrip_reversibility(corpus):
         soft, grids = _encode(rec.instances)
         instances = polygonize_pipeline(soft, grids.heatmap, grids.offsets)  # default flags
         preds.append(TileRecord(rec.tile_id, rec.image_size, instances))
-        mask_preds[rec.tile_id] = _component_masks(soft)
+        mask_preds[rec.tile_id] = [((r0, c0, crop), score) for r0, c0, crop, score in component_crops(soft, 0.5)]
     elapsed = time.perf_counter() - t0
 
     gt_masks = {
-        rec.tile_id: [polygon_mask(sp.polygon, TILE, TILE) for sp in rec.instances]
+        rec.tile_id: [polygon_mask_crop(sp.polygon, TILE, TILE) for sp in rec.instances]
         for rec in corpus
     }
-    mask_ap = coco_ap_ar_from_masks(mask_preds, gt_masks)[0]
+    mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {rec.tile_id: rec.image_size for rec in corpus})[0]
     report = evaluate_corpus(preds, corpus)
 
     matched_equal = 0

@@ -179,6 +179,31 @@ class TestEval:
         assert "missing file" in err["errors"][0]["error"]
 
 
+class TestUnreadableInput:
+    COMMANDS = {
+        "eval": lambda src, gt, tmp: ["eval", src, gt, str(tmp / "r.json")],
+        "encode": lambda src, gt, tmp: ["encode", src, str(tmp / "rasters")],
+        "roundtrip": lambda src, gt, tmp: ["roundtrip", src, str(tmp / "r.json")],
+        "render": lambda src, gt, tmp: ["render", src, str(tmp / "o.svg")],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_utf8_file_is_named_error(self, gt_geojson, tmp_path, capsys, command):
+        bad = tmp_path / "utf16.geojson"
+        bad.write_bytes(b"\xff\xfe" + '{"type": "FeatureCollection"}'.encode("utf-16-le"))
+        assert main(self.COMMANDS[command](str(bad), str(gt_geojson), tmp_path)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "FormatError" in err["errors"][0]["error"] and "UTF-8" in err["errors"][0]["error"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory_as_input_is_named_error(self, gt_geojson, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(self.COMMANDS[command](str(folder), str(gt_geojson), tmp_path)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "directory" in err["errors"][0]["error"]
+
+
 class TestRoundtrip:
     def test_clean_roundtrip_no_gap(self, gt_geojson, tmp_path):
         report_path = tmp_path / "rt.json"

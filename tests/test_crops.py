@@ -194,7 +194,7 @@ def reference_mask_ap(rec: TileRecord, scale: int, spec: DegradeSpec) -> float:
     inst = downscale_targets(rec.instances, scale)
     soft, _ = degrade(rasterize_mask(inst, h // scale, w // scale), encode_vertices(inst, h // scale, w // scale), spec)
     labels, count = connected_components(threshold_mask(soft, 0.5))
-    lab, values = labels.channel(), soft.channel()
+    lab, values = labels.channel(), soft.channel().astype(np.float64)
     preds = [
         (np.repeat(np.repeat(lab == k, scale, axis=0), scale, axis=1), float(values[lab == k].mean()))
         for k in range(1, count + 1)

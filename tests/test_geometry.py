@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 from polyform.geometry import (
     DegenerateRingError,
     GeometryError,
+    InstanceSet,
     LineSegment,
     Point2,
     Polygon,
     Ring,
+    ScoredPolygon,
     classify_vertices,
     merge_collinear_edges,
     nearest_segment,
@@ -20,7 +22,7 @@ from polyform.geometry import (
 )
 
 from oracles import min_dist_over_segments, on_hull_bruteforce
-from synth import random_rectilinear_polygon
+from synth import annulus, random_rectilinear_polygon, random_star_polygon
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -60,6 +62,39 @@ class TestProjectPointToSegment:
         _, _, dist = project_point_to_segment(p, seg((ax, ay), (bx, by)))
         assert dist <= math.hypot(px - ax, py - ay) + 1e-9
         assert dist <= math.hypot(px - bx, py - by) + 1e-9
+
+
+def resize_per_axis(instances: InstanceSet, fx: float, fy: float) -> InstanceSet:
+    """The per-axis resize the command line used before InstanceSet.scaled took two factors."""
+    out = []
+    for sp in instances:
+        rings = [Ring(tuple(Point2(v.x * fx, v.y * fy) for v in ring.vertices)) for ring in sp.polygon.rings()]
+        out.append(ScoredPolygon(Polygon(rings[0], tuple(rings[1:])), sp.score))
+    return InstanceSet(tuple(out))
+
+
+class TestScaled:
+    def _instances(self):
+        rng = np.random.default_rng(8)
+        polys = [annulus(2, 2, 30, 20, 8, 6, 16, 14), random_rectilinear_polygon(rng, 40, 4, 20, 16, 3)]
+        polys.append(random_star_polygon(rng, 20, 50, 4, 12, 9))
+        return InstanceSet.of(polys, [0.25, 0.5, 1.0])
+
+    @pytest.mark.parametrize("fx, fy", [(2.0, 0.5), (0.25, 3.0), (1.0, 4.0), (1.5, 1.0), (0.7, 0.7)])
+    def test_anisotropic_keeps_orientation_and_matches_per_axis_resize(self, fx, fy):
+        inst = self._instances()
+        out = inst.scaled(fx, fy)
+        assert out == resize_per_axis(inst, fx, fy)
+        assert [sp.score for sp in out] == [0.25, 0.5, 1.0]
+        for sp in out:
+            assert signed_area(sp.polygon.outer) > 0
+            assert all(signed_area(h) < 0 for h in sp.polygon.holes)
+        assert len(out.instances[0].polygon.holes) == 1
+
+    def test_one_factor_scales_both_axes(self):
+        inst = self._instances()
+        assert inst.scaled(2.5) == inst.scaled(2.5, 2.5)
+        assert inst.scaled(1.0) is inst and inst.scaled(1.0, 1.0) is inst
 
 
 class TestNearestSegment:

@@ -144,6 +144,7 @@ class TestGeoJson:
             _TILE_T + '"features": [{"geometry": ' + _SQUARE + ', "properties": [1]}]}',
             _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", '["x", 0]') + "}]}",
             _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", "[null, 0]") + "}]}",
+            b"\xff\xfe{\x00}\x00",
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, doc):
@@ -230,6 +231,14 @@ class TestCoco:
         path.write_text(json.dumps(doc))
         with pytest.raises(CocoError):
             read_coco_annotations(path)
+
+    def test_unreadable_files_raise_format_errors(self, tmp_path):
+        path = tmp_path / "coco.json"
+        path.write_bytes(b"\xff\xfe" + '{"images": []}'.encode("utf-16-le"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_coco_annotations(path)
+        with pytest.raises(FormatError, match="directory"):
+            read_coco_annotations(tmp_path)
 
     def test_iscrowd_warns(self, tmp_path):
         doc = {

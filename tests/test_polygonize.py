@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from polyform.geometry import InstanceSet, Point2, Polygon, signed_area
+from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
 from polyform.polygonize import (
+    EIGHT,
+    FOUR,
     BoundaryChain,
     FallbackRequired,
     PolygonizeConfig,
     PolygonizeError,
     VertexSet,
+    _trace_window,
+    component_crops,
     connected_components,
     douglas_peucker,
     extract_vertices,
@@ -17,9 +21,9 @@ from polyform.polygonize import (
     threshold_mask,
     trace_boundary,
 )
-from polyform.raster import RasterGrid, encode_vertices, rasterize_mask
+from polyform.raster import DegradeSpec, RasterGrid, bounding_crop, degrade, encode_vertices, rasterize_mask
 
-from oracles import max_chain_deviation
+from oracles import douglas_peucker_closed, max_chain_deviation
 from synth import annulus, random_tile, rectangle
 
 
@@ -273,7 +277,54 @@ class TestMavAttractSimplify:
         assert produced > 50
 
 
+def degraded_soft(inst: InstanceSet, side: int, seed: int) -> RasterGrid:
+    spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, rng_seed=seed)
+    soft, _ = degrade(rasterize_mask(inst, side, side), encode_vertices(inst, side, side), spec)
+    return soft
+
+
+class TestComponentCrops:
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    def test_equal_full_frame_masks_and_f64_means(self, connectivity):
+        inst = random_tile(np.random.default_rng(9), 96, 96, n_min=5, n_max=8, min_side=12, max_side=24)
+        soft = degraded_soft(inst, 96, 2)
+        labels, count = connected_components(threshold_mask(soft, 0.5), connectivity)
+        crops = component_crops(soft, 0.5, connectivity)
+        assert len(crops) == count >= 5
+        values = soft.channel().astype(np.float64)
+        for comp, (r0, c0, crop, score) in enumerate(crops, start=1):
+            full = labels.channel() == comp
+            fr0, fc0, fcrop = bounding_crop(full)
+            assert (r0, c0) == (fr0, fc0) and np.array_equal(crop, fcrop)
+            assert score == float(values[full].mean())
+
+    def test_empty_mask_has_no_components(self):
+        assert component_crops(grid_f32(np.zeros((6, 5))), 0.5) == []
+
+
 class TestDouglasPeucker:
+    def test_equals_scalar_reference_on_degraded_chains(self):
+        # The first two point loops make math.hypot and the square root of the
+        # squared distance disagree: a tie for the farthest point, and a
+        # distance hypot rounds to exactly the tolerance 2.
+        chains = [
+            BoundaryChain(((27, 2), (19, 15), (25, 27), (16, 23), (11, 17), (5, 3)), "outer"),
+            BoundaryChain(((10, 6), (4, 4), (5, 23), (3, 11), (12, 15), (14, 14), (0, 19), (1, 15)), "outer"),
+        ]
+        rng = np.random.default_rng(4)
+        for seed in range(6):
+            inst = random_tile(rng, 512, 512, n_min=25, n_max=40)
+            for r0, c0, crop, _score in component_crops(degraded_soft(inst, 512, seed), 0.5):
+                chains += _trace_window(crop, r0, c0)
+        assert len(chains) >= 150
+        for chain in chains:
+            for tol in (0.5, 1.0, 1.5, 2.0):
+                try:
+                    got = [tuple(v) for v in douglas_peucker(chain, tol).vertices]
+                except DegenerateRingError:
+                    got = None
+                assert got == douglas_peucker_closed(chain.centers(), tol)
+
     def test_rectangle_reduces_to_corners(self):
         chain = square_chain(1, 1, 9, 7, 12, 12)
         ring = douglas_peucker(chain, 1.0)

@@ -17,8 +17,8 @@ from polyform.raster import (
     rasterize_mask,
 )
 
-from oracles import min_dist_over_segments, point_segment_distance, rasterize_enum
-from synth import annulus, random_tile, rectangle
+from oracles import afm_full_sweep, min_dist_over_segments, point_segment_distance, rasterize_enum
+from synth import annulus, random_star_polygon, random_tile, rectangle
 
 
 def segments_of(instances):
@@ -98,6 +98,22 @@ class TestEncodeAfm:
                 for c in range(32):
                     _idx, d = min_dist_over_segments(c + 0.5, r + 0.5, segs)
                     assert abs(mag[r, c] - d) <= 1e-6
+
+    def test_bitwise_equal_to_full_sweep_oracle(self):
+        rng = np.random.default_rng(17)
+        tiles = [random_tile(rng, 64, 64, n_min=2, n_max=5, min_side=12, max_side=24) for _ in range(4)]
+        tiles += [
+            InstanceSet.of([random_star_polygon(rng, 32, 32, 6, 30, int(rng.integers(5, 14)))]) for _ in range(4)
+        ]
+        # pixel (6, 6) is 4.5 from all four sides of the square, and column 28
+        # lies midway between the two boxes
+        ties = InstanceSet.of([rectangle(2, 2, 11, 11), rectangle(20, 2, 26, 11), rectangle(31, 2, 37, 11)])
+        dists = [point_segment_distance(6.5, 6.5, *s) for s in segments_of(ties)]
+        assert dists.count(min(dists)) == 4
+        for inst in tiles + [ties]:
+            afm = encode_afm(inst, 64, 64).data
+            assert afm.dtype == np.float64
+            assert np.array_equal(afm, afm_full_sweep(inst, 64, 64))
 
     def test_foot_lies_on_a_segment(self):
         rng = np.random.default_rng(12)
