@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as pio
 from .metrics import EvalConfig, MetricsError, coco_ap_ar_from_crops, evaluate_corpus
-from .polygonize import PolygonizeConfig, component_crops, polygonize_pipeline
+from .polygonize import PolygonizeConfig, component_crops, polygonize_components, polygonize_pipeline
 from .raster import (
     DegradeSpec,
     RasterGrid,
@@ -240,13 +240,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         try:
             frame, _grid, frame_instances, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
             soft, grids = degrade(mask, grids, spec)
-            instances = polygonize_pipeline(soft, grids.heatmap, grids.offsets, cfg)
+            crops = component_crops(soft, cfg.mask_threshold, cfg.connectivity)
+            instances = polygonize_components(crops, grids.heatmap, grids.offsets, cfg)
             poly_rec = pio.TileRecord(rec.tile_id, frame, instances)
             gt_rec = pio.TileRecord(rec.tile_id, frame, frame_instances)
             s = args.scale
             comp_masks = [
                 ((r0 * s, c0 * s, crop.repeat(s, axis=0).repeat(s, axis=1)), score)
-                for r0, c0, crop, score in component_crops(soft, cfg.mask_threshold, cfg.connectivity)
+                for r0, c0, crop, score in crops
             ]
             gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
             return (poly_rec, gt_rec, comp_masks, gt_inst), None

@@ -98,6 +98,20 @@ def _crop_iou(a: _Crop, b: _Crop, area_a: int, area_b: int) -> float:
     return inter / union
 
 
+def _union_iou(a: Sequence[_Crop], b: Sequence[_Crop]) -> float:
+    """IoU of the union of crops a with the union of crops b, counted on the
+    box that covers every crop; two empty unions count as 1."""
+    crops = [crop for crop in (*a, *b) if crop[2].size]
+    if not crops:
+        return 1.0
+    r0 = min(r for r, _, _ in crops)
+    c0 = min(c for _, c, _ in crops)
+    h = max(r + m.shape[0] for r, _, m in crops) - r0
+    w = max(c + m.shape[1] for _, c, m in crops) - c0
+    union_a, union_b = (union_of_crops([(r - r0, c - c0, m) for r, c, m in side], h, w) for side in (a, b))
+    return _iou_counts(union_a, union_b)
+
+
 def _binary(grid: RasterGrid) -> np.ndarray:
     return grid.channel() > 0.5
 
@@ -174,9 +188,9 @@ def _vertex_discount(a: Iterable[Polygon], b: Iterable[Polygon]) -> float:
 def ciou(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> float:
     """Complexity-aware IoU: mask IoU discounted by the relative difference
     of total vertex counts, IoU * (1 - |N_A - N_B| / (N_A + N_B))."""
-    union_a = union_of_crops((polygon_mask_crop(p, h, w) for p in a), h, w)
-    union_b = union_of_crops((polygon_mask_crop(p, h, w) for p in b), h, w)
-    return _iou_counts(union_a, union_b) * _vertex_discount(a, b)
+    crops_a = [polygon_mask_crop(p, h, w) for p in a]
+    crops_b = [polygon_mask_crop(p, h, w) for p in b]
+    return _union_iou(crops_a, crops_b) * _vertex_discount(a, b)
 
 
 def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> np.ndarray:
@@ -436,7 +450,7 @@ def evaluate_corpus(
             detections_mask.append(_Detection(float(score), tile, ious[i]))
             detections_boundary.append(_Detection(float(score), tile, b_ious[i]))
 
-        tile_ious.append(_iou_counts(union_of_crops(pred_crops, h, w), union_of_crops(gt_crops, h, w)))
+        tile_ious.append(_union_iou(pred_crops, gt_crops))
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
 
         match = _greedy_match(ious, scores, cfg.iou_thr)

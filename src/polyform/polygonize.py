@@ -399,17 +399,32 @@ def polygonize_pipeline(
 ) -> InstanceSet:
     """Full mask-to-polygons pipeline.
 
-    Threshold, label components, trace outer/hole chains, snap every chain
-    onto the detected vertices (Douglas-Peucker fallback when snapping
-    degenerates), assemble polygons, and rescale by config.scale. The
-    instance score is the mean soft-mask value over the component's pixels.
-    Components whose outer ring fails both simplifiers are dropped (warned);
-    failed hole rings are dropped silently.
+    Threshold and label components (component_crops), then
+    polygonize_components. The instance score is the mean soft-mask value
+    over the component's pixels.
     """
     cfg = config or PolygonizeConfig()
     if (soft_mask.height, soft_mask.width) != (heatmap.height, heatmap.width):
         raise PolygonizeError("mask and heatmap shapes differ")
     crops = component_crops(soft_mask, cfg.mask_threshold, cfg.connectivity)
+    return polygonize_components(crops, heatmap, offsets, cfg)
+
+
+def polygonize_components(
+    crops: Sequence[tuple[int, int, np.ndarray, float]],
+    heatmap: RasterGrid,
+    offsets: RasterGrid,
+    config: PolygonizeConfig | None = None,
+) -> InstanceSet:
+    """polygonize_pipeline on components already labelled by component_crops.
+
+    Trace outer/hole chains, snap every chain onto the detected vertices
+    (Douglas-Peucker fallback when snapping degenerates), assemble polygons
+    scored by the crop's score, and rescale by config.scale. Components
+    whose outer ring fails both simplifiers are dropped (warned); failed
+    hole rings are dropped silently.
+    """
+    cfg = config or PolygonizeConfig()
     if not crops:
         return InstanceSet()
     vertices = extract_vertices(heatmap, offsets, cfg.top_k, cfg.vertex_threshold)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyform import cli, polygonize
 from polyform.cli import main
 from polyform.geometry import InstanceSet
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson
@@ -221,6 +222,30 @@ class TestRoundtrip:
              "--vertex-dropout", "0", "--seed", "9"]
         )
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_labels_each_tile_once(self, gt_geojson, tmp_path, monkeypatch):
+        labelled = []
+        label = polygonize.connected_components
+        monkeypatch.setattr(polygonize, "connected_components", lambda *a: labelled.append(1) or label(*a))
+        monkeypatch.setenv("POLYFORM_WORKERS", "1")
+        flags = ["--scale", "2", "--dilate", "1", "--jitter-sigma", "0.5", "--seed", "3"]
+        once = tmp_path / "once.json"
+        assert main(["roundtrip", str(gt_geojson), str(once), *flags]) == 0
+        assert len(labelled) == 2  # two tiles
+        # the two-pass route: polygonize_pipeline labels the soft mask on its
+        # own, and the mask-AP crops come from a second labelling
+        softs = []
+        crops = cli.component_crops
+        monkeypatch.setattr(cli, "component_crops", lambda soft, *a: softs.append(soft) or crops(soft, *a))
+        monkeypatch.setattr(
+            cli, "polygonize_components",
+            lambda _crops, heat, offs, cfg: polygonize.polygonize_pipeline(softs[-1], heat, offs, cfg),
+        )
+        twice = tmp_path / "twice.json"
+        assert main(["roundtrip", str(gt_geojson), str(twice), *flags]) == 0
+        assert len(labelled) == 2 + 4
+        assert once.read_bytes() == twice.read_bytes()
 
     def test_fixed_seed_reproducible(self, gt_geojson, tmp_path):
         a = tmp_path / "a.json"

@@ -25,6 +25,7 @@ from polyform.metrics import (
     _coco_curves,
     _Detection,
     _greedy_match,
+    ciou,
     coco_ap_ar,
     coco_ap_ar_from_masks,
     evaluate_corpus,
@@ -175,6 +176,34 @@ def test_crop_metrics_equal_full_frame_reference(pairs):
         assert coco_ap_ar({p.tile_id: p.instances for p, _ in pairs},
                           {g.tile_id: g.instances for _, g in pairs}, sizes, mode=mode) == want
     assert evaluate_corpus([p for p, _ in pairs], [g for _, g in pairs], cfg) == reference_report(pairs, cfg)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tile_pairs())
+def test_ciou_equals_full_frame_union_iou(pair):
+    pred, gt = pair
+    h, w = gt.image_size
+    a = [sp.polygon for sp in pred.instances]
+    b = [sp.polygon for sp in gt.instances]
+    union_a = np.zeros((h, w), dtype=bool)
+    union_b = np.zeros((h, w), dtype=bool)
+    for m in full_masks(pred.instances, h, w):
+        union_a |= m
+    for m in full_masks(gt.instances, h, w):
+        union_b |= m
+    na = sum(p.vertex_count() for p in a)
+    nb = sum(p.vertex_count() for p in b)
+    discount = 1.0 - (0.0 if na + nb == 0 else abs(na - nb) / (na + nb))
+    assert ciou(a, b, h, w) == iou_full(union_a, union_b) * discount
+
+
+def test_ciou_of_empty_sides():
+    square = rectangle(2, 2, 6, 6)
+    speck = rectangle(3.625, 3.625, 3.875, 3.875)
+    assert ciou([], [], 8, 8) == 1.0
+    assert ciou([speck], [speck], 8, 8) == 1.0  # no pixel centre on either side
+    assert ciou([square], [], 8, 8) == 0.0
+    assert ciou([], [square], 8, 8) == 0.0
 
 
 def test_two_specks_have_iou_one():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyform.geometry import InstanceSet, Point2, Polygon, Ring
 from polyform.raster import (
@@ -71,6 +72,40 @@ class TestRasterizeMask:
             rasterize_mask(InstanceSet(), 0, 8)
 
 
+@st.composite
+def afm_shapes(draw, h: int, w: int) -> list[Polygon]:
+    """Polygons for the attraction field property: quarter-pixel rectangles and
+    courtyards with corners from 16 px outside the frame, often crossing its
+    edge, star polygons, and the exact-tie layout (a square whose centre pixel
+    is equidistant from all four sides, and two boxes with a pixel column
+    midway between them)."""
+
+    def coord(size: int) -> float:
+        return draw(st.integers(-64, 4 * size + 64)) / 4
+
+    def box(least: float) -> tuple[float, float, float, float]:
+        x0, y0 = coord(w), coord(h)
+        x1 = x0 + draw(st.integers(int(4 * least), 4 * w + 64)) / 4
+        y1 = y0 + draw(st.integers(int(4 * least), 4 * h + 64)) / 4
+        return x0, y0, x1, y1
+
+    kind = draw(st.sampled_from(["rect", "courtyard", "star", "ties"]))
+    if kind == "rect":
+        return [rectangle(*box(0.25))]
+    if kind == "courtyard":
+        x0, y0, x1, y1 = box(2.5)
+        wall = draw(st.integers(1, 4)) / 4
+        return [annulus(x0, y0, x1, y1, x0 + wall, y0 + wall, x1 - wall, y1 - wall)]
+    if kind == "star":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        r_max = draw(st.floats(1.0, 40.0))
+        n = draw(st.integers(3, 14))
+        return [random_star_polygon(rng, coord(w), coord(h), r_max / 4, r_max, n)]
+    dx, dy = draw(st.integers(-8, w)), draw(st.integers(-8, h))
+    return [rectangle(dx + 2, dy + 2, dx + 11, dy + 11), rectangle(dx + 20, dy + 2, dx + 26, dy + 11),
+            rectangle(dx + 31, dy + 2, dx + 37, dy + 11)]
+
+
 class TestEncodeAfm:
     def test_perpendicular_vector(self):
         # degenerate-thin box stands in for a single segment ((0,0),(8,0))
@@ -86,6 +121,12 @@ class TestEncodeAfm:
     def test_empty_instances_rejected(self):
         with pytest.raises(RasterError, match="no segments"):
             encode_afm(InstanceSet(), 4, 4)
+
+    def test_empty_frame(self):
+        inst = InstanceSet.of([rectangle(1, 1, 5, 5)])
+        for h, w in ((0, 7), (7, 0)):
+            afm = encode_afm(inst, h, w).data
+            assert afm.shape == (h, w, 2) and np.array_equal(afm, afm_full_sweep(inst, h, w))
 
     def test_matches_bruteforce_on_random_tiles(self):
         rng = np.random.default_rng(11)
@@ -114,6 +155,52 @@ class TestEncodeAfm:
             afm = encode_afm(inst, 64, 64).data
             assert afm.dtype == np.float64
             assert np.array_equal(afm, afm_full_sweep(inst, 64, 64))
+
+    def test_rounding_tie_at_a_block_corner_is_kept(self):
+        # at the block corner (15.5, 15.5) the first triangle's edge 0, which
+        # ends at its vertex nearest the corner, wins with a squared distance
+        # that rounds a few ulps below its squared gap to the edge's bounding
+        # box; the second triangle sets the block's upper bound at the same
+        # corner, between the two, so only the slack keeps edge 0 a candidate
+        near = Polygon.from_coords(
+            [(55.26932155494529, 81.73035381530212), (18.462126554038303, 25.726318980613318),
+             (23.202707844130455, 28.243597477623588)]
+        )
+        centre = Polygon.from_coords(
+            [(8.021453732946739, 7.922194292083313), (6.038097257814394, 7.537276784124809),
+             (7.363123835634031, 6.012098445879091)]
+        )
+        inst = InstanceSet.of([near, centre])
+        for h, w in ((16, 16), (20, 30)):
+            assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
+
+    def test_bitwise_equal_on_dense_tile_with_courtyards(self):
+        # a perfbench dense_corpus-style tile: 25-40 buildings, every fifth
+        # one a courtyard over its bounding box
+        rng = np.random.default_rng(23)
+        tile = random_tile(rng, 512, 512, n_min=25, n_max=40, min_side=26, max_side=48)
+        polys = []
+        for k, sp in enumerate(tile):
+            poly = sp.polygon
+            if k % 5 == 4:
+                xs = [v.x for v in poly.outer.vertices]
+                ys = [v.y for v in poly.outer.vertices]
+                x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+                walls = rng.integers(5, 9, size=4)
+                poly = annulus(x0, y0, x1, y1, x0 + walls[0], y0 + walls[1], x1 - walls[2], y1 - walls[3])
+            polys.append(poly)
+        inst = InstanceSet.of(polys)
+        assert len(inst) >= 25 and any(sp.polygon.holes for sp in inst)
+        assert np.array_equal(encode_afm(inst, 512, 512).data, afm_full_sweep(inst, 512, 512))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_equal_to_full_sweep_on_drawn_frames(self, data):
+        h = data.draw(st.integers(1, 80), label="h")
+        w = data.draw(st.integers(1, 80), label="w")
+        shapes = data.draw(st.lists(afm_shapes(h, w), min_size=1, max_size=4), label="shapes")
+        inst = InstanceSet.of([p for group in shapes for p in group])
+        assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
 
     def test_foot_lies_on_a_segment(self):
         rng = np.random.default_rng(12)
