@@ -3,10 +3,11 @@ them, polygonize rasters back to polygons, evaluate, round-trip, render.
 
 Every subcommand is deterministic for fixed flags (plus --seed where
 randomness is involved). Exit code 0 means no per-tile errors; otherwise a
-machine-readable {"errors": [...]} object is printed on stderr. Tiles are
-processed by a thread pool whose size comes from POLYFORM_WORKERS, the
---workers flag, or the available parallelism, in that order of precedence;
-output order never depends on it.
+machine-readable {"errors": [...]} object is printed on stderr. encode,
+polygonize and roundtrip process tiles on a thread pool whose size comes
+from the POLYFORM_WORKERS environment variable, else the available
+parallelism; it is resolved before any file is written, and output order
+never depends on it.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import io as pio
 from .metrics import EvalConfig, MetricsError, coco_ap_ar_from_crops, evaluate_corpus
-from .polygonize import PolygonizeConfig, component_crops, polygonize_components, polygonize_pipeline
+from .polygonize import EIGHT, FOUR, PolygonizeConfig, component_crops, polygonize_components, polygonize_pipeline
 from .raster import (
     DegradeSpec,
     RasterGrid,
@@ -36,28 +37,46 @@ from .raster import (
 )
 
 
-def _worker_count(flag_value: int | None) -> int:
+def _worker_count() -> int:
     env = os.environ.get("POLYFORM_WORKERS")
     if env is not None:
         return max(1, int(env))
-    if flag_value is not None:
-        return max(1, flag_value)
     return os.cpu_count() or 1
 
 
-def _tile_map(fn: Callable, items: Sequence, workers: int) -> list:
+def _tile_map(fn: Callable, items: Sequence, tile_id: Callable, workers: int) -> tuple[list, list[dict]]:
+    """Run fn over items on the worker pool. Returns, in input order, the
+    (item, result) pairs of the tiles that succeeded and one error entry per
+    tile whose fn raised."""
+
+    def guarded(item):
+        try:
+            return fn(item), None
+        except FileNotFoundError as exc:  # the only files read per tile are rasters
+            return None, f"missing raster: {exc.filename}"
+        except Exception as exc:  # collected per tile
+            return None, f"{type(exc).__name__}: {exc}"
+
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        outcomes = [guarded(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(guarded, items))
+    done, errors = [], []
+    for item, (result, err) in zip(items, outcomes):
+        if err is None:
+            done.append((item, result))
+        else:
+            errors.append({"tile_id": tile_id(item), "error": err})
+    return done, errors
 
 
 def _load_records(path: str) -> list[pio.TileRecord]:
     text = pio.read_text(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise pio.FormatError(f"{path}: malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+        doc = pio.parse_json(text)
+    except pio.FormatError as exc:
+        raise pio.FormatError(f"{path}: {exc}") from exc
     if isinstance(doc, dict) and doc.get("type") == "FeatureCollection":
         return pio.read_geojson(text)
     if isinstance(doc, dict) and "images" in doc:
@@ -113,20 +132,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
     names = [(rec, _sanitize(rec.tile_id, used)) for rec in records]
-    errors = []
     manifest_tiles = []
-
-    def work(item):
-        rec, name = item
-        try:
-            return _encode_tile(rec, args.size, args.scale, with_afm=True), None
-        except Exception as exc:  # collected per tile
-            return None, f"{type(exc).__name__}: {exc}"
-
-    for (rec, name), (encoded, err) in zip(names, _tile_map(work, names, args.workers)):
-        if err is not None:
-            errors.append({"tile_id": rec.tile_id, "error": err})
-            continue
+    done, errors = _tile_map(
+        lambda item: _encode_tile(item[0], args.size, args.scale, with_afm=True),
+        names, lambda item: item[0].tile_id, args.workers,
+    )
+    for (rec, name), encoded in done:
         (h, w), (gh, gw), _instances, mask, afm32, grids = encoded
         files = {
             "mask": f"{name}.mask.rgf",
@@ -147,17 +158,20 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return _fail(errors) if errors else 0
 
 
+# polygonize flag (argparse dest, also its key in the output metadata) -> PolygonizeConfig field
+_POLYGONIZE_FLAGS = {
+    "mask_threshold": "mask_threshold",
+    "topk": "top_k",
+    "vertex_threshold": "vertex_threshold",
+    "attract_dist": "attract_dist",
+    "merge_angle": "merge_angle",
+    "connectivity": "connectivity",
+    "dp_fallback_tolerance": "dp_fallback_tolerance",
+}
+
+
 def _polygonize_config(args: argparse.Namespace, scale: float) -> PolygonizeConfig:
-    return PolygonizeConfig(
-        mask_threshold=args.mask_threshold,
-        top_k=args.topk,
-        vertex_threshold=args.vertex_threshold,
-        attract_dist=args.attract_dist,
-        merge_angle=args.merge_angle,
-        scale=scale,
-        connectivity=args.connectivity,
-        dp_fallback_tolerance=args.dp_fallback_tolerance,
-    )
+    return PolygonizeConfig(scale=scale, **{field: getattr(args, dest) for dest, field in _POLYGONIZE_FLAGS.items()})
 
 
 def cmd_polygonize(args: argparse.Namespace) -> int:
@@ -166,47 +180,27 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
     if not manifest_path.exists():
         return _fail([{"tile_id": None, "error": f"missing manifest {manifest_path}"}])
     try:
-        tiles = json.loads(pio.read_text(manifest_path))["tiles"]
+        tiles = pio.parse_json(pio.read_text(manifest_path))["tiles"]
         if not all(isinstance(entry, dict) and "tile_id" in entry for entry in tiles):
             raise ValueError("every tile entry needs a tile_id")
     except (ValueError, KeyError, TypeError) as exc:
         raise pio.FormatError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
     cfg = _polygonize_config(args, args.scale)
-    errors = []
 
     def work(entry):
-        try:
-            files = entry["files"]
-            mask = pio.read_rgf((raster_dir / files["mask"]).read_bytes())
-            heat = pio.read_rgf((raster_dir / files["heatmap"]).read_bytes())
-            offs = pio.read_rgf((raster_dir / files["offsets"]).read_bytes())
-            soft = RasterGrid(mask.data.astype(np.float32)) if mask.dtype_name == "u8" else mask
-            instances = polygonize_pipeline(soft, heat, offs, cfg)
-            gh, gw = entry["grid_size"]
-            size = (int(round(gh * args.scale)), int(round(gw * args.scale)))
-            return pio.TileRecord(entry["tile_id"], size, instances), None
-        except FileNotFoundError as exc:
-            return None, f"missing raster: {exc.filename}"
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+        files = entry["files"]
+        mask = pio.read_rgf((raster_dir / files["mask"]).read_bytes())
+        heat = pio.read_rgf((raster_dir / files["heatmap"]).read_bytes())
+        offs = pio.read_rgf((raster_dir / files["offsets"]).read_bytes())
+        soft = RasterGrid(mask.data.astype(np.float32)) if mask.dtype_name == "u8" else mask
+        instances = polygonize_pipeline(soft, heat, offs, cfg)
+        gh, gw = entry["grid_size"]
+        size = (int(round(gh * args.scale)), int(round(gw * args.scale)))
+        return pio.TileRecord(entry["tile_id"], size, instances)
 
-    results = _tile_map(work, tiles, args.workers)
-    records = []
-    for entry, (record, err) in zip(tiles, results):
-        if err is not None:
-            errors.append({"tile_id": entry["tile_id"], "error": err})
-        else:
-            records.append(record)
-    metadata = {
-        "mask_threshold": args.mask_threshold,
-        "topk": args.topk,
-        "vertex_threshold": args.vertex_threshold,
-        "attract_dist": args.attract_dist,
-        "merge_angle": args.merge_angle,
-        "scale": args.scale,
-        "connectivity": args.connectivity,
-        "dp_fallback_tolerance": args.dp_fallback_tolerance,
-    }
+    done, errors = _tile_map(work, tiles, lambda entry: entry["tile_id"], args.workers)
+    records = [record for _, record in done]
+    metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": args.scale}
     Path(args.output).write_bytes(pio.write_geojson(records, metadata=metadata))
     print(f"polygonized {len(records)} tiles -> {args.output}")
     return _fail(errors) if errors else 0
@@ -234,34 +228,26 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
     )
     cfg = _polygonize_config(args, float(args.scale))
-    errors = []
 
     def work(rec: pio.TileRecord):
-        try:
-            frame, _grid, frame_instances, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
-            soft, grids = degrade(mask, grids, spec)
-            crops = component_crops(soft, cfg.mask_threshold, cfg.connectivity)
-            instances = polygonize_components(crops, grids.heatmap, grids.offsets, cfg)
-            poly_rec = pio.TileRecord(rec.tile_id, frame, instances)
-            gt_rec = pio.TileRecord(rec.tile_id, frame, frame_instances)
-            s = args.scale
-            comp_masks = [
-                ((r0 * s, c0 * s, crop.repeat(s, axis=0).repeat(s, axis=1)), score)
-                for r0, c0, crop, score in crops
-            ]
-            gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
-            return (poly_rec, gt_rec, comp_masks, gt_inst), None
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+        frame, _grid, frame_instances, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
+        soft, grids = degrade(mask, grids, spec)
+        crops = component_crops(soft, cfg.mask_threshold, cfg.connectivity)
+        instances = polygonize_components(crops, grids.heatmap, grids.offsets, cfg)
+        poly_rec = pio.TileRecord(rec.tile_id, frame, instances)
+        gt_rec = pio.TileRecord(rec.tile_id, frame, frame_instances)
+        s = args.scale
+        comp_masks = [
+            ((r0 * s, c0 * s, crop.repeat(s, axis=0).repeat(s, axis=1)), score)
+            for r0, c0, crop, score in crops
+        ]
+        gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
+        return poly_rec, gt_rec, comp_masks, gt_inst
 
-    results = _tile_map(work, gt_records, args.workers)
+    done, errors = _tile_map(work, gt_records, lambda rec: rec.tile_id, args.workers)
     pred_records, gt_eval = [], []
     mask_preds, gt_masks = {}, {}
-    for rec, (result, err) in zip(gt_records, results):
-        if err is not None:
-            errors.append({"tile_id": rec.tile_id, "error": err})
-            continue
-        poly_rec, gt_rec, comp_masks, gt_inst = result
+    for rec, (poly_rec, gt_rec, comp_masks, gt_inst) in done:
         pred_records.append(poly_rec)
         gt_eval.append(gt_rec)
         mask_preds[rec.tile_id] = comp_masks
@@ -292,13 +278,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _add_polygonize_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mask-threshold", type=float, default=0.5)
-    p.add_argument("--topk", type=int, default=300)
-    p.add_argument("--vertex-threshold", type=float, default=0.008)
-    p.add_argument("--attract-dist", type=float, default=5.0)
-    p.add_argument("--merge-angle", type=float, default=10.0)
-    p.add_argument("--connectivity", choices=["four", "eight"], default="eight")
-    p.add_argument("--dp-fallback-tolerance", type=float, default=1.0)
+    defaults = PolygonizeConfig()
+    for dest, field in _POLYGONIZE_FLAGS.items():
+        default = getattr(defaults, field)
+        choices = [FOUR, EIGHT] if field == "connectivity" else None
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default, choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--size", type=_parse_size, default=None, help="target frame HxW, e.g. 512x512")
     p.add_argument("--scale", type=int, default=1, help="down-sampling factor")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("polygonize", help="extract polygons from encoded rasters")
@@ -318,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output GeoJSON path")
     _add_polygonize_flags(p)
     p.add_argument("--scale", type=float, default=1.0, help="upscale factor for output coordinates")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_polygonize, validate_poly_flags=True)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
@@ -342,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-dropout", type=float, default=0.0)
     p.add_argument("--spurious", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_roundtrip, validate_poly_flags=True)
 
     p = sub.add_parser("render", help="render GeoJSON polygons to SVG")
@@ -361,9 +342,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             _polygonize_config(args, float(getattr(args, "scale", 1.0)))
         except ValueError as exc:
             parser.error(str(exc))
-    if hasattr(args, "workers"):
+    if args.fn in (cmd_encode, cmd_polygonize, cmd_roundtrip):
         try:
-            args.workers = _worker_count(args.workers)
+            args.workers = _worker_count()
         except ValueError as exc:
             return _fail([{"tile_id": None, "error": f"POLYFORM_WORKERS: {exc}"}])
     try:

@@ -14,11 +14,13 @@ Formats:
   - SVG: deterministic polygon overlays, one even-odd path per instance.
 
 Readers raise typed FormatError subclasses on malformed input, never
-arbitrary exceptions.
+arbitrary exceptions. Instance scores must be finite: they rank the
+predictions for matching.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ _DTYPE_BY_CODE = {0: np.dtype(np.uint8), 1: np.dtype(np.float32)}
 _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 
 _BOUNDS_TOL = 1e-6
+_MAX_SIDE = 2**53  # image sides convert to float exactly for the bounds check
 
 
 class FormatError(ValueError):
@@ -52,6 +55,27 @@ class GeoJsonError(FormatError):
 
 class CocoError(FormatError):
     pass
+
+
+def _finite_score(value: object, what: str, error: type[FormatError]) -> float:
+    """A score as a finite float; anything else raises `error`."""
+    try:
+        score = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what}: bad score {value!r}") from exc
+    if not math.isfinite(score):
+        raise error(f"{what}: non-finite score {value!r}")
+    return score
+
+
+def parse_json(text: str, error: type[FormatError] = FormatError) -> object:
+    """json.loads with every failure raised as `error`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer literal, too deep nesting
+        raise error(f"malformed JSON: {exc}") from exc
 
 
 def read_text(path: str | Path) -> str:
@@ -75,7 +99,7 @@ class TileRecord:
 
     def __post_init__(self) -> None:
         h, w = self.image_size
-        if h < 1 or w < 1:
+        if not (1 <= h <= _MAX_SIDE and 1 <= w <= _MAX_SIDE):
             raise FormatError(f"tile {self.tile_id!r}: bad image size {self.image_size}")
         object.__setattr__(self, "image_size", (int(h), int(w)))
         for sp in self.instances:
@@ -157,7 +181,7 @@ def _parse_geojson_ring(positions: object, what: str) -> Ring:
             raise GeoJsonError(f"{what}: bad position {pos!r}")
         try:
             pts.append((float(pos[0]), float(pos[1])))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GeoJsonError(f"{what}: bad position {pos!r}") from exc
     if pts[0] != pts[-1]:
         raise GeoJsonError(f"{what}: unclosed ring")
@@ -172,10 +196,7 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise GeoJsonError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GeoJsonError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    doc = parse_json(text, GeoJsonError)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoJsonError("not a FeatureCollection")
     if "tiles" not in doc:
@@ -188,7 +209,7 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
             h, w = entry["image_size"]
             order.append(tile_id)
             sizes[tile_id] = (int(h), int(w))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
     by_tile: dict[str, list[ScoredPolygon]] = {tid: [] for tid in order}
     features = doc.get("features", [])
@@ -213,10 +234,7 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
         tile_id = str(props.get("tile_id", ""))
         if tile_id not in by_tile:
             raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
-        try:
-            score = float(props.get("score", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise GeoJsonError(f"{what}: bad score {props.get('score')!r}") from exc
+        score = _finite_score(props.get("score", 1.0), what, GeoJsonError)
         by_tile[tile_id].append(ScoredPolygon(Polygon(outer, holes), score))
     return [
         TileRecord(tid, sizes[tid], InstanceSet(tuple(by_tile[tid]))) for tid in order
@@ -232,7 +250,10 @@ def _rings_from_segmentation(seg: object, what: str) -> list[Ring]:
     for flat in seg:
         if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2 != 0:
             raise CocoError(f"{what}: bad polygon array of length {len(flat) if isinstance(flat, list) else '?'}")
-        pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
+        try:
+            pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
         if len(pts) > 3 and pts[0] == pts[-1]:
             pts = pts[:-1]
         try:
@@ -251,10 +272,7 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
     ignored with a warning.
     """
     text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CocoError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    doc = parse_json(text, CocoError)
     if not isinstance(doc, dict) or "images" not in doc:
         raise CocoError("missing 'images' list")
     images: dict[int, tuple[str, int, int]] = {}
@@ -265,19 +283,22 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
             tile_id = str(img.get("file_name", image_id))
             images[image_id] = (tile_id, int(img["height"]), int(img["width"]))
             order.append(image_id)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CocoError(f"bad 'images' entry: {exc!r}") from exc
     by_image: dict[int, list[ScoredPolygon]] = {i: [] for i in order}
     crowd_seen = 0
-    for k, ann in enumerate(doc.get("annotations", [])):
+    annotations = doc.get("annotations", [])
+    if not isinstance(annotations, list):
+        raise CocoError("'annotations' is not a list")
+    for k, ann in enumerate(annotations):
         if not isinstance(ann, dict):
             raise CocoError(f"annotation {k}: not an object")
         what = f"annotation {ann.get('id', k)}"
         try:
             image_id = int(ann["image_id"])
-            score = float(ann.get("score", 1.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CocoError(f"{what}: {exc!r}") from exc
+        score = _finite_score(ann.get("score", 1.0), what, CocoError)
         if image_id not in images:
             raise CocoError(f"{what}: unknown image_id {image_id}")
         if ann.get("iscrowd"):

@@ -207,24 +207,28 @@ def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> 
     return out
 
 
+def _score_order(scores: Sequence[float]) -> list[int]:
+    """Prediction indices by descending score, the lower index first on ties."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 def _greedy_match(ious: np.ndarray, scores: Sequence[float], iou_thr: float) -> MatchResult:
+    """The one matching rule: predictions in score order each take the free
+    ground truth of highest IoU >= iou_thr, the lowest index on ties."""
     n_pred, n_gt = ious.shape
-    order = sorted(range(n_pred), key=lambda i: (-scores[i], i))
-    taken = np.zeros(n_gt, dtype=bool)
+    free_ious = np.where(ious >= iou_thr, ious, -np.inf)  # a taken column drops to -inf too
     pairs = []
-    for i in order:
-        best_j, best_iou = -1, iou_thr
-        for j in range(n_gt):
-            if not taken[j] and ious[i, j] >= best_iou and (best_j < 0 or ious[i, j] > best_iou):
-                best_j, best_iou = j, ious[i, j]
-        if best_j >= 0:
-            taken[best_j] = True
-            pairs.append((i, best_j, float(ious[i, best_j])))
-    matched_preds = {p for p, _, _ in pairs}
+    for i in _score_order(scores) if n_gt else ():
+        j = int(free_ious[i].argmax())  # the first maximum
+        if free_ious[i, j] > -np.inf:
+            free_ious[:, j] = -np.inf
+            pairs.append((i, j, float(ious[i, j])))
+    matched_preds = {i for i, _, _ in pairs}
+    matched_gts = {j for _, j, _ in pairs}
     return MatchResult(
         tuple(sorted(pairs)),
         tuple(i for i in range(n_pred) if i not in matched_preds),
-        tuple(j for j in range(n_gt) if not taken[j]),
+        tuple(j for j in range(n_gt) if j not in matched_gts),
     )
 
 
@@ -237,44 +241,31 @@ def match_instances(
     return _greedy_match(ious, [sp.score for sp in preds], iou_thr)
 
 
-@dataclass(frozen=True)
-class _Detection:
-    score: float
-    tile: str
-    ious: np.ndarray  # IoU against this tile's ground truths
+_Table = tuple[np.ndarray, Sequence[float]]  # one tile's (pred x gt IoU, pred scores)
 
 
-def _coco_curves(
-    detections: list[_Detection], gt_counts: Mapping[str, int], thresholds: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    total_gt = sum(gt_counts.values())
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    aps, ars = [], []
+def _coco_summary(tables: Sequence[_Table]) -> tuple[float, float, float, float, float, float]:
+    """COCO (ap, ap50, ap75, ar, ar50, ar75) over per-tile tables in tile order.
+
+    Each tile is matched on its own at every IoU threshold; detections are
+    then ranked over all tiles in score order for 101-point interpolated
+    precision, averaged over the thresholds.
+    """
+    scores = [s for _, tile_scores in tables for s in tile_scores]
+    total_gt = sum(ious.shape[1] for ious, _ in tables)
+    if total_gt == 0 or not scores:
+        value = 1.0 if total_gt == 0 and not scores else 0.0
+        return (value,) * 6
+    order = _score_order(scores)
     recall_levels = np.linspace(0.0, 1.0, 101)
-    for thr in thresholds:
-        if total_gt == 0:
-            value = 1.0 if not detections else 0.0
-            aps.append(value)
-            ars.append(value)
-            continue
-        taken = {tile: np.zeros(n, dtype=bool) for tile, n in gt_counts.items()}
-        tp = np.zeros(len(order), dtype=bool)
-        for rank, i in enumerate(order):
-            det = detections[i]
-            used = taken[det.tile]
-            best_j, best_iou = -1, thr
-            for j, value in enumerate(det.ious):
-                if used[j] or value < best_iou:
-                    continue
-                if best_j < 0 or value > best_iou:
-                    best_j, best_iou = j, value
-            if best_j >= 0:
-                used[best_j] = True
-                tp[rank] = True
-        if len(order) == 0:
-            aps.append(0.0)
-            ars.append(0.0)
-            continue
+    aps, ars = [], []
+    for thr in IOU_THRESHOLDS:
+        matched = np.zeros(len(scores), dtype=bool)
+        offset = 0
+        for ious, tile_scores in tables:
+            matched[[offset + i for i, _, _ in _greedy_match(ious, tile_scores, thr).pairs]] = True
+            offset += len(tile_scores)
+        tp = matched[order]
         tp_cum = np.cumsum(tp)
         fp_cum = np.cumsum(~tp)
         recall = tp_cum / total_gt
@@ -285,18 +276,7 @@ def _coco_curves(
         sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
         aps.append(float(sampled.mean()))
         ars.append(float(recall[-1]))
-    return aps, ars
-
-
-def _ap_ar_summary(aps: list[float], ars: list[float]) -> tuple[float, float, float, float, float, float]:
-    return (
-        float(np.mean(aps)),
-        aps[0],
-        aps[5],
-        float(np.mean(ars)),
-        ars[0],
-        ars[5],
-    )
+    return float(np.mean(aps)), aps[0], aps[5], float(np.mean(ars)), ars[0], ars[5]
 
 
 def coco_ap_ar_from_crops(
@@ -315,15 +295,12 @@ def coco_ap_ar_from_crops(
         raise MetricsError(f"tile ids do not align: {sorted(set(preds) ^ set(gts))}")
     if mode not in ("mask", "boundary"):
         raise MetricsError(f"unknown mode {mode!r}")
-    detections: list[_Detection] = []
-    gt_counts: dict[str, int] = {}
+    tables = []
     for tile in sorted(gts):
         band = _band_distance(*sizes[tile], d_frac) if mode == "boundary" else 0
         ious = _iou_matrix([crop for crop, _ in preds[tile]], gts[tile], band)
-        gt_counts[tile] = len(gts[tile])
-        detections += [_Detection(float(score), tile, row) for (_, score), row in zip(preds[tile], ious)]
-    aps, ars = _coco_curves(detections, gt_counts, IOU_THRESHOLDS)
-    return _ap_ar_summary(aps, ars)
+        tables.append((ious, [score for _, score in preds[tile]]))
+    return _coco_summary(tables)
 
 
 def coco_ap_ar_from_masks(
@@ -421,9 +398,8 @@ def evaluate_corpus(
     if set(pred_by_id) != set(gt_by_id):
         raise MetricsError(f"tile ids do not align: {sorted(set(pred_by_id) ^ set(gt_by_id))}")
 
-    detections_mask: list[_Detection] = []
-    detections_boundary: list[_Detection] = []
-    gt_counts: dict[str, int] = {}
+    mask_tables: list[_Table] = []
+    boundary_tables: list[_Table] = []
     tile_ious: list[float] = []
     tile_cious: list[float] = []
     tile_vertex_f1: list[float] = []
@@ -442,13 +418,9 @@ def evaluate_corpus(
         pred_crops = _instance_crops(pred_rec.instances, h, w)
 
         ious = _iou_matrix(pred_crops, gt_crops)
-        b_ious = _iou_matrix(pred_crops, gt_crops, _band_distance(h, w, cfg.boundary_d_frac))
-
-        gt_counts[tile] = len(gt_crops)
+        mask_tables.append((ious, scores))
+        boundary_tables.append((_iou_matrix(pred_crops, gt_crops, _band_distance(h, w, cfg.boundary_d_frac)), scores))
         total_gts += len(gt_crops)
-        for i, score in enumerate(scores):
-            detections_mask.append(_Detection(float(score), tile, ious[i]))
-            detections_boundary.append(_Detection(float(score), tile, b_ious[i]))
 
         tile_ious.append(_union_iou(pred_crops, gt_crops))
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
@@ -462,9 +434,7 @@ def evaluate_corpus(
             vertex_f1(_vertices_of(pred_rec.instances), _vertices_of(gt_rec.instances), cfg.vertex_dist_thr)
         )
 
-    aps, ars = _coco_curves(detections_mask, gt_counts, IOU_THRESHOLDS)
-    ap, ap50, ap75, ar, ar50, ar75 = _ap_ar_summary(aps, ars)
-    b_aps, _ = _coco_curves(detections_boundary, gt_counts, IOU_THRESHOLDS)
+    ap, ap50, ap75, ar, ar50, ar75 = _coco_summary(mask_tables)
     return EvalReport(
         ap=ap,
         ap50=ap50,
@@ -472,7 +442,7 @@ def evaluate_corpus(
         ar=ar,
         ar50=ar50,
         ar75=ar75,
-        ap_boundary=float(np.mean(b_aps)),
+        ap_boundary=_coco_summary(boundary_tables)[0],
         polis_mean=float(np.mean(polis_values)) if polis_values else 0.0,
         ciou=float(np.mean(tile_cious)) if tile_cious else 1.0,
         iou=float(np.mean(tile_ious)) if tile_ious else 1.0,

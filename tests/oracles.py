@@ -12,6 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from polyform.geometry import Polygon
+from polyform.metrics import MatchResult
 
 
 def point_segment_distance(px, py, ax, ay, bx, by) -> float:
@@ -124,6 +125,88 @@ def iou_matrix_full(pred_masks, gt_masks) -> np.ndarray:
         for j, gm in enumerate(gt_masks):
             out[i, j] = iou_full(pm, gm)
     return out
+
+
+def greedy_match_scalar(ious, scores, iou_thr) -> MatchResult:
+    """Greedy one-to-one matching in scalar loops: predictions by descending
+    score (lower index first on equal scores) each take the unmatched ground
+    truth of highest IoU >= iou_thr, the lower index on equal IoUs."""
+    n_pred, n_gt = ious.shape
+    taken = [False] * n_gt
+    pairs = []
+    for i in sorted(range(n_pred), key=lambda i: (-scores[i], i)):
+        best_j, best_iou = -1, iou_thr
+        for j in range(n_gt):
+            if not taken[j] and ious[i, j] >= best_iou and (best_j < 0 or ious[i, j] > best_iou):
+                best_j, best_iou = j, ious[i, j]
+        if best_j >= 0:
+            taken[best_j] = True
+            pairs.append((i, best_j, float(ious[i, best_j])))
+    matched = {i for i, _, _ in pairs}
+    return MatchResult(
+        tuple(sorted(pairs)),
+        tuple(i for i in range(n_pred) if i not in matched),
+        tuple(j for j in range(n_gt) if not taken[j]),
+    )
+
+
+COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+
+
+def coco_curves(detections, gt_counts, thresholds):
+    """Per-threshold AP and AR over (score, tile, IoU row) detections ranked
+    over all tiles at once, each matched with its own inline greedy loop
+    against its tile's ground truths."""
+    total_gt = sum(gt_counts.values())
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][0], i))
+    aps, ars = [], []
+    recall_levels = np.linspace(0.0, 1.0, 101)
+    for thr in thresholds:
+        if total_gt == 0:
+            value = 1.0 if not detections else 0.0
+            aps.append(value)
+            ars.append(value)
+            continue
+        taken = {tile: np.zeros(n, dtype=bool) for tile, n in gt_counts.items()}
+        tp = np.zeros(len(order), dtype=bool)
+        for rank, i in enumerate(order):
+            _, tile, row = detections[i]
+            used = taken[tile]
+            best_j, best_iou = -1, thr
+            for j, value in enumerate(row):
+                if used[j] or value < best_iou:
+                    continue
+                if best_j < 0 or value > best_iou:
+                    best_j, best_iou = j, value
+            if best_j >= 0:
+                used[best_j] = True
+                tp[rank] = True
+        if len(order) == 0:
+            aps.append(0.0)
+            ars.append(0.0)
+            continue
+        tp_cum = np.cumsum(tp)
+        fp_cum = np.cumsum(~tp)
+        recall = tp_cum / total_gt
+        precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
+        for k in range(len(precision) - 1, 0, -1):
+            precision[k - 1] = max(precision[k - 1], precision[k])
+        idx = np.searchsorted(recall, recall_levels, side="left")
+        sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
+        aps.append(float(sampled.mean()))
+        ars.append(float(recall[-1]))
+    return aps, ars
+
+
+def coco_summary(tables) -> tuple:
+    """(ap, ap50, ap75, ar, ar50, ar75) over per-tile (pred x gt IoU, pred
+    scores) tables, through coco_curves."""
+    detections, gt_counts = [], {}
+    for tile, (ious, scores) in enumerate(tables):
+        gt_counts[tile] = ious.shape[1]
+        detections += [(float(s), tile, row) for s, row in zip(scores, ious)]
+    aps, ars = coco_curves(detections, gt_counts, COCO_THRESHOLDS)
+    return float(np.mean(aps)), aps[0], aps[5], float(np.mean(ars)), ars[0], ars[5]
 
 
 def _sample_boundary(poly: Polygon, step: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -114,6 +115,18 @@ class TestPolygonize:
         assert doc["metadata"]["attract_dist"] == 5.0
         assert doc["metadata"]["merge_angle"] == 10.0
 
+    def test_missing_raster_fails_only_its_tile(self, gt_geojson, tmp_path, capsys):
+        out = tmp_path / "rasters"
+        main(["encode", str(gt_geojson), str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        heatmap = out / manifest["tiles"][0]["files"]["heatmap"]
+        heatmap.unlink()
+        dst = tmp_path / "pred.geojson"
+        assert main(["polygonize", str(out), str(dst)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"errors": [{"tile_id": "t0", "error": f"missing raster: {heatmap}"}]}
+        assert [r.tile_id for r in read_geojson(dst.read_bytes())] == ["t1"]
+
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["polygonize", "x", "y", "--frobnicate", "1"])
@@ -124,7 +137,8 @@ class TestPolygonize:
             main(["polygonize", str(tmp_path), str(tmp_path / "o.geojson"), "--topk", "0"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("text", ['{"tiles": [', "[]", '{"tiles": 5}', '{"tiles": [{"files": {}}]}'])
+    @pytest.mark.parametrize("text", ['{"tiles": [', "[]", '{"tiles": 5}', '{"tiles": [{"files": {}}]}',
+                                      pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting")])
     def test_corrupt_manifest_is_named_error(self, tmp_path, capsys, text):
         raster_dir = tmp_path / "rasters"
         raster_dir.mkdir()
@@ -203,6 +217,51 @@ class TestUnreadableInput:
         assert main(self.COMMANDS[command](str(folder), str(gt_geojson), tmp_path)) == 1
         err = json.loads(capsys.readouterr().err)
         assert "directory" in err["errors"][0]["error"]
+
+
+COCO_DOC = {
+    "images": [{"id": 1, "file_name": "a", "height": 16, "width": 16}],
+    "annotations": [{"id": 1, "image_id": 1, "segmentation": [[1, 1, 9, 1, 9, 9, 1, 9]], "score": 0.5}],
+}
+GEOJSON_DOC = json.loads(write_geojson([TileRecord("a", (16, 16), InstanceSet.of([rectangle(1, 1, 9, 9)]))]))
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# each ended in a traceback before the readers caught it; json.dumps writes
+# float("inf") and float("nan") as the Infinity and NaN literals
+READER_FAULTS = {
+    "coco-string-coordinate": (COCO_DOC, _set(("annotations", 0, "segmentation", 0, 0), "x")),
+    "coco-null-coordinate": (COCO_DOC, _set(("annotations", 0, "segmentation", 0, 0), None)),
+    "coco-list-coordinate": (COCO_DOC, _set(("annotations", 0, "segmentation", 0, 0), [1])),
+    "coco-null-annotations": (COCO_DOC, _set(("annotations",), None)),
+    "coco-infinite-height": (COCO_DOC, _set(("images", 0, "height"), float("inf"))),
+    "coco-infinite-image-id": (COCO_DOC, _set(("annotations", 0, "image_id"), float("inf"))),
+    "coco-nan-string-score": (COCO_DOC, _set(("annotations", 0, "score"), "nan")),
+    "coco-nan-score": (COCO_DOC, _set(("annotations", 0, "score"), float("nan"))),
+    "geojson-infinite-size": (GEOJSON_DOC, _set(("tiles", 0, "image_size", 0), float("inf"))),
+    "geojson-nan-string-score": (GEOJSON_DOC, _set(("features", 0, "properties", "score"), "nan")),
+    "geojson-nan-score": (GEOJSON_DOC, _set(("features", 0, "properties", "score"), float("nan"))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(READER_FAULTS))
+def test_reader_fault_ends_in_error_object(tmp_path, capsys, fault):
+    doc, edit = READER_FAULTS[fault]
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    src = tmp_path / "gt.json"
+    src.write_text(json.dumps(doc))
+    assert main(["encode", str(src), str(tmp_path / "rasters")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert len(err["errors"]) == 1 and "Error: " in err["errors"][0]["error"]
 
 
 class TestRoundtrip:

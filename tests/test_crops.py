@@ -17,14 +17,9 @@ from polyform.cli import main
 from polyform.geometry import InstanceSet, Polygon, ScoredPolygon
 from polyform.io import TileRecord, write_geojson
 from polyform.metrics import (
-    IOU_THRESHOLDS,
     EvalConfig,
     EvalReport,
-    _ap_ar_summary,
     _band_distance,
-    _coco_curves,
-    _Detection,
-    _greedy_match,
     ciou,
     coco_ap_ar,
     coco_ap_ar_from_masks,
@@ -43,7 +38,7 @@ from polyform.raster import (
     rasterize_mask,
 )
 
-from oracles import inner_band_full, iou_full, iou_matrix_full
+from oracles import coco_summary, greedy_match_scalar, inner_band_full, iou_full, iou_matrix_full
 from synth import annulus, random_tile, rectangle
 
 SCORES = (0.25, 0.5, 0.75, 1.0)
@@ -108,7 +103,7 @@ def full_masks(instances: InstanceSet, h: int, w: int) -> list[np.ndarray]:
 
 def reference_coco(preds: dict, gts: dict, mode: str, d_frac: float = 0.02) -> tuple:
     """COCO AP/AR with every IoU counted over full frames."""
-    detections, gt_counts = [], {}
+    tables = []
     for tile in sorted(gts):
         gt_masks = gts[tile]
         pred_masks = [m for m, _ in preds[tile]]
@@ -117,10 +112,8 @@ def reference_coco(preds: dict, gts: dict, mode: str, d_frac: float = 0.02) -> t
             d = _band_distance(*shape, d_frac)
             gt_masks = [inner_band_full(m, d) for m in gt_masks]
             pred_masks = [inner_band_full(m, d) for m in pred_masks]
-        ious = iou_matrix_full(pred_masks, gt_masks)
-        gt_counts[tile] = len(gt_masks)
-        detections += [_Detection(float(s), tile, row) for (_, s), row in zip(preds[tile], ious)]
-    return _ap_ar_summary(*_coco_curves(detections, gt_counts, IOU_THRESHOLDS))
+        tables.append((iou_matrix_full(pred_masks, gt_masks), [s for _, s in preds[tile]]))
+    return coco_summary(tables)
 
 
 def reference_report(pairs: list[tuple[TileRecord, TileRecord]], cfg: EvalConfig) -> EvalReport:
@@ -139,8 +132,8 @@ def reference_report(pairs: list[tuple[TileRecord, TileRecord]], cfg: EvalConfig
         na = sum(sp.polygon.vertex_count() for sp in p.instances)
         nb = sum(sp.polygon.vertex_count() for sp in g.instances)
         cious.append(ious[-1] * (1.0 - (0.0 if na + nb == 0 else abs(na - nb) / (na + nb))))
-        match = _greedy_match(iou_matrix_full(pred_masks, gts[g.tile_id]), [sp.score for sp in p.instances],
-                              cfg.iou_thr)
+        match = greedy_match_scalar(iou_matrix_full(pred_masks, gts[g.tile_id]), [sp.score for sp in p.instances],
+                                    cfg.iou_thr)
         matched += len(match.pairs)
         polis_values += [polis(p.instances.instances[i].polygon, g.instances.instances[j].polygon)
                          for i, j, _ in match.pairs]
@@ -161,7 +154,7 @@ def test_crop_metrics_equal_full_frame_reference(pairs):
     cfg = EvalConfig()
     for pred, gt in pairs:
         h, w = gt.image_size
-        want = _greedy_match(
+        want = greedy_match_scalar(
             iou_matrix_full(full_masks(pred.instances, h, w), full_masks(gt.instances, h, w)),
             [sp.score for sp in pred.instances], cfg.iou_thr,
         )

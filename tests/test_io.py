@@ -1,8 +1,10 @@
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyform.geometry import InstanceSet, Polygon
 from polyform.io import (
@@ -145,11 +147,18 @@ class TestGeoJson:
             _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", '["x", 0]') + "}]}",
             _TILE_T + '"features": [{"geometry": ' + _SQUARE.replace("[0, 0]", "[null, 0]") + "}]}",
             b"\xff\xfe{\x00}\x00",
+            pytest.param("1" * 5000, id="integer-past-digit-limit"),
+            pytest.param("[" * 100000 + "]" * 100000, id="nesting-past-recursion-limit"),
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, doc):
         with pytest.raises(GeoJsonError):
             read_geojson(doc)
+
+    def test_side_past_float_range_rejected(self):
+        tile = _TILE_T.replace("[8, 8]", "[8, 1" + "0" * 400 + "]")
+        with pytest.raises(FormatError, match="bad image size"):
+            read_geojson(tile + '"features": [{"geometry": ' + _SQUARE + ', "properties": {"tile_id": "t"}}]}')
 
     def test_out_of_bounds_coordinates_rejected(self):
         with pytest.raises(FormatError, match="bounds"):
@@ -256,6 +265,77 @@ class TestCoco:
         path.write_text(json.dumps(doc))
         with pytest.warns(UserWarning, match="iscrowd"):
             read_coco_annotations(path)
+
+
+# values a hostile or broken writer may put anywhere: non-finite floats (as
+# NaN / Infinity literals), integers too large for a float, numeric strings
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "1", "nan", "inf", "-Infinity", "1e999"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["id", "tile_id"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A valid document with a few of its values replaced or removed."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()) or isinstance(parent, list):
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+VALID_GEOJSON = json.loads(write_geojson(records_fixture()))
+VALID_COCO = json.loads(write_coco_annotations(records_fixture()))
+
+
+class TestReaderFuzz:
+    """Whatever the damage to a valid document, only FormatError escapes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(VALID_GEOJSON))
+    def test_read_geojson_raises_only_format_errors(self, doc):
+        try:
+            read_geojson(json.dumps(doc))
+        except FormatError:
+            pass
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(VALID_COCO))
+    def test_read_coco_annotations_raises_only_format_errors(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("coco") / "coco.json"
+        path.write_text(json.dumps(doc))
+        try:
+            read_coco_annotations(path)
+        except FormatError:
+            pass
 
 
 class TestRenderSvg:

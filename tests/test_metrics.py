@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyform.geometry import InstanceSet, Point2, Polygon
 from polyform.io import TileRecord
 from polyform.metrics import (
     EvalConfig,
     MetricsError,
+    _coco_summary,
+    _greedy_match,
     boundary_iou,
     ciou,
     coco_ap_ar,
@@ -22,7 +25,7 @@ from polyform.metrics import (
 from polyform.polygonize import VertexSet
 from polyform.raster import RasterGrid, rasterize_mask
 
-from oracles import boundary_band_enum, polis_sampled
+from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, polis_sampled
 from synth import random_star_polygon, rectangle
 
 
@@ -196,6 +199,33 @@ class TestMatchInstances:
         result = match_instances(InstanceSet(), InstanceSet.of([gt]), 8, 8)
         assert result.pairs == ()
         assert result.unmatched_gts == (0,)
+
+
+# IoUs exactly at the thresholds 0.5, 0.55 and 0.75, repeated values and
+# equal scores put every tie-breaking rule of the matcher to work
+TIE_IOUS = (0.0, 0.0, 0.3, 0.5, 0.55, 0.6, 0.75, 1.0)
+TIE_SCORES = (0.25, 0.5, 0.5, 1.0)
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """One tile's (pred x gt IoU, pred scores) table with some rows and
+    columns blanked to zero."""
+    n_pred, n_gt = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = draw(st.lists(st.sampled_from(TIE_IOUS), min_size=n_pred * n_gt, max_size=n_pred * n_gt))
+    ious = np.array(cells, dtype=np.float64).reshape(n_pred, n_gt)
+    ious[[i for i in draw(st.sets(st.integers(0, 5))) if i < n_pred], :] = 0.0
+    ious[:, [j for j in draw(st.sets(st.integers(0, 5))) if j < n_gt]] = 0.0
+    scores = draw(st.lists(st.sampled_from(TIE_SCORES), min_size=n_pred, max_size=n_pred))
+    return ious, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tie_heavy_tables(), max_size=4), st.sampled_from((0.0, 0.5, 0.55, 0.75)))
+def test_matcher_and_coco_summary_equal_scalar_oracle(tables, iou_thr):
+    for ious, scores in tables:
+        assert _greedy_match(ious, scores, iou_thr) == greedy_match_scalar(ious, scores, iou_thr)
+    assert _coco_summary(tables) == coco_summary(tables)
 
 
 def _ap_fixture():
