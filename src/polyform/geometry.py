@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,11 +54,6 @@ class LineSegment:
         return math.hypot(self.end.x - self.start.x, self.end.y - self.start.y)
 
 
-class Orientation(Enum):
-    CCW = "ccw"
-    CW = "cw"
-
-
 @dataclass(frozen=True)
 class Ring:
     """Closed vertex loop; the first vertex is not repeated in storage.
@@ -85,10 +79,6 @@ class Ring:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @property
-    def orientation(self) -> Orientation:
-        return Orientation.CCW if signed_area(self) > 0 else Orientation.CW
 
     def reversed(self) -> "Ring":
         return Ring(tuple(reversed(self.vertices)))

@@ -15,7 +15,8 @@ Formats:
 
 Readers raise typed FormatError subclasses on malformed input, never
 arbitrary exceptions. Instance scores must be finite: they rank the
-predictions for matching.
+predictions for matching. Tile ids (and COCO image ids) must be unique:
+tiles are keyed by id.
 """
 from __future__ import annotations
 
@@ -66,6 +67,14 @@ def _finite_score(value: object, what: str, error: type[FormatError]) -> float:
     if not math.isfinite(score):
         raise error(f"{what}: non-finite score {value!r}")
     return score
+
+
+def _reject_repeats(ids: Sequence, what: str, error: type[FormatError]) -> None:
+    seen = set()
+    for key in ids:
+        if key in seen:
+            raise error(f"{what} {key!r} appears twice")
+        seen.add(key)
 
 
 def parse_json(text: str, error: type[FormatError] = FormatError) -> object:
@@ -211,6 +220,7 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
             sizes[tile_id] = (int(h), int(w))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
+    _reject_repeats(order, "tile_id", GeoJsonError)
     by_tile: dict[str, list[ScoredPolygon]] = {tid: [] for tid in order}
     features = doc.get("features", [])
     if not isinstance(features, list):
@@ -285,6 +295,8 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
             order.append(image_id)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CocoError(f"bad 'images' entry: {exc!r}") from exc
+    _reject_repeats(order, "image id", CocoError)
+    _reject_repeats([images[i][0] for i in order], "tile id (file_name)", CocoError)
     by_image: dict[int, list[ScoredPolygon]] = {i: [] for i in order}
     crowd_seen = 0
     annotations = doc.get("annotations", [])

@@ -381,6 +381,15 @@ def _vertices_of(instances: InstanceSet) -> VertexSet:
     return VertexSet(points)
 
 
+def _by_tile_id(records: Iterable[TileRecord], what: str) -> dict[str, TileRecord]:
+    out: dict[str, TileRecord] = {}
+    for rec in records:
+        if rec.tile_id in out:
+            raise MetricsError(f"{what}: tile id {rec.tile_id!r} repeated")
+        out[rec.tile_id] = rec
+    return out
+
+
 def evaluate_corpus(
     preds: Iterable[TileRecord],
     gts: Iterable[TileRecord],
@@ -388,13 +397,13 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Aggregate every report metric over a tile collection.
 
-    Tile ids must align between predictions and ground truth. PoLiS is
-    averaged over pairs matched at config.iou_thr; the per-tile union IoU,
-    C-IoU and vertex F1 are averaged over tiles.
+    Tile ids must be unique on each side and align between predictions and
+    ground truth. PoLiS is averaged over pairs matched at config.iou_thr;
+    the per-tile union IoU, C-IoU and vertex F1 are averaged over tiles.
     """
     cfg = config or EvalConfig()
-    pred_by_id = {r.tile_id: r for r in preds}
-    gt_by_id = {r.tile_id: r for r in gts}
+    pred_by_id = _by_tile_id(preds, "predictions")
+    gt_by_id = _by_tile_id(gts, "ground truth")
     if set(pred_by_id) != set(gt_by_id):
         raise MetricsError(f"tile ids do not align: {sorted(set(pred_by_id) ^ set(gt_by_id))}")
 

@@ -10,7 +10,7 @@ simplifier and as the fallback when vertex snapping degenerates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -91,12 +91,19 @@ class VertexSet:
     """Scored sub-pixel vertex detections, strongest first."""
 
     points: tuple[tuple[Point2, float], ...]
+    _coords: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        coords = np.asarray([[p.x, p.y] for p, _ in self.points], dtype=np.float64).reshape(-1, 2)
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coords", coords)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def coords(self) -> np.ndarray:
-        return np.asarray([[p.x, p.y] for p, _ in self.points], dtype=np.float64).reshape(-1, 2)
+        """Vertex (x, y) coordinates, shape (n, 2), read-only."""
+        return self._coords
 
 
 def threshold_mask(soft: RasterGrid, tau: float) -> RasterGrid:
@@ -114,17 +121,11 @@ def component_crops(
     lab = labels.channel()
     values = soft.channel()
     out = []
-    for comp, (rows, cols) in enumerate(ndimage.find_objects(lab.astype(np.int32)), start=1):
+    for comp, (rows, cols) in enumerate(ndimage.find_objects(lab), start=1):
         region = lab[rows, cols] == comp
         score = float(values[rows, cols][region].astype(np.float64).mean())
         out.append((rows.start, cols.start, region, score))
     return out
-
-
-def _structure(connectivity: str) -> np.ndarray:
-    if connectivity == EIGHT:
-        return np.ones((3, 3), dtype=bool)
-    return ndimage.generate_binary_structure(2, 1)
 
 
 def connected_components(binary: RasterGrid, connectivity: str = EIGHT) -> tuple[RasterGrid, int]:
@@ -136,7 +137,8 @@ def connected_components(binary: RasterGrid, connectivity: str = EIGHT) -> tuple
     if connectivity not in (FOUR, EIGHT):
         raise PolygonizeError(f"unknown connectivity {connectivity!r}")
     arr = binary.channel() != 0
-    labels, count = ndimage.label(arr, structure=_structure(connectivity))
+    structure = np.ones((3, 3), dtype=bool) if connectivity == EIGHT else ndimage.generate_binary_structure(2, 1)
+    labels, count = ndimage.label(arr, structure=structure)
     if count > 1:
         flat = labels.ravel()
         nonzero = np.flatnonzero(flat)
@@ -186,31 +188,17 @@ def _moore_trace(mask: np.ndarray, start: tuple[int, int], backtrack: tuple[int,
         p, b = nxt, new_b
 
 
-def _chain_area(pixels: Sequence[tuple[int, int]]) -> float:
-    acc = 0.0
-    n = len(pixels)
-    for i in range(n):
-        r1, c1 = pixels[i]
-        r2, c2 = pixels[(i + 1) % n]
-        acc += c1 * r2 - c2 * r1
-    return acc / 2.0
-
-
-def _oriented(pixels: list[tuple[int, int]], kind: str) -> tuple[tuple[int, int], ...]:
-    area = _chain_area(pixels)
-    if kind == "outer" and area < 0:
-        pixels = pixels[::-1]
-    elif kind == "hole" and area > 0:
-        pixels = pixels[::-1]
-    return tuple(pixels)
-
-
 def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]:
     """Moore-trace one component: the outer chain first, then one chain per hole.
 
     Chain pixels belong to the component and are 8-adjacent to background
     (outer) or to the enclosed hole region (hole chains). The outer chain is
-    stored CCW (positive shoelace on (x, y) = (col, row)), holes CW.
+    CCW (positive shoelace on (x, y) = (col, row)), holes CW, with no
+    reorienting pass: each Moore search turns clockwise from a background
+    pixel, so every walk keeps the component on its right as drawn (y down).
+    The outer walk starts beside the exterior and circles the component; a
+    hole walk starts beside its hole and circles that the other way (the
+    fixed border orientations of Suzuki and Abe's border following, 1985).
     """
     r0, c0, window = bounding_crop(labels.channel() == component_id)
     if window.size == 0:
@@ -219,45 +207,27 @@ def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]
 
 
 def _trace_window(window: np.ndarray, r0: int, c0: int) -> list[BoundaryChain]:
-    """trace_boundary on one component's bounding-box mask at frame offset (r0, c0)."""
-    # one-pixel pad so hole detection can treat the window border as outside
+    """trace_boundary on one component's bounding-box mask at frame offset (r0, c0).
+
+    The one-pixel background pad is a 4-connected ring through pixel (0, 0),
+    and ndimage.label numbers regions in raster order of their first pixel,
+    so label 1 is the exterior and every other background label is a hole.
+    """
     mask = np.pad(window, 1)
+    dr, dc = r0 - 1, c0 - 1
 
-    flat_first = int(np.flatnonzero(mask.ravel())[0])
-    start = divmod(flat_first, mask.shape[1])
-    outer = _moore_trace(mask, start, (start[0], start[1] - 1))
-    chains = [BoundaryChain(_oriented(outer, "outer"), "outer")]
+    def chain(pixels: list[tuple[int, int]], kind: str) -> BoundaryChain:
+        return BoundaryChain(tuple((r + dr, c + dc) for r, c in pixels), kind)
 
-    background, n_bg = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
-    if n_bg > 1:
-        border = set(np.concatenate([
-            background[0, :], background[-1, :], background[:, 0], background[:, -1]
-        ]).tolist())
-        for bg_label in range(1, n_bg + 1):
-            if bg_label in border:
-                continue
-            flat = int(np.flatnonzero((background == bg_label).ravel())[0])
-            hr, hc = divmod(flat, mask.shape[1])
-            # the pixel above a hole's raster-first pixel is component foreground
-            hole = _moore_trace(mask, (hr - 1, hc), (hr, hc))
-            chains.append(BoundaryChain(_oriented(hole, "hole"), "hole"))
-
-    offset_r, offset_c = r0 - 1, c0 - 1
-    return [
-        BoundaryChain(tuple((r + offset_r, c + offset_c) for r, c in ch.pixels), ch.ring_kind)
-        for ch in chains
-    ]
-
-
-def _shifted(arr: np.ndarray, dr: int, dc: int, fill: float) -> np.ndarray:
-    out = np.full_like(arr, fill)
-    h, w = arr.shape
-    rs = slice(max(0, dr), min(h, h + dr))
-    cs = slice(max(0, dc), min(w, w + dc))
-    rs_src = slice(max(0, -dr), min(h, h - dr))
-    cs_src = slice(max(0, -dc), min(w, w - dc))
-    out[rs, cs] = arr[rs_src, cs_src]
-    return out
+    start = divmod(int(np.flatnonzero(mask.ravel())[0]), mask.shape[1])
+    chains = [chain(_moore_trace(mask, start, (start[0], start[1] - 1)), "outer")]
+    background, _ = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
+    for label, (rows, cols) in enumerate(ndimage.find_objects(background)[1:], start=2):
+        # a hole's raster-first pixel, whose upper neighbour is component foreground
+        hr = rows.start
+        hc = cols.start + int(np.flatnonzero(background[hr, cols] == label)[0])
+        chains.append(chain(_moore_trace(mask, (hr - 1, hc), (hr, hc)), "hole"))
+    return chains
 
 
 def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v: float) -> VertexSet:
@@ -269,13 +239,14 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
     """
     if (heatmap.height, heatmap.width) != (offsets.height, offsets.width):
         raise PolygonizeError("heatmap and offsets shapes differ")
-    heat = heatmap.channel().astype(np.float64)
-    keep = np.ones_like(heat, dtype=bool)
+    padded = np.pad(heatmap.channel().astype(np.float64), 1, constant_values=-np.inf)
+    heat = padded[1:-1, 1:-1]
+    h, w = heat.shape
+    keep = heat > tau_v
     for dr, dc in _DIRS:
-        neighbor = _shifted(heat, -dr, -dc, -np.inf)  # value of the (dr, dc) neighbor
+        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]  # value of the (dr, dc) neighbor
         earlier = dr < 0 or (dr == 0 and dc < 0)
         keep &= (heat > neighbor) if earlier else (heat >= neighbor)
-    keep &= heat > tau_v
     rows, cols = np.nonzero(keep)
     if rows.size == 0:
         return VertexSet(())
@@ -306,13 +277,9 @@ def mav_attract_simplify(
     match = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(len(pix)), match])
     order = np.lexsort((np.arange(len(pix)), dist, match))
-    winners: list[int] = []
-    last_vertex = -1
-    for i in order:
-        if match[i] != last_vertex:
-            winners.append(int(i))
-            last_vertex = int(match[i])
-    winners = [i for i in sorted(winners) if dist[i] < tau_d]
+    _, starts = np.unique(match[order], return_index=True)  # each vertex's closest pixel
+    winners = np.sort(order[starts])
+    winners = winners[dist[winners] < tau_d]
     if len(winners) < 3:
         raise FallbackRequired(f"{len(winners)} surviving vertices")
     ring_points = tuple(vertices.points[match[i]][0] for i in winners)
@@ -349,6 +316,14 @@ def _dp_open(points: list[tuple[float, float]], tolerance: float) -> list[tuple[
     return [points[i] for i in sorted(keep)]
 
 
+def _distinct_cycle(points: list) -> list:
+    """A closed point cycle without consecutive repeats, the closing edge included."""
+    out = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    while len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
+
+
 def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
     """Classic recursive-split simplification of a closed chain.
 
@@ -358,23 +333,14 @@ def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
     """
     if tolerance < 0:
         raise PolygonizeError(f"tolerance must be >= 0, got {tolerance}")
-    pts = [(x, y) for x, y in chain.centers()]
     # drop consecutive duplicates produced by out-and-back spurs
-    dedup = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
-    while len(dedup) > 1 and dedup[-1] == dedup[0]:
-        dedup.pop()
+    dedup = _distinct_cycle(chain.centers().tolist())
     if len(dedup) < 3:
         raise DegenerateRingError("chain too short to simplify")
     anchor = max(range(len(dedup)), key=lambda i: (dedup[i][0] - dedup[0][0]) ** 2 + (dedup[i][1] - dedup[0][1]) ** 2)
     first = _dp_open(dedup[: anchor + 1], tolerance)
     second = _dp_open(dedup[anchor:] + [dedup[0]], tolerance)
-    merged = first[:-1] + second[:-1]
-    out: list[tuple[float, float]] = []
-    for p in merged:
-        if not out or p != out[-1]:
-            out.append(p)
-    while len(out) > 1 and out[-1] == out[0]:
-        out.pop()
+    out = _distinct_cycle(first[:-1] + second[:-1])
     if len(out) < 3:
         raise DegenerateRingError("simplified chain degenerated")
     return Ring(tuple(Point2(x, y) for x, y in out))

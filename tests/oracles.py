@@ -1,8 +1,10 @@
 """Independent brute-force oracles.
 
 Everything here is deliberately written without reusing the library's
-implementations: scalar arithmetic, exhaustive enumeration, or dense
-sampling. Tests derive their expected values from these.
+implementations: scalar arithmetic, exhaustive enumeration, dense sampling,
+or the library's earlier, longer code for a step it has since simplified
+(a docstring names any library call such an oracle still makes). Tests
+derive their expected values from these.
 """
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from polyform.geometry import Polygon
+from polyform.geometry import GeometryError, Polygon, Point2, Ring, merge_collinear_edges
 from polyform.metrics import MatchResult
+from polyform.polygonize import _moore_trace
 
 
 def point_segment_distance(px, py, ax, ay, bx, by) -> float:
@@ -312,3 +315,104 @@ def douglas_peucker_closed(points, tolerance):
     kept = [first[i] for i in _dp_span(first, tolerance)][:-1] + [second[i] for i in _dp_span(second, tolerance)][:-1]
     out = _drop_repeats(kept)
     return out if len(out) >= 3 else None
+
+
+def _chain_area(pixels) -> float:
+    acc = 0.0
+    n = len(pixels)
+    for i in range(n):
+        r1, c1 = pixels[i]
+        r2, c2 = pixels[(i + 1) % n]
+        acc += c1 * r2 - c2 * r1
+    return acc / 2.0
+
+
+def _oriented(pixels, kind):
+    area = _chain_area(pixels)
+    if (kind == "outer" and area < 0) or (kind == "hole" and area > 0):
+        pixels = pixels[::-1]
+    return tuple(pixels)
+
+
+def trace_window_reoriented(window: np.ndarray, r0: int, c0: int) -> list:
+    """(pixels, kind) chains of one component window at frame offset (r0, c0),
+    with every check the walk is meant to make redundant: a hole is any
+    background region of the padded window that touches none of its four
+    sides, its seed comes from a full scan for its raster-first pixel, and
+    each chain is reversed when its shoelace sign disagrees with its kind.
+    The Moore walk itself is the library's _moore_trace."""
+    mask = np.pad(window, 1)
+    flat_first = int(np.flatnonzero(mask.ravel())[0])
+    start = divmod(flat_first, mask.shape[1])
+    chains = [(_oriented(_moore_trace(mask, start, (start[0], start[1] - 1)), "outer"), "outer")]
+    background, n_bg = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
+    border = set(np.concatenate([background[0, :], background[-1, :], background[:, 0], background[:, -1]]).tolist())
+    for bg_label in range(1, n_bg + 1):
+        if bg_label in border:
+            continue
+        hr, hc = divmod(int(np.flatnonzero((background == bg_label).ravel())[0]), mask.shape[1])
+        chains.append((_oriented(_moore_trace(mask, (hr - 1, hc), (hr, hc)), "hole"), "hole"))
+    return [(tuple((r + r0 - 1, c + c0 - 1) for r, c in pixels), kind) for pixels, kind in chains]
+
+
+MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _shifted(arr, dr, dc, fill):
+    out = np.full_like(arr, fill)
+    h, w = arr.shape
+    out[max(0, dr) : min(h, h + dr), max(0, dc) : min(w, w + dc)] = arr[
+        max(0, -dr) : min(h, h - dr), max(0, -dc) : min(w, w - dc)
+    ]
+    return out
+
+
+def nms_vertices_shifted(heat, offsets, top_k, tau_v) -> list:
+    """((x, y), score) of the top_k 3x3 NMS survivors above tau_v, strongest
+    first and raster order on equal scores, with one shifted full-size copy
+    of the heatmap per neighbour: a pixel survives iff it is greater than
+    each neighbour before it in raster order and no smaller than each after."""
+    heat = np.asarray(heat, dtype=np.float64)
+    keep = np.ones_like(heat, dtype=bool)
+    for dr, dc in MOORE:
+        neighbor = _shifted(heat, -dr, -dc, -np.inf)
+        earlier = dr < 0 or (dr == 0 and dc < 0)
+        keep &= (heat > neighbor) if earlier else (heat >= neighbor)
+    keep &= heat > tau_v
+    rows, cols = np.nonzero(keep)
+    scores = heat[rows, cols]
+    order = np.lexsort((rows * heat.shape[1] + cols, -scores))[:top_k]
+    return [
+        ((c + 0.5 + float(offsets[r, c, 0]), r + 0.5 + float(offsets[r, c, 1])), s)
+        for r, c, s in zip(rows[order].tolist(), cols[order].tolist(), scores[order].tolist())
+    ]
+
+
+def snap_ring_loop(pixels, vertices, tau_d, merge_angle):
+    """Vertex snapping of a (row, col) pixel chain onto (x, y) vertices, or
+    None where the library falls back: each pixel takes its nearest vertex,
+    and a loop over the pixels in (vertex, distance, chain index) order keeps
+    the first pixel of each vertex; kept pixels closer than tau_d give their
+    vertices, in chain order, to a ring with near-collinear joints merged."""
+    if not vertices:
+        return None
+    arr = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    pix = np.stack([arr[:, 1] + 0.5, arr[:, 0] + 0.5], axis=1)
+    vtx = np.asarray(vertices, dtype=np.float64)
+    diff = pix[:, None, :] - vtx[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    match = np.argmin(d2, axis=1)
+    dist = np.sqrt(d2[np.arange(len(pix)), match])
+    winners, last_vertex = [], -1
+    for i in np.lexsort((np.arange(len(pix)), dist, match)):
+        if match[i] != last_vertex:
+            winners.append(int(i))
+            last_vertex = int(match[i])
+    winners = [i for i in sorted(winners) if dist[i] < tau_d]
+    if len(winners) < 3:
+        return None
+    try:
+        ring = merge_collinear_edges(Ring(tuple(Point2(*vertices[match[i]]) for i in winners)), merge_angle)
+    except GeometryError:
+        return None
+    return [tuple(v) for v in ring.vertices]

@@ -264,6 +264,32 @@ def test_reader_fault_ends_in_error_object(tmp_path, capsys, fault):
     assert len(err["errors"]) == 1 and "Error: " in err["errors"][0]["error"]
 
 
+_IMAGE = COCO_DOC["images"][0]
+_TILE = GEOJSON_DOC["tiles"][0]
+
+# each read back as duplicate or misnamed records, of which eval kept one per id
+DUPLICATE_IDS = {
+    "coco-repeated-image-id": (COCO_DOC, _set(("images",), [_IMAGE, {**_IMAGE, "file_name": "b"}])),
+    "coco-repeated-file-name": (COCO_DOC, _set(("images",), [_IMAGE, {**_IMAGE, "id": 2}])),
+    "geojson-repeated-tile": (GEOJSON_DOC, _set(("tiles",), [_TILE, {**_TILE, "image_size": [8, 8]}])),
+}
+
+
+@pytest.mark.parametrize("command", ["encode", "eval"])
+@pytest.mark.parametrize("case", sorted(DUPLICATE_IDS))
+def test_duplicate_ids_end_in_error_object(tmp_path, capsys, case, command):
+    doc, edit = DUPLICATE_IDS[case]
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    src = tmp_path / "gt.json"
+    src.write_text(json.dumps(doc))
+    argv = {"encode": ["encode", str(src), str(tmp_path / "rasters")],
+            "eval": ["eval", str(src), str(src), str(tmp_path / "r.json")]}[command]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert len(err["errors"]) == 1 and "appears twice" in err["errors"][0]["error"]
+
+
 class TestRoundtrip:
     def test_clean_roundtrip_no_gap(self, gt_geojson, tmp_path):
         report_path = tmp_path / "rt.json"

@@ -155,6 +155,12 @@ class TestGeoJson:
         with pytest.raises(GeoJsonError):
             read_geojson(doc)
 
+    def test_repeated_tile_id_rejected(self):
+        doc = json.loads(write_geojson([TileRecord("a", (16, 16), InstanceSet()), TileRecord("b", (8, 8), InstanceSet())]))
+        doc["tiles"][1]["tile_id"] = "a"
+        with pytest.raises(GeoJsonError, match="'a' appears twice"):
+            read_geojson(json.dumps(doc))
+
     def test_side_past_float_range_rejected(self):
         tile = _TILE_T.replace("[8, 8]", "[8, 1" + "0" * 400 + "]")
         with pytest.raises(FormatError, match="bad image size"):
@@ -239,6 +245,21 @@ class TestCoco:
         path = tmp_path / "coco.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CocoError):
+            read_coco_annotations(path)
+
+    @pytest.mark.parametrize(
+        "images, match",
+        [
+            ([{"id": 1, "file_name": "a"}, {"id": 1, "file_name": "b"}], "image id 1 appears twice"),
+            ([{"id": 1, "file_name": "a"}, {"id": 2, "file_name": "a"}], "'a' appears twice"),
+            ([{"id": 1, "file_name": "2"}, {"id": 2}], "'2' appears twice"),  # file_name defaults to the id
+        ],
+    )
+    def test_repeated_ids_rejected(self, tmp_path, images, match):
+        doc = {"images": [{**img, "height": 8, "width": 8} for img in images], "annotations": []}
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoError, match=match):
             read_coco_annotations(path)
 
     def test_unreadable_files_raise_format_errors(self, tmp_path):

@@ -358,6 +358,14 @@ class TestEvaluateCorpus:
         with pytest.raises(MetricsError, match="t2"):
             evaluate_corpus([gts[0]], gts)
 
+    @pytest.mark.parametrize("side", ["preds", "gts"])
+    def test_repeated_tile_id_rejected(self, side):
+        gts = self._corpus()
+        repeated = gts + [tile("t1", (32, 32), [])]
+        preds, gts = (repeated, gts) if side == "preds" else (gts, repeated)
+        with pytest.raises(MetricsError, match="'t1' repeated"):
+            evaluate_corpus(preds, gts)
+
     def test_report_invariants(self):
         gts = self._corpus()
         preds = [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
 from polyform.polygonize import (
@@ -23,7 +24,13 @@ from polyform.polygonize import (
 )
 from polyform.raster import DegradeSpec, RasterGrid, bounding_crop, degrade, encode_vertices, rasterize_mask
 
-from oracles import douglas_peucker_closed, max_chain_deviation
+from oracles import (
+    douglas_peucker_closed,
+    max_chain_deviation,
+    nms_vertices_shifted,
+    snap_ring_loop,
+    trace_window_reoriented,
+)
 from synth import annulus, random_tile, rectangle
 
 
@@ -96,6 +103,69 @@ class TestConnectedComponents:
             connected_components(grid_u8(np.zeros((2, 2), dtype=np.uint8)), "six")
 
 
+def paint(mask, op, r, c, a, b):
+    """One drawing step on a bool mask; anything past the frame is clipped."""
+    h, w = mask.shape
+    if op in ("fill", "clear"):
+        mask[r : r + a, c : c + b] = op == "fill"
+    elif op == "hline":
+        mask[r, c : c + b] = True
+    elif op == "vline":
+        mask[r : r + a, c] = True
+    elif op in ("diag", "antidiag"):  # one-pixel diagonal lines and diagonal pinches
+        step = 1 if op == "diag" else -1
+        for i in range(a):
+            if r + i < h and 0 <= c + step * i < w:
+                mask[r + i, c + step * i] = True
+    elif op == "frames":  # concentric alternating frames: holes nested in holes
+        for k in range((min(a, b) + 1) // 2):
+            mask[r + k : r + a - k, c + k : c + b - k] = k % 2 == 0
+
+
+@st.composite
+def trace_masks(draw, max_side=20):
+    """Small bool masks: speckle at a drawn density, then up to six filled or
+    cleared boxes, straight or diagonal one-pixel lines and nested frames."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    mask = np.zeros((h, w), dtype=bool)
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7)))
+    if density:
+        mask |= np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)) < density
+    op = st.tuples(
+        st.sampled_from(("fill", "clear", "hline", "vline", "diag", "antidiag", "frames")),
+        st.integers(0, h - 1), st.integers(0, w - 1), st.integers(1, max_side), st.integers(1, max_side),
+    )
+    for step in draw(st.lists(op, max_size=6)):
+        paint(mask, *step)
+    return mask
+
+
+def degraded_tile_mask(seed, jitter):
+    rng = np.random.default_rng(seed)
+    inst = random_tile(rng, 64, 64, n_min=2, n_max=6, min_side=12, max_side=28, separation=1)
+    spec = DegradeSpec(dilate_radius=int(rng.integers(0, 2)), erode_radius=int(rng.integers(0, 2)),
+                       boundary_jitter_sigma=jitter, rng_seed=seed)
+    soft, _ = degrade(rasterize_mask(inst, 64, 64), encode_vertices(inst, 64, 64), spec)
+    return soft.channel() > 0.5
+
+
+def traced_chains(mask, connectivity):
+    """(crop, r0, c0, chains) for every component of a bool mask."""
+    for r0, c0, crop, _score in component_crops(grid_f32(mask), 0.5, connectivity):
+        yield crop, r0, c0, _trace_window(crop, r0, c0)
+
+
+def shoelace(pixels):
+    pts = [(c + 0.5, r + 0.5) for r, c in pixels]
+    return sum(
+        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
+        for i in range(len(pts))
+    )
+
+
+ANNULUS_MASK = rasterize_mask(InstanceSet.of([annulus(1, 1, 9, 9, 4, 4, 6, 6)]), 12, 12).channel() > 0
+
+
 def labels_of(arr, connectivity="eight"):
     labels, count = connected_components(grid_u8(np.asarray(arr, dtype=np.uint8)), connectivity)
     return labels, count
@@ -146,21 +216,30 @@ class TestTraceBoundary:
                         r2, c2 = px[(i + 1) % len(px)]
                         assert max(abs(r1 - r2), abs(c1 - c2)) <= 1
 
-    def test_orientation_convention(self):
-        poly = annulus(1, 1, 9, 9, 4, 4, 6, 6)
-        labels, _ = connected_components(rasterize_mask(InstanceSet.of([poly]), 12, 12))
-        chains = trace_boundary(labels, 1)
-        outer = [(c + 0.5, r + 0.5) for r, c in chains[0].pixels]
-        hole = [(c + 0.5, r + 0.5) for r, c in chains[1].pixels]
+    @settings(max_examples=300, deadline=None)
+    @given(trace_masks(), st.sampled_from([FOUR, EIGHT]))
+    @example(ANNULUS_MASK, EIGHT)
+    def test_orientation_convention(self, mask, connectivity):
+        # outer chains CCW, hole chains CW, with no reorienting pass behind
+        # them; only a component without a 2x2 block may trace to zero area
+        for crop, _r0, _c0, chains in traced_chains(mask, connectivity):
+            assert [c.ring_kind for c in chains] == ["outer"] + ["hole"] * (len(chains) - 1)
+            block = (crop[:-1, :-1] & crop[1:, :-1] & crop[:-1, 1:] & crop[1:, 1:]).any()
+            assert shoelace(chains[0].pixels) > 0 if block else shoelace(chains[0].pixels) >= 0
+            assert all(shoelace(c.pixels) < 0 for c in chains[1:])
 
-        def shoelace(pts):
-            return sum(
-                pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
-                for i in range(len(pts))
-            )
+    @settings(max_examples=300, deadline=None)
+    @given(trace_masks(), st.sampled_from([FOUR, EIGHT]))
+    def test_equals_reorienting_oracle(self, mask, connectivity):
+        for crop, r0, c0, chains in traced_chains(mask, connectivity):
+            assert [(c.pixels, c.ring_kind) for c in chains] == trace_window_reoriented(crop, r0, c0)
 
-        assert shoelace(outer) > 0
-        assert shoelace(hole) < 0
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([FOUR, EIGHT]))
+    def test_equals_reorienting_oracle_on_degraded_tiles(self, seed, jitter, connectivity):
+        for crop, r0, c0, chains in traced_chains(degraded_tile_mask(seed, jitter), connectivity):
+            assert [(c.pixels, c.ring_kind) for c in chains] == trace_window_reoriented(crop, r0, c0)
+            assert all(shoelace(c.pixels) < 0 for c in chains[1:])
 
     def test_missing_component(self):
         labels, _ = labels_of(np.ones((3, 3), dtype=np.uint8))
@@ -215,6 +294,27 @@ class TestExtractVertices:
                     dr = abs(cells[i][0] - cells[j][0])
                     dc = abs(cells[i][1] - cells[j][1])
                     assert max(dr, dc) >= 2
+
+
+HEAT_VALUES = (0.0, 0.005, 0.008, 0.25, 0.5, 0.5, 1.0, float("nan"), float("inf"))
+
+
+@st.composite
+def tie_heavy_heatmaps(draw):
+    """(heat f32, offsets f32) with values from a small palette holding NaN."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    values = draw(st.lists(st.sampled_from(HEAT_VALUES), min_size=h * w, max_size=h * w))
+    offsets = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-0.5, 0.5, (h, w, 2))
+    return np.array(values, dtype=np.float32).reshape(h, w), offsets.astype(np.float32)
+
+
+class TestExtractVerticesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_heatmaps(), st.integers(1, 40), st.sampled_from([0.008, 0.25, 0.5]))
+    def test_equals_shifted_copy_nms(self, heat_offs, top_k, tau_v):
+        heat, offs = heat_offs
+        got = extract_vertices(grid_f32(heat), RasterGrid(offs), top_k, tau_v)
+        assert [(tuple(p), s) for p, s in got.points] == nms_vertices_shifted(heat, offs, top_k, tau_v)
 
 
 def square_chain(x0, y0, x1, y1, h, w):
@@ -275,6 +375,39 @@ class TestMavAttractSimplify:
             assert all(tuple(v) in allowed for v in ring.vertices)
             assert len(ring) <= len(chain)
         assert produced > 50
+
+
+@st.composite
+def chains_and_vertices(draw):
+    """A traced chain and vertices on the half-pixel lattice of its frame, so
+    that equal pixel-to-vertex distances and repeated vertices are common."""
+    mask = draw(trace_masks().filter(lambda m: m.any()))
+    chains = [c for _crop, _r0, _c0, cs in traced_chains(mask, EIGHT) for c in cs]
+    chain = draw(st.sampled_from(chains))
+    h, w = mask.shape
+    lattice = st.tuples(st.integers(0, 2 * w).map(lambda k: k / 2), st.integers(0, 2 * h).map(lambda k: k / 2))
+    return chain, draw(st.lists(lattice, max_size=12))
+
+
+class TestMavAttractSimplifyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(chains_and_vertices(), st.sampled_from([0.5, 1.0, 2.0, 5.0]), st.sampled_from([0.0, 10.0, 45.0]))
+    def test_equals_winners_loop(self, chain_vertices, tau_d, merge_angle):
+        chain, coords = chain_vertices
+        vs = VertexSet(tuple((Point2(x, y), 1.0) for x, y in coords))
+        try:
+            got = [tuple(v) for v in mav_attract_simplify(chain, vs, tau_d, merge_angle).vertices]
+        except FallbackRequired:
+            got = None
+        assert got == snap_ring_loop(chain.pixels, coords, tau_d, merge_angle)
+
+    def test_coords_built_once_and_read_only(self):
+        vs = VertexSet(((Point2(1.0, 2.0), 0.5), (Point2(3.0, 4.0), 0.25)))
+        assert vs.coords() is vs.coords()
+        assert vs.coords().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            vs.coords()[0, 0] = 9.0
+        assert VertexSet(()).coords().shape == (0, 2)
 
 
 def degraded_soft(inst: InstanceSet, side: int, seed: int) -> RasterGrid:
