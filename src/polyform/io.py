@@ -3,7 +3,8 @@
 Formats:
   - RGF: a tiny binary raster container. 20-byte header (magic "RGF1",
     then height, width, channels, dtype code as little-endian u32; code 0
-    is u8, 1 is f32) followed by the row-major channel-last payload.
+    is u8, 1 is f32) followed by the row-major channel-last payload. A
+    grid has at least one channel.
   - GeoJSON: RFC 7946 FeatureCollection of Polygon features in pixel
     coordinates (x right, y down, origin at the image's top-left corner),
     no "crs" member. A foreign member "tiles" lists tile ids and sizes so
@@ -140,7 +141,11 @@ def read_rgf(data: bytes) -> RasterGrid:
         raise RgfError(f"bad magic {magic!r}")
     if code not in _DTYPE_BY_CODE:
         raise RgfError(f"unknown dtype code {code}")
+    if c == 0:
+        raise RgfError("header declares 0 channels")
     dtype = _DTYPE_BY_CODE[code]
+    if math.prod(side for side in (h, w, c) if side) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise RgfError(f"grid shape {h}x{w}x{c} too large for an array")  # numpy's limit, even with no elements
     expected = h * w * c * dtype.itemsize
     payload = data[_HEADER.size :]
     if len(payload) != expected:

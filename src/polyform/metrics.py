@@ -194,16 +194,27 @@ def ciou(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> float:
 
 
 def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> np.ndarray:
-    """Pred x gt mask IoU, or with band > 0 the Boundary IoU at that distance."""
+    """Pred x gt mask IoU, or with band > 0 the Boundary IoU at that distance.
+
+    One vectorised test finds the pairs whose boxes overlap, and only those
+    are counted; a disjoint pair has intersection 0, so its IoU is 0, or 1
+    when both crops are empty, as _crop_iou gives it.
+    """
     if band:
         preds = [(r0, c0, _inner_band(m, band)) for r0, c0, m in preds]
         gts = [(r0, c0, _inner_band(m, band)) for r0, c0, m in gts]
-    pred_areas = [np.count_nonzero(m) for _, _, m in preds]
-    gt_areas = [np.count_nonzero(m) for _, _, m in gts]
-    out = np.zeros((len(preds), len(gts)))
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            out[i, j] = _crop_iou(p, g, pred_areas[i], gt_areas[j])
+    pred_areas = np.array([np.count_nonzero(m) for _, _, m in preds], dtype=np.int64)
+    gt_areas = np.array([np.count_nonzero(m) for _, _, m in gts], dtype=np.int64)
+    out = np.outer(pred_areas == 0, gt_areas == 0).astype(np.float64)
+    if not (preds and gts):
+        return out
+    pr, pc, ph, pw = np.array([(r0, c0, *m.shape) for r0, c0, m in preds]).T
+    gr, gc, gh, gw = np.array([(r0, c0, *m.shape) for r0, c0, m in gts]).T
+    overlap = (np.maximum.outer(pr, gr) < np.minimum.outer(pr + ph, gr + gh)) & (
+        np.maximum.outer(pc, gc) < np.minimum.outer(pc + pw, gc + gw)
+    )
+    for i, j in zip(*np.nonzero(overlap)):
+        out[i, j] = _crop_iou(preds[i], gts[j], pred_areas[i], gt_areas[j])
     return out
 
 
@@ -353,21 +364,15 @@ def vertex_f1(pred: VertexSet, gt: VertexSet, dist_thr: float = 5.0) -> float:
     p = pred.coords()
     g = gt.coords()
     d = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
-    candidates = [
-        (float(d[i, j]), i, j)
-        for i in range(len(p))
-        for j in range(len(g))
-        if d[i, j] <= dist_thr
-    ]
-    candidates.sort()
-    used_p = set()
-    used_g = set()
+    rows, cols = np.nonzero(d <= dist_thr)
+    order = np.lexsort((cols, rows, d[rows, cols]))  # by distance, then pred, then gt index
+    used_p = [False] * len(p)
+    used_g = [False] * len(g)
     matches = 0
-    for _, i, j in candidates:
-        if i in used_p or j in used_g:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if used_p[i] or used_g[j]:
             continue
-        used_p.add(i)
-        used_g.add(j)
+        used_p[i] = used_g[j] = True
         matches += 1
     precision = matches / len(p)
     recall = matches / len(g)

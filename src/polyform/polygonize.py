@@ -153,39 +153,54 @@ def connected_components(binary: RasterGrid, connectivity: str = EIGHT) -> tuple
 
 # clockwise Moore neighborhood starting north
 _DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-_DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+_SOUTH, _WEST = 4, 6
 
 
-def _moore_trace(mask: np.ndarray, start: tuple[int, int], backtrack: tuple[int, int]) -> list[tuple[int, int]]:
-    """Follow the boundary cycle through `start`, with `backtrack` the adjacent
-    background pixel the walk pivots around first. Returns the closed chain."""
-    h, w = mask.shape
+def _moore_table() -> list[tuple[int, int] | None]:
+    """The Moore search as a lookup: entry code * 8 + b is (next direction,
+    new backtrack direction) for a pixel whose foreground neighbours are the
+    set bits of code (bit d for direction d) and whose backtrack lies in
+    direction b, or None for a pixel with no foreground neighbour. The
+    search turns clockwise from b and stops at the first foreground
+    neighbour; the neighbour probed just before it is the new backtrack."""
+    dir_index = {d: i for i, d in enumerate(_DIRS)}
+    table: list[tuple[int, int] | None] = []
+    for code in range(256):
+        for back in range(8):
+            move = None
+            for k in range(1, 9):
+                d = (back + k) % 8
+                if code >> d & 1:
+                    (pr, pc), (nr, nc) = _DIRS[(back + k - 1) % 8], _DIRS[d]
+                    move = (d, dir_index[(pr - nr, pc - nc)])
+                    break
+            table.append(move)
+    return table
 
-    def foreground(r: int, c: int) -> bool:
-        return 0 <= r < h and 0 <= c < w and mask[r, c]
 
-    chain: list[tuple[int, int]] = [start]
-    seen: dict[tuple[tuple[int, int], tuple[int, int]], int] = {(start, backtrack): 0}
-    p, b = start, backtrack
+_MOORE_MOVES = _moore_table()
+
+
+def _moore_trace(codes: bytes, steps: Sequence[int], start: int, back: int) -> list[int]:
+    """Follow the boundary cycle through the flat pixel index `start` of a
+    window whose foreground-neighbour codes are `codes`, `back` the direction
+    of the background pixel the walk pivots around first and `steps` the
+    flat offset of each direction. Returns the closed chain of flat indices;
+    the walk ends on a repeated (pixel, backtrack) state."""
+    chain = [start]
+    seen = {start * 8 + back: 0}
+    p = start
     while True:
-        bi = _DIR_INDEX[(b[0] - p[0], b[1] - p[1])]
-        nxt = None
-        for k in range(1, 9):
-            dr, dc = _DIRS[(bi + k) % 8]
-            cand = (p[0] + dr, p[1] + dc)
-            if foreground(*cand):
-                prev = _DIRS[(bi + k - 1) % 8]
-                nxt = cand
-                new_b = (p[0] + prev[0], p[1] + prev[1])
-                break
-        if nxt is None:
+        move = _MOORE_MOVES[codes[p] * 8 + back]
+        if move is None:
             return chain  # isolated pixel
-        state = (nxt, new_b)
+        d, back = move
+        p += steps[d]
+        state = p * 8 + back
         if state in seen:
             return chain[seen[state]:]
         seen[state] = len(chain)
-        chain.append(nxt)
-        p, b = nxt, new_b
+        chain.append(p)
 
 
 def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]:
@@ -212,21 +227,29 @@ def _trace_window(window: np.ndarray, r0: int, c0: int) -> list[BoundaryChain]:
     The one-pixel background pad is a 4-connected ring through pixel (0, 0),
     and ndimage.label numbers regions in raster order of their first pixel,
     so label 1 is the exterior and every other background label is a hole.
+    Each pixel's 8-bit foreground-neighbour code is computed once per window
+    (the pad keeps every foreground pixel's neighbours inside it).
     """
     mask = np.pad(window, 1)
-    dr, dc = r0 - 1, c0 - 1
+    h, w = mask.shape
+    codes = np.zeros((h, w), dtype=np.uint8)
+    inner = codes[1:-1, 1:-1]
+    for d, (dr, dc) in enumerate(_DIRS):
+        inner |= mask[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc].astype(np.uint8) << d
+    code_bytes = codes.tobytes()
+    steps = [dr * w + dc for dr, dc in _DIRS]
 
-    def chain(pixels: list[tuple[int, int]], kind: str) -> BoundaryChain:
-        return BoundaryChain(tuple((r + dr, c + dc) for r, c in pixels), kind)
+    def chain(start: int, back: int, kind: str) -> BoundaryChain:
+        pixels = _moore_trace(code_bytes, steps, start, back)
+        return BoundaryChain(tuple((p // w + r0 - 1, p % w + c0 - 1) for p in pixels), kind)
 
-    start = divmod(int(np.flatnonzero(mask.ravel())[0]), mask.shape[1])
-    chains = [chain(_moore_trace(mask, start, (start[0], start[1] - 1)), "outer")]
+    chains = [chain(int(np.flatnonzero(mask.ravel())[0]), _WEST, "outer")]
     background, _ = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
     for label, (rows, cols) in enumerate(ndimage.find_objects(background)[1:], start=2):
         # a hole's raster-first pixel, whose upper neighbour is component foreground
         hr = rows.start
         hc = cols.start + int(np.flatnonzero(background[hr, cols] == label)[0])
-        chains.append(chain(_moore_trace(mask, (hr - 1, hc), (hr, hc)), "hole"))
+        chains.append(chain((hr - 1) * w + hc, _SOUTH, "hole"))
     return chains
 
 
@@ -267,15 +290,27 @@ def mav_attract_simplify(
     their vertex are dropped; the rest are replaced by their vertex
     coordinates in chain order and near-collinear joints are merged. Raises
     FallbackRequired when fewer than three vertices remain.
+
+    Only the vertices inside the box of the chain's pixel centres, widened
+    by tau_d on every side, are compared, in index order; this gives the
+    ring the all-vertex comparison gives. A vertex outside the box lies at
+    least tau_d from every chain pixel, so none of its pixels survives the
+    tau_d cut. A pixel it would have claimed instead goes to a vertex in the
+    box, still at least tau_d away, so it cannot displace a winner closer
+    than tau_d. Rounding to nearest is monotone: a vertex the computed box
+    excludes lies at least tau_d beyond the outermost pixel centre in exact
+    arithmetic too, so rounding cannot exclude a vertex that could win.
     """
-    if len(vertices) == 0:
-        raise FallbackRequired("no vertices to attract")
     pix = chain.centers()
     vtx = vertices.coords()
-    diff = pix[:, None, :] - vtx[None, :, :]
+    near = np.flatnonzero(((vtx >= pix.min(axis=0) - tau_d) & (vtx <= pix.max(axis=0) + tau_d)).all(axis=1))
+    if near.size == 0:
+        raise FallbackRequired("no vertices within tau_d of the chain's box")
+    diff = pix[:, None, :] - vtx[near][None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    match = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(len(pix)), match])
+    nearest = np.argmin(d2, axis=1)
+    dist = np.sqrt(d2[np.arange(len(pix)), nearest])
+    match = near[nearest]
     order = np.lexsort((np.arange(len(pix)), dist, match))
     _, starts = np.unique(match[order], return_index=True)  # each vertex's closest pixel
     winners = np.sort(order[starts])

@@ -15,7 +15,6 @@ from scipy import ndimage
 
 from polyform.geometry import GeometryError, Polygon, Point2, Ring, merge_collinear_edges
 from polyform.metrics import MatchResult
-from polyform.polygonize import _moore_trace
 
 
 def point_segment_distance(px, py, ax, ay, bx, by) -> float:
@@ -334,28 +333,62 @@ def _oriented(pixels, kind):
     return tuple(pixels)
 
 
+MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))  # clockwise from north
+
+
+def moore_trace_probing(mask: np.ndarray, start, backtrack) -> list:
+    """The boundary cycle through `start`, walked by probing: from the
+    backtrack pixel, the eight neighbours are tried clockwise with bounds
+    checks until one is foreground, and the neighbour tried before it becomes
+    the next backtrack. The walk ends on a repeated (pixel, backtrack) state."""
+    h, w = mask.shape
+
+    def foreground(r: int, c: int) -> bool:
+        return 0 <= r < h and 0 <= c < w and mask[r, c]
+
+    chain = [start]
+    seen = {(start, backtrack): 0}
+    p, b = start, backtrack
+    while True:
+        bi = MOORE.index((b[0] - p[0], b[1] - p[1]))
+        nxt = None
+        for k in range(1, 9):
+            dr, dc = MOORE[(bi + k) % 8]
+            cand = (p[0] + dr, p[1] + dc)
+            if foreground(*cand):
+                prev = MOORE[(bi + k - 1) % 8]
+                nxt = cand
+                new_b = (p[0] + prev[0], p[1] + prev[1])
+                break
+        if nxt is None:
+            return chain  # isolated pixel
+        state = (nxt, new_b)
+        if state in seen:
+            return chain[seen[state]:]
+        seen[state] = len(chain)
+        chain.append(nxt)
+        p, b = nxt, new_b
+
+
 def trace_window_reoriented(window: np.ndarray, r0: int, c0: int) -> list:
     """(pixels, kind) chains of one component window at frame offset (r0, c0),
     with every check the walk is meant to make redundant: a hole is any
     background region of the padded window that touches none of its four
     sides, its seed comes from a full scan for its raster-first pixel, and
     each chain is reversed when its shoelace sign disagrees with its kind.
-    The Moore walk itself is the library's _moore_trace."""
+    The walk is moore_trace_probing."""
     mask = np.pad(window, 1)
     flat_first = int(np.flatnonzero(mask.ravel())[0])
     start = divmod(flat_first, mask.shape[1])
-    chains = [(_oriented(_moore_trace(mask, start, (start[0], start[1] - 1)), "outer"), "outer")]
+    chains = [(_oriented(moore_trace_probing(mask, start, (start[0], start[1] - 1)), "outer"), "outer")]
     background, n_bg = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
     border = set(np.concatenate([background[0, :], background[-1, :], background[:, 0], background[:, -1]]).tolist())
     for bg_label in range(1, n_bg + 1):
         if bg_label in border:
             continue
         hr, hc = divmod(int(np.flatnonzero((background == bg_label).ravel())[0]), mask.shape[1])
-        chains.append((_oriented(_moore_trace(mask, (hr - 1, hc), (hr, hc)), "hole"), "hole"))
+        chains.append((_oriented(moore_trace_probing(mask, (hr - 1, hc), (hr, hc)), "hole"), "hole"))
     return [(tuple((r + r0 - 1, c + c0 - 1) for r, c in pixels), kind) for pixels, kind in chains]
-
-
-MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
 def _shifted(arr, dr, dc, fill):
@@ -416,3 +449,28 @@ def snap_ring_loop(pixels, vertices, tau_d, merge_angle):
     except GeometryError:
         return None
     return [tuple(v) for v in ring.vertices]
+
+
+def vertex_f1_pairs(pred, gt, dist_thr) -> float:
+    """Vertex F1 over (x, y) point lists: every pred x gt pair within
+    dist_thr becomes a (distance, pred index, gt index) tuple, and a greedy
+    pass over the sorted tuples matches each point at most once."""
+    if not pred and not gt:
+        return 1.0
+    if not pred or not gt:
+        return 0.0
+    p = np.asarray(pred, dtype=np.float64).reshape(-1, 2)
+    g = np.asarray(gt, dtype=np.float64).reshape(-1, 2)
+    d = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
+    candidates = [(float(d[i, j]), i, j) for i in range(len(p)) for j in range(len(g)) if d[i, j] <= dist_thr]
+    candidates.sort()
+    used_p, used_g = set(), set()
+    for _, i, j in candidates:
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+    precision = len(used_p) / len(p)
+    recall = len(used_g) / len(g)
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)

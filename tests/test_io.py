@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyform.geometry import InstanceSet, Polygon
 from polyform.io import (
@@ -79,6 +79,11 @@ class TestRgf:
         blob = write_rgf(grid)
         with pytest.raises(RgfError, match="payload"):
             read_rgf(blob[:-1])
+
+    def test_zero_channels_rejected(self):
+        for side in (0, 1, 2**31, 2**32 - 1):
+            with pytest.raises(RgfError, match="0 channels"):
+                read_rgf(struct.pack("<4sIIII", b"RGF1", side, side, 0, 0))
 
     def test_f64_not_serializable(self):
         grid = RasterGrid(np.zeros((2, 2, 2), dtype=np.float64))
@@ -332,6 +337,25 @@ def mutated(draw, doc):
     return doc
 
 
+HEADER_FIELDS = st.one_of(st.sampled_from((0, 1, 2, 3, 2**31 - 1, 2**31, 2**32 - 1)), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def rgf_blobs(draw):
+    """RGF bytes from drawn header fields, dtype code and magic, with a
+    payload of the declared length, a few bytes short or long, or arbitrary."""
+    h, w, c = draw(HEADER_FIELDS), draw(HEADER_FIELDS), draw(HEADER_FIELDS)
+    code = draw(st.one_of(st.sampled_from((0, 1, 2)), HEADER_FIELDS))
+    magic = draw(st.sampled_from((b"RGF1", b"RGF1", b"RGF2", b"\0\0\0\0")))
+    declared = h * w * c * (4 if code == 1 else 1)
+    if declared <= 4096 and draw(st.booleans()):
+        payload = bytes(max(0, declared + draw(st.integers(-3, 3))))
+    else:
+        payload = draw(st.binary(max_size=64))
+    blob = struct.pack("<4sIIII", magic, h, w, c, code) + payload
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.integers(0, 9)) == 0 else blob
+
+
 VALID_GEOJSON = json.loads(write_geojson(records_fixture()))
 VALID_COCO = json.loads(write_coco_annotations(records_fixture()))
 
@@ -346,6 +370,17 @@ class TestReaderFuzz:
             read_geojson(json.dumps(doc))
         except FormatError:
             pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(rgf_blobs())
+    @example(struct.pack("<4sIIII", b"RGF1", 2**32 - 1, 2**32 - 1, 0, 0))
+    @example(struct.pack("<4sIIII", b"RGF1", 0, 2**32 - 1, 2**32 - 1, 1))
+    def test_read_rgf_raises_only_format_errors(self, blob):
+        try:
+            grid = read_rgf(blob)
+        except FormatError:
+            return
+        assert write_rgf(grid) == blob
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=400, deadline=None)

@@ -13,6 +13,7 @@ from polyform.metrics import (
     MetricsError,
     _coco_summary,
     _greedy_match,
+    _iou_matrix,
     boundary_iou,
     ciou,
     coco_ap_ar,
@@ -25,7 +26,7 @@ from polyform.metrics import (
 from polyform.polygonize import VertexSet
 from polyform.raster import RasterGrid, rasterize_mask
 
-from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, polis_sampled
+from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, polis_sampled, vertex_f1_pairs
 from synth import random_star_polygon, rectangle
 
 
@@ -292,6 +293,9 @@ def vset(coords):
     return VertexSet(tuple((Point2(x, y), 1.0) for x, y in coords))
 
 
+HALF_LATTICE = st.tuples(st.integers(0, 24).map(lambda k: k / 2), st.integers(0, 24).map(lambda k: k / 2))
+
+
 class TestVertexF1:
     def test_identical_sets(self):
         v = vset([(1, 1), (5, 5), (9, 2)])
@@ -311,6 +315,32 @@ class TestVertexF1:
 
     def test_both_empty(self):
         assert vertex_f1(vset([]), vset([]), 5.0) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(HALF_LATTICE, max_size=14),
+        st.lists(HALF_LATTICE, max_size=14),
+        st.sampled_from([0.5, 1.0, 2.5, 5.0]),
+        st.data(),
+    )
+    def test_equals_all_pairs_tuple_sort(self, pred, gt, dist_thr, data):
+        # repeats of drawn points make duplicates common; on the half-pixel
+        # lattice 3-4-5 triangles put pairs at exactly dist_thr
+        pred += data.draw(st.lists(st.sampled_from(pred), max_size=4)) if pred else []
+        gt += data.draw(st.lists(st.sampled_from(gt), max_size=4)) if gt else []
+        assert vertex_f1(vset(pred), vset(gt), dist_thr) == vertex_f1_pairs(pred, gt, dist_thr)
+
+
+class TestIouMatrix:
+    def test_disjoint_boxes_score_without_counting(self):
+        empty_a = (1, 1, np.zeros((2, 2), dtype=bool))
+        empty_b = (10, 12, np.zeros((3, 1), dtype=bool))
+        full = (20, 20, np.ones((2, 2), dtype=bool))
+        assert _iou_matrix([empty_a], [empty_b]).tolist() == [[1.0]]
+        assert _iou_matrix([empty_a, full], [empty_b, full]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert _iou_matrix([empty_a], [empty_b], band=1).tolist() == [[1.0]]
+        assert _iou_matrix([], [empty_b]).shape == (0, 1)
+        assert _iou_matrix([full], []).shape == (1, 0)
 
 
 class TestEvaluateCorpus:

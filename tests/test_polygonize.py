@@ -11,6 +11,7 @@ from polyform.polygonize import (
     PolygonizeConfig,
     PolygonizeError,
     VertexSet,
+    _simplify_chain,
     _trace_window,
     component_crops,
     connected_components,
@@ -241,6 +242,15 @@ class TestTraceBoundary:
             assert [(c.pixels, c.ring_kind) for c in chains] == trace_window_reoriented(crop, r0, c0)
             assert all(shoelace(c.pixels) < 0 for c in chains[1:])
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    def test_equals_probing_walk_on_every_small_mask(self, shape, connectivity):
+        n = shape[0] * shape[1]
+        for bits in range(1, 2**n):
+            mask = ((bits >> np.arange(n)) & 1).astype(bool).reshape(shape)
+            for crop, r0, c0, chains in traced_chains(mask, connectivity):
+                assert [(c.pixels, c.ring_kind) for c in chains] == trace_window_reoriented(crop, r0, c0)
+
     def test_missing_component(self):
         labels, _ = labels_of(np.ones((3, 3), dtype=np.uint8))
         with pytest.raises(PolygonizeError):
@@ -379,27 +389,61 @@ class TestMavAttractSimplify:
 
 @st.composite
 def chains_and_vertices(draw):
-    """A traced chain and vertices on the half-pixel lattice of its frame, so
-    that equal pixel-to-vertex distances and repeated vertices are common."""
+    """A traced chain, a snapping distance tau_d and vertices on the
+    half-pixel lattice of its frame widened by tau_d + 2 px on every side, so
+    that equal pixel-to-vertex distances, repeated vertices and vertices
+    outside the chain's candidate box (sometimes all of them) are common."""
     mask = draw(trace_masks().filter(lambda m: m.any()))
     chains = [c for _crop, _r0, _c0, cs in traced_chains(mask, EIGHT) for c in cs]
     chain = draw(st.sampled_from(chains))
+    tau_d = draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
     h, w = mask.shape
-    lattice = st.tuples(st.integers(0, 2 * w).map(lambda k: k / 2), st.integers(0, 2 * h).map(lambda k: k / 2))
-    return chain, draw(st.lists(lattice, max_size=12))
+    margin = int(2 * (tau_d + 2))  # in half pixels
+    half = st.integers(-margin, 2 * w + margin).map(lambda k: k / 2)
+    lattice = st.tuples(half, st.integers(-margin, 2 * h + margin).map(lambda k: k / 2))
+    return chain, tau_d, draw(st.lists(lattice, max_size=12))
+
+
+def snap_or_none(chain, coords, tau_d, merge_angle):
+    vs = VertexSet(tuple((Point2(x, y), 1.0) for x, y in coords))
+    try:
+        return [tuple(v) for v in mav_attract_simplify(chain, vs, tau_d, merge_angle).vertices]
+    except FallbackRequired:
+        return None
 
 
 class TestMavAttractSimplifyOracle:
     @settings(max_examples=300, deadline=None)
-    @given(chains_and_vertices(), st.sampled_from([0.5, 1.0, 2.0, 5.0]), st.sampled_from([0.0, 10.0, 45.0]))
-    def test_equals_winners_loop(self, chain_vertices, tau_d, merge_angle):
-        chain, coords = chain_vertices
-        vs = VertexSet(tuple((Point2(x, y), 1.0) for x, y in coords))
-        try:
-            got = [tuple(v) for v in mav_attract_simplify(chain, vs, tau_d, merge_angle).vertices]
-        except FallbackRequired:
-            got = None
-        assert got == snap_ring_loop(chain.pixels, coords, tau_d, merge_angle)
+    @given(chains_and_vertices(), st.sampled_from([0.0, 10.0, 45.0]))
+    def test_equals_winners_loop(self, chain_vertices, merge_angle):
+        chain, tau_d, coords = chain_vertices
+        assert snap_or_none(chain, coords, tau_d, merge_angle) == snap_ring_loop(
+            chain.pixels, coords, tau_d, merge_angle
+        )
+
+    @pytest.mark.parametrize(
+        "tau_d, x, kept",
+        [
+            (5.0, 26.5, False),  # exactly tau_d from the pixel centre (21.5, 12.5)
+            (5.0, float(np.nextafter(26.5, 0.0)), True),
+            (0.7, 21.5 + 0.7, True),  # the edge rounds to 0.6999999999999993 beyond the centre
+        ],
+    )
+    def test_vertex_on_the_widened_box_edge(self, tau_d, x, kept):
+        # pixel centres span x in [2.5, 21.5]; the box edge is at 21.5 + tau_d
+        chain = square_chain(2, 2, 22, 22, 40, 40)
+        coords = [(2.5, 2.5), (21.5, 2.5), (21.5, 21.5), (2.5, 21.5), (x, 12.5)]
+        got = snap_or_none(chain, coords, tau_d, 0.0)
+        assert got == snap_ring_loop(chain.pixels, coords, tau_d, 0.0)
+        assert ((x, 12.5) in got) == kept
+
+    def test_no_vertex_in_the_box_falls_back_to_douglas_peucker(self):
+        chain = square_chain(2, 2, 12, 12, 40, 40)
+        cfg = PolygonizeConfig()
+        far = VertexSet(((Point2(30.0, 30.0), 1.0), (Point2(-6.0, 7.0), 1.0), (Point2(7.0, 17.5), 1.0)))
+        with pytest.raises(FallbackRequired, match="no vertices"):
+            mav_attract_simplify(chain, far, cfg.attract_dist, cfg.merge_angle)
+        assert _simplify_chain(chain, far, cfg) == douglas_peucker(chain, cfg.dp_fallback_tolerance)
 
     def test_coords_built_once_and_read_only(self):
         vs = VertexSet(((Point2(1.0, 2.0), 0.5), (Point2(3.0, 4.0), 0.25)))
