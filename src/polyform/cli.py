@@ -32,7 +32,7 @@ from .raster import (
     downscale_targets,
     encode_afm,
     encode_vertices,
-    polygon_mask_crop,
+    polygon_mask_crops,
     rasterize_mask,
 )
 
@@ -105,6 +105,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _fail(errors: list[dict]) -> int:
     print(json.dumps({"errors": errors}, sort_keys=True), file=sys.stderr)
     return 1
+
+
+def _check_scale(args: argparse.Namespace) -> None:
+    if args.scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {args.scale}")
 
 
 def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int, with_afm: bool):
@@ -206,19 +211,21 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
     return _fail(errors) if errors else 0
 
 
+def _eval_config(args: argparse.Namespace) -> EvalConfig:
+    return EvalConfig(iou_thr=args.iou_thr, vertex_dist_thr=args.vertex_dist_thr)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     preds = _load_records(args.pred)
     gts = _load_records(args.gt)
-    cfg = EvalConfig(iou_thr=args.iou_thr, vertex_dist_thr=args.vertex_dist_thr)
-    report = evaluate_corpus(preds, gts, cfg)
+    report = evaluate_corpus(preds, gts, _eval_config(args))
     Path(args.report).write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
     print(report.render_table())
     return 0
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
-    gt_records = _load_records(args.gt)
-    spec = DegradeSpec(
+def _degrade_spec(args: argparse.Namespace) -> DegradeSpec:
+    return DegradeSpec(
         dilate_radius=args.dilate,
         erode_radius=args.erode,
         boundary_jitter_sigma=args.jitter_sigma,
@@ -227,6 +234,17 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         spurious_vertex_count=args.spurious,
         rng_seed=args.seed,
     )
+
+
+def _check_roundtrip(args: argparse.Namespace) -> None:
+    _check_scale(args)
+    _polygonize_config(args, float(args.scale))
+    _degrade_spec(args)
+
+
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    gt_records = _load_records(args.gt)
+    spec = _degrade_spec(args)
     cfg = _polygonize_config(args, float(args.scale))
 
     def work(rec: pio.TileRecord):
@@ -241,7 +259,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             ((r0 * s, c0 * s, crop.repeat(s, axis=0).repeat(s, axis=1)), score)
             for r0, c0, crop, score in crops
         ]
-        gt_inst = [polygon_mask_crop(sp.polygon, *frame) for sp in gt_rec.instances]
+        gt_inst = polygon_mask_crops([sp.polygon for sp in gt_rec.instances], *frame)
         return poly_rec, gt_rec, comp_masks, gt_inst
 
     done, errors = _tile_map(work, gt_records, lambda rec: rec.tile_id, args.workers)
@@ -294,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--size", type=_parse_size, default=None, help="target frame HxW, e.g. 512x512")
     p.add_argument("--scale", type=int, default=1, help="down-sampling factor")
-    p.set_defaults(fn=cmd_encode)
+    p.set_defaults(fn=cmd_encode, validate=_check_scale)
 
     p = sub.add_parser("polygonize", help="extract polygons from encoded rasters")
     p.add_argument("raster_dir")
     p.add_argument("output", help="output GeoJSON path")
     _add_polygonize_flags(p)
     p.add_argument("--scale", type=float, default=1.0, help="upscale factor for output coordinates")
-    p.set_defaults(fn=cmd_polygonize, validate_poly_flags=True)
+    p.set_defaults(fn=cmd_polygonize, validate=lambda args: _polygonize_config(args, args.scale))
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("pred", help="predictions GeoJSON")
@@ -309,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report", help="output report JSON path")
     p.add_argument("--iou-thr", type=float, default=0.5)
     p.add_argument("--vertex-dist-thr", type=float, default=5.0)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, validate=_eval_config)
 
     p = sub.add_parser("roundtrip", help="encode, optionally degrade, polygonize, and compare AP")
     p.add_argument("gt", help="ground truth GeoJSON or COCO json")
@@ -324,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-dropout", type=float, default=0.0)
     p.add_argument("--spurious", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_roundtrip, validate_poly_flags=True)
+    p.set_defaults(fn=cmd_roundtrip, validate=_check_roundtrip)
 
     p = sub.add_parser("render", help="render GeoJSON polygons to SVG")
     p.add_argument("input", help="GeoJSON path")
@@ -337,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "validate_poly_flags", False):
-        try:
-            _polygonize_config(args, float(getattr(args, "scale", 1.0)))
+    validate = getattr(args, "validate", None)
+    if validate is not None:
+        try:  # flag values the command would reject are usage errors
+            validate(args)
         except ValueError as exc:
             parser.error(str(exc))
     if args.fn in (cmd_encode, cmd_polygonize, cmd_roundtrip):

@@ -25,7 +25,7 @@ from scipy import ndimage
 from .geometry import InstanceSet, Polygon, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
-from .raster import RasterGrid, bounding_crop, polygon_mask_crop, union_of_crops
+from .raster import RasterGrid, bounding_crop, polygon_mask_crops, union_of_crops
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -45,9 +45,18 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """iou_thr in [0, 1]; vertex_dist_thr (pixels) and boundary_d_frac finite and > 0."""
+
     iou_thr: float = 0.5
     vertex_dist_thr: float = 5.0
     boundary_d_frac: float = 0.02
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.iou_thr <= 1.0:
+            raise MetricsError(f"iou_thr must be in [0, 1], got {self.iou_thr}")
+        for name in ("vertex_dist_thr", "boundary_d_frac"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise MetricsError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,10 @@ def polis(a: Polygon, b: Polygon) -> float:
     return 0.5 * term_a + 0.5 * term_b
 
 
-def _instance_crops(instances: InstanceSet, h: int, w: int) -> list[_Crop]:
-    return [polygon_mask_crop(sp.polygon, h, w) for sp in instances]
+def _crops_of(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> tuple[list[_Crop], list[_Crop]]:
+    """The crops of two polygon lists on one h x w frame, filled in one pass."""
+    crops = polygon_mask_crops([*a, *b], h, w)
+    return crops[: len(a)], crops[len(a) :]
 
 
 def _vertex_discount(a: Iterable[Polygon], b: Iterable[Polygon]) -> float:
@@ -188,9 +199,7 @@ def _vertex_discount(a: Iterable[Polygon], b: Iterable[Polygon]) -> float:
 def ciou(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> float:
     """Complexity-aware IoU: mask IoU discounted by the relative difference
     of total vertex counts, IoU * (1 - |N_A - N_B| / (N_A + N_B))."""
-    crops_a = [polygon_mask_crop(p, h, w) for p in a]
-    crops_b = [polygon_mask_crop(p, h, w) for p in b]
-    return _union_iou(crops_a, crops_b) * _vertex_discount(a, b)
+    return _union_iou(*_crops_of(a, b, h, w)) * _vertex_discount(a, b)
 
 
 def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> np.ndarray:
@@ -248,7 +257,7 @@ def match_instances(
 ) -> MatchResult:
     """Greedy one-to-one matching in descending prediction score order; each
     prediction takes the highest-IoU unmatched ground truth with IoU >= iou_thr."""
-    ious = _iou_matrix(_instance_crops(preds, h, w), _instance_crops(gts, h, w))
+    ious = _iou_matrix(*_crops_of([sp.polygon for sp in preds], [sp.polygon for sp in gts], h, w))
     return _greedy_match(ious, [sp.score for sp in preds], iou_thr)
 
 
@@ -298,7 +307,7 @@ def coco_ap_ar_from_crops(
     d_frac: float = 0.02,
 ) -> tuple[float, float, float, float, float, float]:
     """COCO AP/AR over instance masks given as (r0, c0, crop) as returned by
-    raster.polygon_mask_crop. preds maps tile id to (crop, score) pairs, gts
+    raster.polygon_mask_crops. preds maps tile id to (crop, score) pairs, gts
     to crops, and sizes to the frame (h, w) that sets the Boundary IoU
     distance. mode "boundary" matches on Boundary IoU instead of mask IoU.
     """
@@ -345,10 +354,10 @@ def coco_ap_ar(
     and averages 101-point interpolated precision over the thresholds.
     """
     pred_crops = {
-        tile: [(polygon_mask_crop(sp.polygon, *sizes[tile]), sp.score) for sp in inst]
+        tile: list(zip(polygon_mask_crops([sp.polygon for sp in inst], *sizes[tile]), (sp.score for sp in inst)))
         for tile, inst in preds.items()
     }
-    gt_crops = {tile: [polygon_mask_crop(sp.polygon, *sizes[tile]) for sp in inst] for tile, inst in gts.items()}
+    gt_crops = {tile: polygon_mask_crops([sp.polygon for sp in inst], *sizes[tile]) for tile, inst in gts.items()}
     return coco_ap_ar_from_crops(pred_crops, gt_crops, sizes, mode=mode, d_frac=d_frac)
 
 
@@ -403,8 +412,9 @@ def evaluate_corpus(
     """Aggregate every report metric over a tile collection.
 
     Tile ids must be unique on each side and align between predictions and
-    ground truth. PoLiS is averaged over pairs matched at config.iou_thr;
-    the per-tile union IoU, C-IoU and vertex F1 are averaged over tiles.
+    ground truth, and each tile must have one image size on both sides.
+    PoLiS is averaged over pairs matched at config.iou_thr; the per-tile
+    union IoU, C-IoU and vertex F1 are averaged over tiles.
     """
     cfg = config or EvalConfig()
     pred_by_id = _by_tile_id(preds, "predictions")
@@ -425,11 +435,13 @@ def evaluate_corpus(
         gt_rec = gt_by_id[tile]
         pred_rec = pred_by_id[tile]
         h, w = gt_rec.image_size
+        if pred_rec.image_size != (h, w):
+            ph, pw = pred_rec.image_size
+            raise MetricsError(f"tile {tile!r}: prediction is {ph}x{pw} but ground truth is {h}x{w}")
         gt_polys = [sp.polygon for sp in gt_rec.instances]
         pred_polys = [sp.polygon for sp in pred_rec.instances]
         scores = [sp.score for sp in pred_rec.instances]
-        gt_crops = _instance_crops(gt_rec.instances, h, w)
-        pred_crops = _instance_crops(pred_rec.instances, h, w)
+        pred_crops, gt_crops = _crops_of(pred_polys, gt_polys, h, w)
 
         ious = _iou_matrix(pred_crops, gt_crops)
         mask_tables.append((ious, scores))

@@ -12,10 +12,11 @@ r + 0.5). Vertex offsets are relative to that center and live in
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -117,40 +118,138 @@ class DegradeSpec:
             raise RasterError(f"vertex_dropout_prob {self.vertex_dropout_prob} outside [0, 1]")
 
 
+# the edge test of polygon_mask_crops visits a band of pixels along each edge,
+# which holds every pixel the tolerance accepts while the edge's squared
+# length is at least _FILL_MIN_LEN2 and its coordinates stay below
+# _FILL_MAX_SCALE; any other edge is tested on its whole crop
+_FILL_MIN_LEN2 = 1e-100
+_FILL_MAX_SCALE = 2.0**29
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of the inclusive int64 ranges [lo[i], hi[i]] (none where
+    hi[i] < lo[i]), as (range index i, value) arrays in range order."""
+    counts = np.maximum(hi - lo + 1, 0)
+    item = np.repeat(np.arange(len(counts)), counts)
+    return item, np.arange(item.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def _on_edge(ax, ay, ex, ey, len2, tol, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The edge test of polygon_mask_crops for pixel centres (x, y) and
+    edges from (ax, ay) along (ex, ey), all broadcast together."""
+    cross = ex * (y - ay) - ey * (x - ax)
+    dot = (x - ax) * ex + (y - ay) * ey
+    return (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= len2 + tol)
+
+
+def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[int, int, np.ndarray]]:
+    """polygon_mask of each polygon cropped to (r0, c0, crop): crop[i, j] is
+    frame pixel (r0 + i, c0 + j), and the crop spans the polygon's vertex
+    bounding box widened by one pixel, within the frame (a 0 x 0 crop at
+    (0, 0) when nothing of it is left).
+
+    A pixel is set when its centre (x, y) is inside by the even-odd rule or
+    on an edge a -> b within a tolerance. Inside: an odd number of edges
+    have (ay > y) != (by > y) and x < ax + (y - ay) * ex / ey, with
+    (ex, ey) = b - a. On the edge: |ex * (y - ay) - ey * (x - ax)| <= tol and
+    -tol <= (x - ax) * ex + (y - ay) * ey <= ex * ex + ey * ey + tol, with
+    tol = 1e-9 * scale * |b - a| and scale = max(1, |ax|, |ay|, |bx|, |by|).
+
+    All polygons are filled in one pass, each expression evaluated as
+    written above. Crossings are generated only for the pixel rows an edge
+    spans, and each toggles the crop columns whose centres lie strictly
+    below its x. Every row holds an even number of crossings, so a running
+    parity over all crops laid end to end, with a crossing that toggles a
+    whole row placed at the start of the next, is each row's even-odd fill.
+    The edge test visits, for each edge, every pixel column (row, for edges
+    closer to vertical) from one before its span to one after, and in it
+    the pixel holding the edge's line at the column centre and one pixel
+    either side. An accepted centre lies within t = 1e-9 * scale of the
+    line and projects within t of the edge, so with scale below
+    _FILL_MAX_SCALE (t < 0.54) it is less than 1 pixel off the line along
+    the column and less than 1 pixel past the edge's span: in the band.
+    """
+    if not polys:
+        return []
+    rings = [ring.vertices for poly in polys for ring in poly.rings()]
+    ring_len = np.array([len(vs) for vs in rings])
+    n_segs = np.array([poly.vertex_count() for poly in polys])
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings))
+    a = np.fromiter(flat, dtype=np.float64, count=2 * ring_len.sum()).reshape(-1, 2)
+    ring_end = np.cumsum(ring_len)
+    succ = np.arange(1, len(a) + 1)
+    succ[ring_end - 1] = ring_end - ring_len  # each ring's last edge closes on its first vertex
+    ax, ay = a.T
+    bx, by = a[succ].T
+    ex, ey = bx - ax, by - ay
+    first = np.cumsum(n_segs) - n_segs
+    of = np.repeat(np.arange(len(polys)), n_segs)  # polygon of each edge
+
+    # crop boxes; the clamps keep every value convertible and every empty box empty
+    r0 = np.clip(np.floor(np.minimum.reduceat(ay, first) - 0.5) - 1, 0, h)
+    r1 = np.clip(np.ceil(np.maximum.reduceat(ay, first) - 0.5) + 1, -1, h - 1)
+    c0 = np.clip(np.floor(np.minimum.reduceat(ax, first) - 0.5) - 1, 0, w)
+    c1 = np.clip(np.ceil(np.maximum.reduceat(ax, first) - 0.5) + 1, -1, w - 1)
+    kept = (r0 <= r1) & (c0 <= c1)
+    rows = np.where(kept, r1 - r0 + 1, 0).astype(np.int64)
+    cols = np.where(kept, c1 - c0 + 1, 0).astype(np.int64)
+    r0 = np.where(kept, r0, 0).astype(np.int64)
+    c0 = np.where(kept, c0, 0).astype(np.int64)
+    sizes = rows * cols
+    base = np.cumsum(sizes) - sizes
+    origin = base - r0 * cols - c0  # flat index of frame pixel (r, c) is origin + r * cols + c
+
+    # crossings, over the rows r with min(ay, by) <= r + 0.5 < max(ay, by)
+    e_r0, e_rows = r0[of], rows[of]
+    lo = np.clip(np.floor(np.minimum(ay, by)), e_r0, e_r0 + e_rows)
+    hi = np.clip(np.floor(np.maximum(ay, by)), e_r0 - 1, e_r0 + e_rows - 1)
+    e, r = _ranges(lo.astype(np.int64), hi.astype(np.int64))
+    y = r + 0.5
+    crossing = (ay[e] > y) != (by[e] > y)
+    e, r, y = e[crossing], r[crossing], y[crossing]
+    x_int = ax[e] + (y - ay[e]) * ex[e] / ey[e]
+    below = np.searchsorted(np.arange(w) + 0.5, x_int)  # centres < x_int
+    below[np.isnan(x_int)] = 0  # no centre is below NaN, which overflowing coordinates can give
+    p = of[e]
+    at, count = np.unique(origin[p] + r * cols[p] + np.clip(below, c0[p], c0[p] + cols[p]), return_counts=True)
+    odd = np.zeros(sizes.sum() + 1, dtype=bool)
+    odd[at[count % 2 == 1]] = True
+    filled = np.logical_xor.accumulate(odd)
+
+    # edges, on their bands (major axis u, minor axis v) or on their whole crop
+    len2 = ex * ex + ey * ey
+    scale = np.maximum.reduce([np.ones_like(ax), np.abs(ax), np.abs(ay), np.abs(bx), np.abs(by)])
+    tol = 1e-9 * scale * np.sqrt(len2)
+    narrow = (len2 >= _FILL_MIN_LEN2) & (scale < _FILL_MAX_SCALE)
+    along_x = np.abs(ex) >= np.abs(ey)
+    ua, va = np.where(along_x, ax, ay), np.where(along_x, ay, ax)
+    ub, vb = np.where(along_x, bx, by), np.where(along_x, by, bx)
+    u0, un = np.where(along_x, c0[of], e_r0), np.where(along_x, cols[of], e_rows)
+    v0, vn = np.where(along_x, e_r0, c0[of]), np.where(along_x, e_rows, cols[of])
+    lo = np.clip(np.floor(np.minimum(ua, ub)) - 1, u0, u0 + un)
+    hi = np.where(narrow, np.clip(np.floor(np.maximum(ua, ub)) + 1, u0 - 1, u0 + un - 1), lo - 1)
+    k, u = _ranges(lo.astype(np.int64), hi.astype(np.int64))
+    line = np.floor(va[k] + (u + 0.5 - ua[k]) * ((vb - va) / (ub - ua))[k])
+    v = np.clip(line + np.array([[-1.0], [0.0], [1.0]]), v0[k], (v0 + vn - 1)[k]).astype(np.int64)
+    r, c = np.where(along_x[k], v, u), np.where(along_x[k], u, v)
+    on = _on_edge(ax[k], ay[k], ex[k], ey[k], len2[k], tol[k], c + 0.5, r + 0.5)
+    filled[(origin[of[k]] + r * cols[of[k]] + c)[on]] = True
+    for i in np.flatnonzero(~narrow).tolist():
+        p = of[i]
+        x = np.arange(c0[p], c0[p] + cols[p]) + 0.5
+        y = np.arange(r0[p], r0[p] + rows[p])[:, None] + 0.5
+        crop = filled[base[p] : base[p] + sizes[p]].reshape(rows[p], cols[p])
+        crop |= _on_edge(ax[i], ay[i], ex[i], ey[i], len2[i], tol[i], x, y)
+
+    return [
+        (top, left, filled[start : start + n_rows * n_cols].reshape(n_rows, n_cols))
+        for top, left, n_rows, n_cols, start in zip(*(arr.tolist() for arr in (r0, c0, rows, cols, base)))
+    ]
+
+
 def polygon_mask_crop(poly: Polygon, h: int, w: int) -> tuple[int, int, np.ndarray]:
-    """polygon_mask cropped to (r0, c0, crop): crop[i, j] is frame pixel
-    (r0 + i, c0 + j); the crop spans the polygon's bounding box within the frame."""
-    xs = [v.x for v in poly.all_vertices()]
-    ys = [v.y for v in poly.all_vertices()]
-    c0 = max(0, int(math.floor(min(xs) - 0.5)) - 1)
-    c1 = min(w - 1, int(math.ceil(max(xs) - 0.5)) + 1)
-    r0 = max(0, int(math.floor(min(ys) - 0.5)) - 1)
-    r1 = min(h - 1, int(math.ceil(max(ys) - 0.5)) + 1)
-    if c0 > c1 or r0 > r1:
-        return 0, 0, np.zeros((0, 0), dtype=bool)
-    x = np.arange(c0, c1 + 1, dtype=np.float64)[None, :] + 0.5
-    y = np.arange(r0, r1 + 1, dtype=np.float64)[:, None] + 0.5
-    parity = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
-    boundary = np.zeros_like(parity)
-    for ring in poly.rings():
-        vs = ring.vertices
-        n = len(vs)
-        for i in range(n):
-            ax, ay = vs[i]
-            bx, by = vs[(i + 1) % n]
-            ex, ey = bx - ax, by - ay
-            crossing = (ay > y) != (by > y)
-            if crossing.any():
-                denom = ey if ey != 0 else 1.0
-                x_int = ax + (y - ay) * ex / denom
-                parity ^= crossing & (x < x_int)
-            seg_len2 = ex * ex + ey * ey
-            scale = max(1.0, abs(ax), abs(ay), abs(bx), abs(by))
-            tol = 1e-9 * scale * math.sqrt(seg_len2)
-            cross = ex * (y - ay) - ey * (x - ax)
-            dot = (x - ax) * ex + (y - ay) * ey
-            boundary |= (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= seg_len2 + tol)
-    return r0, c0, parity | boundary
+    """polygon_mask_crops of the one polygon."""
+    return polygon_mask_crops([poly], h, w)[0]
 
 
 def bounding_crop(mask: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -181,7 +280,7 @@ def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     """Binary u8 mask: 1 where a pixel center falls in any instance, holes excluded."""
     if h < 1 or w < 1:
         raise RasterError(f"mask shape must be positive, got {h}x{w}")
-    grid = union_of_crops((polygon_mask_crop(sp.polygon, h, w) for sp in instances), h, w)
+    grid = union_of_crops(polygon_mask_crops([sp.polygon for sp in instances], h, w), h, w)
     return RasterGrid.from_array(grid.astype(np.uint8))
 
 

@@ -81,6 +81,42 @@ def rasterize_enum(poly: Polygon, h: int, w: int) -> np.ndarray:
     return out
 
 
+def polygon_mask_crop_per_edge(poly: Polygon, h: int, w: int) -> tuple[int, int, np.ndarray]:
+    """The library's earlier one-polygon fill: every edge's even-odd crossing
+    and boundary tolerance tests broadcast over the whole crop."""
+    xs = [v.x for v in poly.all_vertices()]
+    ys = [v.y for v in poly.all_vertices()]
+    c0 = max(0, int(math.floor(min(xs) - 0.5)) - 1)
+    c1 = min(w - 1, int(math.ceil(max(xs) - 0.5)) + 1)
+    r0 = max(0, int(math.floor(min(ys) - 0.5)) - 1)
+    r1 = min(h - 1, int(math.ceil(max(ys) - 0.5)) + 1)
+    if c0 > c1 or r0 > r1:
+        return 0, 0, np.zeros((0, 0), dtype=bool)
+    x = np.arange(c0, c1 + 1, dtype=np.float64)[None, :] + 0.5
+    y = np.arange(r0, r1 + 1, dtype=np.float64)[:, None] + 0.5
+    parity = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
+    boundary = np.zeros_like(parity)
+    for ring in poly.rings():
+        vs = ring.vertices
+        n = len(vs)
+        for i in range(n):
+            ax, ay = vs[i]
+            bx, by = vs[(i + 1) % n]
+            ex, ey = bx - ax, by - ay
+            crossing = (ay > y) != (by > y)
+            if crossing.any():
+                denom = ey if ey != 0 else 1.0
+                x_int = ax + (y - ay) * ex / denom
+                parity ^= crossing & (x < x_int)
+            seg_len2 = ex * ex + ey * ey
+            scale = max(1.0, abs(ax), abs(ay), abs(bx), abs(by))
+            tol = 1e-9 * scale * math.sqrt(seg_len2)
+            cross = ex * (y - ay) - ey * (x - ax)
+            dot = (x - ax) * ex + (y - ay) * ey
+            boundary |= (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= seg_len2 + tol)
+    return r0, c0, parity | boundary
+
+
 def boundary_band_enum(mask: np.ndarray, d: int) -> np.ndarray:
     """Pixels of the mask within Chebyshev distance d of a non-mask pixel,
     the image border counting as outside."""

@@ -154,6 +154,29 @@ class TestPolygonize:
         assert "manifest" in err["errors"][0]["error"]
 
 
+# flag values the command would reject, with the output each would write
+BAD_FLAG_VALUES = [
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--spurious", "-1"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--vertex-dropout", "2"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--dilate", "-1"], "r.json"),
+    (["encode", "{gt}", "{tmp}/rasters", "--scale", "0"], "rasters"),
+    (["encode", "{gt}", "{tmp}/rasters", "--scale", "-2"], "rasters"),
+    (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "nan"], "r.json"),
+    (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "1.5"], "r.json"),
+    (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--vertex-dist-thr", "0"], "r.json"),
+    (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--vertex-dist-thr", "inf"], "r.json"),
+]
+
+
+@pytest.mark.parametrize("argv, output", BAD_FLAG_VALUES, ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else None)
+def test_bad_flag_value_is_usage_error(gt_geojson, tmp_path, capsys, argv, output):
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(gt=gt_geojson, tmp=tmp_path) for arg in argv])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 class TestEval:
     def test_self_eval_perfect(self, gt_geojson, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -187,6 +210,15 @@ class TestEval:
         assert main(["eval", str(partial), str(gt_geojson), str(tmp_path / "r.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "t1" in err["errors"][0]["error"]
+
+    def test_tile_size_mismatch_named(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.geojson", tmp_path / "gt.geojson"
+        pred.write_bytes(write_geojson([TileRecord("t0", (32, 32), InstanceSet.of([rectangle(2, 2, 30, 30)]))]))
+        gt.write_bytes(write_geojson([TileRecord("t0", (16, 16), InstanceSet.of([rectangle(2, 2, 10, 10)]))]))
+        assert main(["eval", str(pred), str(gt), str(tmp_path / "r.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "'t0'" in err["errors"][0]["error"] and "32x32" in err["errors"][0]["error"]
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.geojson"), str(tmp_path / "g.json"), str(tmp_path / "r.json")]) == 1

@@ -396,6 +396,12 @@ class TestEvaluateCorpus:
         with pytest.raises(MetricsError, match="'t1' repeated"):
             evaluate_corpus(preds, gts)
 
+    def test_tile_size_mismatch_named(self):
+        gts = [tile("t1", (16, 16), [rectangle(2, 2, 10, 10)])]
+        preds = [tile("t1", (32, 32), [rectangle(2, 2, 30, 30)])]
+        with pytest.raises(MetricsError, match=r"'t1'.*32x32.*16x16"):
+            evaluate_corpus(preds, gts)
+
     def test_report_invariants(self):
         gts = self._corpus()
         preds = [
@@ -423,3 +429,18 @@ def test_math_sanity_translated_square_by_hand():
     per_direction = (1 + 0 + 0 + 1) / (2 * 4)
     assert polis(a, b) == pytest.approx(per_direction + per_direction)
     assert math.isclose(polis(a, b), 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iou_thr", math.nan), ("iou_thr", 1.5), ("iou_thr", -0.1), ("iou_thr", math.inf),
+    ("vertex_dist_thr", 0.0), ("vertex_dist_thr", -1.0), ("vertex_dist_thr", math.nan), ("vertex_dist_thr", math.inf),
+    ("boundary_d_frac", 0.0), ("boundary_d_frac", math.nan), ("boundary_d_frac", math.inf),
+])
+def test_eval_config_rejects_out_of_range(field, value):
+    with pytest.raises(MetricsError, match=field):
+        EvalConfig(**{field: value})
+
+
+def test_eval_config_accepts_closed_iou_range():
+    assert EvalConfig(iou_thr=0.0).iou_thr == 0.0
+    assert EvalConfig(iou_thr=1.0, vertex_dist_thr=1e-3, boundary_d_frac=1.0).iou_thr == 1.0
