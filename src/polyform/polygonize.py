@@ -117,11 +117,10 @@ def component_crops(
     """The connected components of soft > tau, in label order, as
     (r0, c0, crop, score): the component's bounding-box mask at frame offset
     (r0, c0) and the f64 mean of the soft mask over its pixels."""
-    labels, _count = connected_components(threshold_mask(soft, tau), connectivity)
-    lab = labels.channel()
     values = soft.channel()
+    lab, boxes = _label_boxes(values > tau, connectivity)
     out = []
-    for comp, (rows, cols) in enumerate(ndimage.find_objects(lab), start=1):
+    for comp, (rows, cols) in enumerate(boxes, start=1):
         region = lab[rows, cols] == comp
         score = float(values[rows, cols][region].astype(np.float64).mean())
         out.append((rows.start, cols.start, region, score))
@@ -134,21 +133,35 @@ def connected_components(binary: RasterGrid, connectivity: str = EIGHT) -> tuple
     Labels are assigned in raster-scan order of each component's first
     pixel, so the result is deterministic for a given mask.
     """
+    labels, boxes = _label_boxes(binary.channel() != 0, connectivity)
+    return RasterGrid.from_array(labels), len(boxes)
+
+
+def _label_boxes(mask: np.ndarray, connectivity: str) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """connected_components of a boolean frame as u32 labels, plus each
+    label's bounding box (ndimage.find_objects, label order).
+
+    A component's first pixel is its box's first row at the first column of
+    that row holding the label. ndimage.label already numbers components in
+    raster order of their first pixels in practice; the labels are renumbered
+    (and the boxes reordered) only when the boxes show it did not.
+    """
     if connectivity not in (FOUR, EIGHT):
         raise PolygonizeError(f"unknown connectivity {connectivity!r}")
-    arr = binary.channel() != 0
     structure = np.ones((3, 3), dtype=bool) if connectivity == EIGHT else ndimage.generate_binary_structure(2, 1)
-    labels, count = ndimage.label(arr, structure=structure)
-    if count > 1:
-        flat = labels.ravel()
-        nonzero = np.flatnonzero(flat)
-        first = np.zeros(count + 1, dtype=np.int64)
-        first[flat[nonzero[::-1]]] = nonzero[::-1]  # earliest position wins last
-        order = np.argsort(first[1:], kind="stable")
+    labels, count = ndimage.label(mask, structure=structure, output=np.uint32)
+    boxes = ndimage.find_objects(labels)
+    first = [
+        (rows.start, cols.start + int(np.argmax(labels[rows.start, cols] == comp)))
+        for comp, (rows, cols) in enumerate(boxes, start=1)
+    ]
+    if any(a > b for a, b in zip(first, first[1:])):
+        order = sorted(range(count), key=first.__getitem__)
         remap = np.zeros(count + 1, dtype=np.uint32)
-        remap[order + 1] = np.arange(1, count + 1, dtype=np.uint32)
+        remap[np.array(order) + 1] = np.arange(1, count + 1, dtype=np.uint32)
         labels = remap[labels]
-    return RasterGrid.from_array(labels.astype(np.uint32)), int(count)
+        boxes = [boxes[i] for i in order]
+    return labels, boxes
 
 
 # clockwise Moore neighborhood starting north
@@ -262,10 +275,13 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
     """
     if (heatmap.height, heatmap.width) != (offsets.height, offsets.width):
         raise PolygonizeError("heatmap and offsets shapes differ")
-    padded = np.pad(heatmap.channel().astype(np.float64), 1, constant_values=-np.inf)
+    # f32 (f64 for wider inputs) holds every heatmap value exactly, so the
+    # neighbour comparisons match f64 ones; tau_v is compared at f64
+    channel = heatmap.channel()
+    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False), 1, constant_values=-np.inf)
     heat = padded[1:-1, 1:-1]
     h, w = heat.shape
-    keep = heat > tau_v
+    keep = np.greater(heat, np.float64(tau_v))
     for dr, dc in _DIRS:
         neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]  # value of the (dr, dc) neighbor
         earlier = dr < 0 or (dr == 0 and dc < 0)
@@ -273,7 +289,7 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
     rows, cols = np.nonzero(keep)
     if rows.size == 0:
         return VertexSet(())
-    scores = heat[rows, cols]
+    scores = heat[rows, cols].astype(np.float64)
     flat = rows * heat.shape[1] + cols
     order = np.lexsort((flat, -scores))[:top_k]
     return VertexSet(tuple(offset_points(rows[order], cols[order], offsets.data, scores[order])))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import InstanceSet, Point2, Polygon, project_points_to_segments
 
@@ -114,6 +113,8 @@ class DegradeSpec:
         if min(self.dilate_radius, self.erode_radius, self.boundary_jitter_sigma,
                self.heatmap_noise_sigma, self.spurious_vertex_count) < 0:
             raise RasterError("degradation parameters must be nonnegative")
+        if not (math.isfinite(self.boundary_jitter_sigma) and math.isfinite(self.heatmap_noise_sigma)):
+            raise RasterError("boundary_jitter_sigma and heatmap_noise_sigma must be finite")
         if not 0.0 <= self.vertex_dropout_prob <= 1.0:
             raise RasterError(f"vertex_dropout_prob {self.vertex_dropout_prob} outside [0, 1]")
 
@@ -428,8 +429,29 @@ def decode_vertices(grids: VertexGrids) -> list[tuple[Point2, float]]:
     return offset_points(rows, cols, grids.offsets.data, heat[rows, cols])
 
 
-def _square(radius: int) -> np.ndarray:
-    return np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+def _square_morph(binary: np.ndarray, radius: int, dilate: bool) -> np.ndarray:
+    """A boolean frame dilated (or eroded) by the (2 radius + 1)-pixel square,
+    pixels outside the frame counting as False: scipy.ndimage.binary_dilation
+    (binary_erosion) with that square and the default border_value=0.
+
+    The square is radius passes of a 3-wide OR (AND) along the columns and
+    then along the rows, each over shifted views. Every pass is exact on the
+    frame embedded in a False plane: outside the frame the plane stays False
+    under erosion, and a pixel a dilation reaches through the outside it
+    also reaches through the frame, which is a box.
+    """
+    op = np.logical_or if dilate else np.logical_and
+    out = binary.copy()
+    for _ in range(radius):
+        for src in (out, out.T):  # the second pass runs on the first's result
+            res = src.copy(order="K")
+            op(res[1:], src[:-1], out=res[1:])
+            op(res[:-1], src[1:], out=res[:-1])
+            if not dilate:  # an edge pixel's outer neighbour is False
+                res[:1] = False
+                res[-1:] = False
+            src[...] = res
+    return out
 
 
 def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[RasterGrid, VertexGrids]:
@@ -438,22 +460,17 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
     Applies, in order: square dilation, square erosion, Gaussian jitter on
     the boundary band (clamped to [0, 1]), full-grid heatmap noise (also
     clamped), vertex dropout, and spurious vertex injection. A counter-based
-    Philox generator keyed by rng_seed makes runs reproducible.
+    Philox generator keyed by rng_seed makes runs reproducible. The jitter
+    draws a full frame of noise and uses it on the band pixels only.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.rng_seed))
-    binary = mask.channel() > 0.5
-    if spec.dilate_radius > 0:
-        binary = ndimage.binary_dilation(binary, structure=_square(spec.dilate_radius))
-    if spec.erode_radius > 0:
-        binary = ndimage.binary_erosion(binary, structure=_square(spec.erode_radius))
+    binary = _square_morph(mask.channel() > 0.5, spec.dilate_radius, dilate=True)
+    binary = _square_morph(binary, spec.erode_radius, dilate=False)
     soft = binary.astype(np.float32)
     if spec.boundary_jitter_sigma > 0:
-        band = ndimage.binary_dilation(binary, structure=_square(1)) & ~ndimage.binary_erosion(
-            binary, structure=_square(1)
-        )
+        band = _square_morph(binary, 1, dilate=True) & ~_square_morph(binary, 1, dilate=False)
         noise = rng.normal(0.0, spec.boundary_jitter_sigma, size=soft.shape)
-        soft = np.where(band, soft + noise.astype(np.float32), soft)
-        np.clip(soft, 0.0, 1.0, out=soft)
+        soft[band] = np.clip(soft[band] + noise[band].astype(np.float32), 0.0, 1.0)
 
     heat = np.array(grids.heatmap.channel(), dtype=np.float32)
     off = np.array(grids.offsets.data, dtype=np.float32)

@@ -15,6 +15,7 @@ from scipy import ndimage
 
 from polyform.geometry import GeometryError, Polygon, Point2, Ring, merge_collinear_edges
 from polyform.metrics import MatchResult
+from polyform.raster import RasterGrid, VertexGrids
 
 
 def point_segment_distance(px, py, ax, ay, bx, by) -> float:
@@ -510,3 +511,66 @@ def vertex_f1_pairs(pred, gt, dist_thr) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def label_raster_order(mask, connectivity: str) -> tuple[np.ndarray, int]:
+    """ndimage.label of a boolean frame (int64 labels), renumbered explicitly
+    so components are numbered in raster order of their first pixel."""
+    structure = np.ones((3, 3), dtype=bool) if connectivity == "eight" else ndimage.generate_binary_structure(2, 1)
+    labels, count = ndimage.label(mask, structure=structure)
+    flat = labels.ravel()
+    nonzero = np.flatnonzero(flat)
+    first = np.zeros(count + 1, dtype=np.int64)
+    first[flat[nonzero[::-1]]] = nonzero[::-1]  # earliest position wins last
+    remap = np.zeros(count + 1, dtype=np.int64)
+    remap[np.argsort(first[1:], kind="stable") + 1] = np.arange(1, count + 1)
+    return remap[labels], int(count)
+
+
+def square(radius: int) -> np.ndarray:
+    return np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+
+
+def degrade_scipy(mask, grids, spec):
+    """raster.degrade with scipy binary morphology on full-frame squares and
+    the boundary jitter applied through a full-frame np.where."""
+    rng = np.random.Generator(np.random.Philox(key=spec.rng_seed))
+    binary = mask.channel() > 0.5
+    if spec.dilate_radius > 0:
+        binary = ndimage.binary_dilation(binary, structure=square(spec.dilate_radius))
+    if spec.erode_radius > 0:
+        binary = ndimage.binary_erosion(binary, structure=square(spec.erode_radius))
+    soft = binary.astype(np.float32)
+    if spec.boundary_jitter_sigma > 0:
+        band = ndimage.binary_dilation(binary, structure=square(1)) & ~ndimage.binary_erosion(
+            binary, structure=square(1)
+        )
+        noise = rng.normal(0.0, spec.boundary_jitter_sigma, size=soft.shape)
+        soft = np.where(band, soft + noise.astype(np.float32), soft)
+        np.clip(soft, 0.0, 1.0, out=soft)
+
+    heat = np.array(grids.heatmap.channel(), dtype=np.float32)
+    off = np.array(grids.offsets.data, dtype=np.float32)
+    if spec.heatmap_noise_sigma > 0:
+        heat = heat + rng.normal(0.0, spec.heatmap_noise_sigma, size=heat.shape).astype(np.float32)
+        np.clip(heat, 0.0, 1.0, out=heat)
+    if spec.vertex_dropout_prob > 0:
+        peaks = np.argwhere(grids.heatmap.channel() > 0)
+        drops = rng.random(len(peaks)) < spec.vertex_dropout_prob
+        for (r, c), drop in zip(peaks, drops):
+            if drop:
+                heat[r, c] = 0.0
+                off[r, c, :] = 0.0
+    if spec.spurious_vertex_count > 0:
+        free = np.flatnonzero(grids.heatmap.channel().ravel() == 0)
+        count = min(spec.spurious_vertex_count, len(free))
+        chosen = rng.choice(free, size=count, replace=False)
+        scores = rng.uniform(0.5, 1.0, size=count).astype(np.float32)
+        offs = rng.uniform(-0.5, 0.5, size=(count, 2)).astype(np.float32)
+        width = heat.shape[1]
+        for flat, score, (ox, oy) in zip(chosen, scores, offs):
+            r, c = divmod(int(flat), width)
+            heat[r, c] = score
+            off[r, c, 0] = ox
+            off[r, c, 1] = oy
+    return RasterGrid.from_array(soft), VertexGrids(RasterGrid.from_array(heat), RasterGrid(off))

@@ -159,6 +159,8 @@ BAD_FLAG_VALUES = [
     (["roundtrip", "{gt}", "{tmp}/r.json", "--spurious", "-1"], "r.json"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--vertex-dropout", "2"], "r.json"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--dilate", "-1"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--jitter-sigma", "nan"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--heatmap-noise-sigma", "inf"], "r.json"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "0"], "rasters"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "-2"], "rasters"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "nan"], "r.json"),
@@ -343,8 +345,8 @@ class TestRoundtrip:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_labels_each_tile_once(self, gt_geojson, tmp_path, monkeypatch):
         labelled = []
-        label = polygonize.connected_components
-        monkeypatch.setattr(polygonize, "connected_components", lambda *a: labelled.append(1) or label(*a))
+        label = polygonize._label_boxes  # the one labelling step behind component_crops and connected_components
+        monkeypatch.setattr(polygonize, "_label_boxes", lambda *a: labelled.append(1) or label(*a))
         monkeypatch.setenv("POLYFORM_WORKERS", "1")
         flags = ["--scale", "2", "--dilate", "1", "--jitter-sigma", "0.5", "--seed", "3"]
         once = tmp_path / "once.json"

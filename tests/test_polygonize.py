@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy import ndimage
 
 from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
 from polyform.polygonize import (
@@ -27,6 +28,7 @@ from polyform.raster import DegradeSpec, RasterGrid, bounding_crop, degrade, enc
 
 from oracles import (
     douglas_peucker_closed,
+    label_raster_order,
     max_chain_deviation,
     nms_vertices_shifted,
     snap_ring_loop,
@@ -102,6 +104,46 @@ class TestConnectedComponents:
     def test_unknown_connectivity(self):
         with pytest.raises(PolygonizeError):
             connected_components(grid_u8(np.zeros((2, 2), dtype=np.uint8)), "six")
+
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    @settings(max_examples=150, deadline=None)
+    @given(mask=st.deferred(lambda: trace_masks(max_side=24)))
+    def test_equals_scipy_labels_renumbered(self, mask, connectivity):
+        want, want_count = label_raster_order(mask, connectivity)
+        labels, count = connected_components(grid_u8(mask), connectivity)
+        assert labels.dtype_name == "u32" and count == want_count
+        assert np.array_equal(labels.channel(), want)
+        crops = component_crops(grid_f32(mask), 0.5, connectivity)
+        assert [(r0, c0, crop.tolist()) for r0, c0, crop, _ in crops] == [
+            (*bounding_crop(want == comp)[:2], bounding_crop(want == comp)[2].tolist())
+            for comp in range(1, count + 1)
+        ]
+
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    def test_renumbers_labels_out_of_raster_order(self, monkeypatch, connectivity):
+        # components 1 and 2 start on the same row, so only the column order tells them apart
+        mask = np.zeros((9, 12), dtype=bool)
+        mask[1, 2] = mask[1, 8] = mask[2, 5:7] = True
+        mask[4:8, 1:4] = mask[6, 9:11] = mask[8, 0] = True
+        want, want_count = label_raster_order(mask, connectivity)
+        want_crops = component_crops(grid_f32(mask), 0.5, connectivity)
+        real_label = ndimage.label
+        reversals = []
+
+        def reversed_label(*args, **kwargs):  # scipy's labels, numbered last to first
+            labels, count = real_label(*args, **kwargs)
+            reversals.append(count)
+            return np.where(labels > 0, count + 1 - labels, 0).astype(labels.dtype), count
+
+        monkeypatch.setattr(ndimage, "label", reversed_label)
+        labels, count = connected_components(grid_u8(mask), connectivity)
+        crops = component_crops(grid_f32(mask), 0.5, connectivity)
+        monkeypatch.undo()
+        assert reversals == [want_count, want_count] and want_count >= 5
+        assert count == want_count and np.array_equal(labels.channel(), want)
+        assert [(r0, c0, crop.tolist(), score) for r0, c0, crop, score in crops] == [
+            (r0, c0, crop.tolist(), score) for r0, c0, crop, score in want_crops
+        ]
 
 
 def paint(mask, op, r, c, a, b):
@@ -318,6 +360,36 @@ def tie_heavy_heatmaps(draw):
     return np.array(values, dtype=np.float32).reshape(h, w), offsets.astype(np.float32)
 
 
+@st.composite
+def plateau_heatmaps(draw):
+    """(heat f32, offsets f32, tau_v): a background of zeros, a few quantised
+    levels or f32 noise, then flat plateaus at float32(tau_v), the f32 values
+    either side of it, 0 or 1, some with noise added on top. float32(tau_v)
+    lies above tau_v for 0.008 and 0.3 and equals it for 0.25 and 0.5."""
+    tau_v = draw(st.sampled_from((0.008, 0.25, 0.3, 0.5)))
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    background = draw(st.sampled_from(("zero", "levels", "noise")))
+    if background == "zero":
+        heat = np.zeros((h, w), dtype=np.float32)
+    elif background == "levels":
+        heat = (rng.integers(0, 4, (h, w)) / 8).astype(np.float32)
+    else:
+        heat = rng.random((h, w), dtype=np.float32)
+    at = np.float32(tau_v)
+    levels = (at, at, np.nextafter(at, np.float32(0)), np.nextafter(at, np.float32(1)), np.float32(0), np.float32(1))
+    for r, c, a, b, level, noisy in draw(st.lists(st.tuples(
+        st.integers(0, h - 1), st.integers(0, w - 1), st.integers(1, 8), st.integers(1, 8),
+        st.sampled_from(levels), st.booleans(),
+    ), max_size=6)):
+        patch = heat[r : r + a, c : c + b]
+        patch[...] = level
+        if noisy:
+            patch += rng.normal(0.0, 1e-3, patch.shape).astype(np.float32)
+    offsets = rng.uniform(-0.5, 0.5, (h, w, 2)).astype(np.float32)
+    return heat, offsets, tau_v
+
+
 class TestExtractVerticesOracle:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_heatmaps(), st.integers(1, 40), st.sampled_from([0.008, 0.25, 0.5]))
@@ -325,6 +397,20 @@ class TestExtractVerticesOracle:
         heat, offs = heat_offs
         got = extract_vertices(grid_f32(heat), RasterGrid(offs), top_k, tau_v)
         assert [(tuple(p), s) for p, s in got.points] == nms_vertices_shifted(heat, offs, top_k, tau_v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plateau_heatmaps(), st.integers(1, 60))
+    def test_equals_shifted_copy_nms_on_plateaus(self, heat_offs_tau, top_k):
+        heat, offs, tau_v = heat_offs_tau
+        got = extract_vertices(grid_f32(heat), RasterGrid(offs), top_k, tau_v)
+        assert [(tuple(p), s) for p, s in got.points] == nms_vertices_shifted(heat, offs, top_k, tau_v)
+
+    def test_f32_peak_just_above_threshold_kept(self):
+        # float32(0.3) is 0.30000001192..., above tau_v = 0.3, though equal to float32(0.3)
+        heat = np.zeros((3, 3), dtype=np.float32)
+        heat[1, 1] = np.float32(0.3)
+        got = extract_vertices(grid_f32(heat), RasterGrid(np.zeros((3, 3, 2), dtype=np.float32)), 5, 0.3)
+        assert [(tuple(p), s) for p, s in got.points] == [((1.5, 1.5), float(np.float32(0.3)))]
 
 
 def square_chain(x0, y0, x1, y1, h, w):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import ndimage
 
 from polyform.geometry import InstanceSet, Point2, Polygon, Ring
 from polyform.raster import (
     DegradeSpec,
     RasterError,
     RasterGrid,
+    VertexGrids,
+    _square_morph,
     decode_vertices,
     degrade,
     downscale_targets,
@@ -18,7 +21,14 @@ from polyform.raster import (
     rasterize_mask,
 )
 
-from oracles import afm_full_sweep, min_dist_over_segments, point_segment_distance, rasterize_enum
+from oracles import (
+    afm_full_sweep,
+    degrade_scipy,
+    min_dist_over_segments,
+    point_segment_distance,
+    rasterize_enum,
+    square,
+)
 from synth import annulus, random_star_polygon, random_tile, rectangle
 
 
@@ -350,6 +360,86 @@ class TestDegrade:
     def test_invalid_spec_rejected(self):
         with pytest.raises(RasterError):
             DegradeSpec(vertex_dropout_prob=1.5)
+
+    @pytest.mark.parametrize("field", ["boundary_jitter_sigma", "heatmap_noise_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, field, value):
+        with pytest.raises(RasterError):
+            DegradeSpec(**{field: value})
+
+    def test_erosion_clears_frame_border(self):
+        # the outside of the frame counts as background, as in scipy's default border_value=0
+        mask = RasterGrid.from_array(np.ones((5, 6), dtype=np.uint8))
+        soft, _ = degrade(mask, encode_vertices(InstanceSet(), 5, 6), DegradeSpec(erode_radius=1))
+        expect = np.zeros((5, 6), dtype=np.float32)
+        expect[1:4, 1:5] = 1.0
+        assert np.array_equal(soft.channel(), expect)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_scipy_oracle(self, data):
+        """Every stage on, erosion included, on frames down to 1 x 1."""
+        mask, grids = data.draw(degrade_inputs())
+        spec = DegradeSpec(
+            dilate_radius=data.draw(st.integers(1, 3)),
+            erode_radius=data.draw(st.integers(1, 3)),
+            boundary_jitter_sigma=data.draw(st.floats(0.01, 3.0)),
+            heatmap_noise_sigma=data.draw(st.floats(0.001, 0.5)),
+            vertex_dropout_prob=data.draw(st.floats(0.05, 1.0)),
+            spurious_vertex_count=data.draw(st.integers(1, 30)),
+            rng_seed=data.draw(st.integers(0, 2**32 - 1)),
+        )
+        got_soft, got = degrade(mask, grids, spec)
+        want_soft, want = degrade_scipy(mask, grids, spec)
+        for a, b in ((got_soft, want_soft), (got.heatmap, want.heatmap), (got.offsets, want.offsets)):
+            assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
+
+def bool_frames(max_side: int = 40):
+    """Bool frames from 1 x 1 to max_side x max_side, 1-row and 1-column ones
+    often: speckle at a drawn density, boxes that may run off any edge, and
+    whole border rows and columns set, so foreground touches every border."""
+
+    @st.composite
+    def frames(draw):
+        side = st.one_of(st.just(1), st.integers(1, max_side))
+        h, w = draw(side), draw(side)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random((h, w)) < draw(st.sampled_from((0.0, 0.1, 0.4, 0.8, 1.0)))
+        for r, c, a, b in draw(st.lists(st.tuples(*[st.integers(-3, max_side)] * 4), max_size=4)):
+            mask[max(r, 0) : max(r + a, 0), max(c, 0) : max(c + b, 0)] = True
+        for edge in draw(st.sets(st.sampled_from(("top", "bottom", "left", "right")))):
+            mask[{"top": (0, slice(None)), "bottom": (-1, slice(None)),
+                  "left": (slice(None), 0), "right": (slice(None), -1)}[edge]] = True
+        return mask
+
+    return frames()
+
+
+@st.composite
+def degrade_inputs(draw):
+    """(u8 mask, vertex grids) on one small frame: the mask from bool_frames,
+    the heatmap 1 on a drawn share of pixels with f32 offsets there."""
+    mask = draw(bool_frames(32))
+    h, w = mask.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peaks = rng.random((h, w)) < draw(st.sampled_from((0.0, 0.05, 0.3)))
+    offsets = np.where(peaks[:, :, None], rng.uniform(-0.5, 0.5, (h, w, 2)), 0.0).astype(np.float32)
+    grids = VertexGrids(RasterGrid.from_array(peaks.astype(np.float32)), RasterGrid(offsets))
+    return RasterGrid.from_array(mask.astype(np.uint8)), grids
+
+
+class TestSquareMorph:
+    @settings(max_examples=400, deadline=None)
+    @given(bool_frames(), st.integers(0, 3), st.booleans())
+    def test_equals_scipy_binary_morphology(self, mask, radius, dilate):
+        before = mask.copy()
+        got = _square_morph(mask, radius, dilate)
+        scipy_op = ndimage.binary_dilation if dilate else ndimage.binary_erosion
+        assert got.dtype == bool and got.shape == mask.shape
+        assert np.array_equal(got, scipy_op(mask, structure=square(radius)))
+        assert np.array_equal(mask, before)
 
 
 class TestDownscaleTargets:
