@@ -7,7 +7,8 @@ machine-readable {"errors": [...]} object is printed on stderr. encode,
 polygonize and roundtrip process tiles on a thread pool whose size comes
 from the POLYFORM_WORKERS environment variable, else the available
 parallelism; it is resolved before any file is written, and output order
-never depends on it.
+never depends on it. polygonize takes the scale and each tile's frame size
+from the manifest.json that encode wrote (see polyform.io).
 """
 from __future__ import annotations
 
@@ -71,19 +72,6 @@ def _tile_map(fn: Callable, items: Sequence, tile_id: Callable, workers: int) ->
     return done, errors
 
 
-def _load_records(path: str) -> list[pio.TileRecord]:
-    text = pio.read_text(path)
-    try:
-        doc = pio.parse_json(text)
-    except pio.FormatError as exc:
-        raise pio.FormatError(f"{path}: {exc}") from exc
-    if isinstance(doc, dict) and doc.get("type") == "FeatureCollection":
-        return pio.read_geojson(text)
-    if isinstance(doc, dict) and "images" in doc:
-        return pio.read_coco_annotations(path)
-    raise pio.FormatError(f"{path}: neither GeoJSON FeatureCollection nor COCO annotations")
-
-
 def _sanitize(tile_id: str, used: set[str]) -> str:
     base = re.sub(r"[^A-Za-z0-9._-]", "_", tile_id) or "tile"
     name = base
@@ -112,10 +100,10 @@ def _check_scale(args: argparse.Namespace) -> None:
         raise ValueError(f"scale must be a positive integer, got {args.scale}")
 
 
-def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int, with_afm: bool):
+def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int):
     """Rescale a tile into the target frame, downscale by `scale`, and encode.
 
-    Returns (frame, grid_size, frame_instances, mask, afm_f32_or_None, vertex_grids).
+    Returns (frame, frame_instances, grid_instances, mask, vertex_grids).
     """
     h, w = size if size is not None else rec.image_size
     if h % scale or w % scale:
@@ -123,43 +111,31 @@ def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int, 
     frame_instances = rec.instances.scaled(w / rec.image_size[1], h / rec.image_size[0])
     instances = downscale_targets(frame_instances, scale)
     gh, gw = h // scale, w // scale
-    mask = rasterize_mask(instances, gh, gw)
-    afm32 = None
-    if with_afm:
-        afm32 = RasterGrid(encode_afm(instances, gh, gw).data.astype(np.float32))
-    grids = encode_vertices(instances, gh, gw)
-    return (h, w), (gh, gw), frame_instances, mask, afm32, grids
+    return (h, w), frame_instances, instances, rasterize_mask(instances, gh, gw), encode_vertices(instances, gh, gw)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    records = _load_records(args.input)
+    records = pio.read_annotations(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     used: set[str] = set()
     names = [(rec, _sanitize(rec.tile_id, used)) for rec in records]
-    manifest_tiles = []
-    done, errors = _tile_map(
-        lambda item: _encode_tile(item[0], args.size, args.scale, with_afm=True),
-        names, lambda item: item[0].tile_id, args.workers,
-    )
-    for (rec, name), encoded in done:
-        (h, w), (gh, gw), _instances, mask, afm32, grids = encoded
-        files = {
-            "mask": f"{name}.mask.rgf",
-            "afm": f"{name}.afm.rgf",
-            "heatmap": f"{name}.heatmap.rgf",
-            "offsets": f"{name}.offsets.rgf",
-        }
-        (out_dir / files["mask"]).write_bytes(pio.write_rgf(mask))
-        (out_dir / files["afm"]).write_bytes(pio.write_rgf(afm32))
-        (out_dir / files["heatmap"]).write_bytes(pio.write_rgf(grids.heatmap))
-        (out_dir / files["offsets"]).write_bytes(pio.write_rgf(grids.offsets))
-        manifest_tiles.append(
-            {"tile_id": rec.tile_id, "image_size": [h, w], "grid_size": [gh, gw], "files": files}
-        )
-    manifest = {"version": 1, "scale": args.scale, "tiles": manifest_tiles}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(f"encoded {len(manifest_tiles)} tiles -> {out_dir}")
+
+    def work(item):
+        frame, _, instances, mask, grids = _encode_tile(item[0], args.size, args.scale)
+        afm = encode_afm(instances, mask.height, mask.width)
+        return frame, (mask, RasterGrid(afm.data.astype(np.float32)), grids.heatmap, grids.offsets)
+
+    done, errors = _tile_map(work, names, lambda item: item[0].tile_id, args.workers)
+    tiles = []
+    for (rec, name), (frame, rasters) in done:
+        files = {kind: f"{name}.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}
+        for filename, grid in zip(files.values(), rasters):
+            (out_dir / filename).write_bytes(pio.write_rgf(grid))
+        grid_size = (rasters[0].height, rasters[0].width)
+        tiles.append(pio.ManifestTile(rec.tile_id, frame, grid_size, files))
+    (out_dir / "manifest.json").write_bytes(pio.write_manifest(args.scale, tiles))
+    print(f"encoded {len(tiles)} tiles -> {out_dir}")
     return _fail(errors) if errors else 0
 
 
@@ -175,37 +151,24 @@ _POLYGONIZE_FLAGS = {
 }
 
 
-def _polygonize_config(args: argparse.Namespace, scale: float) -> PolygonizeConfig:
+def _polygonize_config(args: argparse.Namespace, scale: float = 1.0) -> PolygonizeConfig:
     return PolygonizeConfig(scale=scale, **{field: getattr(args, dest) for dest, field in _POLYGONIZE_FLAGS.items()})
 
 
 def cmd_polygonize(args: argparse.Namespace) -> int:
     raster_dir = Path(args.raster_dir)
-    manifest_path = raster_dir / "manifest.json"
-    if not manifest_path.exists():
-        return _fail([{"tile_id": None, "error": f"missing manifest {manifest_path}"}])
-    try:
-        tiles = pio.parse_json(pio.read_text(manifest_path))["tiles"]
-        if not all(isinstance(entry, dict) and "tile_id" in entry for entry in tiles):
-            raise ValueError("every tile entry needs a tile_id")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise pio.FormatError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
-    cfg = _polygonize_config(args, args.scale)
+    scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
+    cfg = _polygonize_config(args, float(scale))
 
-    def work(entry):
-        files = entry["files"]
-        mask = pio.read_rgf((raster_dir / files["mask"]).read_bytes())
-        heat = pio.read_rgf((raster_dir / files["heatmap"]).read_bytes())
-        offs = pio.read_rgf((raster_dir / files["offsets"]).read_bytes())
-        soft = RasterGrid(mask.data.astype(np.float32)) if mask.dtype_name == "u8" else mask
-        instances = polygonize_pipeline(soft, heat, offs, cfg)
-        gh, gw = entry["grid_size"]
-        size = (int(round(gh * args.scale)), int(round(gw * args.scale)))
-        return pio.TileRecord(entry["tile_id"], size, instances)
+    def work(tile: pio.ManifestTile):
+        mask, heat, offs = (
+            pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in ("mask", "heatmap", "offsets")
+        )
+        return pio.TileRecord(tile.tile_id, tile.image_size, polygonize_pipeline(mask, heat, offs, cfg))
 
-    done, errors = _tile_map(work, tiles, lambda entry: entry["tile_id"], args.workers)
+    done, errors = _tile_map(work, tiles, lambda tile: tile.tile_id, args.workers)
     records = [record for _, record in done]
-    metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": args.scale}
+    metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": cfg.scale}
     Path(args.output).write_bytes(pio.write_geojson(records, metadata=metadata))
     print(f"polygonized {len(records)} tiles -> {args.output}")
     return _fail(errors) if errors else 0
@@ -216,8 +179,8 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    preds = _load_records(args.pred)
-    gts = _load_records(args.gt)
+    preds = pio.read_annotations(args.pred)
+    gts = pio.read_annotations(args.gt)
     report = evaluate_corpus(preds, gts, _eval_config(args))
     Path(args.report).write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
     print(report.render_table())
@@ -243,12 +206,12 @@ def _check_roundtrip(args: argparse.Namespace) -> None:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    gt_records = _load_records(args.gt)
+    gt_records = pio.read_annotations(args.gt)
     spec = _degrade_spec(args)
     cfg = _polygonize_config(args, float(args.scale))
 
     def work(rec: pio.TileRecord):
-        frame, _grid, frame_instances, mask, _afm, grids = _encode_tile(rec, args.size, args.scale, with_afm=False)
+        frame, frame_instances, _, mask, grids = _encode_tile(rec, args.size, args.scale)
         soft, grids = degrade(mask, grids, spec)
         crops = component_crops(soft, cfg.mask_threshold, cfg.connectivity)
         instances = polygonize_components(crops, grids.heatmap, grids.offsets, cfg)
@@ -318,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("raster_dir")
     p.add_argument("output", help="output GeoJSON path")
     _add_polygonize_flags(p)
-    p.add_argument("--scale", type=float, default=1.0, help="upscale factor for output coordinates")
-    p.set_defaults(fn=cmd_polygonize, validate=lambda args: _polygonize_config(args, args.scale))
+    p.set_defaults(fn=cmd_polygonize, validate=_polygonize_config)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("pred", help="predictions GeoJSON")

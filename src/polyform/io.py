@@ -12,6 +12,14 @@ Formats:
     properties.
   - COCO: the images/annotations/categories subset with polygon
     "segmentation" arrays. RLE segmentations are rejected.
+  - Manifest: the manifest.json that `encode` writes beside its RGF
+    rasters and `polygonize` reads. Keys: "version" (1), "scale" (the
+    positive int down-sampling factor) and "tiles", a list of objects
+    with a unique string "tile_id", "image_size" and "grid_size" (pairs
+    of positive ints (h, w) with image = grid x scale) and "files", the
+    raster file name per kind ("mask", "afm", "heatmap", "offsets"; the
+    reader needs all but "afm"). File names are plain names inside the
+    raster directory: no directory part, no ".." and not absolute.
   - SVG: deterministic polygon overlays, one even-odd path per instance.
 
 Readers raise typed FormatError subclasses on malformed input, never
@@ -59,6 +67,10 @@ class CocoError(FormatError):
     pass
 
 
+class ManifestError(FormatError):
+    pass
+
+
 def _finite_score(value: object, what: str, error: type[FormatError]) -> float:
     """A score as a finite float; anything else raises `error`."""
     try:
@@ -97,6 +109,8 @@ def read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except IsADirectoryError as exc:
         raise FormatError(f"{path}: a directory, not a file") from exc
+    except NotADirectoryError as exc:  # a file where the path needs a directory: no such file
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from exc
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,10 @@ def read_geojson(data: bytes | str) -> list[TileRecord]:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise GeoJsonError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    doc = parse_json(text, GeoJsonError)
+    return _geojson_records(parse_json(text, GeoJsonError))
+
+
+def _geojson_records(doc: object) -> list[TileRecord]:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoJsonError("not a FeatureCollection")
     if "tiles" not in doc:
@@ -286,8 +303,10 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
     when a supposed hole lies outside the outer ring). "iscrowd" flags are
     ignored with a warning.
     """
-    text = read_text(path)
-    doc = parse_json(text, CocoError)
+    return _coco_records(parse_json(read_text(path), CocoError))
+
+
+def _coco_records(doc: object) -> list[TileRecord]:
     if not isinstance(doc, dict) or "images" not in doc:
         raise CocoError("missing 'images' list")
     images: dict[int, tuple[str, int, int]] = {}
@@ -326,16 +345,30 @@ def read_coco_annotations(path: str | Path) -> list[TileRecord]:
         poly = Polygon(outer, holes)
         for hole in holes:
             if not point_in_polygon(hole.vertices[0], Polygon(outer)):
-                warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=2)
+                warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=3)
                 break
         by_image[image_id].append(ScoredPolygon(poly, score))
     if crowd_seen:
-        warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations", stacklevel=2)
+        warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations", stacklevel=3)
     records = []
     for image_id in order:
         tile_id, h, w = images[image_id]
         records.append(TileRecord(tile_id, (h, w), InstanceSet(tuple(by_image[image_id]))))
     return records
+
+
+def read_annotations(path: str | Path) -> list[TileRecord]:
+    """A GeoJSON FeatureCollection or a COCO annotation file, told apart by
+    its content; the file is read and parsed once."""
+    try:
+        doc = parse_json(read_text(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if isinstance(doc, dict) and doc.get("type") == "FeatureCollection":
+        return _geojson_records(doc)
+    if isinstance(doc, dict) and "images" in doc:
+        return _coco_records(doc)
+    raise FormatError(f"{path}: neither GeoJSON FeatureCollection nor COCO annotations")
 
 
 def write_coco_annotations(records: Sequence[TileRecord]) -> bytes:
@@ -375,6 +408,86 @@ def write_coco_annotations(records: Sequence[TileRecord]) -> bytes:
         "categories": [{"id": 1, "name": "building", "supercategory": "building"}],
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+_MANIFEST_RASTERS = ("mask", "heatmap", "offsets")  # the kinds polygonize reads
+
+
+@dataclass(frozen=True)
+class ManifestTile:
+    """One encoded tile: frame and raster grid sizes as (h, w), and the
+    raster file name of each kind."""
+
+    tile_id: str
+    image_size: tuple[int, int]
+    grid_size: tuple[int, int]
+    files: dict[str, str]
+
+
+def write_manifest(scale: int, tiles: Sequence[ManifestTile]) -> bytes:
+    doc = {
+        "version": 1,
+        "scale": scale,
+        "tiles": [
+            {"tile_id": t.tile_id, "image_size": list(t.image_size), "grid_size": list(t.grid_size), "files": t.files}
+            for t in tiles
+        ],
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _positive_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _size_pair(value: object, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(_positive_int(v) for v in value)):
+        raise ManifestError(f"{what} must be a pair of positive ints, got {value!r}")
+    return value[0], value[1]
+
+
+def _plain_name(value: object) -> bool:
+    """A file name that stays inside the directory it is joined to."""
+    return (
+        isinstance(value, str) and value not in ("", ".", "..") and "\0" not in value and Path(value).name == value
+    )
+
+
+def _manifest_tile(entry: object, scale: int) -> ManifestTile:
+    if not isinstance(entry, dict):
+        raise ManifestError(f"tile entry {entry!r} is not an object")
+    tile_id = entry.get("tile_id")
+    if not isinstance(tile_id, str):
+        raise ManifestError(f"tile_id {tile_id!r} is not a string")
+    what = f"tile {tile_id!r}"
+    image_size = _size_pair(entry.get("image_size"), f"{what} image_size")
+    grid_size = _size_pair(entry.get("grid_size"), f"{what} grid_size")
+    if image_size != (grid_size[0] * scale, grid_size[1] * scale):
+        raise ManifestError(f"{what}: image_size {list(image_size)} is not grid_size {list(grid_size)} x scale {scale}")
+    files = entry.get("files")
+    if not (isinstance(files, dict) and all(kind in files for kind in _MANIFEST_RASTERS)):
+        raise ManifestError(f"{what}: files must name the {', '.join(_MANIFEST_RASTERS)} rasters")
+    for name in files.values():
+        if not _plain_name(name):
+            raise ManifestError(f"{what}: {name!r} is not a plain file name")
+    return ManifestTile(tile_id, image_size, grid_size, files)
+
+
+def read_manifest(path: str | Path) -> tuple[int, list[ManifestTile]]:
+    """The scale and tiles of a manifest.json. Every entry is checked before
+    any raster is opened; a fault raises ManifestError naming the file."""
+    try:
+        doc = parse_json(read_text(path), ManifestError)
+        if not isinstance(doc, dict) or not isinstance(doc.get("tiles"), list):
+            raise ManifestError("needs a 'tiles' list")
+        scale = doc.get("scale")
+        if not _positive_int(scale):
+            raise ManifestError(f"scale must be a positive int, got {scale!r}")
+        tiles = [_manifest_tile(entry, scale) for entry in doc["tiles"]]
+        _reject_repeats([t.tile_id for t in tiles], "tile_id", ManifestError)
+    except FormatError as exc:
+        raise ManifestError(f"corrupt manifest {path}: {exc}") from exc
+    return scale, tiles
 
 
 @dataclass(frozen=True)

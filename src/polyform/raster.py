@@ -480,22 +480,18 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
     if spec.vertex_dropout_prob > 0:
         peaks = np.argwhere(grids.heatmap.channel() > 0)
         drops = rng.random(len(peaks)) < spec.vertex_dropout_prob
-        for (r, c), drop in zip(peaks, drops):
-            if drop:
-                heat[r, c] = 0.0
-                off[r, c, :] = 0.0
+        r, c = peaks[drops].T
+        heat[r, c] = 0.0
+        off[r, c] = 0.0
     if spec.spurious_vertex_count > 0:
         free = np.flatnonzero(grids.heatmap.channel().ravel() == 0)
         count = min(spec.spurious_vertex_count, len(free))
         chosen = rng.choice(free, size=count, replace=False)
         scores = rng.uniform(0.5, 1.0, size=count).astype(np.float32)
         offs = rng.uniform(-0.5, 0.5, size=(count, 2)).astype(np.float32)
-        width = heat.shape[1]
-        for flat, score, (ox, oy) in zip(chosen, scores, offs):
-            r, c = divmod(int(flat), width)
-            heat[r, c] = score
-            off[r, c, 0] = ox
-            off[r, c, 1] = oy
+        r, c = np.divmod(chosen, heat.shape[1])  # distinct pixels, so one assignment each
+        heat[r, c] = scores
+        off[r, c] = offs
     return (
         RasterGrid.from_array(soft),
         VertexGrids(RasterGrid.from_array(heat), RasterGrid(off)),

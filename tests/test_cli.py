@@ -80,6 +80,31 @@ class TestEncode:
         assert [t["tile_id"] for t in manifest["tiles"]] == ["good"]
 
 
+def _manifest_edit(edit):
+    return lambda manifest, outside: edit(manifest)
+
+
+def _tile_file(name):
+    def edit(manifest, outside):
+        manifest["tiles"][0]["files"]["mask"] = name(outside)
+    return edit
+
+
+# faults of an encoded (scale 1, two-tile) manifest.json; each was read past,
+# or followed out of the raster directory, before the manifest was checked
+MANIFEST_FAULTS = {
+    "scale-missing": _manifest_edit(lambda m: m.pop("scale")),
+    "scale-zero": _manifest_edit(lambda m: m.update(scale=0)),
+    "scale-float": _manifest_edit(lambda m: m.update(scale=1.0)),
+    "scale-bool": _manifest_edit(lambda m: m.update(scale=True)),
+    "image-not-grid-times-scale": _manifest_edit(lambda m: m.update(scale=2)),
+    "tile-id-repeated": _manifest_edit(lambda m: m["tiles"][1].update(tile_id=m["tiles"][0]["tile_id"])),
+    "tile-id-not-string": _manifest_edit(lambda m: m["tiles"][0].update(tile_id=7)),
+    "file-name-parent-dir": _tile_file(lambda outside: f"../{outside.name}"),
+    "file-name-absolute": _tile_file(lambda outside: str(outside)),
+}
+
+
 class TestPolygonize:
     def test_roundtrip_through_files(self, gt_geojson, tmp_path):
         out = tmp_path / "rasters"
@@ -152,6 +177,53 @@ class TestPolygonize:
         assert main(["polygonize", str(tmp_path / "nowhere"), str(tmp_path / "o.geojson")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "manifest" in err["errors"][0]["error"]
+
+    @pytest.mark.parametrize("argv", [["polygonize", "{gt}", "{tmp}/o.geojson"],
+                                      ["eval", "{gt}/pred.geojson", "{gt}", "{tmp}/o.geojson"]])
+    def test_path_under_a_file_is_missing_file(self, gt_geojson, tmp_path, capsys, argv):
+        assert main([arg.format(gt=gt_geojson, tmp=tmp_path) for arg in argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["errors"][0]["error"].startswith(f"missing file: {gt_geojson}/")
+        assert not (tmp_path / "o.geojson").exists()
+
+    def test_scale_and_frame_come_from_the_manifest(self, tmp_path):
+        records = [TileRecord("big", (512, 512), InstanceSet.of([rectangle(40, 40, 200, 160)]))]
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        out, pred, report = tmp_path / "rasters", tmp_path / "pred.geojson", tmp_path / "report.json"
+        assert main(["encode", str(gt), str(out), "--scale", "4"]) == 0
+        assert main(["polygonize", str(out), str(pred)]) == 0
+        doc = json.loads(pred.read_bytes())
+        assert doc["tiles"] == [{"tile_id": "big", "image_size": [512, 512]}]
+        assert doc["metadata"]["scale"] == 4.0 and isinstance(doc["metadata"]["scale"], float)
+        assert main(["eval", str(pred), str(gt), str(report)]) == 0
+        assert json.loads(report.read_text())["iou"] == 1.0
+
+    def test_scale_flag_is_gone(self, gt_geojson, tmp_path):
+        out = tmp_path / "rasters"
+        main(["encode", str(gt_geojson), str(out), "--scale", "4"])
+        with pytest.raises(SystemExit) as err:
+            main(["polygonize", str(out), str(tmp_path / "o.geojson"), "--scale", "4"])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.geojson").exists()
+
+    @pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+    def test_manifest_fault_is_named_error(self, gt_geojson, tmp_path, capsys, monkeypatch, fault):
+        out = tmp_path / "rasters"
+        assert main(["encode", str(gt_geojson), str(out)]) == 0
+        outside = tmp_path / "outside.mask.rgf"  # a real raster, so a reader that follows the name succeeds
+        outside.write_bytes((out / "t0.mask.rgf").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        MANIFEST_FAULTS[fault](manifest, outside)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        opened = []
+        monkeypatch.setattr(cli.pio, "read_rgf", lambda data: opened.append(data))
+        capsys.readouterr()
+        assert main(["polygonize", str(out), str(tmp_path / "o.geojson")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert len(err["errors"]) == 1 and "corrupt manifest" in err["errors"][0]["error"]
+        assert opened == []
+        assert not (tmp_path / "o.geojson").exists()
 
 
 # flag values the command would reject, with the output each would write
@@ -296,6 +368,22 @@ def test_reader_fault_ends_in_error_object(tmp_path, capsys, fault):
     assert main(["encode", str(src), str(tmp_path / "rasters")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert len(err["errors"]) == 1 and "Error: " in err["errors"][0]["error"]
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["encode", "{geojson}", "{tmp}/rasters"], 1),
+    (["encode", "{coco}", "{tmp}/rasters"], 1),
+    (["eval", "{geojson}", "{coco}", "{tmp}/r.json"], 2),
+], ids=["encode-geojson", "encode-coco", "eval"])
+def test_each_annotation_file_parsed_once(tmp_path, monkeypatch, argv, inputs):
+    paths = {"geojson": tmp_path / "a.geojson", "coco": tmp_path / "a.json", "tmp": tmp_path}
+    paths["geojson"].write_text(json.dumps(GEOJSON_DOC))
+    paths["coco"].write_text(json.dumps(COCO_DOC))
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *a, **k: parsed.append(text) or loads(text, *a, **k))
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    assert len(parsed) == inputs
 
 
 _IMAGE = COCO_DOC["images"][0]

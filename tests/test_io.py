@@ -11,15 +11,19 @@ from polyform.io import (
     CocoError,
     FormatError,
     GeoJsonError,
+    ManifestError,
+    ManifestTile,
     RgfError,
     SvgStyle,
     TileRecord,
     read_coco_annotations,
     read_geojson,
+    read_manifest,
     read_rgf,
     render_svg,
     write_coco_annotations,
     write_geojson,
+    write_manifest,
     write_rgf,
 )
 from polyform.raster import RasterGrid
@@ -356,8 +360,13 @@ def rgf_blobs(draw):
     return blob[: draw(st.integers(0, len(blob)))] if draw(st.integers(0, 9)) == 0 else blob
 
 
+MANIFEST_TILES = [
+    ManifestTile("tile-a", (16, 16), (4, 4), {kind: f"tile-a.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}),
+    ManifestTile("tile/b", (24, 20), (6, 5), {kind: f"tile_b.{kind}.rgf" for kind in ("mask", "heatmap", "offsets")}),
+]
 VALID_GEOJSON = json.loads(write_geojson(records_fixture()))
 VALID_COCO = json.loads(write_coco_annotations(records_fixture()))
+VALID_MANIFEST = json.loads(write_manifest(4, MANIFEST_TILES))
 
 
 class TestReaderFuzz:
@@ -392,6 +401,64 @@ class TestReaderFuzz:
             read_coco_annotations(path)
         except FormatError:
             pass
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(VALID_MANIFEST))
+    def test_read_manifest_raises_only_manifest_errors(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("rasters") / "manifest.json"
+        path.write_text(json.dumps(doc))
+        try:
+            scale, tiles = read_manifest(path)
+        except ManifestError as exc:
+            assert str(exc).startswith(f"corrupt manifest {path}: ")
+            return
+        for tile in tiles:
+            assert tile.image_size == (tile.grid_size[0] * scale, tile.grid_size[1] * scale)
+            assert all("/" not in name and name != ".." for name in tile.files.values())
+
+
+class TestManifest:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(write_manifest(4, MANIFEST_TILES))
+        assert read_manifest(path) == (4, MANIFEST_TILES)
+
+    def test_layout(self):
+        doc = {
+            "version": 1,
+            "scale": 4,
+            "tiles": [
+                {"tile_id": t.tile_id, "image_size": list(t.image_size), "grid_size": list(t.grid_size), "files": t.files}
+                for t in MANIFEST_TILES
+            ],
+        }
+        assert write_manifest(4, MANIFEST_TILES) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("name", ["../x.rgf", "/tmp/x.rgf", "sub/x.rgf", "x.rgf/", "..", ".", "", "x\0.rgf", 7, None])
+    def test_file_name_must_be_plain(self, tmp_path, name):
+        doc = copy.deepcopy(VALID_MANIFEST)
+        doc["tiles"][1]["files"]["heatmap"] = name
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="not a plain file name"):
+            read_manifest(path)
+
+    def test_plain_names_with_dots_are_kept(self, tmp_path):
+        doc = copy.deepcopy(VALID_MANIFEST)
+        doc["tiles"][0]["files"]["mask"] = "..a..b..rgf"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert read_manifest(path)[1][0].files["mask"] == "..a..b..rgf"
+
+    @pytest.mark.parametrize("kind", ["mask", "heatmap", "offsets"])
+    def test_each_read_raster_is_required(self, tmp_path, kind):
+        doc = copy.deepcopy(VALID_MANIFEST)
+        del doc["tiles"][0]["files"][kind]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="files must name"):
+            read_manifest(path)
 
 
 class TestRenderSvg:

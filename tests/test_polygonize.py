@@ -119,6 +119,16 @@ class TestConnectedComponents:
             for comp in range(1, count + 1)
         ]
 
+    @settings(max_examples=100, deadline=None)
+    @given(mask=st.deferred(lambda: trace_masks(max_side=24)), tau=st.floats(1e-6, 1 - 1e-6))
+    def test_u8_mask_crops_equal_f32_crops(self, mask, tau):
+        # the CLI passes RGF u8 masks on without a cast to f32
+        u8 = component_crops(grid_u8(mask), tau)
+        f32 = component_crops(grid_f32(mask), tau)
+        assert [(r0, c0, crop.tolist(), score) for r0, c0, crop, score in u8] == [
+            (r0, c0, crop.tolist(), score) for r0, c0, crop, score in f32
+        ]
+
     @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
     def test_renumbers_labels_out_of_raster_order(self, monkeypatch, connectivity):
         # components 1 and 2 start on the same row, so only the column order tells them apart
