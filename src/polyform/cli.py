@@ -2,8 +2,10 @@
 them, polygonize rasters back to polygons, evaluate, round-trip, render.
 
 Every subcommand is deterministic for fixed flags (plus --seed where
-randomness is involved). Exit code 0 means no per-tile errors; otherwise a
-machine-readable {"errors": [...]} object is printed on stderr. encode,
+randomness is involved). Exit code 0 means no per-tile errors. stderr holds
+at most one JSON object: {"errors": [...]} when a tile or the run failed,
+and {"warnings": [...]} with the library's UserWarning messages, both keys
+when both apply. encode,
 polygonize and roundtrip process tiles on a thread pool whose size comes
 from the POLYFORM_WORKERS environment variable, else the available
 parallelism; it is resolved before any file is written, and output order
@@ -17,6 +19,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -85,19 +88,21 @@ def _sanitize(tile_id: str, used: set[str]) -> str:
 
 def _parse_size(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"size must look like 512x512, got {text!r}")
+    if not m or 0 in (int(m.group(1)), int(m.group(2))):
+        raise argparse.ArgumentTypeError(f"size must look like 512x512 with positive sides, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
-def _fail(errors: list[dict]) -> int:
-    print(json.dumps({"errors": errors}, sort_keys=True), file=sys.stderr)
-    return 1
+def _run_error(message: str) -> list[dict]:
+    """The error list of a fault that ends the whole run."""
+    return [{"tile_id": None, "error": message}]
 
 
 def _check_scale(args: argparse.Namespace) -> None:
     if args.scale < 1:
         raise ValueError(f"scale must be a positive integer, got {args.scale}")
+    if args.size is not None and (args.size[0] % args.scale or args.size[1] % args.scale):
+        raise ValueError(f"size {args.size[0]}x{args.size[1]} not divisible by scale {args.scale}")
 
 
 def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int):
@@ -114,7 +119,7 @@ def _encode_tile(rec: pio.TileRecord, size: tuple[int, int] | None, scale: int):
     return (h, w), frame_instances, instances, rasterize_mask(instances, gh, gw), encode_vertices(instances, gh, gw)
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args: argparse.Namespace) -> list[dict]:
     records = pio.read_annotations(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -136,7 +141,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         tiles.append(pio.ManifestTile(rec.tile_id, frame, grid_size, files))
     (out_dir / "manifest.json").write_bytes(pio.write_manifest(args.scale, tiles))
     print(f"encoded {len(tiles)} tiles -> {out_dir}")
-    return _fail(errors) if errors else 0
+    return errors
 
 
 # polygonize flag (argparse dest, also its key in the output metadata) -> PolygonizeConfig field
@@ -155,7 +160,7 @@ def _polygonize_config(args: argparse.Namespace, scale: float = 1.0) -> Polygoni
     return PolygonizeConfig(scale=scale, **{field: getattr(args, dest) for dest, field in _POLYGONIZE_FLAGS.items()})
 
 
-def cmd_polygonize(args: argparse.Namespace) -> int:
+def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     raster_dir = Path(args.raster_dir)
     scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
     cfg = _polygonize_config(args, float(scale))
@@ -171,20 +176,20 @@ def cmd_polygonize(args: argparse.Namespace) -> int:
     metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": cfg.scale}
     Path(args.output).write_bytes(pio.write_geojson(records, metadata=metadata))
     print(f"polygonized {len(records)} tiles -> {args.output}")
-    return _fail(errors) if errors else 0
+    return errors
 
 
 def _eval_config(args: argparse.Namespace) -> EvalConfig:
     return EvalConfig(iou_thr=args.iou_thr, vertex_dist_thr=args.vertex_dist_thr)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> list[dict]:
     preds = pio.read_annotations(args.pred)
     gts = pio.read_annotations(args.gt)
     report = evaluate_corpus(preds, gts, _eval_config(args))
     Path(args.report).write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
     print(report.render_table())
-    return 0
+    return []
 
 
 def _degrade_spec(args: argparse.Namespace) -> DegradeSpec:
@@ -205,7 +210,7 @@ def _check_roundtrip(args: argparse.Namespace) -> None:
     _degrade_spec(args)
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
+def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
     gt_records = pio.read_annotations(args.gt)
     spec = _degrade_spec(args)
     cfg = _polygonize_config(args, float(args.scale))
@@ -234,7 +239,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         mask_preds[rec.tile_id] = comp_masks
         gt_masks[rec.tile_id] = gt_inst
     if not pred_records:
-        return _fail(errors or [{"tile_id": None, "error": "no tiles processed"}])
+        return errors or _run_error("no tiles processed")
 
     report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
     mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
@@ -247,15 +252,15 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     width = max(len(k) for k in payload)
     print("\n".join(f"{k.ljust(width)}  {v:.6f}" for k, v in payload.items()))
-    return _fail(errors) if errors else 0
+    return errors
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> list[dict]:
     records = pio.read_geojson(pio.read_text(args.input))
     svg = pio.render_svg(records, pio.SvgStyle(background=args.background))
     Path(args.output).write_text(svg)
     print(f"rendered {len(records)} tiles -> {args.output}")
-    return 0
+    return []
 
 
 def _add_polygonize_flags(p: argparse.ArgumentParser) -> None:
@@ -323,17 +328,35 @@ def main(argv: Sequence[str] | None = None) -> int:
             validate(args)
         except ValueError as exc:
             parser.error(str(exc))
+    # the pool is entered and left inside the block, so warnings from every
+    # worker thread are recorded
+    with warnings.catch_warnings(record=True) as caught:
+        errors = _run(args)
+    warned = []
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            warned.append(str(w.message))
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
+    report = {key: items for key, items in (("errors", errors), ("warnings", warned)) if items}
+    if report:
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
+    return 1 if errors else 0
+
+
+def _run(args: argparse.Namespace) -> list[dict]:
+    """The command's per-tile errors, or the one error that ended the run."""
     if args.fn in (cmd_encode, cmd_polygonize, cmd_roundtrip):
         try:
             args.workers = _worker_count()
         except ValueError as exc:
-            return _fail([{"tile_id": None, "error": f"POLYFORM_WORKERS: {exc}"}])
+            return _run_error(f"POLYFORM_WORKERS: {exc}")
     try:
         return args.fn(args)
     except (pio.FormatError, MetricsError) as exc:
-        return _fail([{"tile_id": None, "error": f"{type(exc).__name__}: {exc}"}])
+        return _run_error(f"{type(exc).__name__}: {exc}")
     except FileNotFoundError as exc:
-        return _fail([{"tile_id": None, "error": f"missing file: {exc.filename}"}])
+        return _run_error(f"missing file: {exc.filename}")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,15 @@ class Point2(namedtuple("Point2", ["x", "y"])):
         return super().__new__(cls, fx, fy)
 
 
+# how far a vertex may lie outside its image frame and still belong to it
+FRAME_TOL = 1e-6
+
+
+def in_frame(p: Point2, h: int, w: int) -> bool:
+    """Whether p lies in the closed w x h frame [0, w] x [0, h], widened by FRAME_TOL."""
+    return -FRAME_TOL <= p.x <= w + FRAME_TOL and -FRAME_TOL <= p.y <= h + FRAME_TOL
+
+
 @dataclass(frozen=True)
 class LineSegment:
     """Directed segment between two distinct points."""

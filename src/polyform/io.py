@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import InstanceSet, Polygon, Ring, ScoredPolygon, point_in_polygon, signed_area
+from .geometry import InstanceSet, Polygon, Ring, ScoredPolygon, in_frame, point_in_polygon, signed_area
 from .raster import RasterGrid
 
 _MAGIC = b"RGF1"
@@ -47,7 +47,6 @@ _HEADER = struct.Struct("<4sIIII")
 _DTYPE_BY_CODE = {0: np.dtype(np.uint8), 1: np.dtype(np.float32)}
 _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 
-_BOUNDS_TOL = 1e-6
 _MAX_SIDE = 2**53  # image sides convert to float exactly for the bounds check
 
 
@@ -128,7 +127,7 @@ class TileRecord:
         object.__setattr__(self, "image_size", (int(h), int(w)))
         for sp in self.instances:
             for v in sp.polygon.all_vertices():
-                if not (-_BOUNDS_TOL <= v.x <= w + _BOUNDS_TOL and -_BOUNDS_TOL <= v.y <= h + _BOUNDS_TOL):
+                if not in_frame(v, h, w):
                     raise FormatError(
                         f"tile {self.tile_id!r}: vertex ({v.x}, {v.y}) outside {w}x{h} bounds"
                     )

@@ -232,24 +232,23 @@ def _score_order(scores: Sequence[float]) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def _greedy_match(ious: np.ndarray, scores: Sequence[float], iou_thr: float) -> MatchResult:
-    """The one matching rule: predictions in score order each take the free
-    ground truth of highest IoU >= iou_thr, the lowest index on ties."""
+def _greedy_match(ious: np.ndarray, scores: Sequence[float], thresholds: Sequence[float]) -> np.ndarray:
+    """The one matching rule, at every threshold in one pass: predictions in
+    score order each take the free ground truth of highest IoU >= thr, the
+    lowest index on ties. Row t gives each prediction's ground truth at
+    thresholds[t], or -1 when it stays unmatched."""
     n_pred, n_gt = ious.shape
-    free_ious = np.where(ious >= iou_thr, ious, -np.inf)  # a taken column drops to -inf too
-    pairs = []
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None]
+    rows = np.arange(len(thr))
+    matches = np.full((len(thr), n_pred), -1, dtype=np.intp)
+    free = np.ones((len(thr), n_gt), dtype=bool)
     for i in _score_order(scores) if n_gt else ():
-        j = int(free_ious[i].argmax())  # the first maximum
-        if free_ious[i, j] > -np.inf:
-            free_ious[:, j] = -np.inf
-            pairs.append((i, j, float(ious[i, j])))
-    matched_preds = {i for i, _, _ in pairs}
-    matched_gts = {j for _, j, _ in pairs}
-    return MatchResult(
-        tuple(sorted(pairs)),
-        tuple(i for i in range(n_pred) if i not in matched_preds),
-        tuple(j for j in range(n_gt) if j not in matched_gts),
-    )
+        candidates = np.where(free & (ious[i] >= thr), ious[i], -np.inf)
+        j = candidates.argmax(axis=1)  # the first maximum
+        hit = candidates[rows, j] > -np.inf
+        matches[hit, i] = j[hit]
+        free[rows[hit], j[hit]] = False
+    return matches
 
 
 def match_instances(
@@ -258,7 +257,13 @@ def match_instances(
     """Greedy one-to-one matching in descending prediction score order; each
     prediction takes the highest-IoU unmatched ground truth with IoU >= iou_thr."""
     ious = _iou_matrix(*_crops_of([sp.polygon for sp in preds], [sp.polygon for sp in gts], h, w))
-    return _greedy_match(ious, [sp.score for sp in preds], iou_thr)
+    match = _greedy_match(ious, [sp.score for sp in preds], (iou_thr,))[0]
+    matched = np.flatnonzero(match >= 0).tolist()
+    return MatchResult(
+        tuple((i, int(match[i]), float(ious[i, match[i]])) for i in matched),
+        tuple(np.flatnonzero(match < 0).tolist()),
+        tuple(np.setdiff1d(np.arange(ious.shape[1]), match).tolist()),
+    )
 
 
 _Table = tuple[np.ndarray, Sequence[float]]  # one tile's (pred x gt IoU, pred scores)
@@ -267,31 +272,23 @@ _Table = tuple[np.ndarray, Sequence[float]]  # one tile's (pred x gt IoU, pred s
 def _coco_summary(tables: Sequence[_Table]) -> tuple[float, float, float, float, float, float]:
     """COCO (ap, ap50, ap75, ar, ar50, ar75) over per-tile tables in tile order.
 
-    Each tile is matched on its own at every IoU threshold; detections are
-    then ranked over all tiles in score order for 101-point interpolated
-    precision, averaged over the thresholds.
+    Each tile is matched on its own, in one pass for every IoU threshold;
+    detections are then ranked over all tiles in score order for 101-point
+    interpolated precision, averaged over the thresholds.
     """
     scores = [s for _, tile_scores in tables for s in tile_scores]
     total_gt = sum(ious.shape[1] for ious, _ in tables)
     if total_gt == 0 or not scores:
         value = 1.0 if total_gt == 0 and not scores else 0.0
         return (value,) * 6
-    order = _score_order(scores)
+    matched = np.concatenate([_greedy_match(ious, s, IOU_THRESHOLDS) for ious, s in tables], axis=1) >= 0
+    tp_cum = np.cumsum(matched[:, _score_order(scores)], axis=1)
+    recalls = tp_cum / total_gt
+    precisions = tp_cum / np.arange(1, len(scores) + 1)
+    envelopes = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
     recall_levels = np.linspace(0.0, 1.0, 101)
     aps, ars = [], []
-    for thr in IOU_THRESHOLDS:
-        matched = np.zeros(len(scores), dtype=bool)
-        offset = 0
-        for ious, tile_scores in tables:
-            matched[[offset + i for i, _, _ in _greedy_match(ious, tile_scores, thr).pairs]] = True
-            offset += len(tile_scores)
-        tp = matched[order]
-        tp_cum = np.cumsum(tp)
-        fp_cum = np.cumsum(~tp)
-        recall = tp_cum / total_gt
-        precision = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-        for k in range(len(precision) - 1, 0, -1):
-            precision[k - 1] = max(precision[k - 1], precision[k])
+    for recall, precision in zip(recalls, envelopes):
         idx = np.searchsorted(recall, recall_levels, side="left")
         sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
         aps.append(float(sampled.mean()))
@@ -451,10 +448,10 @@ def evaluate_corpus(
         tile_ious.append(_union_iou(pred_crops, gt_crops))
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
 
-        match = _greedy_match(ious, scores, cfg.iou_thr)
-        matched_gts += len(match.pairs)
-        for pi, gi, _ in match.pairs:
-            polis_values.append(polis(pred_polys[pi], gt_polys[gi]))
+        match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]
+        for pi in np.flatnonzero(match >= 0):
+            polis_values.append(polis(pred_polys[pi], gt_polys[match[pi]]))
+            matched_gts += 1
 
         tile_vertex_f1.append(
             vertex_f1(_vertices_of(pred_rec.instances), _vertices_of(gt_rec.instances), cfg.vertex_dist_thr)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import InstanceSet, Point2, Polygon, project_points_to_segments
+from .geometry import InstanceSet, Point2, Polygon, in_frame, project_points_to_segments
 
 _ALLOWED_DTYPES = {
     np.dtype(np.uint8): "u8",
@@ -369,22 +369,26 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     return RasterGrid(np.stack([best_fx[:h, :w] - x, best_fy[:h, :w] - y], axis=-1))
 
 
+_MIN_F32_OFFSET = np.float32(-0.5)
 _MAX_F32_OFFSET = np.nextafter(np.float32(0.5), np.float32(0.0))
 
 
 def _f32_offset(value: float) -> np.float32:
-    # rounding to f32 may push a value just below 0.5 onto 0.5 itself,
-    # which would leave the stated [-0.5, 0.5) range
-    out = np.float32(value)
-    return min(out, _MAX_F32_OFFSET)
+    # rounding to f32 may push a value just below 0.5 onto 0.5 itself, and a
+    # vertex on the frame's far edge or just past an edge lies 0.5 or more
+    # from its clamped pixel's center; both would leave [-0.5, 0.5)
+    return min(max(np.float32(value), _MIN_F32_OFFSET), _MAX_F32_OFFSET)
 
 
 def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
     """Vertex heatmap and center-relative offsets.
 
-    A vertex v lands in pixel (floor(v.y), floor(v.x)); the heatmap is 1
-    there and the offsets store v - pixel center, in [-0.5, 0.5). When two
-    vertices fall into one pixel the later write wins (warned).
+    A vertex v lands in pixel (floor(v.y), floor(v.x)), clamped into the
+    grid so that a vertex on the right or bottom edge, or within
+    geometry.FRAME_TOL outside any edge, lands in the border pixel; the
+    heatmap is 1 there and the offsets store v - pixel center, clamped into
+    [-0.5, 0.5). When two vertices fall into one pixel the later write wins
+    (warned).
     """
     heat = np.zeros((h, w), dtype=np.float32)
     off = np.zeros((h, w, 2), dtype=np.float32)
@@ -392,12 +396,10 @@ def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
     for idx, scored in enumerate(instances):
         for ring in scored.polygon.rings():
             for v in ring.vertices:
-                c = math.floor(v.x)
-                r = math.floor(v.y)
-                if not (0 <= c < w and 0 <= r < h):
-                    raise RasterError(
-                        f"vertex ({v.x}, {v.y}) of instance {idx} outside [0,{w})x[0,{h})"
-                    )
+                if not in_frame(v, h, w):
+                    raise RasterError(f"vertex ({v.x}, {v.y}) of instance {idx} outside [0,{w}]x[0,{h}]")
+                c = min(max(math.floor(v.x), 0), w - 1)
+                r = min(max(math.floor(v.y), 0), h - 1)
                 if heat[r, c] == 1.0:
                     collisions += 1
                 heat[r, c] = 1.0

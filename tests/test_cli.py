@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,10 @@ BAD_FLAG_VALUES = [
     (["roundtrip", "{gt}", "{tmp}/r.json", "--heatmap-noise-sigma", "inf"], "r.json"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "0"], "rasters"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "-2"], "rasters"),
+    (["encode", "{gt}", "{tmp}/rasters", "--size", "0x0"], "rasters"),
+    (["encode", "{gt}", "{tmp}/rasters", "--size", "512x511", "--scale", "2"], "rasters"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--size", "0x32"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--size", "512x510", "--scale", "4"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "nan"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "1.5"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--vertex-dist-thr", "0"], "r.json"),
@@ -461,6 +466,60 @@ class TestRoundtrip:
         main(["roundtrip", str(gt_geojson), str(a), *flags])
         main(["roundtrip", str(gt_geojson), str(b), *flags])
         assert a.read_text() == b.read_text()
+
+
+class TestStderr:
+    # tile a's 2 x 2 px building is one grid pixel at --scale 2, which the
+    # polygonizer drops with a UserWarning; tile b's width is odd
+    @pytest.fixture()
+    def warn_geojson(self, tmp_path):
+        path = tmp_path / "warn.geojson"
+        path.write_bytes(write_geojson([
+            TileRecord("a", (32, 32), InstanceSet.of([rectangle(4, 4, 6, 6), rectangle(10, 10, 20, 20)])),
+            TileRecord("b", (32, 33), InstanceSet.of([rectangle(5, 5, 15, 15)])),
+        ]))
+        return path
+
+    def test_errors_and_warnings_share_one_object(self, warn_geojson, tmp_path, capsys):
+        assert main(["roundtrip", str(warn_geojson), str(tmp_path / "r.json"), "--scale", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "errors": [{"tile_id": "b", "error": "ValueError: size 32x33 not divisible by scale 2"}],
+            "warnings": ["dropped 1 components that failed simplification"],
+        }
+
+    def test_warnings_alone_keep_exit_zero(self, warn_geojson, tmp_path, capsys):
+        one_tile = tmp_path / "a.geojson"
+        one_tile.write_bytes(write_geojson(read_geojson(warn_geojson.read_bytes())[:1]))
+        assert main(["roundtrip", str(one_tile), str(tmp_path / "r.json"), "--scale", "2"]) == 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"warnings": ["dropped 1 components that failed simplification"]}
+
+    def test_other_warnings_pass_through(self, gt_geojson, tmp_path, capsys, monkeypatch):
+        def warn(*args):
+            warnings.warn("not a UserWarning", DeprecationWarning)
+            return evaluate(*args)
+
+        evaluate = cli.evaluate_corpus
+        monkeypatch.setattr(cli, "evaluate_corpus", warn)
+        with pytest.warns(DeprecationWarning, match="not a UserWarning"):
+            assert main(["eval", str(gt_geojson), str(gt_geojson), str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(DeprecationWarning):
+                main(["eval", str(gt_geojson), str(gt_geojson), str(tmp_path / "r.json")])
+
+
+class TestEdgeVertices:
+    def test_building_on_right_and_bottom_edges_encodes(self, tmp_path, capsys):
+        src = tmp_path / "edge.geojson"
+        src.write_bytes(write_geojson([TileRecord("e", (32, 32), InstanceSet.of([rectangle(20, 4, 32, 32)]))]))
+        assert main(["encode", str(src), str(tmp_path / "rasters")]) == 0
+        report = tmp_path / "r.json"
+        assert main(["roundtrip", str(src), str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["iou"] == 1.0
 
 
 class TestRender:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyform import metrics
 from polyform.geometry import InstanceSet, Point2, Polygon
 from polyform.io import TileRecord
 from polyform.metrics import (
     EvalConfig,
+    MatchResult,
     MetricsError,
     _coco_summary,
     _greedy_match,
@@ -221,12 +223,36 @@ def tie_heavy_tables(draw):
     return ious, scores
 
 
+def matched_gts(match: MatchResult, n_pred: int) -> list[int]:
+    """A MatchResult as one row of _greedy_match: each prediction's ground
+    truth, or -1."""
+    row = [-1] * n_pred
+    for i, j, _ in match.pairs:
+        row[i] = j
+    return row
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(tie_heavy_tables(), max_size=4), st.sampled_from((0.0, 0.5, 0.55, 0.75)))
 def test_matcher_and_coco_summary_equal_scalar_oracle(tables, iou_thr):
     for ious, scores in tables:
-        assert _greedy_match(ious, scores, iou_thr) == greedy_match_scalar(ious, scores, iou_thr)
+        got = _greedy_match(ious, scores, (iou_thr,))[0].tolist()
+        assert got == matched_gts(greedy_match_scalar(ious, scores, iou_thr), len(scores))
     assert _coco_summary(tables) == coco_summary(tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.lists(st.sampled_from(TIE_IOUS + (0.52, 0.97)) | st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_one_matcher_pass_equals_a_scalar_match_per_threshold(table, thresholds):
+    # thresholds on the table's IoU values, between them and repeated
+    ious, scores = table
+    rows = _greedy_match(ious, scores, thresholds)
+    assert rows.shape == (len(thresholds), len(scores))
+    for thr, row in zip(thresholds, rows):
+        assert row.tolist() == matched_gts(greedy_match_scalar(ious, scores, thr), len(scores))
 
 
 def _ap_fixture():
@@ -401,6 +427,19 @@ class TestEvaluateCorpus:
         preds = [tile("t1", (32, 32), [rectangle(2, 2, 30, 30)])]
         with pytest.raises(MetricsError, match=r"'t1'.*32x32.*16x16"):
             evaluate_corpus(preds, gts)
+
+    def test_three_matcher_calls_per_tile(self, monkeypatch):
+        # mask AP and boundary AP match each tile once for all ten
+        # thresholds, and PoLiS once at config.iou_thr
+        calls = []
+        match = metrics._greedy_match
+        monkeypatch.setattr(metrics, "_greedy_match", lambda *a: calls.append(a[2]) or match(*a))
+        gts = self._corpus()
+        preds = [tile("t1", (32, 32), [rectangle(2, 2, 10, 10)]), tile("t2", (32, 32), [])]
+        report = evaluate_corpus(preds, gts, EvalConfig(iou_thr=0.6))
+        assert calls == [(0.6,), (0.6,), metrics.IOU_THRESHOLDS, metrics.IOU_THRESHOLDS,
+                         metrics.IOU_THRESHOLDS, metrics.IOU_THRESHOLDS]
+        assert report.polis_match_rate == 1 / 3
 
     def test_report_invariants(self):
         gts = self._corpus()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import ndimage
 
-from polyform.geometry import InstanceSet, Point2, Polygon, Ring
+from polyform.geometry import FRAME_TOL, InstanceSet, Point2, Polygon, Ring
+from polyform.io import FormatError, TileRecord
 from polyform.raster import (
     DegradeSpec,
     RasterError,
@@ -281,6 +282,29 @@ class TestEncodeVertices:
 
     def test_out_of_bounds_names_instance(self):
         inst = InstanceSet.of([Polygon.from_coords([(3, 2), (8.5, 2), (8.5, 5)])])
+        with pytest.raises(RasterError, match="instance 0"):
+            encode_vertices(inst, 8, 8)
+
+    # corners on the right or bottom edge, and within FRAME_TOL outside an edge
+    @pytest.mark.parametrize(
+        "x, y", [(8.0, 3.0), (3.0, 8.0), (8.0, 8.0), (8.0 + FRAME_TOL, 3.0), (-FRAME_TOL, 3.0), (3.0, -1e-9)]
+    )
+    def test_vertex_on_frame_edge_lands_in_border_pixel(self, x, y):
+        inst = InstanceSet.of([Polygon.from_coords([(x, y), (4.5, 4.5), (3.5, 5.5)])])
+        TileRecord("t", (8, 8), inst)  # the readers accept the same frame
+        grids = encode_vertices(inst, 8, 8)
+        r, c = min(max(math.floor(y), 0), 7), min(max(math.floor(x), 0), 7)
+        assert grids.heatmap.channel()[r, c] == 1.0
+        off_x, off_y = grids.offsets.data[r, c].tolist()
+        assert -0.5 <= off_x < 0.5 and -0.5 <= off_y < 0.5
+        # decoded within the tolerance plus the offset's f32 rounding
+        assert abs(c + 0.5 + off_x - x) <= FRAME_TOL + 1e-7 and abs(r + 0.5 + off_y - y) <= FRAME_TOL + 1e-7
+
+    @pytest.mark.parametrize("x, y", [(8.0 + 1e-5, 3.0), (-1e-5, 3.0), (3.0, 8.5)])
+    def test_vertex_past_the_tolerance_raises(self, x, y):
+        inst = InstanceSet.of([Polygon.from_coords([(x, y), (4.5, 4.5), (3.5, 5.5)])])
+        with pytest.raises(FormatError):
+            TileRecord("t", (8, 8), inst)
         with pytest.raises(RasterError, match="instance 0"):
             encode_vertices(inst, 8, 8)
 
