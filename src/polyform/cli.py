@@ -128,8 +128,11 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
 
     def work(item):
         frame, _, instances, mask, grids = _encode_tile(item[0], args.size, args.scale)
-        afm = encode_afm(instances, mask.height, mask.width)
-        return frame, (mask, RasterGrid(afm.data.astype(np.float32)), grids.heatmap, grids.offsets)
+        if len(instances):
+            afm = encode_afm(instances, mask.height, mask.width).data.astype(np.float32)
+        else:  # no segment to point at
+            afm = np.zeros((mask.height, mask.width, 2), dtype=np.float32)
+        return frame, (mask, RasterGrid(afm), grids.heatmap, grids.offsets)
 
     done, errors = _tile_map(work, names, lambda item: item[0].tile_id, args.workers)
     tiles = []
@@ -165,11 +168,15 @@ def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
     cfg = _polygonize_config(args, float(scale))
 
+    kinds = ("mask", "heatmap", "offsets")
+
     def work(tile: pio.ManifestTile):
-        mask, heat, offs = (
-            pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in ("mask", "heatmap", "offsets")
-        )
-        return pio.TileRecord(tile.tile_id, tile.image_size, polygonize_pipeline(mask, heat, offs, cfg))
+        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in kinds]
+        for kind, grid in zip(kinds, rasters):
+            if (grid.height, grid.width) != tile.grid_size:
+                gh, gw = tile.grid_size
+                raise pio.ManifestError(f"tile {tile.tile_id!r}: {kind} raster is {grid.height}x{grid.width}, grid_size is {gh}x{gw}")
+        return pio.TileRecord(tile.tile_id, tile.image_size, polygonize_pipeline(*rasters, cfg))
 
     done, errors = _tile_map(work, tiles, lambda tile: tile.tile_id, args.workers)
     records = [record for _, record in done]

@@ -8,6 +8,7 @@ function, so everything here is safe to share across threads.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -97,10 +98,6 @@ class Ring:
         fy = fx if fy is None else fy
         return Ring(tuple(Point2(v.x * fx, v.y * fy) for v in self.vertices))
 
-    def edges(self) -> list[LineSegment]:
-        vs = self.vertices
-        return [LineSegment(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -138,12 +135,9 @@ class Polygon:
         return sum(len(r) for r in self.rings())
 
     def boundary_segments(self) -> list[LineSegment]:
-        return [e for ring in self.rings() for e in ring.edges()]
-
-    def segment_coords(self) -> list[tuple[float, float, float, float]]:
-        """boundary_segments as (ax, ay, bx, by) tuples, in the same order."""
-        pairs = (zip(r.vertices, r.vertices[1:] + r.vertices[:1]) for r in self.rings())
-        return [(a.x, a.y, b.x, b.y) for ring_pairs in pairs for a, b in ring_pairs]
+        """The edges of edge_arrays([self]), in its order."""
+        ax, ay, bx, by, _ = (c.tolist() for c in edge_arrays([self]))
+        return [LineSegment((x0, y0), (x1, y1)) for x0, y0, x1, y1 in zip(ax, ay, bx, by)]
 
     def scaled(self, fx: float, fy: float | None = None) -> "Polygon":
         """Multiply x by fx and y by fy (default fx); orientation is renormalized."""
@@ -355,44 +349,61 @@ def merge_collinear_edges(ring: Ring, angle_tol: float) -> Ring:
     return Ring(tuple(verts))
 
 
-_INSIDE, _BOUNDARY, _OUTSIDE = 1, 0, -1
+def edge_arrays(polys: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every boundary edge a -> b of the polygons as f64 arrays (ax, ay, bx,
+    by), plus counts, each polygon's number of edges (its vertex_count).
+    Edges come polygon by polygon, outer ring then holes, each ring in
+    vertex order with its closing edge last: boundary_segments order."""
+    rings = [ring.vertices for poly in polys for ring in poly.rings()]
+    ring_len = np.array([len(vs) for vs in rings], dtype=np.int64)
+    counts = np.array([poly.vertex_count() for poly in polys], dtype=np.int64)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings))
+    a = np.fromiter(flat, dtype=np.float64, count=2 * int(ring_len.sum())).reshape(-1, 2)
+    ring_end = np.cumsum(ring_len)
+    succ = np.arange(1, len(a) + 1)
+    succ[ring_end - 1] = ring_end - ring_len  # each ring's last edge closes on its first vertex
+    ax, ay = a.T
+    bx, by = a[succ].T
+    return ax, ay, bx, by, counts
 
 
-def _ring_location(p: Point2, ring: Ring) -> int:
-    """Even-odd location of p relative to a ring: inside, boundary or outside."""
-    inside = False
-    vs = ring.vertices
-    n = len(vs)
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        ex, ey = b.x - a.x, b.y - a.y
-        scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
-        tol = 1e-9 * scale
-        cross = ex * (p.y - a.y) - ey * (p.x - a.x)
-        seg_len = math.hypot(ex, ey)
-        if abs(cross) <= tol * seg_len:
-            dot = (p.x - a.x) * ex + (p.y - a.y) * ey
-            if -tol * seg_len <= dot <= seg_len * seg_len + tol * seg_len:
-                return _BOUNDARY
-        if (a.y > p.y) != (b.y > p.y):
-            x_int = a.x + (p.y - a.y) * ex / ey
-            if p.x < x_int:
-                inside = not inside
-    return _INSIDE if inside else _OUTSIDE
+def edge_tolerance(ax, ay, bx, by, len2) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, tol) of edges a -> b with squared length len2: scale =
+    max(1, |ax|, |ay|, |bx|, |by|) and the on_edge tolerance tol =
+    1e-9 * scale * sqrt(len2)."""
+    scale = np.maximum.reduce([np.ones_like(ax), np.abs(ax), np.abs(ay), np.abs(bx), np.abs(by)])
+    return scale, 1e-9 * scale * np.sqrt(len2)
+
+
+def on_edge(ax, ay, ex, ey, len2, tol, x, y) -> np.ndarray:
+    """Whether points (x, y) lie on edges from (ax, ay) along (ex, ey), all
+    broadcast together: |ex * (y - ay) - ey * (x - ax)| <= tol and
+    -tol <= (x - ax) * ex + (y - ay) * ey <= len2 + tol."""
+    cross = ex * (y - ay) - ey * (x - ax)
+    dot = (x - ax) * ex + (y - ay) * ey
+    return (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= len2 + tol)
 
 
 def point_in_polygon(p: Point2, poly: Polygon) -> bool:
-    """Even-odd membership test; boundary points (outer or hole rim) count as inside."""
-    p = Point2(*p)
-    loc = _ring_location(p, poly.outer)
-    if loc == _OUTSIDE:
-        return False
-    if loc == _BOUNDARY:
-        return True
-    for hole in poly.holes:
-        loc = _ring_location(p, hole)
-        if loc == _BOUNDARY:
+    """Even-odd membership over all rings, boundary inclusive: the rule
+    raster.polygon_mask applies to pixel centres, for any point.
+
+    p is inside when it lies on an edge (on_edge, with edge_tolerance) or
+    when an odd number of edges a -> b have (ay > y) != (by > y) and
+    x < ax + (y - ay) * ex / ey, so holes that overlap each other or leave
+    the outer ring follow the same parity. polygon_mask sets a pixel exactly
+    when this accepts its centre while coordinates stay below 2**29 in
+    magnitude; beyond, the tolerance can reach centres outside the crop the
+    mask fills. Overflow (huge coordinates) raises no warning.
+    """
+    x, y = Point2(*p)
+    ax, ay, bx, by, _ = edge_arrays([poly])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex, ey = bx - ax, by - ay
+        len2 = ex * ex + ey * ey
+        _, tol = edge_tolerance(ax, ay, bx, by, len2)
+        if on_edge(ax, ay, ex, ey, len2, tol, x, y).any():
             return True
-        if loc == _INSIDE:
-            return False
-    return True
+        crossing = (ay > y) != (by > y)
+        x_int = ax[crossing] + (y - ay[crossing]) * ex[crossing] / ey[crossing]
+        return bool(np.count_nonzero(x < x_int) % 2)

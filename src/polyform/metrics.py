@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon, project_points_to_segments
+from .geometry import InstanceSet, Polygon, edge_arrays, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crops, union_of_crops
@@ -163,24 +163,21 @@ def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
     return _iou_counts(_inner_band(_binary(a), d), _inner_band(_binary(b), d))
 
 
-def _min_dists_to_boundary(points: np.ndarray, poly: Polygon) -> np.ndarray:
-    """Exact minimum distances from points (q, 2) to the polygon's boundary segments."""
-    segs = np.asarray(poly.segment_coords(), dtype=np.float64)
-    d2 = project_points_to_segments(points[:, 0:1], points[:, 1:2], *segs.T)[2]
-    return np.sqrt(d2.min(axis=1))
-
-
 def polis(a: Polygon, b: Polygon) -> float:
     """Symmetric mean vertex-to-boundary distance between two polygons.
 
     Hole vertices participate in the sums and hole rims belong to the
     boundary; distances are exact per-segment minima, not sampled.
     """
-    va = np.asarray([(v.x, v.y) for v in a.all_vertices()])
-    vb = np.asarray([(v.x, v.y) for v in b.all_vertices()])
-    term_a = _min_dists_to_boundary(va, b).mean()
-    term_b = _min_dists_to_boundary(vb, a).mean()
-    return 0.5 * term_a + 0.5 * term_b
+    ax, ay, bx, by, counts = edge_arrays([a, b])
+    # each vertex starts one edge, so edge starts are the vertices in all_vertices order
+    of_a, of_b = slice(0, counts[0]), slice(counts[0], None)
+
+    def mean_dist(p: slice, q: slice) -> float:
+        d2 = project_points_to_segments(ax[p, None], ay[p, None], ax[q], ay[q], bx[q], by[q])[2]
+        return np.sqrt(d2.min(axis=1)).mean()
+
+    return 0.5 * mean_dist(of_a, of_b) + 0.5 * mean_dist(of_b, of_a)
 
 
 def _crops_of(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> tuple[list[_Crop], list[_Crop]]:

@@ -12,7 +12,6 @@ r + 0.5). Vertex offsets are relative to that center and live in
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import InstanceSet, Point2, Polygon, in_frame, project_points_to_segments
+from .geometry import InstanceSet, Point2, Polygon, edge_arrays, edge_tolerance, in_frame, on_edge, project_points_to_segments
 
 _ALLOWED_DTYPES = {
     np.dtype(np.uint8): "u8",
@@ -135,33 +134,24 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return item, np.arange(item.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
-def _on_edge(ax, ay, ex, ey, len2, tol, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The edge test of polygon_mask_crops for pixel centres (x, y) and
-    edges from (ax, ay) along (ex, ey), all broadcast together."""
-    cross = ex * (y - ay) - ey * (x - ax)
-    dot = (x - ax) * ex + (y - ay) * ey
-    return (np.abs(cross) <= tol) & (dot >= -tol) & (dot <= len2 + tol)
-
-
 def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[int, int, np.ndarray]]:
     """polygon_mask of each polygon cropped to (r0, c0, crop): crop[i, j] is
     frame pixel (r0 + i, c0 + j), and the crop spans the polygon's vertex
     bounding box widened by one pixel, within the frame (a 0 x 0 crop at
     (0, 0) when nothing of it is left).
 
-    A pixel is set when its centre (x, y) is inside by the even-odd rule or
-    on an edge a -> b within a tolerance. Inside: an odd number of edges
-    have (ay > y) != (by > y) and x < ax + (y - ay) * ex / ey, with
-    (ex, ey) = b - a. On the edge: |ex * (y - ay) - ey * (x - ax)| <= tol and
-    -tol <= (x - ax) * ex + (y - ay) * ey <= ex * ex + ey * ey + tol, with
-    tol = 1e-9 * scale * |b - a| and scale = max(1, |ax|, |ay|, |bx|, |by|).
+    A pixel of the crop is set when geometry.point_in_polygon accepts its
+    centre: inside by the even-odd rule over the edges of
+    geometry.edge_arrays, or on an edge by geometry.on_edge with the
+    tolerance of geometry.edge_tolerance.
 
     All polygons are filled in one pass, each expression evaluated as
-    written above. Crossings are generated only for the pixel rows an edge
-    spans, and each toggles the crop columns whose centres lie strictly
-    below its x. Every row holds an even number of crossings, so a running
-    parity over all crops laid end to end, with a crossing that toggles a
-    whole row placed at the start of the next, is each row's even-odd fill.
+    point_in_polygon writes it. Crossings are generated only for the pixel
+    rows an edge spans, and each toggles the crop columns whose centres lie
+    strictly below its x. Every row holds an even number of crossings, so a
+    running parity over all crops laid end to end, with a crossing that
+    toggles a whole row placed at the start of the next, is each row's
+    even-odd fill.
     The edge test visits, for each edge, every pixel column (row, for edges
     closer to vertical) from one before its span to one after, and in it
     the pixel holding the edge's line at the column centre and one pixel
@@ -172,16 +162,7 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
     """
     if not polys:
         return []
-    rings = [ring.vertices for poly in polys for ring in poly.rings()]
-    ring_len = np.array([len(vs) for vs in rings])
-    n_segs = np.array([poly.vertex_count() for poly in polys])
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings))
-    a = np.fromiter(flat, dtype=np.float64, count=2 * ring_len.sum()).reshape(-1, 2)
-    ring_end = np.cumsum(ring_len)
-    succ = np.arange(1, len(a) + 1)
-    succ[ring_end - 1] = ring_end - ring_len  # each ring's last edge closes on its first vertex
-    ax, ay = a.T
-    bx, by = a[succ].T
+    ax, ay, bx, by, n_segs = edge_arrays(polys)
     ex, ey = bx - ax, by - ay
     first = np.cumsum(n_segs) - n_segs
     of = np.repeat(np.arange(len(polys)), n_segs)  # polygon of each edge
@@ -219,8 +200,7 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
 
     # edges, on their bands (major axis u, minor axis v) or on their whole crop
     len2 = ex * ex + ey * ey
-    scale = np.maximum.reduce([np.ones_like(ax), np.abs(ax), np.abs(ay), np.abs(bx), np.abs(by)])
-    tol = 1e-9 * scale * np.sqrt(len2)
+    scale, tol = edge_tolerance(ax, ay, bx, by, len2)
     narrow = (len2 >= _FILL_MIN_LEN2) & (scale < _FILL_MAX_SCALE)
     along_x = np.abs(ex) >= np.abs(ey)
     ua, va = np.where(along_x, ax, ay), np.where(along_x, ay, ax)
@@ -233,14 +213,14 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
     line = np.floor(va[k] + (u + 0.5 - ua[k]) * ((vb - va) / (ub - ua))[k])
     v = np.clip(line + np.array([[-1.0], [0.0], [1.0]]), v0[k], (v0 + vn - 1)[k]).astype(np.int64)
     r, c = np.where(along_x[k], v, u), np.where(along_x[k], u, v)
-    on = _on_edge(ax[k], ay[k], ex[k], ey[k], len2[k], tol[k], c + 0.5, r + 0.5)
+    on = on_edge(ax[k], ay[k], ex[k], ey[k], len2[k], tol[k], c + 0.5, r + 0.5)
     filled[(origin[of[k]] + r * cols[of[k]] + c)[on]] = True
     for i in np.flatnonzero(~narrow).tolist():
         p = of[i]
         x = np.arange(c0[p], c0[p] + cols[p]) + 0.5
         y = np.arange(r0[p], r0[p] + rows[p])[:, None] + 0.5
         crop = filled[base[p] : base[p] + sizes[p]].reshape(rows[p], cols[p])
-        crop |= _on_edge(ax[i], ay[i], ex[i], ey[i], len2[i], tol[i], x, y)
+        crop |= on_edge(ax[i], ay[i], ex[i], ey[i], len2[i], tol[i], x, y)
 
     return [
         (top, left, filled[start : start + n_rows * n_cols].reshape(n_rows, n_cols))
@@ -322,14 +302,12 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     (upper bound at least 112.5) stays below 1e-14 per unit. A NaN or
     infinite upper bound prunes nothing.
     """
-    segs = [seg for sp in instances for seg in sp.polygon.segment_coords()]
-    if not segs:
+    ax, ay, bx, by, _ = edge_arrays([sp.polygon for sp in instances])
+    if not ax.size:
         raise RasterError("no segments")
     if h == 0 or w == 0:
         return RasterGrid(np.zeros((h, w, 2)))
     block = _AFM_BLOCK
-    coords = np.array(segs)
-    ax, ay, bx, by = coords.T
     xs = np.arange(-(-w // block) * block, dtype=np.float64) + 0.5
     ys = np.arange(-(-h // block) * block, dtype=np.float64) + 0.5
     # each block column's (row's) pixel-centre span, and its squared gap
@@ -338,7 +316,7 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     y_lo, y_hi = ys[::block, None], ys[block - 1 :: block, None]
     gap_x = np.maximum(np.maximum(np.minimum(ax, bx) - x_hi, x_lo - np.maximum(ax, bx)), 0.0) ** 2
     gap_y = np.maximum(np.maximum(np.minimum(ay, by) - y_hi, y_lo - np.maximum(ay, by)), 0.0) ** 2
-    slack = 1.0 + _AFM_SLACK * max(1.0, xs[-1], ys[-1], float(np.abs(coords).max()))
+    slack = 1.0 + _AFM_SLACK * max(1.0, xs[-1], ys[-1], float(np.abs(ax).max()), float(np.abs(ay).max()))
     best_d2 = np.full((ys.size, xs.size), np.inf)
     best_fx = np.zeros_like(best_d2)
     best_fy = np.zeros_like(best_d2)
@@ -359,7 +337,7 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
         for k in np.flatnonzero(in_col.any(axis=0)).tolist():
             rows = slice((b0 + r_first[k]) * block, (b0 + r_last[k]) * block)
             cols = slice(c_first[k] * block, c_last[k] * block)
-            fx, fy, d2 = project_points_to_segments(xs[cols], ys[rows, None], *segs[k])
+            fx, fy, d2 = project_points_to_segments(xs[cols], ys[rows, None], ax[k], ay[k], bx[k], by[k])
             win_d2 = best_d2[rows, cols]
             better = d2 < win_d2
             np.copyto(win_d2, d2, where=better)

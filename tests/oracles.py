@@ -72,6 +72,45 @@ def point_in_polygon_scalar(px, py, rings) -> bool:
     return inside
 
 
+def _ring_location(p: Point2, ring: Ring) -> int:
+    """Even-odd location of p relative to one ring: 1 inside, 0 on the
+    boundary (hypot-based tolerance), -1 outside."""
+    inside = False
+    vs = ring.vertices
+    n = len(vs)
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        ex, ey = b.x - a.x, b.y - a.y
+        scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
+        tol = 1e-9 * scale
+        cross = ex * (p.y - a.y) - ey * (p.x - a.x)
+        seg_len = math.hypot(ex, ey)
+        if abs(cross) <= tol * seg_len:
+            dot = (p.x - a.x) * ex + (p.y - a.y) * ey
+            if -tol * seg_len <= dot <= seg_len * seg_len + tol * seg_len:
+                return 0
+        if (a.y > p.y) != (b.y > p.y):
+            x_int = a.x + (p.y - a.y) * ex / ey
+            if p.x < x_int:
+                inside = not inside
+    return 1 if inside else -1
+
+
+def point_in_polygon_ring_by_ring(p: Point2, poly: Polygon) -> bool:
+    """The library's earlier point_in_polygon: outside the outer ring is
+    outside, on any rim is inside, and otherwise inside unless within the
+    first hole that holds p. Equals even-odd only while holes lie inside
+    the outer ring and apart from each other."""
+    loc = _ring_location(p, poly.outer)
+    if loc != 1:
+        return loc == 0
+    for hole in poly.holes:
+        loc = _ring_location(p, hole)
+        if loc != -1:
+            return loc == 0
+    return True
+
+
 def rasterize_enum(poly: Polygon, h: int, w: int) -> np.ndarray:
     """Per-pixel enumeration of center membership."""
     rings = [[(v.x, v.y) for v in ring.vertices] for ring in poly.rings()]

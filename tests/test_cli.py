@@ -9,7 +9,8 @@ import pytest
 from polyform import cli, polygonize
 from polyform.cli import main
 from polyform.geometry import InstanceSet
-from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson
+from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
+from polyform.raster import RasterGrid
 
 from synth import annulus, rectangle
 
@@ -66,19 +67,37 @@ class TestEncode:
         assert main(["encode", str(src), str(out)]) == 0
 
     def test_per_tile_error_reported(self, tmp_path, capsys):
-        # an empty tile cannot produce an attraction field
+        # a 15-row frame does not divide into 2 x 2 grid pixels
         records = [
             TileRecord("good", (16, 16), InstanceSet.of([rectangle(2, 2, 9, 9)])),
-            TileRecord("empty", (16, 16), InstanceSet()),
+            TileRecord("odd", (15, 16), InstanceSet.of([rectangle(2, 2, 9, 9)])),
         ]
         src = tmp_path / "gt.geojson"
         src.write_bytes(write_geojson(records))
         out = tmp_path / "rasters"
-        assert main(["encode", str(src), str(out)]) == 1
+        assert main(["encode", str(src), str(out), "--scale", "2"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["errors"][0]["tile_id"] == "empty"
+        assert err == {"errors": [{"tile_id": "odd", "error": "ValueError: size 15x16 not divisible by scale 2"}]}
         manifest = json.loads((out / "manifest.json").read_text())
         assert [t["tile_id"] for t in manifest["tiles"]] == ["good"]
+
+    def test_tile_without_buildings_encodes(self, tmp_path, capsys):
+        records = [
+            TileRecord("a", (16, 16), InstanceSet()),
+            TileRecord("b", (16, 16), InstanceSet.of([rectangle(2, 2, 9, 9)])),
+        ]
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        out, pred, report = tmp_path / "rasters", tmp_path / "pred.geojson", tmp_path / "report.json"
+        assert main(["encode", str(gt), str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [t["tile_id"] for t in manifest["tiles"]] == ["a", "b"]
+        afm = read_rgf((out / manifest["tiles"][0]["files"]["afm"]).read_bytes())
+        assert afm.dtype_name == "f32" and afm.data.shape == (16, 16, 2) and not afm.data.any()
+        assert main(["polygonize", str(out), str(pred)]) == 0
+        assert main(["eval", str(pred), str(gt), str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["ap"] == 1.0
 
 
 def _manifest_edit(edit):
@@ -152,6 +171,24 @@ class TestPolygonize:
         err = json.loads(capsys.readouterr().err)
         assert err == {"errors": [{"tile_id": "t0", "error": f"missing raster: {heatmap}"}]}
         assert [r.tile_id for r in read_geojson(dst.read_bytes())] == ["t1"]
+
+    def test_raster_not_of_grid_size_fails_its_tile(self, tmp_path, capsys):
+        records = [
+            TileRecord("big", (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])),
+            TileRecord("ok", (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])),
+        ]
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        out, pred = tmp_path / "rasters", tmp_path / "pred.geojson"
+        assert main(["encode", str(gt), str(out)]) == 0
+        files = json.loads((out / "manifest.json").read_text())["tiles"][0]["files"]
+        for kind in ("mask", "heatmap", "offsets"):
+            path = out / files[kind]
+            path.write_bytes(write_rgf(RasterGrid(read_rgf(path.read_bytes()).data[:8, :8])))
+        assert main(["polygonize", str(out), str(pred)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"errors": [{"tile_id": "big", "error": "ManifestError: tile 'big': mask raster is 8x8, grid_size is 16x16"}]}
+        assert [r.tile_id for r in read_geojson(pred.read_bytes())] == ["ok"]
 
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

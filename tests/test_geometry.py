@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyform.geometry import (
     DegenerateRingError,
@@ -14,6 +15,7 @@ from polyform.geometry import (
     Ring,
     ScoredPolygon,
     classify_vertices,
+    edge_arrays,
     merge_collinear_edges,
     nearest_segment,
     point_in_polygon,
@@ -21,8 +23,10 @@ from polyform.geometry import (
     signed_area,
 )
 
-from oracles import min_dist_over_segments, on_hull_bruteforce
-from synth import annulus, random_rectilinear_polygon, random_star_polygon
+from polyform.raster import polygon_mask
+
+from oracles import min_dist_over_segments, on_hull_bruteforce, point_in_polygon_ring_by_ring
+from synth import annulus, random_rectilinear_polygon, random_star_polygon, rect_coords
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -229,6 +233,82 @@ class TestPointInPolygon:
 
     def test_hole_rim_counts_as_inside(self):
         assert point_in_polygon(Point2(2, 4), self.HOLED) is True
+
+    def test_overlapping_holes_follow_even_odd(self):
+        # (5.5, 5.5) lies in both holes, (11.5, 4.5) in the hole that leaves the outer ring
+        poly = Polygon.from_coords(
+            rect_coords(0, 0, 10, 10), holes=[rect_coords(2, 2, 6, 6), rect_coords(4, 4, 8, 8), rect_coords(9, 3, 12, 5)]
+        )
+        mask = polygon_mask(poly, 12, 13)
+        for (x, y), even_odd, ring_by_ring in [((5.5, 5.5), True, False), ((11.5, 4.5), True, False), ((3.5, 3.5), False, False), ((9.5, 4.5), False, False)]:
+            assert point_in_polygon(Point2(x, y), poly) is even_odd
+            assert point_in_polygon_ring_by_ring(Point2(x, y), poly) is ring_by_ring
+            assert mask[int(y), int(x)] == even_odd
+
+    def test_huge_coordinates_raise_no_warning(self):
+        poly = Polygon.from_coords([(-1e308, -1e308), (1e308, -1e308), (1e308, 1e308), (0.5, 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in [(0, 0), (1e308, 0), (-1e308, 1e308), (3, -1e308)]:
+                assert isinstance(point_in_polygon(Point2(*p), poly), bool)
+
+
+@st.composite
+def valid_polygons(draw) -> Polygon:
+    """A star-shaped outer ring of 8-12 vertices around (cx, cy), whose
+    angular gaps stay below 64 degrees and radii within [6, 10], so it
+    holds the disc of radius 5.1 and the square of half-side 2.9 about the
+    centre; 0-4 holes, each inside its own quadrant of that square."""
+    cx, cy = draw(coord), draw(coord)
+    n = draw(st.integers(8, 12))
+    jitter = st.floats(-0.2, 0.2)
+    angles = [(k + draw(jitter)) * 2 * math.pi / n for k in range(n)]
+    radii = [draw(st.floats(6, 10)) for _ in range(n)]
+    outer = [(cx + r * math.cos(a), cy + r * math.sin(a)) for r, a in zip(radii, angles)]
+    holes = []
+    for qx, qy in draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]), max_size=4, unique=True)):
+        x0, y0 = cx - 2.9 + 2.9 * qx, cy - 2.9 + 2.9 * qy
+        a, b = sorted([draw(st.floats(0.1, 2.8)), draw(st.floats(0.1, 2.8))])
+        c, d = sorted([draw(st.floats(0.1, 2.8)), draw(st.floats(0.1, 2.8))])
+        assume(b - a > 1e-3 and d - c > 1e-3)
+        holes.append(rect_coords(x0 + a, y0 + c, x0 + b, y0 + d))
+    return Polygon.from_coords(outer, holes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_polygons(), st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12)), max_size=20))
+def test_point_in_polygon_equals_ring_by_ring_oracle_on_valid_polygons(poly, offsets):
+    """Pixel centres around the polygon, its vertices, its edge midpoints and free points."""
+    cx = round(sum(v.x for v in poly.outer.vertices) / len(poly.outer))
+    cy = round(sum(v.y for v in poly.outer.vertices) / len(poly.outer))
+    points = [(cx + dx + 0.5, cy + dy + 0.5) for dx in range(-11, 11) for dy in range(-11, 11)]
+    points += [(v.x, v.y) for v in poly.all_vertices()]
+    points += [((s.start.x + s.end.x) / 2, (s.start.y + s.end.y) / 2) for s in poly.boundary_segments()]
+    points += [(cx + dx, cy + dy) for dx, dy in offsets]
+    for x, y in points:
+        assert point_in_polygon(Point2(x, y), poly) == point_in_polygon_ring_by_ring(Point2(x, y), poly), (x, y)
+
+
+class TestEdgeArrays:
+    def test_empty(self):
+        arrays = edge_arrays([])
+        assert [a.shape for a in arrays] == [(0,)] * 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(valid_polygons(), max_size=4))
+    def test_boundary_segment_order_and_counts(self, polys):
+        ax, ay, bx, by, counts = edge_arrays(polys)
+        want = [
+            (*ring[i], *ring[(i + 1) % len(ring)])
+            for poly in polys
+            for ring in (poly.outer.vertices, *(h.vertices for h in poly.holes))
+            for i in range(len(ring))
+        ]
+        assert all(a.dtype == np.float64 for a in (ax, ay, bx, by))
+        assert list(zip(ax.tolist(), ay.tolist(), bx.tolist(), by.tolist())) == want
+        segs = [(s.start.x, s.start.y, s.end.x, s.end.y) for poly in polys for s in poly.boundary_segments()]
+        assert segs == want
+        assert counts.tolist() == [poly.vertex_count() for poly in polys]
 
 
 class TestSignedArea:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import ndimage
 
-from polyform.geometry import FRAME_TOL, InstanceSet, Point2, Polygon, Ring
+from polyform.geometry import FRAME_TOL, InstanceSet, Point2, Polygon, Ring, point_in_polygon
 from polyform.io import FormatError, TileRecord
 from polyform.raster import (
     DegradeSpec,
@@ -31,6 +31,7 @@ from oracles import (
     square,
 )
 from synth import annulus, random_star_polygon, random_tile, rectangle
+from test_fill import coordinate, free_ring, polygon_in
 
 
 def segments_of(instances):
@@ -507,11 +508,36 @@ class TestRasterGrid:
             g.data[0, 0, 0] = 1
 
 
-def test_polygon_mask_matches_point_in_polygon():
-    from polyform.geometry import point_in_polygon
+@st.composite
+def membership_cases(draw) -> tuple[Polygon, int, int]:
+    """A frame up to 24 x 24 and one polygon: any kind the fill properties
+    draw within 3 px of the frame (half-lattice, quarter-lattice and free
+    vertices, self-intersecting rings, holes touching the outer ring); a
+    free outer ring there with 1-3 free holes that may overlap each other or
+    leave it; or a triangle with a vertex in the frame and two at a distance
+    of 1e8 to 5.3e8, whose edge tolerance reaches half a pixel while its
+    coordinates stay below 2**29."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    box = (-3.0, -3.0, w + 3.0, h + 3.0)
+    kind = draw(st.sampled_from(["fill", "holes", "far"]))
+    if kind == "fill":
+        return draw(polygon_in(h, w, *box, far=False)), h, w
+    if kind == "holes":
+        holes = draw(st.lists(free_ring(*box), min_size=1, max_size=3))
+        return Polygon.from_coords(draw(free_ring(*box)), holes), h, w
+    px, py, dist = draw(coordinate(0, w)), draw(coordinate(0, h)), draw(st.floats(1e8, 5.3e8))
+    theta = draw(st.floats(0.0, 2 * math.pi))
+    phi = theta + draw(st.floats(0.01, math.pi))
+    coords = [(px, py), (px + dist * math.cos(theta), py + dist * math.sin(theta))]
+    coords.append((px + dist * math.cos(phi), py + dist * math.sin(phi)))
+    return Polygon.from_coords(coords), h, w
 
-    poly = annulus(2, 2, 14, 14, 5, 5, 9, 9)
-    mask = polygon_mask(poly, 16, 16)
-    for r in range(16):
-        for c in range(16):
-            assert mask[r, c] == point_in_polygon(Point2(c + 0.5, r + 0.5), poly)
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(membership_cases())
+def test_polygon_mask_matches_point_in_polygon(case):
+    poly, h, w = case
+    mask = polygon_mask(poly, h, w)
+    for r in range(h):
+        for c in range(w):
+            assert mask[r, c] == point_in_polygon(Point2(c + 0.5, r + 0.5), poly), (r, c)
