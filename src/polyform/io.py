@@ -142,7 +142,7 @@ def write_rgf(grid: RasterGrid) -> bytes:
     )
     # on-disk payload is little-endian; a no-op on LE hosts
     payload = np.ascontiguousarray(grid.data).astype(grid.data.dtype.newbyteorder("<"), copy=False)
-    return header + payload.tobytes()
+    return b"".join((header, memoryview(payload)))  # one copy of the payload
 
 
 def read_rgf(data: bytes) -> RasterGrid:
@@ -160,10 +160,10 @@ def read_rgf(data: bytes) -> RasterGrid:
     if math.prod(side for side in (h, w, c) if side) * dtype.itemsize > np.iinfo(np.intp).max:
         raise RgfError(f"grid shape {h}x{w}x{c} too large for an array")  # numpy's limit, even with no elements
     expected = h * w * c * dtype.itemsize
-    payload = data[_HEADER.size :]
-    if len(payload) != expected:
-        raise RgfError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(h, w, c)
+    if len(data) - _HEADER.size != expected:
+        raise RgfError(f"truncated payload: expected {expected} bytes, got {len(data) - _HEADER.size}")
+    # astype makes the one copy of the payload, in native byte order
+    arr = np.frombuffer(data, dtype=dtype.newbyteorder("<"), offset=_HEADER.size).astype(dtype).reshape(h, w, c)
     return RasterGrid(arr)
 
 

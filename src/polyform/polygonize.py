@@ -5,13 +5,16 @@ components, Moore-trace each component's outer and hole boundaries, snap
 the traced pixels onto the detected sub-pixel vertices (keeping, per
 vertex, only its closest boundary pixel), merge near-collinear edges, and
 rescale. A Douglas-Peucker pass over the raw chain doubles as the baseline
-simplifier and as the fallback when vertex snapping degenerates.
+simplifier and as the fallback when vertex snapping degenerates. Tracing
+and snapping run once per tile, over every component at once
+(polygonize_components); the per-chain functions call the same code.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -27,10 +30,11 @@ from .geometry import (
     merge_collinear_edges,
     point_segment_foot,
 )
-from .raster import RasterGrid, bounding_crop, offset_points
+from .raster import RasterGrid, bounding_crop, offset_coords
 
 FOUR = "four"
 EIGHT = "eight"
+_FOUR_STRUCTURE = ndimage.generate_binary_structure(2, 1)
 
 
 class PolygonizeError(ValueError):
@@ -82,8 +86,7 @@ class BoundaryChain:
 
     def centers(self) -> np.ndarray:
         """Chain pixels as float (x, y) centers, shape (n, 2)."""
-        arr = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
-        return np.stack([arr[:, 1] + 0.5, arr[:, 0] + 0.5], axis=1)
+        return np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)[:, ::-1] + 0.5
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def _label_boxes(mask: np.ndarray, connectivity: str) -> tuple[np.ndarray, list[
     """
     if connectivity not in (FOUR, EIGHT):
         raise PolygonizeError(f"unknown connectivity {connectivity!r}")
-    structure = np.ones((3, 3), dtype=bool) if connectivity == EIGHT else ndimage.generate_binary_structure(2, 1)
+    structure = np.ones((3, 3), dtype=bool) if connectivity == EIGHT else _FOUR_STRUCTURE
     labels, count = ndimage.label(mask, structure=structure, output=np.uint32)
     boxes = ndimage.find_objects(labels)
     first = [
@@ -235,35 +238,139 @@ def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]
 
 
 def _trace_window(window: np.ndarray, r0: int, c0: int) -> list[BoundaryChain]:
-    """trace_boundary on one component's bounding-box mask at frame offset (r0, c0).
+    """trace_boundary on one component's bounding-box mask at frame offset (r0, c0)."""
+    chains = _trace_windows([(r0, c0, window)])
+    pixels = list(zip(chains.rows.tolist(), chains.cols.tolist()))
+    b = chains.bounds.tolist()
+    return [BoundaryChain(tuple(pixels[b[k] : b[k + 1]]), "hole" if k else "outer") for k in range(len(b) - 1)]
 
-    The one-pixel background pad is a 4-connected ring through pixel (0, 0),
-    and ndimage.label numbers regions in raster order of their first pixel,
-    so label 1 is the exterior and every other background label is a hole.
-    Each pixel's 8-bit foreground-neighbour code is computed once per window
-    (the pad keeps every foreground pixel's neighbours inside it).
+
+class _Chains(NamedTuple):
+    """The closed boundary chains of several components as flat arrays: chain
+    k is pixels bounds[k]:bounds[k + 1] of (rows, cols), in frame
+    coordinates, and component i has chains firsts[i]:firsts[i + 1], its
+    outer chain first, then its holes in raster order of their first pixels."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    bounds: np.ndarray
+    firsts: list[int]
+
+
+def _shelf_pack(shapes: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int]:
+    """Top-left corners (ys, xs) of (h, w) rectangles packed on shelves,
+    tallest first, and the packing's (height, width). The rectangles of a
+    shelf share its top row, and its first rectangle is its tallest."""
+    width = max(max(w for _h, w in shapes), math.isqrt(sum(h * w for h, w in shapes)))
+    ys, xs = [0] * len(shapes), [0] * len(shapes)
+    y = x = shelf = 0
+    for i in sorted(range(len(shapes)), key=lambda i: -shapes[i][0]):
+        h, w = shapes[i]
+        if x + w > width:
+            y, x, shelf = y + shelf, 0, 0
+        ys[i], xs[i] = y, x
+        x, shelf = x + w, max(shelf, h)
+    return ys, xs, y + shelf, width
+
+
+def _trace_windows(windows: Sequence[tuple[int, int, np.ndarray]]) -> _Chains:
+    """trace_boundary on every component of a tile at once.
+
+    windows holds (r0, c0, mask) per component: its boolean mask on its
+    bounding box at frame offset (r0, c0). Every mask, padded by one
+    background pixel, is copied into one atlas (_shelf_pack), so one
+    neighbour-code pass and one background labelling serve the whole tile,
+    and the work scales with the components' boxes, not with the frame.
+    Each window's pad keeps its pixels' neighbours inside it, so a pixel's
+    8-bit code (bit d set when neighbour d is foreground) is the one a
+    per-window trace computes. Another component's pixels inside a box (a
+    building in a courtyard, a diagonal neighbour under four connectivity)
+    are background in that box's mask, so they belong to its holes as in a
+    per-window trace.
+
+    The pads and the gaps between windows are one 4-connected exterior
+    through atlas pixel (0, 0): the windows of a shelf touch along its top
+    row, each shelf's first window is its tallest and touches the next
+    shelf's first at column 0, and every gap borders some window's pad. So
+    ndimage.label numbers the exterior 1, and every other background region
+    is a hole of the window around it, numbered in raster order of its
+    first pixel, which is also the order within that window. A hole walk
+    starts at the pixel above that first pixel, a component pixel.
     """
-    mask = np.pad(window, 1)
-    h, w = mask.shape
-    codes = np.zeros((h, w), dtype=np.uint8)
+    shapes = [(mask.shape[0] + 2, mask.shape[1] + 2) for _r0, _c0, mask in windows]
+    ys, xs, height, width = _shelf_pack(shapes)
+    atlas = np.zeros((height, width), dtype=bool)
+    owner = np.empty((height, width), dtype=np.int32)  # window index; read only inside windows
+    walks: list[list[tuple[int, int]]] = []
+    for i, ((_r0, _c0, mask), y, x) in enumerate(zip(windows, ys, xs)):
+        h, w = mask.shape
+        atlas[y + 1 : y + h + 1, x + 1 : x + w + 1] = mask
+        owner[y : y + h + 2, x : x + w + 2] = i
+        first = int(np.argmax(mask))  # the raster-first component pixel
+        if not mask.flat[first]:
+            raise PolygonizeError("empty component mask")
+        walks.append([((y + 1 + first // w) * width + x + 1 + first % w, _WEST)])
+    codes = np.zeros((height, width), dtype=np.uint8)
     inner = codes[1:-1, 1:-1]
     for d, (dr, dc) in enumerate(_DIRS):
-        inner |= mask[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc].astype(np.uint8) << d
+        inner |= atlas[1 + dr : height - 1 + dr, 1 + dc : width - 1 + dc].astype(np.uint8) << d
+    background, count = ndimage.label(~atlas, structure=_FOUR_STRUCTURE)
+    if count > 1:
+        flat = background.ravel()
+        at = np.flatnonzero(flat > 1)
+        _, first_at = np.unique(flat[at], return_index=True)
+        starts = at[first_at]  # each hole's raster-first pixel, in label order
+        for i, start in zip(owner.ravel()[starts].tolist(), starts.tolist()):
+            walks[i].append((start - width, _SOUTH))
     code_bytes = codes.tobytes()
-    steps = [dr * w + dc for dr, dc in _DIRS]
+    steps = [dr * width + dc for dr, dc in _DIRS]
+    pixels: list[int] = []
+    bounds, firsts, counts = [0], [0], []
+    for window_walks in walks:
+        begin = len(pixels)
+        for start, back in window_walks:
+            pixels += _moore_trace(code_bytes, steps, start, back)
+            bounds.append(len(pixels))
+        firsts.append(len(bounds) - 1)
+        counts.append(len(pixels) - begin)
+    flat_rows, flat_cols = np.divmod(np.array(pixels, dtype=np.int64), width)
+    rows = flat_rows + np.repeat([r0 - y - 1 for (r0, _c0, _m), y in zip(windows, ys)], counts)
+    cols = flat_cols + np.repeat([c0 - x - 1 for (_r0, c0, _m), x in zip(windows, xs)], counts)
+    return _Chains(rows, cols, np.array(bounds, dtype=np.int64), firsts)
 
-    def chain(start: int, back: int, kind: str) -> BoundaryChain:
-        pixels = _moore_trace(code_bytes, steps, start, back)
-        return BoundaryChain(tuple((p // w + r0 - 1, p % w + c0 - 1) for p in pixels), kind)
 
-    chains = [chain(int(np.flatnonzero(mask.ravel())[0]), _WEST, "outer")]
-    background, _ = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
-    for label, (rows, cols) in enumerate(ndimage.find_objects(background)[1:], start=2):
-        # a hole's raster-first pixel, whose upper neighbour is component foreground
-        hr = rows.start
-        hc = cols.start + int(np.flatnonzero(background[hr, cols] == label)[0])
-        chains.append(chain((hr - 1) * w + hc, _SOUTH, "hole"))
-    return chains
+def _vertex_arrays(
+    heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """extract_vertices as arrays: the (x, y) coordinates, shape (n, 2), and
+    the f64 scores of the vertices, strongest first."""
+    if (heatmap.height, heatmap.width) != (offsets.height, offsets.width):
+        raise PolygonizeError("heatmap and offsets shapes differ")
+    # f32 (f64 for wider inputs) holds every heatmap value exactly, so the
+    # neighbour comparisons match f64 ones; tau_v is compared at f64
+    channel = heatmap.channel()
+    values = np.ascontiguousarray(channel, dtype=np.result_type(channel, np.float32))
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    heat = padded[1:-1, 1:-1]
+    h, w = heat.shape
+    keep = np.greater(heat, np.float64(tau_v))
+    for dr, dc in _DIRS:
+        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]  # value of the (dr, dc) neighbor
+        earlier = dr < 0 or (dr == 0 and dc < 0)
+        keep &= (heat > neighbor) if earlier else (heat >= neighbor)
+    flat = np.flatnonzero(keep)
+    scores = values.ravel()[flat].astype(np.float64)
+    if 0 < top_k < len(flat):
+        # the top_k strongest all score at least the top_k-th largest score
+        contenders = np.flatnonzero(scores >= np.partition(scores, -top_k)[-top_k])
+        flat, scores = flat[contenders], scores[contenders]
+    order = np.lexsort((flat, -scores))[:top_k]
+    rows, cols = np.divmod(flat[order], w)
+    coords = offset_coords(rows, cols, offsets.data)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        Point2(*coords[np.argmin(finite)].tolist())  # raises the GeometryError every Point2 would
+    return coords, scores[order]
 
 
 def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v: float) -> VertexSet:
@@ -273,26 +380,111 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
     with ties broken toward the lower raster index. Each survivor becomes
     the sub-pixel point (c + 0.5 + offset_x, r + 0.5 + offset_y).
     """
-    if (heatmap.height, heatmap.width) != (offsets.height, offsets.width):
-        raise PolygonizeError("heatmap and offsets shapes differ")
-    # f32 (f64 for wider inputs) holds every heatmap value exactly, so the
-    # neighbour comparisons match f64 ones; tau_v is compared at f64
-    channel = heatmap.channel()
-    padded = np.pad(channel.astype(np.result_type(channel, np.float32), copy=False), 1, constant_values=-np.inf)
-    heat = padded[1:-1, 1:-1]
-    h, w = heat.shape
-    keep = np.greater(heat, np.float64(tau_v))
-    for dr, dc in _DIRS:
-        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]  # value of the (dr, dc) neighbor
-        earlier = dr < 0 or (dr == 0 and dc < 0)
-        keep &= (heat > neighbor) if earlier else (heat >= neighbor)
-    rows, cols = np.nonzero(keep)
-    if rows.size == 0:
-        return VertexSet(())
-    scores = heat[rows, cols].astype(np.float64)
-    flat = rows * heat.shape[1] + cols
-    order = np.lexsort((flat, -scores))[:top_k]
-    return VertexSet(tuple(offset_points(rows[order], cols[order], offsets.data, scores[order])))
+    coords, scores = _vertex_arrays(heatmap, offsets, top_k, tau_v)
+    return VertexSet(tuple((Point2(x, y), s) for (x, y), s in zip(coords.tolist(), scores.tolist())))
+
+
+_NONE = np.zeros(0, dtype=np.int64)
+_NONE.flags.writeable = False
+# the 3 x 3 block of cells around a cell, as (row, col) steps
+_BLOCK_ROWS = np.repeat(np.arange(-1, 2), 3)
+_BLOCK_COLS = np.tile(np.arange(-1, 2), 3)
+_ALL_PAIRS = 4096  # up to this many pairs, pair every pixel with every vertex near the chains
+
+
+def _nearest_vertices(pix: np.ndarray, vtx: np.ndarray, tau_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pixel's nearest vertex, the lower vertex index on ties, where it
+    lies closer than tau_d: (pixel, vertex, distance) arrays in pixel order.
+
+    A pixel is compared only with candidate vertices: those in the pixels'
+    box widened by tau_d + 2 and, when that makes many pairs, of these only
+    the ones in the 3 x 3 block of square cells (side tau_d + 2) around the
+    pixel's cell. Either way a pixel's candidates hold every vertex within
+    tau_d + 1 of its centre, a margin no rounding comes near, so a pixel
+    whose nearest vertex lies closer than tau_d finds it, and every vertex
+    tying with it. Squared distances are the einsum of the (pixel - vertex)
+    differences.
+    """
+    side = tau_d + 2.0
+    origin = pix.min(axis=0)
+    # the vertices of the pixels' box widened by side, in cells -2 .. top + 2
+    near = np.flatnonzero(((vtx >= origin - side) & (vtx <= pix.max(axis=0) + side)).all(axis=1))
+    if len(near) == 0:
+        return _NONE, _NONE, _NONE
+    if len(pix) * len(near) <= _ALL_PAIRS:  # few pairs: compare them all, cheaper than the cells
+        diff = pix[:, None, :] - vtx[near][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        pixel = np.arange(len(pix))
+        nearest = d2.argmin(axis=1)  # the first minimum, near being in index order
+        best, match = d2[pixel, nearest], near[nearest]
+    else:
+        pcell = np.floor((pix - origin) / side).astype(np.int64)
+        vcell = np.floor((vtx[near] - origin) / side).astype(np.int64)
+        top = pcell.max(axis=0)
+        key_w = int(top[0]) + 5
+        vkey = (vcell[:, 1] + 2) * key_w + vcell[:, 0] + 2
+        near = near[np.argsort(vkey, kind="stable")]
+        run_of = np.bincount(vkey, minlength=key_w * (int(top[1]) + 5))
+        start_of = np.cumsum(run_of) - run_of
+        query = (((pcell[:, 1] + 2) * key_w + pcell[:, 0] + 2)[:, None] + (_BLOCK_ROWS * key_w + _BLOCK_COLS)).ravel()
+        lo, run = start_of[query], run_of[query]
+        pair_v = near[np.arange(int(run.sum())) + np.repeat(lo - (np.cumsum(run) - run), run)]
+        per_pixel = run.reshape(-1, 9).sum(axis=1)
+        pixel = np.flatnonzero(per_pixel)
+        if len(pixel) == 0:
+            return _NONE, _NONE, _NONE
+        diff = pix[np.repeat(np.arange(len(pix)), per_pixel)] - vtx[pair_v]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        seg = np.cumsum(per_pixel[pixel]) - per_pixel[pixel]
+        best = np.minimum.reduceat(d2, seg)
+        tied = d2 == np.repeat(best, per_pixel[pixel])
+        match = np.minimum.reduceat(np.where(tied, pair_v, len(vtx)), seg)
+    dist = np.sqrt(best)
+    close = dist < tau_d
+    return pixel[close], match[close], dist[close]
+
+
+def _snap_winners(
+    pix: np.ndarray, bounds: np.ndarray | Sequence[int], vtx: np.ndarray, tau_d: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex attraction for every chain at once: (chain, vertex) of each
+    surviving pixel, ordered by chain, then chain order.
+
+    pix holds the (x, y) pixel centres of the chains, split at bounds as in
+    _Chains, and vtx the finite vertex (x, y) coordinates. Every pixel is
+    matched to its nearest vertex (ties to the lower vertex index); per
+    (chain, vertex) only the closest pixel survives (first in chain order on
+    exact ties); survivors at tau_d or farther from their vertex are dropped.
+
+    Each pixel is compared only with the vertices near it
+    (_nearest_vertices), and this gives the winners the all-vertex
+    comparison gives. A pixel with no vertex closer than tau_d is dropped
+    before the per-vertex step: it can never survive the tau_d cut, and it
+    cannot displace a survivor, because a survivor lies closer than tau_d to
+    its vertex and the pixel does not.
+    """
+    if not tau_d > 0 or len(pix) == 0:
+        return _NONE, _NONE
+    pixel, match, dist = _nearest_vertices(pix, vtx, tau_d)
+    if len(pixel) == 0:
+        return _NONE, _NONE
+    chain = np.searchsorted(bounds, pixel, "right") - 1
+    key = chain * len(vtx) + match
+    order = np.lexsort((pixel, dist, key))
+    lead = np.ones(len(order), dtype=bool)
+    lead[1:] = key[order[1:]] != key[order[:-1]]
+    winners = np.sort(order[lead])  # each (chain, vertex)'s closest pixel
+    return chain[winners], match[winners]
+
+
+def _snapped_ring(vtx: np.ndarray, vertex_ids: np.ndarray, merge_angle: float) -> Ring:
+    """The ring through the given vertices with near-collinear joints merged;
+    FallbackRequired when it degenerates."""
+    try:
+        ring = Ring(tuple(Point2(x, y) for x, y in vtx[vertex_ids].tolist()))
+        return merge_collinear_edges(ring, merge_angle)
+    except GeometryError as exc:  # degenerate merge or coincident vertex coordinates
+        raise FallbackRequired(str(exc)) from exc
 
 
 def mav_attract_simplify(
@@ -302,43 +494,23 @@ def mav_attract_simplify(
 
     Every chain pixel is matched to its nearest vertex (ties to the lower
     vertex index); per matched vertex only the closest pixel survives
-    (first in chain order on exact ties); survivors farther than tau_d from
+    (first in chain order on exact ties); survivors at tau_d or farther from
     their vertex are dropped; the rest are replaced by their vertex
     coordinates in chain order and near-collinear joints are merged. Raises
     FallbackRequired when fewer than three vertices remain.
 
-    Only the vertices inside the box of the chain's pixel centres, widened
-    by tau_d on every side, are compared, in index order; this gives the
-    ring the all-vertex comparison gives. A vertex outside the box lies at
-    least tau_d from every chain pixel, so none of its pixels survives the
-    tau_d cut. A pixel it would have claimed instead goes to a vertex in the
-    box, still at least tau_d away, so it cannot displace a winner closer
-    than tau_d. Rounding to nearest is monotone: a vertex the computed box
-    excludes lies at least tau_d beyond the outermost pixel centre in exact
-    arithmetic too, so rounding cannot exclude a vertex that could win.
+    This is _snap_winners on one chain, the pass polygonize_components
+    makes over a whole tile. Each pixel is compared only with the vertices
+    near it, which gives the all-vertex result: a pixel with no vertex
+    closer than tau_d can neither survive the cut nor displace a survivor,
+    which lies closer than tau_d to its vertex.
     """
-    pix = chain.centers()
-    vtx = vertices.coords()
-    near = np.flatnonzero(((vtx >= pix.min(axis=0) - tau_d) & (vtx <= pix.max(axis=0) + tau_d)).all(axis=1))
-    if near.size == 0:
-        raise FallbackRequired("no vertices within tau_d of the chain's box")
-    diff = pix[:, None, :] - vtx[near][None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    nearest = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(len(pix)), nearest])
-    match = near[nearest]
-    order = np.lexsort((np.arange(len(pix)), dist, match))
-    _, starts = np.unique(match[order], return_index=True)  # each vertex's closest pixel
-    winners = np.sort(order[starts])
-    winners = winners[dist[winners] < tau_d]
+    _, winners = _snap_winners(chain.centers(), (0, len(chain)), vertices.coords(), tau_d)
+    if len(winners) == 0:
+        raise FallbackRequired("no vertices within tau_d of the chain")
     if len(winners) < 3:
         raise FallbackRequired(f"{len(winners)} surviving vertices")
-    ring_points = tuple(vertices.points[match[i]][0] for i in winners)
-    try:
-        ring = Ring(ring_points)
-        return merge_collinear_edges(ring, merge_angle)
-    except GeometryError as exc:  # degenerate merge or coincident vertex coordinates
-        raise FallbackRequired(str(exc)) from exc
+    return _snapped_ring(vertices.coords(), winners, merge_angle)
 
 
 def _dp_open(points: list[tuple[float, float]], tolerance: float) -> list[tuple[float, float]]:
@@ -375,17 +547,10 @@ def _distinct_cycle(points: list) -> list:
     return out
 
 
-def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
-    """Classic recursive-split simplification of a closed chain.
-
-    The chain is split at its first pixel and the pixel farthest from it,
-    each half simplified independently. Raises DegenerateRingError when the
-    result has fewer than three distinct vertices.
-    """
-    if tolerance < 0:
-        raise PolygonizeError(f"tolerance must be >= 0, got {tolerance}")
+def _dp_ring(points: list, tolerance: float) -> Ring:
+    """douglas_peucker on a closed chain's (x, y) pixel centres, a list of pairs."""
     # drop consecutive duplicates produced by out-and-back spurs
-    dedup = _distinct_cycle(chain.centers().tolist())
+    dedup = _distinct_cycle(points)
     if len(dedup) < 3:
         raise DegenerateRingError("chain too short to simplify")
     anchor = max(range(len(dedup)), key=lambda i: (dedup[i][0] - dedup[0][0]) ** 2 + (dedup[i][1] - dedup[0][1]) ** 2)
@@ -397,15 +562,16 @@ def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
     return Ring(tuple(Point2(x, y) for x, y in out))
 
 
-def _simplify_chain(chain: BoundaryChain, vertices: VertexSet, cfg: PolygonizeConfig) -> Ring | None:
-    try:
-        return mav_attract_simplify(chain, vertices, cfg.attract_dist, cfg.merge_angle)
-    except FallbackRequired:
-        pass
-    try:
-        return douglas_peucker(chain, cfg.dp_fallback_tolerance)
-    except DegenerateRingError:
-        return None
+def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
+    """Classic recursive-split simplification of a closed chain.
+
+    The chain is split at its first pixel and the pixel farthest from it,
+    each half simplified independently. Raises DegenerateRingError when the
+    result has fewer than three distinct vertices.
+    """
+    if tolerance < 0:
+        raise PolygonizeError(f"tolerance must be >= 0, got {tolerance}")
+    return _dp_ring([(c + 0.5, r + 0.5) for r, c in chain.pixels], tolerance)
 
 
 def polygonize_pipeline(
@@ -435,30 +601,47 @@ def polygonize_components(
 ) -> InstanceSet:
     """polygonize_pipeline on components already labelled by component_crops.
 
-    Trace outer/hole chains, snap every chain onto the detected vertices
-    (Douglas-Peucker fallback when snapping degenerates), assemble polygons
-    scored by the crop's score, and rescale by config.scale. Components
-    whose outer ring fails both simplifiers are dropped (warned); failed
-    hole rings are dropped silently.
+    One pass per tile: _trace_windows traces the outer and hole chains of
+    every component at once, and _snap_winners snaps every chain onto the
+    detected vertices in one vectorised pass over (chain pixel, nearby
+    vertex) pairs. A chain whose snapping keeps fewer than three vertices or
+    degenerates falls back to Douglas-Peucker on its pixel centres. Points
+    and rings are built only for the rings emitted. Polygons are scored by
+    the crop's score and rescaled by config.scale. Components whose outer
+    ring fails both simplifiers are dropped (warned); failed hole rings are
+    dropped silently. Each chain's ring is the one mav_attract_simplify,
+    else douglas_peucker, gives for that chain alone.
     """
     cfg = config or PolygonizeConfig()
     if not crops:
         return InstanceSet()
-    vertices = extract_vertices(heatmap, offsets, cfg.top_k, cfg.vertex_threshold)
+    vtx, _scores = _vertex_arrays(heatmap, offsets, cfg.top_k, cfg.vertex_threshold)
+    chains = _trace_windows([(r0, c0, region) for r0, c0, region, _score in crops])
+    bounds = chains.bounds.tolist()
+    pix = np.stack([chains.cols + 0.5, chains.rows + 0.5], axis=1)
+    winner_chain, winner_vertex = _snap_winners(pix, chains.bounds, vtx, cfg.attract_dist)
+    cuts = np.searchsorted(winner_chain, np.arange(len(bounds))).tolist()
+
+    def ring(k: int) -> Ring | None:
+        if cuts[k + 1] - cuts[k] >= 3:
+            try:
+                return _snapped_ring(vtx, winner_vertex[cuts[k] : cuts[k + 1]], cfg.merge_angle)
+            except FallbackRequired:
+                pass
+        try:
+            return _dp_ring(pix[bounds[k] : bounds[k + 1]].tolist(), cfg.dp_fallback_tolerance)
+        except DegenerateRingError:
+            return None
+
     dropped = 0
     scored: list[ScoredPolygon] = []
-    for r0, c0, region, score in crops:
-        chains = _trace_window(region, r0, c0)
-        outer_ring = _simplify_chain(chains[0], vertices, cfg)
-        if outer_ring is None:
+    for (_r0, _c0, _region, score), first, end in zip(crops, chains.firsts, chains.firsts[1:]):
+        outer = ring(first)
+        if outer is None:
             dropped += 1
             continue
-        holes = []
-        for hole_chain in chains[1:]:
-            hole_ring = _simplify_chain(hole_chain, vertices, cfg)
-            if hole_ring is not None:
-                holes.append(hole_ring)
-        scored.append(ScoredPolygon(Polygon(outer_ring, tuple(holes)), score))
+        holes = tuple(hole for hole in map(ring, range(first + 1, end)) if hole is not None)
+        scored.append(ScoredPolygon(Polygon(outer, holes), score))
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)
     return rescale_polygons(InstanceSet(tuple(scored)), cfg.scale)

@@ -388,25 +388,20 @@ def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
     return VertexGrids(RasterGrid.from_array(heat), RasterGrid(off))
 
 
-def offset_points(
-    rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, scores: np.ndarray
-) -> list[tuple[Point2, float]]:
-    """Scored sub-pixel points of the given pixels in the encode_vertices
-    format: pixel (r, c) with offsets (off_x, off_y) is the point
-    (c + 0.5 + off_x, r + 0.5 + off_y)."""
-    points = []
-    for r, c, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
-        x = c + 0.5 + float(offsets[r, c, 0])
-        y = r + 0.5 + float(offsets[r, c, 1])
-        points.append((Point2(x, y), score))
-    return points
+def offset_coords(rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sub-pixel (x, y) points of the given pixels in the encode_vertices
+    format, shape (n, 2): pixel (r, c) with offsets (off_x, off_y) is the
+    point (c + 0.5 + off_x, r + 0.5 + off_y), summed in f64."""
+    off = offsets[rows, cols].astype(np.float64)
+    return np.stack([cols + 0.5 + off[:, 0], rows + 0.5 + off[:, 1]], axis=1).reshape(-1, 2)
 
 
 def decode_vertices(grids: VertexGrids) -> list[tuple[Point2, float]]:
     """Inverse of encode_vertices: nonzero heatmap pixels back to scored points."""
     heat = grids.heatmap.channel()
     rows, cols = np.nonzero(heat > 0)
-    return offset_points(rows, cols, grids.offsets.data, heat[rows, cols])
+    points = offset_coords(rows, cols, grids.offsets.data).tolist()
+    return [(Point2(x, y), score) for (x, y), score in zip(points, heat[rows, cols].tolist())]
 
 
 def _square_morph(binary: np.ndarray, radius: int, dilate: bool) -> np.ndarray:

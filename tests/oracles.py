@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from polyform.geometry import GeometryError, Polygon, Point2, Ring, merge_collinear_edges
+from polyform.geometry import GeometryError, InstanceSet, Polygon, Point2, Ring, ScoredPolygon, merge_collinear_edges
 from polyform.metrics import MatchResult
 from polyform.raster import RasterGrid, VertexGrids
 
@@ -525,6 +525,29 @@ def snap_ring_loop(pixels, vertices, tau_d, merge_angle):
     except GeometryError:
         return None
     return [tuple(v) for v in ring.vertices]
+
+
+def polygonize_components_per_chain(crops, heatmap, offsets, cfg) -> InstanceSet:
+    """polygonize_components one chain at a time, as the library did before
+    it worked per tile: each component window traced on its own
+    (trace_window_reoriented), each chain snapped on its own against every
+    vertex (snap_ring_loop on the nms_vertices_shifted points), and
+    Douglas-Peucker (douglas_peucker_closed) where snapping degenerates. A
+    component whose outer ring fails both is dropped, as is any such hole.
+    cfg is a PolygonizeConfig."""
+    vertices = [p for p, _s in nms_vertices_shifted(heatmap.channel(), offsets.data, cfg.top_k, cfg.vertex_threshold)]
+    scored = []
+    for r0, c0, region, score in crops:
+        rings = []
+        for pixels, _kind in trace_window_reoriented(region, r0, c0):
+            points = snap_ring_loop(pixels, vertices, cfg.attract_dist, cfg.merge_angle)
+            if points is None:
+                points = douglas_peucker_closed([(c + 0.5, r + 0.5) for r, c in pixels], cfg.dp_fallback_tolerance)
+            rings.append(points)
+        if rings[0] is not None:
+            holes = tuple(Ring.from_coords(h) for h in rings[1:] if h is not None)
+            scored.append(ScoredPolygon(Polygon(Ring.from_coords(rings[0]), holes), score))
+    return InstanceSet(tuple(scored)).scaled(cfg.scale)
 
 
 def vertex_f1_pairs(pred, gt, dist_thr) -> float:

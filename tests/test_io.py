@@ -65,6 +65,13 @@ class TestRgf:
         assert np.array_equal(again.data.view(np.uint32), grid.data.view(np.uint32))
         assert write_rgf(again) == blob
 
+    def test_read_does_not_alias_its_input(self):
+        grid = RasterGrid(np.arange(12, dtype=np.float32).reshape(2, 3, 2))
+        data = bytearray(write_rgf(grid))
+        again = read_rgf(data)
+        data[20:] = bytes(len(data) - 20)
+        assert np.array_equal(again.data, grid.data)
+
     def test_bad_magic(self):
         with pytest.raises(RgfError, match="magic"):
             read_rgf(b"NOPE" + b"\0" * 16)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -12,13 +14,13 @@ from polyform.polygonize import (
     PolygonizeConfig,
     PolygonizeError,
     VertexSet,
-    _simplify_chain,
     _trace_window,
     component_crops,
     connected_components,
     douglas_peucker,
     extract_vertices,
     mav_attract_simplify,
+    polygonize_components,
     polygonize_pipeline,
     rescale_polygons,
     threshold_mask,
@@ -31,6 +33,7 @@ from oracles import (
     label_raster_order,
     max_chain_deviation,
     nms_vertices_shifted,
+    polygonize_components_per_chain,
     snap_ring_loop,
     trace_window_reoriented,
 )
@@ -539,7 +542,14 @@ class TestMavAttractSimplifyOracle:
         far = VertexSet(((Point2(30.0, 30.0), 1.0), (Point2(-6.0, 7.0), 1.0), (Point2(7.0, 17.5), 1.0)))
         with pytest.raises(FallbackRequired, match="no vertices"):
             mav_attract_simplify(chain, far, cfg.attract_dist, cfg.merge_angle)
-        assert _simplify_chain(chain, far, cfg) == douglas_peucker(chain, cfg.dp_fallback_tolerance)
+        # the tile pass, given the two vertices inside the frame, falls back alike
+        heat = np.zeros((40, 40), dtype=np.float32)
+        offs = np.zeros((40, 40, 2), dtype=np.float32)
+        heat[29, 29], offs[29, 29] = 1.0, (0.5, 0.5)
+        heat[17, 6], offs[17, 6] = 1.0, (0.5, 0.0)
+        soft = soft_of(InstanceSet.of([rectangle(2, 2, 12, 12)]), 40, 40)
+        got = polygonize_components(component_crops(soft, 0.5), grid_f32(heat), RasterGrid(offs), cfg)
+        assert got.instances[0].polygon.outer == douglas_peucker(chain, cfg.dp_fallback_tolerance)
 
     def test_coords_built_once_and_read_only(self):
         vs = VertexSet(((Point2(1.0, 2.0), 0.5), (Point2(3.0, 4.0), 0.25)))
@@ -699,6 +709,109 @@ class TestPolygonizePipeline:
         poly = out.instances[0].polygon
         assert signed_area(poly.outer) > 0
         assert all(signed_area(h) < 0 for h in poly.holes)
+
+
+# directions (dx, dy) of length 5 between lattice points
+_FIVE = ((3, 4), (4, 3), (-3, 4), (-4, -3), (5, 0), (0, -5))
+
+
+@st.composite
+def polygonize_tiles(draw):
+    """(soft, heatmap, offsets, attract_dist) of a degraded 64 x 64 tile.
+
+    Sparse tiles hold 1-3 buildings; dense ones a building inside a courtyard
+    and up to 8 more at 1 px separation. On top of the degrade's jitter come
+    1-2 px speckles and pinholes. Vertices sit on the integer corners of the
+    buildings and, where heatmap noise makes NMS peaks all over the tile, on
+    pixel centres (offset 0): a pixel at equal distance from two vertices,
+    and a vertex at equal distance from two pixels, are common. Without the
+    noise a chain meets few vertices, so both ways of pairing pixels with
+    vertices run. One vertex lies exactly attract_dist from the tile's
+    raster-first mask pixel, where the first component's outer chain starts."""
+    side = 64
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        polys = [annulus(2, 2, 30, 30, 8, 8, 24, 24), rectangle(12, 12, 20, 20)]
+        others = random_tile(rng, side, side, n_min=4, n_max=8, min_side=12, max_side=20, separation=1)
+        polys += [sp.polygon for sp in others if min(v.x for v in sp.polygon.outer.vertices) > 31
+                  or min(v.y for v in sp.polygon.outer.vertices) > 31]
+    else:
+        polys = [sp.polygon for sp in random_tile(rng, side, side, n_min=1, n_max=3, min_side=12, max_side=30)]
+    inst = InstanceSet.of(polys)
+    spec = DegradeSpec(
+        dilate_radius=draw(st.integers(0, 1)), erode_radius=draw(st.integers(0, 1)),
+        boundary_jitter_sigma=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        heatmap_noise_sigma=draw(st.sampled_from([0.0, 0.02])),
+        vertex_dropout_prob=0.3, spurious_vertex_count=draw(st.integers(0, 6)), rng_seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # vertices sharing a pixel
+        soft, grids = degrade(rasterize_mask(inst, side, side), encode_vertices(inst, side, side), spec)
+    mask = soft.channel().copy()
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = (int(v) for v in rng.integers(0, side - 1, 2))
+        mask[r, c : c + int(rng.integers(1, 3))] = 0.0 if mask[r, c] > 0.5 else 1.0  # pinhole or speckle
+    heat, offs = grids.heatmap.channel().copy(), grids.offsets.data.copy()
+    attract_dist = draw(st.sampled_from([2.5, 5.0]))
+    if (mask > 0.5).any():
+        r, c = divmod(int(np.argmax(mask > 0.5)), side)
+        dx, dy = draw(st.sampled_from(_FIVE))
+        x, y = c + 0.5 + dx * attract_dist / 5, r + 0.5 + dy * attract_dist / 5
+        vr, vc = int(np.floor(y)), int(np.floor(x))
+        if 0 <= vr < side and 0 <= vc < side:
+            heat[vr, vc] = 1.0
+            offs[vr, vc] = (x - (vc + 0.5), y - (vr + 0.5))
+    return grid_f32(mask), grid_f32(heat), RasterGrid(offs), attract_dist
+
+
+def polygonize_both(soft, heat, offs, cfg):
+    """The per-tile polygonize_components and the per-chain oracle on the same crops."""
+    crops = component_crops(soft, cfg.mask_threshold, cfg.connectivity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dropped components
+        got = polygonize_components(crops, heat, offs, cfg)
+    return got, polygonize_components_per_chain(crops, heat, offs, cfg)
+
+
+class TestPolygonizeComponentsOracle:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(polygonize_tiles(), st.sampled_from([FOUR, EIGHT]))
+    def test_equals_per_chain_oracle_on_degraded_tiles(self, tile, connectivity):
+        soft, heat, offs, attract_dist = tile
+        cfg = PolygonizeConfig(connectivity=connectivity, attract_dist=attract_dist)
+        got, want = polygonize_both(soft, heat, offs, cfg)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    def test_equals_per_chain_oracle_on_dense_benchmark_tile(self, connectivity):
+        rng = np.random.default_rng(14)
+        inst = random_tile(rng, 256, 256, n_min=25, n_max=30, min_side=12, max_side=36, separation=1)
+        spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, vertex_dropout_prob=0.3,
+                           spurious_vertex_count=40, heatmap_noise_sigma=0.02, rng_seed=14)
+        soft, grids = degrade(rasterize_mask(inst, 256, 256), encode_vertices(inst, 256, 256), spec)
+        got, want = polygonize_both(soft, grids.heatmap, grids.offsets, PolygonizeConfig(connectivity=connectivity))
+        assert len(got) >= 20
+        assert repr(got) == repr(want)
+
+    def test_pinhole_near_three_vertices_keeps_its_hole(self):
+        # a one-pixel hole traces to a 4-pixel diamond; three vertices 2 px
+        # off three of its pixels snap it to a triangle, so no rule on chain
+        # size alone may drop such a chain
+        mask = np.zeros((26, 26), dtype=np.float32)
+        mask[2:24, 2:24] = 1.0
+        mask[12, 12] = 0.0
+        heat = np.zeros((26, 26), dtype=np.float32)
+        for r, c in ((9, 12), (12, 9), (12, 15)):
+            heat[r, c] = 1.0
+        offs = RasterGrid(np.zeros((26, 26, 2), dtype=np.float32))
+        crops = component_crops(grid_f32(mask), 0.5)
+        (hole_chain,) = _trace_window(crops[0][2], crops[0][0], crops[0][1])[1:]
+        assert len(set(hole_chain.pixels)) <= 6
+        got, want = polygonize_both(grid_f32(mask), grid_f32(heat), offs, PolygonizeConfig())
+        (hole,) = got.instances[0].polygon.holes
+        assert sorted(tuple(v) for v in hole.vertices) == [(9.5, 12.5), (12.5, 9.5), (15.5, 12.5)]
+        assert got == want
 
 
 class TestRescalePolygons:
