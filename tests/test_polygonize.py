@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 
+import polyform.polygonize as polygonize_module
 from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
 from polyform.polygonize import (
     EIGHT,
@@ -15,6 +16,8 @@ from polyform.polygonize import (
     PolygonizeError,
     VertexSet,
     _trace_window,
+    _trace_windows,
+    _vertex_arrays,
     component_crops,
     connected_components,
     douglas_peucker,
@@ -511,7 +514,30 @@ def snap_or_none(chain, coords, tau_d, merge_angle):
         return None
 
 
+def nearest_on_both_paths(pix, vtx, tau_d):
+    """_nearest_vertices with the all-pairs path forced, then the cell path."""
+    out = []
+    for limit in (np.inf, -1):
+        saved, polygonize_module._ALL_PAIRS = polygonize_module._ALL_PAIRS, limit
+        try:
+            out.append(polygonize_module._nearest_vertices(pix, vtx, tau_d))
+        finally:
+            polygonize_module._ALL_PAIRS = saved
+    return out
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestMavAttractSimplifyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(chains_and_vertices())
+    def test_both_pairing_paths_agree(self, chain_vertices):
+        chain, tau_d, coords = chain_vertices
+        vtx = np.array(coords, dtype=np.float64).reshape(-1, 2)
+        assert same_arrays(*nearest_on_both_paths(chain.centers(), vtx, tau_d))
+
     @settings(max_examples=300, deadline=None)
     @given(chains_and_vertices(), st.sampled_from([0.0, 10.0, 45.0]))
     def test_equals_winners_loop(self, chain_vertices, merge_angle):
@@ -782,6 +808,19 @@ class TestPolygonizeComponentsOracle:
         cfg = PolygonizeConfig(connectivity=connectivity, attract_dist=attract_dist)
         got, want = polygonize_both(soft, heat, offs, cfg)
         assert repr(got) == repr(want)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(polygonize_tiles(), st.sampled_from([FOUR, EIGHT]))
+    def test_both_pairing_paths_agree_on_degraded_tiles(self, tile, connectivity):
+        soft, heat, offs, attract_dist = tile
+        crops = component_crops(soft, 0.5, connectivity)
+        if not crops:
+            return
+        chains = _trace_windows([(r0, c0, region) for r0, c0, region, _score in crops])
+        pix = np.stack([chains.cols + 0.5, chains.rows + 0.5], axis=1)
+        cfg = PolygonizeConfig()
+        vtx, _scores = _vertex_arrays(heat, offs, cfg.top_k, cfg.vertex_threshold)
+        assert same_arrays(*nearest_on_both_paths(pix, vtx, attract_dist))
 
     @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
     def test_equals_per_chain_oracle_on_dense_benchmark_tile(self, connectivity):
