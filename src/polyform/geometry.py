@@ -367,6 +367,37 @@ def edge_arrays(polys: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.nd
     return ax, ay, bx, by, counts
 
 
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of the inclusive int64 ranges [lo[i], hi[i]] (none where
+    hi[i] < lo[i]), as (range index i, value) arrays in range order."""
+    counts = np.maximum(hi - lo + 1, 0)
+    item = np.repeat(np.arange(len(counts)), counts)
+    return item, np.arange(item.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of points a[i], b[j] ((n, 2) and (m, 2) arrays of finite
+    (x, y)) whose x coordinates lie within r of each other, as index arrays
+    (i, j) with i ascending; a superset of the pairs within distance r.
+
+    b is sorted by x once (stable argsort), two searchsorted calls find each
+    a[i]'s window [x - r, x + r] in it, and expand_ranges lists the windows,
+    so the work grows with the pairs returned, not with n * m.
+
+    The window ends are rounded, so a caller that wants every pair whose
+    computed distance is at most d passes r = d + 1. While coordinates and r
+    stay below 2**50 in magnitude, each rounding (of x - r and x + r, and of
+    the x difference inside the caller's distance) is at most 1/16: a margin
+    of 1 is one no rounding comes near.
+    """
+    order = np.argsort(b[:, 0], kind="stable")
+    bx = b[order, 0]
+    lo = np.searchsorted(bx, a[:, 0] - r, "left")
+    hi = np.searchsorted(bx, a[:, 0] + r, "right") - 1
+    i, k = expand_ranges(lo, hi)
+    return i, order[k]
+
+
 def edge_tolerance(ax, ay, bx, by, len2) -> tuple[np.ndarray, np.ndarray]:
     """(scale, tol) of edges a -> b with squared length len2: scale =
     max(1, |ax|, |ay|, |bx|, |by|) and the on_edge tolerance tol =

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon, edge_arrays, project_points_to_segments
+from .geometry import InstanceSet, Polygon, edge_arrays, near_pairs, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crops, union_of_crops
@@ -32,6 +32,11 @@ IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in rang
 
 class MetricsError(ValueError):
     """Invalid metric input."""
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise MetricsError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,7 @@ class EvalConfig:
         if not 0.0 <= self.iou_thr <= 1.0:
             raise MetricsError(f"iou_thr must be in [0, 1], got {self.iou_thr}")
         for name in ("vertex_dist_thr", "boundary_d_frac"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise MetricsError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,7 @@ def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
     with d = max(1, round(d_frac * image diagonal))."""
     if (a.height, a.width) != (b.height, b.width):
         raise MetricsError(f"shape mismatch {a.height}x{a.width} vs {b.height}x{b.width}")
-    if d_frac <= 0:
-        raise MetricsError(f"d_frac must be > 0, got {d_frac}")
+    _check_positive("d_frac", d_frac)
     d = _band_distance(a.height, a.width, d_frac)
     return _iou_counts(_inner_band(_binary(a), d), _inner_band(_binary(b), d))
 
@@ -309,6 +312,7 @@ def coco_ap_ar_from_crops(
         raise MetricsError(f"tile ids do not align: {sorted(set(preds) ^ set(gts))}")
     if mode not in ("mask", "boundary"):
         raise MetricsError(f"unknown mode {mode!r}")
+    _check_positive("d_frac", d_frac)
     tables = []
     for tile in sorted(gts):
         band = _band_distance(*sizes[tile], d_frac) if mode == "boundary" else 0
@@ -357,18 +361,20 @@ def coco_ap_ar(
 
 def vertex_f1(pred: VertexSet, gt: VertexSet, dist_thr: float = 5.0) -> float:
     """F1 of a greedy one-to-one vertex matching by ascending distance; a
-    pair matches when its distance is <= dist_thr."""
-    if dist_thr <= 0:
-        raise MetricsError(f"dist_thr must be > 0, got {dist_thr}")
+    pair matches when its distance is <= dist_thr. Only the pairs of
+    geometry.near_pairs(pred, gt, dist_thr + 1) are measured."""
+    _check_positive("dist_thr", dist_thr)
     if len(pred) == 0 and len(gt) == 0:
         return 1.0
     if len(pred) == 0 or len(gt) == 0:
         return 0.0
     p = pred.coords()
     g = gt.coords()
-    d = np.sqrt(((p[:, None, :] - g[None, :, :]) ** 2).sum(axis=2))
-    rows, cols = np.nonzero(d <= dist_thr)
-    order = np.lexsort((cols, rows, d[rows, cols]))  # by distance, then pred, then gt index
+    rows, cols = near_pairs(p, g, dist_thr + 1.0)
+    d = np.sqrt(((p[rows] - g[cols]) ** 2).sum(axis=1))
+    within = d <= dist_thr
+    rows, cols, d = rows[within], cols[within], d[within]
+    order = np.lexsort((cols, rows, d))  # by distance, then pred, then gt index
     used_p = [False] * len(p)
     used_g = [False] * len(g)
     matches = 0

@@ -28,6 +28,7 @@ from .geometry import (
     Ring,
     ScoredPolygon,
     merge_collinear_edges,
+    near_pairs,
     point_segment_foot,
 )
 from .raster import RasterGrid, bounding_crop, offset_coords
@@ -65,12 +66,14 @@ class PolygonizeConfig:
             raise PolygonizeError(f"vertex_threshold {self.vertex_threshold} outside (0, 1)")
         if self.top_k < 1:
             raise PolygonizeError(f"top_k must be >= 1, got {self.top_k}")
-        if self.attract_dist <= 0:
-            raise PolygonizeError(f"attract_dist must be > 0, got {self.attract_dist}")
+        if not 0 < self.attract_dist < math.inf:
+            raise PolygonizeError(f"attract_dist must be finite and > 0, got {self.attract_dist}")
         if self.connectivity not in (FOUR, EIGHT):
             raise PolygonizeError(f"unknown connectivity {self.connectivity!r}")
-        if self.merge_angle < 0 or self.dp_fallback_tolerance < 0 or self.scale <= 0:
-            raise PolygonizeError("merge_angle/dp_fallback_tolerance/scale out of range")
+        if not (0 <= self.merge_angle < math.inf and 0 <= self.dp_fallback_tolerance < math.inf):
+            raise PolygonizeError("merge_angle and dp_fallback_tolerance must be finite and >= 0")
+        if not 0 < self.scale < math.inf:
+            raise PolygonizeError(f"scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -386,69 +389,30 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
 
 _NONE = np.zeros(0, dtype=np.int64)
 _NONE.flags.writeable = False
-# the 3 x 3 block of cells around a cell, as (row, col) steps
-_BLOCK_ROWS = np.repeat(np.arange(-1, 2), 3)
-_BLOCK_COLS = np.tile(np.arange(-1, 2), 3)
-# Up to this many (pixel, near vertex) pairs, compare them all; above it, use
-# the cells. Timed on both paths with the chains of 12 benchmark tiles (Xeon,
-# numpy 2.4): all-pairs was faster in 110 of 111 calls below 4096 pairs, the
-# cells in 18 of 26 from 4096 to 8192, and the summed time is flat (within
-# 0.1%) for any limit from 3600 to 6000. Single chains fall below it (at most
-# 2509 pairs) and whole tiles above it (at least 5598) on every workload.
-_ALL_PAIRS = 4096
 
 
 def _nearest_vertices(pix: np.ndarray, vtx: np.ndarray, tau_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each pixel's nearest vertex, the lower vertex index on ties, where it
     lies closer than tau_d: (pixel, vertex, distance) arrays in pixel order.
 
-    A pixel is compared only with candidate vertices: those in the pixels'
-    box widened by tau_d + 2 and, when that makes more than _ALL_PAIRS
-    pairs, of these only the ones in the 3 x 3 block of square cells (side
-    tau_d + 2) around the pixel's cell. Either way a pixel's candidates hold
-    every vertex within tau_d + 1 of its centre, a margin no rounding comes
-    near, so a pixel whose nearest vertex lies closer than tau_d finds it,
-    and every vertex tying with it: the two paths give the same result, and
-    _ALL_PAIRS only picks the faster. Squared distances are the einsum of
-    the (pixel - vertex) differences.
+    A pixel is compared only with the vertices of geometry.near_pairs(pix,
+    vtx, tau_d + 1): they hold every vertex closer than tau_d, so a pixel
+    whose nearest vertex lies closer than tau_d finds it and every vertex
+    tying with it, and any other pixel is cut. Squared distances are the
+    einsum of the (pixel - vertex) differences.
     """
-    side = tau_d + 2.0
-    origin = pix.min(axis=0)
-    # the vertices of the pixels' box widened by side, in cells -2 .. top + 2
-    near = np.flatnonzero(((vtx >= origin - side) & (vtx <= pix.max(axis=0) + side)).all(axis=1))
-    if len(near) == 0:
+    pixel, vertex = near_pairs(pix, vtx, tau_d + 1.0)
+    if len(pixel) == 0:
         return _NONE, _NONE, _NONE
-    if len(pix) * len(near) <= _ALL_PAIRS:  # few pairs: compare them all, cheaper than the cells
-        diff = pix[:, None, :] - vtx[near][None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        pixel = np.arange(len(pix))
-        nearest = d2.argmin(axis=1)  # the first minimum, near being in index order
-        best, match = d2[pixel, nearest], near[nearest]
-    else:
-        pcell = np.floor((pix - origin) / side).astype(np.int64)
-        vcell = np.floor((vtx[near] - origin) / side).astype(np.int64)
-        top = pcell.max(axis=0)
-        key_w = int(top[0]) + 5
-        vkey = (vcell[:, 1] + 2) * key_w + vcell[:, 0] + 2
-        near = near[np.argsort(vkey, kind="stable")]
-        run_of = np.bincount(vkey, minlength=key_w * (int(top[1]) + 5))
-        start_of = np.cumsum(run_of) - run_of
-        query = (((pcell[:, 1] + 2) * key_w + pcell[:, 0] + 2)[:, None] + (_BLOCK_ROWS * key_w + _BLOCK_COLS)).ravel()
-        lo, run = start_of[query], run_of[query]
-        pair_v = near[np.arange(int(run.sum())) + np.repeat(lo - (np.cumsum(run) - run), run)]
-        per_pixel = run.reshape(-1, 9).sum(axis=1)
-        pixel = np.flatnonzero(per_pixel)
-        if len(pixel) == 0:
-            return _NONE, _NONE, _NONE
-        diff = pix[np.repeat(np.arange(len(pix)), per_pixel)] - vtx[pair_v]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        seg = np.cumsum(per_pixel[pixel]) - per_pixel[pixel]
-        best = np.minimum.reduceat(d2, seg)
-        tied = d2 == np.repeat(best, per_pixel[pixel])
-        match = np.minimum.reduceat(np.where(tied, pair_v, len(vtx)), seg)
+    diff = pix[pixel] - vtx[vertex]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    seg = np.flatnonzero(np.diff(pixel, prepend=-1))  # each pixel's first pair
+    best = np.minimum.reduceat(d2, seg)
+    tied = d2 == np.repeat(best, np.diff(seg, append=len(d2)))
+    match = np.minimum.reduceat(np.where(tied, vertex, len(vtx)), seg)
     dist = np.sqrt(best)
     close = dist < tau_d
-    return pixel[close], match[close], dist[close]
+    return pixel[seg][close], match[close], dist[close]
 
 
 def _snap_winners(

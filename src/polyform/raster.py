@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import InstanceSet, Point2, Polygon, edge_arrays, edge_tolerance, in_frame, on_edge, project_points_to_segments
+from .geometry import (
+    InstanceSet, Point2, Polygon, edge_arrays, edge_tolerance, expand_ranges, in_frame, on_edge, project_points_to_segments,
+)
 
 _ALLOWED_DTYPES = {
     np.dtype(np.uint8): "u8",
@@ -126,14 +128,6 @@ _FILL_MIN_LEN2 = 1e-100
 _FILL_MAX_SCALE = 2.0**29
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every integer of the inclusive int64 ranges [lo[i], hi[i]] (none where
-    hi[i] < lo[i]), as (range index i, value) arrays in range order."""
-    counts = np.maximum(hi - lo + 1, 0)
-    item = np.repeat(np.arange(len(counts)), counts)
-    return item, np.arange(item.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-
-
 def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[int, int, np.ndarray]]:
     """polygon_mask of each polygon cropped to (r0, c0, crop): crop[i, j] is
     frame pixel (r0 + i, c0 + j), and the crop spans the polygon's vertex
@@ -185,7 +179,7 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
     e_r0, e_rows = r0[of], rows[of]
     lo = np.clip(np.floor(np.minimum(ay, by)), e_r0, e_r0 + e_rows)
     hi = np.clip(np.floor(np.maximum(ay, by)), e_r0 - 1, e_r0 + e_rows - 1)
-    e, r = _ranges(lo.astype(np.int64), hi.astype(np.int64))
+    e, r = expand_ranges(lo.astype(np.int64), hi.astype(np.int64))
     y = r + 0.5
     crossing = (ay[e] > y) != (by[e] > y)
     e, r, y = e[crossing], r[crossing], y[crossing]
@@ -209,7 +203,7 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
     v0, vn = np.where(along_x, e_r0, c0[of]), np.where(along_x, e_rows, cols[of])
     lo = np.clip(np.floor(np.minimum(ua, ub)) - 1, u0, u0 + un)
     hi = np.where(narrow, np.clip(np.floor(np.maximum(ua, ub)) + 1, u0 - 1, u0 + un - 1), lo - 1)
-    k, u = _ranges(lo.astype(np.int64), hi.astype(np.int64))
+    k, u = expand_ranges(lo.astype(np.int64), hi.astype(np.int64))
     line = np.floor(va[k] + (u + 0.5 - ua[k]) * ((vb - va) / (ub - ua))[k])
     v = np.clip(line + np.array([[-1.0], [0.0], [1.0]]), v0[k], (v0 + vn - 1)[k]).astype(np.int64)
     r, c = np.where(along_x[k], v, u), np.where(along_x[k], u, v)
@@ -226,11 +220,6 @@ def polygon_mask_crops(polys: Sequence[Polygon], h: int, w: int) -> list[tuple[i
         (top, left, filled[start : start + n_rows * n_cols].reshape(n_rows, n_cols))
         for top, left, n_rows, n_cols, start in zip(*(arr.tolist() for arr in (r0, c0, rows, cols, base)))
     ]
-
-
-def polygon_mask_crop(poly: Polygon, h: int, w: int) -> tuple[int, int, np.ndarray]:
-    """polygon_mask_crops of the one polygon."""
-    return polygon_mask_crops([poly], h, w)[0]
 
 
 def bounding_crop(mask: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -254,7 +243,7 @@ def union_of_crops(crops: Iterable[tuple[int, int, np.ndarray]], h: int, w: int)
 
 def polygon_mask(poly: Polygon, h: int, w: int) -> np.ndarray:
     """Boolean mask of pixel centers inside the polygon (boundary inclusive)."""
-    return union_of_crops([polygon_mask_crop(poly, h, w)], h, w)
+    return union_of_crops(polygon_mask_crops([poly], h, w), h, w)
 
 
 def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:

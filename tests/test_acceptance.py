@@ -47,7 +47,7 @@ from polyform.raster import (
     encode_afm,
     encode_vertices,
     polygon_mask,
-    polygon_mask_crop,
+    polygon_mask_crops,
     rasterize_mask,
 )
 
@@ -91,7 +91,7 @@ def test_criterion_1_roundtrip_reversibility(corpus):
     elapsed = time.perf_counter() - t0
 
     gt_masks = {
-        rec.tile_id: [polygon_mask_crop(sp.polygon, TILE, TILE) for sp in rec.instances]
+        rec.tile_id: polygon_mask_crops([sp.polygon for sp in rec.instances], TILE, TILE)
         for rec in corpus
     }
     mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {rec.tile_id: rec.image_size for rec in corpus})[0]

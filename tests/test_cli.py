@@ -277,6 +277,11 @@ BAD_FLAG_VALUES = [
     (["encode", "{gt}", "{tmp}/rasters", "--size", "512x511", "--scale", "2"], "rasters"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--size", "0x32"], "r.json"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--size", "512x510", "--scale", "4"], "r.json"),
+    (["polygonize", "{tmp}", "{tmp}/o.geojson", "--attract-dist", "nan"], "o.geojson"),
+    (["polygonize", "{tmp}", "{tmp}/o.geojson", "--attract-dist", "inf"], "o.geojson"),
+    (["polygonize", "{tmp}", "{tmp}/o.geojson", "--merge-angle", "inf"], "o.geojson"),
+    (["polygonize", "{tmp}", "{tmp}/o.geojson", "--dp-fallback-tolerance", "nan"], "o.geojson"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--attract-dist", "nan"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "nan"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--iou-thr", "1.5"], "r.json"),
     (["eval", "{gt}", "{gt}", "{tmp}/r.json", "--vertex-dist-thr", "0"], "r.json"),

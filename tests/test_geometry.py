@@ -17,6 +17,7 @@ from polyform.geometry import (
     classify_vertices,
     edge_arrays,
     merge_collinear_edges,
+    near_pairs,
     nearest_segment,
     point_in_polygon,
     project_point_to_segment,
@@ -309,6 +310,39 @@ class TestEdgeArrays:
         segs = [(s.start.x, s.start.y, s.end.x, s.end.y) for poly in polys for s in poly.boundary_segments()]
         assert segs == want
         assert counts.tolist() == [poly.vertex_count() for poly in polys]
+
+
+@st.composite
+def near_pair_sets(draw):
+    """Two point sets on a common offset up to 1e15 and a radius r. Points
+    lie on the half-pixel lattice or anywhere in a 20-pixel square; some
+    points of b are a point of a moved by exactly r (along an axis, or on a
+    3-4-5 triangle)."""
+    r = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0]) | st.floats(0.01, 20))
+    coord = st.integers(0, 40).map(lambda k: k / 2) | st.floats(0, 20)
+    a = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    b = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    steps = [(r, 0.0), (-r, 0.0), (0.0, r), (0.6 * r, 0.8 * r), (-0.8 * r, -0.6 * r)]
+    for (x, y), (dx, dy) in draw(st.lists(st.tuples(st.sampled_from(a), st.sampled_from(steps)), max_size=4)) if a else []:
+        b.append((x + dx, y + dy))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e15]) | st.floats(-1e15, 1e15))
+    return np.array(a).reshape(-1, 2) + offset, np.array(b).reshape(-1, 2) + offset, r
+
+
+class TestNearPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(near_pair_sets())
+    def test_every_pair_within_r_with_i_ascending(self, sets):
+        a, b, r = sets
+        i, j = near_pairs(a, b, r + 1)
+        assert np.all(np.diff(i) >= 0)
+        got = list(zip(i.tolist(), j.tolist()))
+        # the pairs whose b x lies in a's rounded window, each once
+        lo, hi = a[:, 0, None] - (r + 1), a[:, 0, None] + (r + 1)
+        window = (lo <= b[None, :, 0]) & (b[None, :, 0] <= hi)
+        assert sorted(got) == list(zip(*(k.tolist() for k in np.nonzero(window))))
+        d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        assert set(zip(*(k.tolist() for k in np.nonzero(d <= r)))) <= set(got)
 
 
 class TestSignedArea:

@@ -19,6 +19,7 @@ from polyform.metrics import (
     boundary_iou,
     ciou,
     coco_ap_ar,
+    coco_ap_ar_from_crops,
     evaluate_corpus,
     iou_mask,
     match_instances,
@@ -320,6 +321,9 @@ def vset(coords):
 
 
 HALF_LATTICE = st.tuples(st.integers(0, 24).map(lambda k: k / 2), st.integers(0, 24).map(lambda k: k / 2))
+# vertex F1 inputs: the half-pixel lattice, free floats on the same square,
+# and points far from everything else
+F1_POINT = HALF_LATTICE | st.tuples(st.floats(0, 12), st.floats(0, 12)) | st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15))
 
 
 class TestVertexF1:
@@ -344,9 +348,9 @@ class TestVertexF1:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(HALF_LATTICE, max_size=14),
-        st.lists(HALF_LATTICE, max_size=14),
-        st.sampled_from([0.5, 1.0, 2.5, 5.0]),
+        st.lists(F1_POINT, max_size=14),
+        st.lists(F1_POINT, max_size=14),
+        st.sampled_from([0.5, 1.0, 2.5, 5.0]) | st.floats(0.01, 20),
         st.data(),
     )
     def test_equals_all_pairs_tuple_sort(self, pred, gt, dist_thr, data):
@@ -478,6 +482,25 @@ def test_math_sanity_translated_square_by_hand():
 def test_eval_config_rejects_out_of_range(field, value):
     with pytest.raises(MetricsError, match=field):
         EvalConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", ["vertex_f1", "boundary_iou", "coco_ap_ar", "coco_ap_ar_from_crops"])
+def test_metric_parameters_finite_and_positive(call, value):
+    square = rectangle(1, 1, 6, 6)
+    crops = {"a": [(1, 1, np.ones((5, 5), dtype=bool))]}
+    calls = {
+        "vertex_f1": lambda: vertex_f1(vset([(1, 1)]), vset([(1, 1)]), value),
+        "boundary_iou": lambda: boundary_iou(grid_of(np.ones((4, 4))), grid_of(np.ones((4, 4))), value),
+        "coco_ap_ar": lambda: coco_ap_ar(
+            {"a": InstanceSet.of([square])}, {"a": InstanceSet.of([square])}, {"a": (8, 8)}, mode="boundary", d_frac=value
+        ),
+        "coco_ap_ar_from_crops": lambda: coco_ap_ar_from_crops(
+            {"a": [(crop, 1.0) for crop in crops["a"]]}, crops, {"a": (8, 8)}, mode="boundary", d_frac=value
+        ),
+    }
+    with pytest.raises(MetricsError, match="must be finite and > 0"):
+        calls[call]()
 
 
 def test_eval_config_accepts_closed_iou_range():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 
-import polyform.polygonize as polygonize_module
 from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
 from polyform.polygonize import (
     EIGHT,
@@ -16,8 +15,6 @@ from polyform.polygonize import (
     PolygonizeError,
     VertexSet,
     _trace_window,
-    _trace_windows,
-    _vertex_arrays,
     component_crops,
     connected_components,
     douglas_peucker,
@@ -494,7 +491,8 @@ def chains_and_vertices(draw):
     """A traced chain, a snapping distance tau_d and vertices on the
     half-pixel lattice of its frame widened by tau_d + 2 px on every side, so
     that equal pixel-to-vertex distances, repeated vertices and vertices
-    outside the chain's candidate box (sometimes all of them) are common."""
+    outside every pixel's near_pairs window (sometimes all of them) are
+    common."""
     mask = draw(trace_masks().filter(lambda m: m.any()))
     chains = [c for _crop, _r0, _c0, cs in traced_chains(mask, EIGHT) for c in cs]
     chain = draw(st.sampled_from(chains))
@@ -514,30 +512,7 @@ def snap_or_none(chain, coords, tau_d, merge_angle):
         return None
 
 
-def nearest_on_both_paths(pix, vtx, tau_d):
-    """_nearest_vertices with the all-pairs path forced, then the cell path."""
-    out = []
-    for limit in (np.inf, -1):
-        saved, polygonize_module._ALL_PAIRS = polygonize_module._ALL_PAIRS, limit
-        try:
-            out.append(polygonize_module._nearest_vertices(pix, vtx, tau_d))
-        finally:
-            polygonize_module._ALL_PAIRS = saved
-    return out
-
-
-def same_arrays(a, b):
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 class TestMavAttractSimplifyOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(chains_and_vertices())
-    def test_both_pairing_paths_agree(self, chain_vertices):
-        chain, tau_d, coords = chain_vertices
-        vtx = np.array(coords, dtype=np.float64).reshape(-1, 2)
-        assert same_arrays(*nearest_on_both_paths(chain.centers(), vtx, tau_d))
-
     @settings(max_examples=300, deadline=None)
     @given(chains_and_vertices(), st.sampled_from([0.0, 10.0, 45.0]))
     def test_equals_winners_loop(self, chain_vertices, merge_angle):
@@ -555,7 +530,7 @@ class TestMavAttractSimplifyOracle:
         ],
     )
     def test_vertex_on_the_widened_box_edge(self, tau_d, x, kept):
-        # pixel centres span x in [2.5, 21.5]; the box edge is at 21.5 + tau_d
+        # pixel centres span x in [2.5, 21.5]; x is tau_d, or just under it, past the last
         chain = square_chain(2, 2, 22, 22, 40, 40)
         coords = [(2.5, 2.5), (21.5, 2.5), (21.5, 21.5), (2.5, 21.5), (x, 12.5)]
         got = snap_or_none(chain, coords, tau_d, 0.0)
@@ -809,19 +784,6 @@ class TestPolygonizeComponentsOracle:
         got, want = polygonize_both(soft, heat, offs, cfg)
         assert repr(got) == repr(want)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(polygonize_tiles(), st.sampled_from([FOUR, EIGHT]))
-    def test_both_pairing_paths_agree_on_degraded_tiles(self, tile, connectivity):
-        soft, heat, offs, attract_dist = tile
-        crops = component_crops(soft, 0.5, connectivity)
-        if not crops:
-            return
-        chains = _trace_windows([(r0, c0, region) for r0, c0, region, _score in crops])
-        pix = np.stack([chains.cols + 0.5, chains.rows + 0.5], axis=1)
-        cfg = PolygonizeConfig()
-        vtx, _scores = _vertex_arrays(heat, offs, cfg.top_k, cfg.vertex_threshold)
-        assert same_arrays(*nearest_on_both_paths(pix, vtx, attract_dist))
-
     @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
     def test_equals_per_chain_oracle_on_dense_benchmark_tile(self, connectivity):
         rng = np.random.default_rng(14)
@@ -890,8 +852,16 @@ class TestPolygonizeConfig:
             {"top_k": 0},
             {"vertex_threshold": 1.2},
             {"attract_dist": 0.0},
+            {"attract_dist": float("nan")},
+            {"attract_dist": float("inf")},
             {"connectivity": "six"},
             {"scale": 0.0},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+            {"merge_angle": float("nan")},
+            {"merge_angle": float("inf")},
+            {"dp_fallback_tolerance": float("nan")},
+            {"dp_fallback_tolerance": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
