@@ -13,12 +13,8 @@ from .geometry import (
     Polygon,
     Ring,
     ScoredPolygon,
-    VertexClassification,
-    classify_vertices,
     merge_collinear_edges,
-    nearest_segment,
     point_in_polygon,
-    project_point_to_segment,
     signed_area,
 )
 from .io import SvgStyle, TileRecord, read_coco_annotations, read_geojson, read_rgf, render_svg, write_coco_annotations, write_geojson, write_rgf
@@ -40,7 +36,6 @@ from .raster import (
     DegradeSpec,
     RasterGrid,
     VertexGrids,
-    decode_vertices,
     degrade,
     downscale_targets,
     encode_afm,

@@ -184,17 +184,6 @@ class InstanceSet:
         return InstanceSet(tuple(ScoredPolygon(sp.polygon.scaled(fx, fy), sp.score) for sp in self))
 
 
-@dataclass(frozen=True)
-class VertexClassification:
-    """Partition of polygon vertex indices into convex and concave sets.
-
-    Indices enumerate the outer ring first, then each hole ring in order.
-    """
-
-    convex: frozenset[int]
-    concave: frozenset[int]
-
-
 def signed_area(ring: Ring) -> float:
     """Shoelace area of a ring; positive iff the ring is CCW."""
     vs = ring.vertices
@@ -235,80 +224,6 @@ def point_segment_foot(
     fx = ax + t * ex
     fy = ay + t * ey
     return fx, fy, t, math.hypot(px - fx, py - fy)
-
-
-def project_point_to_segment(p: Point2, seg: LineSegment) -> tuple[Point2, float, float]:
-    """Project a point onto a segment.
-
-    Returns (foot, t, dist) where foot = start + t * (end - start) with t
-    clamped to [0, 1] and dist the Euclidean distance from p to the foot.
-    """
-    p = Point2(*p)
-    fx, fy, t, dist = point_segment_foot(p.x, p.y, *seg.start, *seg.end)
-    return Point2(fx, fy), t, dist
-
-
-def nearest_segment(p: Point2, segments: Sequence[LineSegment]) -> tuple[int, Point2, float]:
-    """Index, foot and distance of the closest segment; ties go to the lowest index."""
-    if not segments:
-        raise GeometryError("empty segment list")
-    projections = enumerate(project_point_to_segment(p, seg) for seg in segments)
-    i, (foot, _t, dist) = min(projections, key=lambda item: item[1][2])  # min keeps the first of ties
-    return i, foot, dist
-
-
-def _convex_hull(points: Sequence[Point2]) -> list[Point2]:
-    """Strict convex hull (Andrew's monotone chain), CCW, no collinear points."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return list(pts)
-
-    def cross(o: Point2, a: Point2, b: Point2) -> float:
-        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-    lower: list[Point2] = []
-    for pt in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: list[Point2] = []
-    for pt in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    return lower[:-1] + upper[:-1]
-
-
-def _on_hull_boundary(p: Point2, hull: Sequence[Point2]) -> bool:
-    if len(hull) < 3:
-        return True
-    scale = max(1.0, max(abs(v.x) for v in hull), max(abs(v.y) for v in hull))
-    tol = 1e-9 * scale * scale
-    n = len(hull)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        # hull is CCW: a point of the set sits strictly inside iff every
-        # edge sees it strictly to the left
-        if cross <= tol:
-            return True
-    return False
-
-
-def classify_vertices(poly: Polygon) -> VertexClassification:
-    """Split vertex indices by convexity.
-
-    Outer-ring vertices lying on the convex hull of the outer ring's vertex
-    set are convex; the remaining outer vertices and every hole vertex are
-    concave. A hole vertex can never lie on the hull of a simple polygon
-    enclosing it, so holes are concave wholesale.
-    """
-    outer = poly.outer.vertices
-    hull = _convex_hull(outer)
-    convex = {i for i, v in enumerate(outer) if _on_hull_boundary(v, hull)}
-    total = poly.vertex_count()
-    concave = set(range(total)) - convex
-    return VertexClassification(frozenset(convex), frozenset(concave))
 
 
 def _turn_angle_deg(a: Point2, b: Point2, c: Point2) -> float:

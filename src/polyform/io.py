@@ -492,8 +492,6 @@ def read_manifest(path: str | Path) -> tuple[int, list[ManifestTile]]:
 @dataclass(frozen=True)
 class SvgStyle:
     background: str = "none"  # "none" or "checker"
-    stroke_width: float = 1.0
-    fill_opacity: float = 0.45
 
     def __post_init__(self) -> None:
         if self.background not in ("none", "checker"):
@@ -504,6 +502,8 @@ _PALETTE = (
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
     "#46f0f0", "#f032e6", "#bcf60c", "#fabebe", "#008080", "#e6beff",
 )
+_STROKE_WIDTH = 1.0
+_FILL_OPACITY = 0.45
 
 
 def _fmt(value: float) -> str:
@@ -548,8 +548,8 @@ def render_svg(records: Sequence[TileRecord], style: SvgStyle | None = None) -> 
                 cmds.append(f"L {_fmt(vs[0].x)} {_fmt(vs[0].y)}")  # explicit closing side
                 cmds.append("Z")
             parts.append(
-                f'<path d="{" ".join(cmds)}" fill="{color}" fill-opacity="{_fmt(style.fill_opacity)}" '
-                f'fill-rule="evenodd" stroke="{color}" stroke-width="{_fmt(style.stroke_width)}"/>'
+                f'<path d="{" ".join(cmds)}" fill="{color}" fill-opacity="{_fmt(_FILL_OPACITY)}" '
+                f'fill-rule="evenodd" stroke="{color}" stroke-width="{_fmt(_STROKE_WIDTH)}"/>'
             )
         parts.append("</g>")
         offset += w

@@ -540,8 +540,8 @@ def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
     each half simplified independently. Raises DegenerateRingError when the
     result has fewer than three distinct vertices.
     """
-    if tolerance < 0:
-        raise PolygonizeError(f"tolerance must be >= 0, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise PolygonizeError(f"tolerance must be finite and >= 0, got {tolerance}")
     return _dp_ring([(c + 0.5, r + 0.5) for r, c in chain.pixels], tolerance)
 
 
@@ -619,7 +619,7 @@ def polygonize_components(
 
 
 def rescale_polygons(instances: InstanceSet, s: float) -> InstanceSet:
-    """Multiply every coordinate by s (s > 0)."""
-    if s <= 0:
-        raise PolygonizeError(f"scale must be > 0, got {s}")
+    """Multiply every coordinate by s (0 < s < inf)."""
+    if not 0 < s < math.inf:
+        raise PolygonizeError(f"scale must be finite and > 0, got {s}")
     return instances.scaled(s)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
-    InstanceSet, Point2, Polygon, edge_arrays, edge_tolerance, expand_ranges, in_frame, on_edge, project_points_to_segments,
+    InstanceSet, Polygon, edge_arrays, edge_tolerance, expand_ranges, in_frame, on_edge, project_points_to_segments,
 )
 
 _ALLOWED_DTYPES = {
@@ -383,14 +383,6 @@ def offset_coords(rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray) -> np
     point (c + 0.5 + off_x, r + 0.5 + off_y), summed in f64."""
     off = offsets[rows, cols].astype(np.float64)
     return np.stack([cols + 0.5 + off[:, 0], rows + 0.5 + off[:, 1]], axis=1).reshape(-1, 2)
-
-
-def decode_vertices(grids: VertexGrids) -> list[tuple[Point2, float]]:
-    """Inverse of encode_vertices: nonzero heatmap pixels back to scored points."""
-    heat = grids.heatmap.channel()
-    rows, cols = np.nonzero(heat > 0)
-    points = offset_coords(rows, cols, grids.offsets.data).tolist()
-    return [(Point2(x, y), score) for (x, y), score in zip(points, heat[rows, cols].tolist())]
 
 
 def _square_morph(binary: np.ndarray, radius: int, dilate: bool) -> np.ndarray:

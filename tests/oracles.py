@@ -39,20 +39,6 @@ def min_dist_over_segments(px, py, segs) -> tuple[int, float]:
     return best_i, best_d
 
 
-def on_hull_bruteforce(p, points, eps=1e-9) -> bool:
-    """p lies on the hull boundary of `points` iff some line through p and
-    another point keeps the whole set on one closed side."""
-    others = [q for q in points if q != p]
-    if not others:
-        return True
-    for q in others:
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        sides = [dx * (r[1] - p[1]) - dy * (r[0] - p[0]) for r in points]
-        if all(s <= eps for s in sides) or all(s >= -eps for s in sides):
-            return True
-    return False
-
-
 def point_in_polygon_scalar(px, py, rings) -> bool:
     """Even-odd membership with boundary-inclusive semantics over coordinate
     ring lists [[(x, y), ...], ...] (outer first, unclosed)."""

@@ -14,46 +14,51 @@ from polyform.geometry import (
     Polygon,
     Ring,
     ScoredPolygon,
-    classify_vertices,
     edge_arrays,
     merge_collinear_edges,
     near_pairs,
-    nearest_segment,
     point_in_polygon,
-    project_point_to_segment,
+    point_segment_foot,
+    project_points_to_segments,
     signed_area,
 )
 
-from polyform.raster import polygon_mask
+from polyform.raster import RasterError, encode_afm, polygon_mask
 
-from oracles import min_dist_over_segments, on_hull_bruteforce, point_in_polygon_ring_by_ring
+from oracles import min_dist_over_segments, point_in_polygon_ring_by_ring
 from synth import annulus, random_rectilinear_polygon, random_star_polygon, rect_coords
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
 
-def seg(a, b):
-    return LineSegment(Point2(*a), Point2(*b))
-
-
 class TestProjectPointToSegment:
+    """geometry.point_segment_foot, the scalar projection Douglas-Peucker runs."""
+
     def test_perpendicular_drop(self):
-        foot, t, dist = project_point_to_segment(Point2(2, 3), seg((0, 0), (4, 0)))
-        assert foot == Point2(2, 0)
-        assert t == 0.5
-        assert dist == 3.0
+        assert point_segment_foot(2, 3, 0, 0, 4, 0) == (2.0, 0.0, 0.5, 3.0)
 
     def test_clamped_to_endpoint(self):
-        foot, t, dist = project_point_to_segment(Point2(5, 1), seg((0, 0), (4, 0)))
-        assert foot == Point2(4, 0)
-        assert t == 1.0
+        fx, fy, t, dist = point_segment_foot(5, 1, 0, 0, 4, 0)
+        assert (fx, fy, t) == (4.0, 0.0, 1.0)
         assert dist == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_point_on_segment(self):
-        foot, t, dist = project_point_to_segment(Point2(1, 1), seg((0, 0), (2, 2)))
-        assert foot == Point2(1, 1)
-        assert t == 0.5
-        assert dist == 0.0
+        assert point_segment_foot(1, 1, 0, 0, 2, 2) == (1.0, 1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "p, foot",
+        [((1.0, 1.0), (1.0, 1.0, 0.0, 0.0)), ((4.0, 5.0), (1.0, 1.0, 0.0, 5.0)), ((-3.0, 4.0), (1.0, 1.0, 0.0, 5.0))],
+    )
+    def test_zero_length_segment_projects_onto_its_point(self, p, foot):
+        assert point_segment_foot(*p, 1.0, 1.0, 1.0, 1.0) == foot
+
+    def test_numerically_coincident_endpoints_take_the_nearer(self):
+        # the endpoints differ, but the squared length underflows to 0
+        ax, bx = 0.0, 2.0**-600
+        assert point_segment_foot(2.0**-599, 0.0, ax, 0.0, bx, 0.0) == (bx, 0.0, 1.0, 2.0**-600)
+        assert point_segment_foot(-(2.0**-600), 0.0, ax, 0.0, bx, 0.0) == (ax, 0.0, 0.0, 2.0**-600)
+        # equidistant: the start wins the tie
+        assert point_segment_foot(2.0**-601, 0.0, ax, 0.0, bx, 0.0) == (ax, 0.0, 0.0, 2.0**-601)
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(GeometryError):
@@ -63,10 +68,20 @@ class TestProjectPointToSegment:
     def test_dist_never_exceeds_endpoint_dists(self, px, py, ax, ay, bx, by):
         if (ax, ay) == (bx, by):
             return
-        p = Point2(px, py)
-        _, _, dist = project_point_to_segment(p, seg((ax, ay), (bx, by)))
+        _, _, _, dist = point_segment_foot(px, py, ax, ay, bx, by)
         assert dist <= math.hypot(px - ax, py - ay) + 1e-9
         assert dist <= math.hypot(px - bx, py - by) + 1e-9
+
+    @given(
+        st.integers(-3, 3),
+        st.lists(st.floats(min_value=-1, max_value=1, allow_subnormal=False), min_size=6, max_size=6),
+    )
+    def test_foot_equals_the_vectorised_kernel(self, exponent, unit):
+        px, py, ax, ay, bx, by = (u * 10.0**exponent for u in unit)
+        assume((bx - ax) ** 2 + (by - ay) ** 2 > 1e-20 * 10.0 ** (2 * exponent))
+        fx, fy, _t, _dist = point_segment_foot(px, py, ax, ay, bx, by)
+        vfx, vfy, _d2 = project_points_to_segments(*(np.array([v]) for v in (px, py, ax, ay, bx, by)))
+        assert (fx, fy) == (vfx[0], vfy[0])
 
 
 def resize_per_axis(instances: InstanceSet, fx: float, fy: float) -> InstanceSet:
@@ -103,78 +118,45 @@ class TestScaled:
 
 
 class TestNearestSegment:
+    """The nearest-segment rule as encode_afm applies it at every pixel centre:
+    the foot on the nearest boundary segment over all instances, ties to the
+    lowest segment index."""
+
     def test_simple(self):
-        idx, _foot, dist = nearest_segment(Point2(0, 1), [seg((0, 0), (4, 0)), seg((0, 3), (4, 3))])
-        assert idx == 0
-        assert dist == 1.0
+        afm = encode_afm(InstanceSet.of([Polygon.from_coords(rect_coords(0, 0, 4, 3))]), 3, 4).data
+        assert tuple(afm[0, 1]) == (0.0, -0.5)
+        assert tuple(afm[2, 1]) == (0.0, 0.5)
 
     def test_tie_goes_to_lowest_index(self):
-        idx, _foot, dist = nearest_segment(Point2(0, 1.5), [seg((0, 0), (4, 0)), seg((0, 3), (4, 3))])
-        assert idx == 0
-        assert dist == 1.5
+        # the centre (1.5, 1.5) is 0.5 from the left rectangle's right edge
+        # and 0.5 from the right rectangle's left edge
+        left = Polygon.from_coords(rect_coords(0, 0, 1, 4))
+        right = Polygon.from_coords(rect_coords(2, 0, 3, 4))
+        assert tuple(encode_afm(InstanceSet.of([left, right]), 4, 4).data[1, 1]) == (-0.5, 0.0)
+        assert tuple(encode_afm(InstanceSet.of([right, left]), 4, 4).data[1, 1]) == (0.5, 0.0)
 
     def test_empty_list_rejected(self):
-        with pytest.raises(GeometryError):
-            nearest_segment(Point2(0, 0), [])
+        with pytest.raises(RasterError, match="no segments"):
+            encode_afm(InstanceSet(), 4, 4)
 
     def test_agrees_with_exhaustive_scan(self):
         rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            n = int(rng.integers(1, 21))
-            raw = rng.uniform(-50, 50, size=(n, 4))
-            raw = raw[np.any(raw[:, :2] != raw[:, 2:], axis=1)]
-            if len(raw) == 0:
-                continue
-            segs = [seg((a, b), (c, d)) for a, b, c, d in raw]
-            px, py = rng.uniform(-60, 60, size=2)
-            idx, _foot, dist = nearest_segment(Point2(px, py), segs)
-            oracle_idx, oracle_dist = min_dist_over_segments(px, py, raw)
-            assert idx == oracle_idx
-            assert dist == pytest.approx(oracle_dist, abs=1e-9)
-
-
-L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-
-
-class TestClassifyVertices:
-    def test_rectangle_all_convex(self):
-        cls = classify_vertices(Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)]))
-        assert cls.convex == frozenset({0, 1, 2, 3})
-        assert cls.concave == frozenset()
-
-    def test_l_shape_single_concave(self):
-        # hull of the six points excludes only (1, 1), per the brute-force
-        # supporting-line oracle
-        poly = Polygon.from_coords(L_SHAPE)
-        order = list(poly.outer.vertices)
-        assert on_hull_bruteforce((1, 1), L_SHAPE) is False
-        for pt in L_SHAPE:
-            if pt != (1, 1):
-                assert on_hull_bruteforce(pt, L_SHAPE) is True
-        cls = classify_vertices(poly)
-        assert cls.concave == frozenset({order.index(Point2(1, 1))})
-        assert cls.convex | cls.concave == frozenset(range(6))
-
-    def test_hole_vertices_all_concave(self):
-        poly = Polygon.from_coords(
-            [(0, 0), (10, 0), (10, 10), (0, 10)],
-            holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]],
-        )
-        cls = classify_vertices(poly)
-        assert cls.convex == frozenset({0, 1, 2, 3})
-        assert cls.concave == frozenset({4, 5, 6, 7})
-
-    def test_random_polygons_match_bruteforce_hull(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            poly = random_rectilinear_polygon(rng, 0, 0, int(rng.integers(12, 40)), int(rng.integers(12, 40)), int(rng.integers(0, 5)))
-            cls = classify_vertices(poly)
-            verts = poly.outer.vertices
-            assert cls.convex | cls.concave == frozenset(range(len(verts)))
-            assert cls.convex & cls.concave == frozenset()
-            coords = [(v.x, v.y) for v in verts]
-            for i, v in enumerate(coords):
-                assert (i in cls.convex) == on_hull_bruteforce(v, coords), (poly, v)
+        for _ in range(20):
+            polys = [
+                random_star_polygon(rng, *rng.uniform(4, 20, size=2), 2, 10, int(rng.integers(3, 9)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            ax, ay, bx, by, _ = (c.tolist() for c in edge_arrays(polys))
+            segs = list(zip(ax, ay, bx, by))
+            afm = encode_afm(InstanceSet.of(polys), 24, 24).data
+            for r in range(24):
+                for c in range(24):
+                    px, py = c + 0.5, r + 0.5
+                    idx, dist = min_dist_over_segments(px, py, segs)
+                    fx, fy, _t, _d = point_segment_foot(px, py, *segs[idx])
+                    assert afm[r, c, 0] == pytest.approx(fx - px, abs=1e-9)
+                    assert afm[r, c, 1] == pytest.approx(fy - py, abs=1e-9)
+                    assert math.hypot(*afm[r, c]) == pytest.approx(dist, abs=1e-9)
 
 
 class TestMergeCollinearEdges:

@@ -486,6 +486,10 @@ class TestRenderSvg:
         records = records_fixture()
         assert render_svg(records) == render_svg(records)
 
+    def test_default_stroke_and_fill(self):
+        svg = render_svg(records_fixture())
+        assert 'stroke-width="1"' in svg and 'fill-opacity="0.45"' in svg
+
     def test_checker_background(self):
         svg = render_svg(records_fixture(), SvgStyle(background="checker"))
         assert "pattern" in svg and "url(#checker)" in svg

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -647,6 +648,11 @@ class TestDouglasPeucker:
         ring = douglas_peucker(chain, 1.0)
         assert len(ring) < len(chain) / 4
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_tolerance(self, tol):
+        with pytest.raises(PolygonizeError):
+            douglas_peucker(square_chain(1, 1, 9, 7, 12, 12), tol)
+
 
 class TestPolygonizePipeline:
     def test_clean_roundtrip(self):
@@ -831,8 +837,10 @@ class TestRescalePolygons:
         assert out.instances[0].polygon.area() == 9 * inst.instances[0].polygon.area()
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(PolygonizeError):
-            rescale_polygons(InstanceSet(), 0)
+        inst = InstanceSet.of([rectangle(1, 1, 3, 3)])
+        for s in (0, math.nan, math.inf):
+            with pytest.raises(PolygonizeError):
+                rescale_polygons(inst, s)
 
 
 class TestPolygonizeConfig:

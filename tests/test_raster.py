@@ -13,11 +13,11 @@ from polyform.raster import (
     RasterGrid,
     VertexGrids,
     _square_morph,
-    decode_vertices,
     degrade,
     downscale_targets,
     encode_afm,
     encode_vertices,
+    offset_coords,
     polygon_mask,
     rasterize_mask,
 )
@@ -267,7 +267,8 @@ class TestEncodeVertices:
                 [Polygon(Ring(tuple(verts[:3]))), Polygon.from_coords([tuple(v) for v in verts[3:]])]
             )
             grids = encode_vertices(inst, 16, 16)
-            decoded = sorted(tuple(p) for p, _s in decode_vertices(grids))
+            rows, cols = np.nonzero(grids.heatmap.channel())
+            decoded = sorted(map(tuple, offset_coords(rows, cols, grids.offsets.data).tolist()))
             assert decoded == sorted(tuple(v) for v in verts)
 
     def test_collision_later_wins(self):
@@ -313,7 +314,8 @@ class TestEncodeVertices:
         rng = np.random.default_rng(31)
         inst = random_tile(rng, 64, 64, n_min=2, n_max=4)
         grids = encode_vertices(inst, 64, 64)
-        decoded = {tuple(p) for p, _s in decode_vertices(grids)}
+        rows, cols = np.nonzero(grids.heatmap.channel())
+        decoded = set(map(tuple, offset_coords(rows, cols, grids.offsets.data).tolist()))
         truth = {tuple(v) for sp in inst for v in sp.polygon.all_vertices()}
         assert decoded == truth
 
