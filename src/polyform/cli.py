@@ -127,21 +127,21 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
     names = [(rec, _sanitize(rec.tile_id, used)) for rec in records]
 
     def work(item):
-        frame, _, instances, mask, grids = _encode_tile(item[0], args.size, args.scale)
+        # a tile's rasters are written as soon as they are encoded, so a
+        # worker holds one tile; a fault writing them fails this tile alone
+        rec, name = item
+        frame, _, instances, mask, grids = _encode_tile(rec, args.size, args.scale)
         if len(instances):
             afm = encode_afm(instances, mask.height, mask.width).data.astype(np.float32)
         else:  # no segment to point at
             afm = np.zeros((mask.height, mask.width, 2), dtype=np.float32)
-        return frame, (mask, RasterGrid(afm), grids.heatmap, grids.offsets)
+        files = {kind: f"{name}.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}
+        for filename, grid in zip(files.values(), (mask, RasterGrid(afm), grids.heatmap, grids.offsets)):
+            (out_dir / filename).write_bytes(pio.write_rgf(grid))
+        return pio.ManifestTile(rec.tile_id, frame, (mask.height, mask.width), files)
 
     done, errors = _tile_map(work, names, lambda item: item[0].tile_id, args.workers)
-    tiles = []
-    for (rec, name), (frame, rasters) in done:
-        files = {kind: f"{name}.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}
-        for filename, grid in zip(files.values(), rasters):
-            (out_dir / filename).write_bytes(pio.write_rgf(grid))
-        grid_size = (rasters[0].height, rasters[0].width)
-        tiles.append(pio.ManifestTile(rec.tile_id, frame, grid_size, files))
+    tiles = [tile for _, tile in done]
     (out_dir / "manifest.json").write_bytes(pio.write_manifest(args.scale, tiles))
     print(f"encoded {len(tiles)} tiles -> {out_dir}")
     return errors
@@ -364,6 +364,8 @@ def _run(args: argparse.Namespace) -> list[dict]:
         return _run_error(f"{type(exc).__name__}: {exc}")
     except FileNotFoundError as exc:
         return _run_error(f"missing file: {exc.filename}")
+    except OSError as exc:  # an output path that is a directory, or under a file
+        return _run_error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -194,17 +194,32 @@ def signed_area(ring: Ring) -> float:
     return acc / 2.0
 
 
-def project_points_to_segments(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project points (px, py) onto nonzero-length segments (ax, ay)-(bx, by),
     broadcast elementwise to an array: the foot (fx, fy) = a + t * (b - a)
-    with t clamped to [0, 1], and d2 the squared distance to it."""
+    with t clamped to [0, 1], and d2 the squared distance to it.
+
+    out, if given, is four f64 arrays of the broadcast shape: (fx, fy, d2)
+    are written into the first three and returned, and the fourth is
+    scratch. Either way the arithmetic is the same, so the results are
+    bitwise equal."""
+    fx, fy, d2, t = (None,) * 4 if out is None else out
     ex, ey = bx - ax, by - ay
     l2 = ex * ex + ey * ey
-    t = ((px - ax) * ex + (py - ay) * ey) / l2
+    # each ufunc writes into its buffer, or allocates it when there is none
+    t = np.add((px - ax) * ex, (py - ay) * ey, out=t)
+    t /= l2
     np.clip(t, 0.0, 1.0, out=t)
-    fx = ax + t * ex
-    fy = ay + t * ey
-    return fx, fy, (px - fx) ** 2 + (py - fy) ** 2
+    fx = np.multiply(t, ex, out=fx)
+    fx += ax
+    fy = np.multiply(t, ey, out=fy)
+    fy += ay
+    d2 = np.subtract(px, fx, out=d2)
+    d2 *= d2
+    t = np.subtract(py, fy, out=t)
+    t *= t
+    d2 += t
+    return fx, fy, d2
 
 
 def point_segment_foot(

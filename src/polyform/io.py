@@ -47,7 +47,10 @@ _HEADER = struct.Struct("<4sIIII")
 _DTYPE_BY_CODE = {0: np.dtype(np.uint8), 1: np.dtype(np.float32)}
 _CODE_BY_DTYPE = {v: k for k, v in _DTYPE_BY_CODE.items()}
 
-_MAX_SIDE = 2**53  # image sides convert to float exactly for the bounds check
+# the largest image side: in-frame coordinates then stay near 2**29, well
+# below the magnitude (about 7e8) where the mask fill's edge band misses
+# points geometry.point_in_polygon accepts
+_MAX_SIDE = 2**29
 
 
 class FormatError(ValueError):

@@ -273,10 +273,11 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     The result is bitwise equal to sweeping every segment over every pixel
     in index order, keeping a segment's foot wherever its squared distance
     is strictly below the best so far. The frame is padded to whole blocks
-    of _AFM_BLOCK x _AFM_BLOCK pixels (and cropped at the end). A block's
-    upper bound is the least, over segments, of the squared distance from
-    the segment to the block's farthest pixel-centre corner: distance to a
-    segment is convex, so its maximum over the block sits at a corner. A
+    of _AFM_BLOCK x _AFM_BLOCK pixels (each swept rectangle is cropped back
+    to the frame). A block's upper bound is the least, over segments, of
+    the squared distance from the segment to the block's farthest
+    pixel-centre corner: distance to a segment is convex, so its maximum
+    over the block sits at a corner. A
     segment is a candidate for a block when the squared distance from the
     block's pixel-centre box to the segment's bounding box, a lower bound
     for every pixel in the block, is within that upper bound. The winner of
@@ -306,9 +307,14 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     gap_x = np.maximum(np.maximum(np.minimum(ax, bx) - x_hi, x_lo - np.maximum(ax, bx)), 0.0) ** 2
     gap_y = np.maximum(np.maximum(np.minimum(ay, by) - y_hi, y_lo - np.maximum(ay, by)), 0.0) ** 2
     slack = 1.0 + _AFM_SLACK * max(1.0, xs[-1], ys[-1], float(np.abs(ax).max()), float(np.abs(ay).max()))
-    best_d2 = np.full((ys.size, xs.size), np.inf)
-    best_fx = np.zeros_like(best_d2)
-    best_fy = np.zeros_like(best_d2)
+    # the feet land in the result, which becomes the displacement in place;
+    # a rectangle is cropped to the frame and never taller than one band,
+    # so the kernel's buffers are sized once for the largest
+    field = np.zeros((h, w, 2))
+    best_d2 = np.full((h, w), np.inf)
+    size = min(_AFM_BAND * block, h) * w
+    buffers = [np.empty(size) for _ in range(4)]
+    better_buffer = np.empty(size, dtype=bool)
     for b0 in range(0, len(y_lo), _AFM_BAND):
         band = slice(b0, b0 + _AFM_BAND)
         corners = [
@@ -324,16 +330,20 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
         r_first, r_last = in_row.argmax(axis=0), len(in_row) - in_row[::-1].argmax(axis=0)
         c_first, c_last = in_col.argmax(axis=0), len(in_col) - in_col[::-1].argmax(axis=0)
         for k in np.flatnonzero(in_col.any(axis=0)).tolist():
-            rows = slice((b0 + r_first[k]) * block, (b0 + r_last[k]) * block)
-            cols = slice(c_first[k] * block, c_last[k] * block)
-            fx, fy, d2 = project_points_to_segments(xs[cols], ys[rows, None], ax[k], ay[k], bx[k], by[k])
-            win_d2 = best_d2[rows, cols]
-            better = d2 < win_d2
+            r0, r1 = (b0 + r_first[k]) * block, min((b0 + r_last[k]) * block, h)
+            c0, c1 = c_first[k] * block, min(c_last[k] * block, w)
+            shape = (r1 - r0, c1 - c0)
+            n = shape[0] * shape[1]
+            out = [buf[:n].reshape(shape) for buf in buffers]
+            fx, fy, d2 = project_points_to_segments(xs[c0:c1], ys[r0:r1, None], ax[k], ay[k], bx[k], by[k], out=out)
+            win_d2 = best_d2[r0:r1, c0:c1]
+            better = np.less(d2, win_d2, out=better_buffer[:n].reshape(shape))
             np.copyto(win_d2, d2, where=better)
-            np.copyto(best_fx[rows, cols], fx, where=better)
-            np.copyto(best_fy[rows, cols], fy, where=better)
-    x, y = xs[None, :w], ys[:h, None]
-    return RasterGrid(np.stack([best_fx[:h, :w] - x, best_fy[:h, :w] - y], axis=-1))
+            np.copyto(field[r0:r1, c0:c1, 0], fx, where=better)
+            np.copyto(field[r0:r1, c0:c1, 1], fy, where=better)
+    field[:, :, 0] -= xs[:w]
+    field[:, :, 1] -= ys[:h, None]
+    return RasterGrid(field)
 
 
 _MIN_F32_OFFSET = np.float32(-0.5)

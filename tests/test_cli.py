@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from polyform.geometry import InstanceSet
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
 from polyform.raster import RasterGrid
 
-from synth import annulus, rectangle
+from synth import annulus, random_tile, rectangle
 
 
 @pytest.fixture()
@@ -98,6 +99,47 @@ class TestEncode:
         assert main(["eval", str(pred), str(gt), str(report)]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(report.read_text())["ap"] == 1.0
+
+    def test_raster_write_fault_fails_only_its_tile(self, gt_geojson, tmp_path, capsys):
+        out = tmp_path / "rasters"
+        out.mkdir()
+        (out / "t0.afm.rgf").mkdir()  # in the way of t0's attraction field
+        assert main(["encode", str(gt_geojson), str(out)]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["tile_id"] for e in errors] == ["t0"]
+        assert errors[0]["error"].startswith("IsADirectoryError: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [t["tile_id"] for t in manifest["tiles"]] == ["t1"]
+        for name in manifest["tiles"][0]["files"].values():
+            assert read_rgf((out / name).read_bytes()).height == 32
+
+    @pytest.mark.parametrize("target", ["{file}", "{file}/sub"], ids=["file", "under-a-file"])
+    def test_output_directory_fault_is_named_error(self, gt_geojson, tmp_path, capsys, target):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert main(["encode", str(gt_geojson), target.format(file=blocker)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        kind = "FileExistsError" if target == "{file}" else "NotADirectoryError"
+        assert len(err["errors"]) == 1 and err["errors"][0]["tile_id"] is None
+        assert err["errors"][0]["error"].startswith(f"{kind}: ")
+
+    def test_memory_holds_one_tile(self, tmp_path, monkeypatch):
+        # rasters are written per tile, so the peak does not grow with the
+        # number of tiles in the run
+        monkeypatch.setenv("POLYFORM_WORKERS", "1")
+        rng = np.random.default_rng(7)
+        records = [TileRecord(f"r{i}", (128, 128), random_tile(rng, 128, 128)) for i in range(8)]
+        peaks = []
+        for count in (2, 8):
+            gt = tmp_path / f"gt{count}.geojson"
+            gt.write_bytes(write_geojson(records[:count]))
+            tracemalloc.start()
+            try:
+                assert main(["encode", str(gt), str(tmp_path / f"rasters{count}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def _manifest_edit(edit):
@@ -224,6 +266,16 @@ class TestPolygonize:
         assert err["errors"][0]["error"].startswith(f"missing file: {gt_geojson}/")
         assert not (tmp_path / "o.geojson").exists()
 
+    def test_output_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys):
+        out, dst = tmp_path / "rasters", tmp_path / "pred.geojson"
+        assert main(["encode", str(gt_geojson), str(out)]) == 0
+        dst.mkdir()
+        capsys.readouterr()
+        assert main(["polygonize", str(out), str(dst)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert len(err["errors"]) == 1 and err["errors"][0]["tile_id"] is None
+        assert err["errors"][0]["error"].startswith("IsADirectoryError: ")
+
     def test_scale_and_frame_come_from_the_manifest(self, tmp_path):
         records = [TileRecord("big", (512, 512), InstanceSet.of([rectangle(40, 40, 200, 160)]))]
         gt = tmp_path / "gt.geojson"
@@ -340,6 +392,14 @@ class TestEval:
         err = json.loads(capsys.readouterr().err)
         assert "'t0'" in err["errors"][0]["error"] and "32x32" in err["errors"][0]["error"]
         assert not (tmp_path / "r.json").exists()
+
+    def test_report_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.mkdir()
+        assert main(["eval", str(gt_geojson), str(gt_geojson), str(report)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert len(err["errors"]) == 1 and err["errors"][0]["tile_id"] is None
+        assert err["errors"][0]["error"].startswith("IsADirectoryError: ")
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.geojson"), str(tmp_path / "g.json"), str(tmp_path / "r.json")]) == 1
@@ -597,12 +657,24 @@ class TestWorkers:
         assert "POLYFORM_WORKERS" in err["errors"][0]["error"] and "two" in err["errors"][0]["error"]
         assert not out.exists()
 
-    def test_env_override_and_order_independence(self, gt_geojson, tmp_path, monkeypatch):
-        out1 = tmp_path / "r1"
-        main(["encode", str(gt_geojson), str(out1)])
-        monkeypatch.setenv("POLYFORM_WORKERS", "4")
-        out2 = tmp_path / "r2"
-        main(["encode", str(gt_geojson), str(out2)])
-        a = {p.name: p.read_bytes() for p in sorted(out1.iterdir())}
-        b = {p.name: p.read_bytes() for p in sorted(out2.iterdir())}
-        assert a == b
+    def test_env_override_and_order_independence(self, tmp_path, monkeypatch, capsys):
+        # pool threads write the rasters: one tile without buildings and one
+        # whose height --scale 2 does not divide, among eight that encode
+        rng = np.random.default_rng(3)
+        records = [TileRecord(f"t{i}", (64, 64), random_tile(rng, 64, 64, 1, 3)) for i in range(8)]
+        records.insert(3, TileRecord("empty", (64, 64), InstanceSet()))
+        records.insert(6, TileRecord("odd", (63, 64), InstanceSet.of([rectangle(2, 2, 20, 20)])))
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        runs = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv("POLYFORM_WORKERS", workers)
+            out = tmp_path / f"r{workers}"
+            assert main(["encode", str(gt), str(out), "--scale", "2"]) == 1
+            runs.append((read_all_bytes(out), json.loads(capsys.readouterr().err)))
+        assert runs[0] == runs[1]
+        files, err = runs[0]
+        assert err == {"errors": [{"tile_id": "odd", "error": "ValueError: size 63x64 not divisible by scale 2"}]}
+        manifest = json.loads(files["manifest.json"])
+        assert [t["tile_id"] for t in manifest["tiles"]] == [r.tile_id for r in records if r.tile_id != "odd"]
+        assert len(files) == 1 + 4 * 9

@@ -182,6 +182,16 @@ class TestGeoJson:
         with pytest.raises(FormatError, match="bad image size"):
             read_geojson(tile + '"features": [{"geometry": ' + _SQUARE + ', "properties": {"tile_id": "t"}}]}')
 
+    @pytest.mark.parametrize("size", [(2**29 + 1, 8), (8, 2**29 + 1)], ids=["height", "width"])
+    def test_side_past_fill_bound_rejected(self, size):
+        with pytest.raises(FormatError, match="bad image size"):
+            TileRecord("t", size, InstanceSet())
+
+    def test_side_at_fill_bound_accepted(self):
+        side = 2**29
+        rec = TileRecord("t", (side, side), InstanceSet.of([rectangle(side - 4, side - 4, side, side)]))
+        assert rec.image_size == (side, side)
+
     def test_out_of_bounds_coordinates_rejected(self):
         with pytest.raises(FormatError, match="bounds"):
             TileRecord("t", (8, 8), InstanceSet.of([rectangle(0, 0, 9, 4)]))
