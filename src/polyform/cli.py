@@ -21,8 +21,9 @@ import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,6 +99,33 @@ def _run_error(message: str) -> list[dict]:
     return [{"tile_id": None, "error": message}]
 
 
+@contextmanager
+def _output(path: str) -> Iterator[Callable[[bytes], None]]:
+    """Open a command's output before the command works, so a path that
+    cannot be written ends the run before any tile is processed, and yield
+    the function that writes it. Opening appends, so an earlier file at the
+    path is replaced only when the new output is written; a file this run
+    created is removed when the command ends without writing it (a run-level
+    error). A pipe or a device is written as it is."""
+    target = Path(path)
+    created, wrote = not target.exists(), False
+    with target.open("ab") as f:
+
+        def write(data: bytes) -> None:
+            nonlocal wrote
+            if target.is_file():
+                f.truncate(0)
+            f.write(data)
+            f.flush()
+            wrote = True
+
+        try:
+            yield write
+        finally:
+            if created and not wrote:
+                target.unlink(missing_ok=True)
+
+
 def _check_scale(args: argparse.Namespace) -> None:
     if args.scale < 1:
         raise ValueError(f"scale must be a positive integer, got {args.scale}")
@@ -129,6 +157,7 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
     def work(item):
         # a tile's rasters are written as soon as they are encoded, so a
         # worker holds one tile; a fault writing them fails this tile alone
+        # and removes the files it wrote before the fault
         rec, name = item
         frame, _, instances, mask, grids = _encode_tile(rec, args.size, args.scale)
         if len(instances):
@@ -136,8 +165,16 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
         else:  # no segment to point at
             afm = np.zeros((mask.height, mask.width, 2), dtype=np.float32)
         files = {kind: f"{name}.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}
-        for filename, grid in zip(files.values(), (mask, RasterGrid(afm), grids.heatmap, grids.offsets)):
-            (out_dir / filename).write_bytes(pio.write_rgf(grid))
+        written = []
+        try:
+            for filename, grid in zip(files.values(), (mask, RasterGrid(afm), grids.heatmap, grids.offsets)):
+                with (out_dir / filename).open("wb") as f:
+                    written.append(out_dir / filename)
+                    f.write(pio.write_rgf(grid))
+        except OSError:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
         return pio.ManifestTile(rec.tile_id, frame, (mask.height, mask.width), files)
 
     done, errors = _tile_map(work, names, lambda item: item[0].tile_id, args.workers)
@@ -168,20 +205,23 @@ def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
     cfg = _polygonize_config(args, float(scale))
 
-    kinds = ("mask", "heatmap", "offsets")
+    channels = {"mask": 1, "heatmap": 1, "offsets": 2}  # raster kind -> channel count
 
     def work(tile: pio.ManifestTile):
-        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in kinds]
-        for kind, grid in zip(kinds, rasters):
+        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in channels]
+        for (kind, count), grid in zip(channels.items(), rasters):
             if (grid.height, grid.width) != tile.grid_size:
                 gh, gw = tile.grid_size
                 raise pio.ManifestError(f"tile {tile.tile_id!r}: {kind} raster is {grid.height}x{grid.width}, grid_size is {gh}x{gw}")
+            if grid.channels != count:
+                raise pio.ManifestError(f"tile {tile.tile_id!r}: {kind} raster has channel count {grid.channels}, expected {count}")
         return pio.TileRecord(tile.tile_id, tile.image_size, polygonize_pipeline(*rasters, cfg))
 
-    done, errors = _tile_map(work, tiles, lambda tile: tile.tile_id, args.workers)
-    records = [record for _, record in done]
-    metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": cfg.scale}
-    Path(args.output).write_bytes(pio.write_geojson(records, metadata=metadata))
+    with _output(args.output) as write:
+        done, errors = _tile_map(work, tiles, lambda tile: tile.tile_id, args.workers)
+        records = [record for _, record in done]
+        metadata = {**{dest: getattr(args, dest) for dest in _POLYGONIZE_FLAGS}, "scale": cfg.scale}
+        write(pio.write_geojson(records, metadata=metadata))
     print(f"polygonized {len(records)} tiles -> {args.output}")
     return errors
 
@@ -193,8 +233,9 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
 def cmd_eval(args: argparse.Namespace) -> list[dict]:
     preds = pio.read_annotations(args.pred)
     gts = pio.read_annotations(args.gt)
-    report = evaluate_corpus(preds, gts, _eval_config(args))
-    Path(args.report).write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    with _output(args.report) as write:
+        report = evaluate_corpus(preds, gts, _eval_config(args))
+        write((json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n").encode())
     print(report.render_table())
     return []
 
@@ -237,26 +278,26 @@ def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
         gt_inst = polygon_mask_crops([sp.polygon for sp in gt_rec.instances], *frame)
         return poly_rec, gt_rec, comp_masks, gt_inst
 
-    done, errors = _tile_map(work, gt_records, lambda rec: rec.tile_id, args.workers)
-    pred_records, gt_eval = [], []
-    mask_preds, gt_masks = {}, {}
-    for rec, (poly_rec, gt_rec, comp_masks, gt_inst) in done:
-        pred_records.append(poly_rec)
-        gt_eval.append(gt_rec)
-        mask_preds[rec.tile_id] = comp_masks
-        gt_masks[rec.tile_id] = gt_inst
-    if not pred_records:
-        return errors or _run_error("no tiles processed")
-
-    report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
-    mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
-    payload = {
-        "mask_ap": mask_ap,
-        "polygon_ap": report.ap,
-        "ap_gap": report.ap - mask_ap,
-        **report.to_json_dict(),
-    }
-    Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _output(args.report) as write:
+        done, errors = _tile_map(work, gt_records, lambda rec: rec.tile_id, args.workers)
+        pred_records, gt_eval = [], []
+        mask_preds, gt_masks = {}, {}
+        for rec, (poly_rec, gt_rec, comp_masks, gt_inst) in done:
+            pred_records.append(poly_rec)
+            gt_eval.append(gt_rec)
+            mask_preds[rec.tile_id] = comp_masks
+            gt_masks[rec.tile_id] = gt_inst
+        if not pred_records:
+            return errors or _run_error("no tiles processed")
+        report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
+        mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
+        payload = {
+            "mask_ap": mask_ap,
+            "polygon_ap": report.ap,
+            "ap_gap": report.ap - mask_ap,
+            **report.to_json_dict(),
+        }
+        write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
     width = max(len(k) for k in payload)
     print("\n".join(f"{k.ljust(width)}  {v:.6f}" for k, v in payload.items()))
     return errors

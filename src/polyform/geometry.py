@@ -222,25 +222,6 @@ def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.nda
     return fx, fy, d2
 
 
-def point_segment_foot(
-    px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> tuple[float, float, float, float]:
-    """Scalar project_points_to_segments as (fx, fy, t, dist), dist by math.hypot.
-    A segment whose squared length is 0 (coincident or numerically coincident
-    endpoints) projects onto its nearer endpoint, the start on a tie."""
-    ex, ey = bx - ax, by - ay
-    l2 = ex * ex + ey * ey
-    if l2 == 0.0:
-        d_start = math.hypot(px - ax, py - ay)
-        d_end = math.hypot(px - bx, py - by)
-        return (ax, ay, 0.0, d_start) if d_start <= d_end else (bx, by, 1.0, d_end)
-    t = ((px - ax) * ex + (py - ay) * ey) / l2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    fx = ax + t * ex
-    fy = ay + t * ey
-    return fx, fy, t, math.hypot(px - fx, py - fy)
-
-
 def _turn_angle_deg(a: Point2, b: Point2, c: Point2) -> float:
     """Absolute change of direction at b, in degrees within [0, 180]."""
     ux, uy = b.x - a.x, b.y - a.y

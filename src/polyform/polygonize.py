@@ -5,9 +5,9 @@ components, Moore-trace each component's outer and hole boundaries, snap
 the traced pixels onto the detected sub-pixel vertices (keeping, per
 vertex, only its closest boundary pixel), merge near-collinear edges, and
 rescale. A Douglas-Peucker pass over the raw chain doubles as the baseline
-simplifier and as the fallback when vertex snapping degenerates. Tracing
-and snapping run once per tile, over every component at once
-(polygonize_components); the per-chain functions call the same code.
+simplifier and as the fallback when vertex snapping degenerates. Tracing,
+snapping and the fallback each run once per tile, over every component at
+once (polygonize_components); the per-chain functions call the same code.
 """
 from __future__ import annotations
 
@@ -27,9 +27,10 @@ from .geometry import (
     Polygon,
     Ring,
     ScoredPolygon,
+    expand_ranges,
     merge_collinear_edges,
     near_pairs,
-    point_segment_foot,
+    project_points_to_segments,
 )
 from .raster import RasterGrid, bounding_crop, offset_coords
 
@@ -484,65 +485,91 @@ def mav_attract_simplify(
     return _snapped_ring(vertices.coords(), winners, merge_angle)
 
 
-def _dp_open(points: list[tuple[float, float]], tolerance: float) -> list[tuple[float, float]]:
-    n = len(points)
-    if n <= 2:
-        return list(points)
-    keep = {0, n - 1}
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo <= 1:
-            continue
-        ax, ay = points[lo]
-        bx, by = points[hi]
-        best_d = -1.0
-        best_i = lo + 1
-        for i in range(lo + 1, hi):
-            d = point_segment_foot(points[i][0], points[i][1], ax, ay, bx, by)[3]
-            if d > best_d:
-                best_d = d
-                best_i = i
-        if best_d > tolerance:
-            keep.add(best_i)
-            stack.append((lo, best_i))
-            stack.append((best_i, hi))
-    return [points[i] for i in sorted(keep)]
+def _first_max(values: np.ndarray, group: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum of each group of values and the lowest index holding it;
+    value i is in group[i], and each group is a non-empty run of values
+    beginning at starts[group]."""
+    best = np.maximum.reduceat(values, starts)
+    tied = values == best[group]
+    return best, np.minimum.reduceat(np.where(tied, np.arange(len(values)), len(values)), starts)
 
 
-def _distinct_cycle(points: list) -> list:
-    """A closed point cycle without consecutive repeats, the closing edge included."""
-    out = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
-    while len(out) > 1 and out[-1] == out[0]:
-        out.pop()
-    return out
+def _dp_rings(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tolerance: float) -> list[Ring | None]:
+    """douglas_peucker on every closed chain pts[lo[k]:hi[k]] of (x, y)
+    points at once: each chain's ring, or None where it degenerates.
 
+    Consecutive repeats go (a point equal to the one before it, then a last
+    point equal to the first), and a chain left with fewer than three points
+    is degenerate. Each chain, closed by appending its first point, splits
+    at its anchor, the first point of greatest squared distance from point
+    0. Level by level, one project_points_to_segments call covers the
+    interior points of every open interval, and an interval splits at its
+    first point of greatest distance (math.hypot of point minus foot) from
+    its chord while that exceeds the tolerance. The kept points are the ring
+    when at least three remain.
 
-def _dp_ring(points: list, tolerance: float) -> Ring:
-    """douglas_peucker on a closed chain's (x, y) pixel centres, a list of pairs."""
-    # drop consecutive duplicates produced by out-and-back spurs
-    dedup = _distinct_cycle(points)
-    if len(dedup) < 3:
-        raise DegenerateRingError("chain too short to simplify")
-    anchor = max(range(len(dedup)), key=lambda i: (dedup[i][0] - dedup[0][0]) ** 2 + (dedup[i][1] - dedup[0][1]) ** 2)
-    first = _dp_open(dedup[: anchor + 1], tolerance)
-    second = _dp_open(dedup[anchor:] + [dedup[0]], tolerance)
-    out = _distinct_cycle(first[:-1] + second[:-1])
-    if len(out) < 3:
-        raise DegenerateRingError("simplified chain degenerated")
-    return Ring(tuple(Point2(x, y) for x, y in out))
+    No chord has zero length: the anchor differs from point 0, the closing
+    point, and a split point lies more than the tolerance (>= 0) from its
+    chord, so it is neither chord end. Consecutive kept points are the ends
+    of one chord, so the ring has no repeats.
+    """
+    rings: list[Ring | None] = [None] * len(lo)
+    chain, at = expand_ranges(np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64) - 1)
+    xy = pts[at]
+    step = np.ones(len(chain), dtype=bool)
+    step[1:] = (chain[1:] != chain[:-1]) | (xy[1:] != xy[:-1]).any(axis=1)
+    chain, xy = chain[step], xy[step]
+    count = np.bincount(chain, minlength=len(lo))
+    first, count = (np.cumsum(count) - count)[count > 0], count[count > 0]
+    closing = (count > 1) & (xy[first + count - 1] == xy[first]).all(axis=1)
+    step = np.repeat(count - closing >= 3, count)  # the chains left with >= 3 points
+    step[(first + count - 1)[closing]] = False
+    chain, xy = chain[step], xy[step]
+    count = np.bincount(chain, minlength=len(lo))
+    first, count = (np.cumsum(count) - count)[count > 0], count[count > 0]
+    ends, group = first + count, np.repeat(np.arange(len(first)), count)
+    anchor = _first_max(((xy - xy[first][group]) ** 2).sum(axis=1), group, first)[1]
+    # the closed layout: each chain's points, then its first point again
+    xy = np.insert(xy, ends, xy[first], axis=0)
+    x, y = xy[:, 0], xy[:, 1]
+    start, anchor, close = first + np.arange(len(first)), anchor + group[anchor], ends + np.arange(len(first))
+    keep = np.zeros(len(xy), dtype=bool)
+    keep[start] = keep[anchor] = True
+    lo, hi = np.concatenate([start, anchor]), np.concatenate([anchor, close])
+    while True:
+        wide = hi - lo > 1
+        lo, hi = lo[wide], hi[wide]
+        if len(lo) == 0:
+            break
+        span, at = expand_ranges(lo + 1, hi - 1)
+        a, b = lo[span], hi[span]
+        fx, fy, _ = project_points_to_segments(x[at], y[at], x[a], y[a], x[b], y[b])
+        dist = np.fromiter(map(math.hypot, (x[at] - fx).tolist(), (y[at] - fy).tolist()), np.float64, len(at))
+        best, split = _first_max(dist, span, np.cumsum(hi - lo - 1) - (hi - lo - 1))
+        far = best > tolerance
+        split = at[split[far]]
+        keep[split] = True
+        lo, hi = np.concatenate([lo[far], split]), np.concatenate([split, hi[far]])
+    bounds = np.cumsum(np.add.reduceat(keep, start, dtype=np.int64)).tolist()
+    points = xy[keep].tolist()
+    for k, a, b in zip(chain[first].tolist(), [0] + bounds, bounds):
+        if b - a >= 3:
+            rings[k] = Ring(tuple(Point2(px, py) for px, py in points[a:b]))
+    return rings
 
 
 def douglas_peucker(chain: BoundaryChain, tolerance: float) -> Ring:
-    """Classic recursive-split simplification of a closed chain.
-
-    The chain is split at its first pixel and the pixel farthest from it,
-    each half simplified independently. Raises DegenerateRingError when the
-    result has fewer than three distinct vertices.
+    """Classic recursive-split simplification of a closed chain's pixel
+    centres, split first at its first pixel and the pixel farthest from it:
+    _dp_rings, which polygonize_components calls once per tile, on one
+    chain. Raises DegenerateRingError when fewer than three vertices remain.
     """
     if not 0 <= tolerance < math.inf:
         raise PolygonizeError(f"tolerance must be finite and >= 0, got {tolerance}")
-    return _dp_ring([(c + 0.5, r + 0.5) for r, c in chain.pixels], tolerance)
+    ring = _dp_rings(chain.centers(), [0], [len(chain)], tolerance)[0]
+    if ring is None:
+        raise DegenerateRingError("chain degenerates under simplification")
+    return ring
 
 
 def polygonize_pipeline(
@@ -575,9 +602,10 @@ def polygonize_components(
     One pass per tile: _trace_windows traces the outer and hole chains of
     every component at once, and _snap_winners snaps every chain onto the
     detected vertices in one vectorised pass over (chain pixel, nearby
-    vertex) pairs. A chain whose snapping keeps fewer than three vertices or
-    degenerates falls back to Douglas-Peucker on its pixel centres. Points
-    and rings are built only for the rings emitted. Polygons are scored by
+    vertex) pairs. The chains whose snapping keeps fewer than three vertices
+    or degenerates fall back to Douglas-Peucker on their pixel centres, all
+    in one _dp_rings call. Points and rings are built only for the rings
+    emitted. Polygons are scored by
     the crop's score and rescaled by config.scale. Components whose outer
     ring fails both simplifiers are dropped (warned); failed hole rings are
     dropped silently. Each chain's ring is the one mav_attract_simplify,
@@ -588,30 +616,28 @@ def polygonize_components(
         return InstanceSet()
     vtx, _scores = _vertex_arrays(heatmap, offsets, cfg.top_k, cfg.vertex_threshold)
     chains = _trace_windows([(r0, c0, region) for r0, c0, region, _score in crops])
-    bounds = chains.bounds.tolist()
     pix = np.stack([chains.cols + 0.5, chains.rows + 0.5], axis=1)
     winner_chain, winner_vertex = _snap_winners(pix, chains.bounds, vtx, cfg.attract_dist)
-    cuts = np.searchsorted(winner_chain, np.arange(len(bounds))).tolist()
-
-    def ring(k: int) -> Ring | None:
-        if cuts[k + 1] - cuts[k] >= 3:
+    cuts = np.searchsorted(winner_chain, np.arange(len(chains.bounds))).tolist()
+    rings: list[Ring | None] = [None] * (len(cuts) - 1)
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if b - a >= 3:
             try:
-                return _snapped_ring(vtx, winner_vertex[cuts[k] : cuts[k + 1]], cfg.merge_angle)
+                rings[k] = _snapped_ring(vtx, winner_vertex[a:b], cfg.merge_angle)
             except FallbackRequired:
                 pass
-        try:
-            return _dp_ring(pix[bounds[k] : bounds[k + 1]].tolist(), cfg.dp_fallback_tolerance)
-        except DegenerateRingError:
-            return None
-
+    fallback = np.array([k for k, ring in enumerate(rings) if ring is None], dtype=np.int64)
+    simplified = _dp_rings(pix, chains.bounds[fallback], chains.bounds[fallback + 1], cfg.dp_fallback_tolerance)
+    for k, ring in zip(fallback.tolist(), simplified):
+        rings[k] = ring
     dropped = 0
     scored: list[ScoredPolygon] = []
     for (_r0, _c0, _region, score), first, end in zip(crops, chains.firsts, chains.firsts[1:]):
-        outer = ring(first)
+        outer = rings[first]
         if outer is None:
             dropped += 1
             continue
-        holes = tuple(hole for hole in map(ring, range(first + 1, end)) if hole is not None)
+        holes = tuple(hole for hole in rings[first + 1 : end] if hole is not None)
         scored.append(ScoredPolygon(Polygon(outer, holes), score))
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)

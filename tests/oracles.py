@@ -18,15 +18,22 @@ from polyform.metrics import MatchResult
 from polyform.raster import RasterGrid, VertexGrids
 
 
-def point_segment_distance(px, py, ax, ay, bx, by) -> float:
-    """Scalar closed-form point-to-segment distance."""
+def segment_foot(px, py, ax, ay, bx, by) -> tuple[float, float]:
+    """Scalar closed-form foot of (px, py) on the segment, t clamped to
+    [0, 1]; a zero-length segment's foot is its start."""
     ex, ey = bx - ax, by - ay
     l2 = ex * ex + ey * ey
     if l2 == 0:
-        return math.hypot(px - ax, py - ay)
+        return ax, ay
     t = ((px - ax) * ex + (py - ay) * ey) / l2
     t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * ex), py - (ay + t * ey))
+    return ax + t * ex, ay + t * ey
+
+
+def point_segment_distance(px, py, ax, ay, bx, by) -> float:
+    """Scalar closed-form point-to-segment distance."""
+    fx, fy = segment_foot(px, py, ax, ay, bx, by)
+    return math.hypot(px - fx, py - fy)
 
 
 def min_dist_over_segments(px, py, segs) -> tuple[int, float]:

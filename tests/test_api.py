@@ -7,6 +7,7 @@ run rather than here; this reads its imports with ast and resolves them.
 """
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,35 @@ def test_benchmark_files_are_found():
 def test_benchmark_imports_resolve(path):
     missing = [f"{m}.{n}" for m, n in polyform_imports(path) if not resolves(m, n)]
     assert missing == []
+
+
+def names_used(tree: ast.AST) -> Counter:
+    """How often each name is read in the tree: loaded names, attribute
+    names and the names `from ... import` brings in."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_module_level_definition_is_used():
+    """Each module-level function or class in src/polyform is referenced
+    somewhere in src/polyform outside its own body (which covers the names
+    __init__.py imports), or imported by the benchmark harness."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(INIT.parent.glob("*.py"))}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    bench = {name for path in BENCH_FILES for _module, name in polyform_imports(path)}
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and used[node.name] == names_used(node)[node.name]
+        and node.name not in bench
+    ]
+    assert unused == []

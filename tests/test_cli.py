@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -108,6 +110,7 @@ class TestEncode:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert [e["tile_id"] for e in errors] == ["t0"]
         assert errors[0]["error"].startswith("IsADirectoryError: ")
+        assert not (out / "t0.mask.rgf").exists()  # written before the fault, then removed
         manifest = json.loads((out / "manifest.json").read_text())
         assert [t["tile_id"] for t in manifest["tiles"]] == ["t1"]
         for name in manifest["tiles"][0]["files"].values():
@@ -232,6 +235,25 @@ class TestPolygonize:
         assert err == {"errors": [{"tile_id": "big", "error": "ManifestError: tile 'big': mask raster is 8x8, grid_size is 16x16"}]}
         assert [r.tile_id for r in read_geojson(pred.read_bytes())] == ["ok"]
 
+    @pytest.mark.parametrize("kind, channels", [("offsets", 1), ("mask", 3)])
+    def test_raster_of_wrong_channel_count_fails_its_tile(self, tmp_path, capsys, kind, channels):
+        records = [
+            TileRecord("bad", (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])),
+            TileRecord("ok", (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])),
+        ]
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        out, pred = tmp_path / "rasters", tmp_path / "pred.geojson"
+        assert main(["encode", str(gt), str(out)]) == 0
+        path = out / json.loads((out / "manifest.json").read_text())["tiles"][0]["files"][kind]
+        data = read_rgf(path.read_bytes()).data
+        path.write_bytes(write_rgf(RasterGrid(np.repeat(data[:, :, :1], channels, axis=2))))
+        assert main(["polygonize", str(out), str(pred)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        want = f"ManifestError: tile 'bad': {kind} raster has channel count {channels}, expected {2 if kind == 'offsets' else 1}"
+        assert err == {"errors": [{"tile_id": "bad", "error": want}]}
+        assert [r.tile_id for r in read_geojson(pred.read_bytes())] == ["ok"]
+
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["polygonize", "x", "y", "--frobnicate", "1"])
@@ -266,15 +288,18 @@ class TestPolygonize:
         assert err["errors"][0]["error"].startswith(f"missing file: {gt_geojson}/")
         assert not (tmp_path / "o.geojson").exists()
 
-    def test_output_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys):
+    def test_output_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys, monkeypatch):
         out, dst = tmp_path / "rasters", tmp_path / "pred.geojson"
         assert main(["encode", str(gt_geojson), str(out)]) == 0
         dst.mkdir()
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "polygonize_pipeline", lambda *args: calls.append(args))
         assert main(["polygonize", str(out), str(dst)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert len(err["errors"]) == 1 and err["errors"][0]["tile_id"] is None
         assert err["errors"][0]["error"].startswith("IsADirectoryError: ")
+        assert calls == []  # the output is opened before any tile is polygonized
 
     def test_scale_and_frame_come_from_the_manifest(self, tmp_path):
         records = [TileRecord("big", (512, 512), InstanceSet.of([rectangle(40, 40, 200, 160)]))]
@@ -350,6 +375,41 @@ def test_bad_flag_value_is_usage_error(gt_geojson, tmp_path, capsys, argv, outpu
     assert not (tmp_path / output).exists()
 
 
+def _read_fifo(path: Path) -> tuple[threading.Thread, list[bytes]]:
+    """A thread that reads everything written to the FIFO at path."""
+    data: list[bytes] = []
+
+    def read():
+        with open(path, "rb") as f:
+            data.append(f.read())
+
+    thread = threading.Thread(target=read)
+    thread.start()
+    return thread, data
+
+
+@pytest.mark.parametrize("command", ["polygonize", "eval"])
+def test_output_to_a_fifo(gt_geojson, tmp_path, command):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    if command == "polygonize":
+        assert main(["encode", str(gt_geojson), str(tmp_path / "rasters")]) == 0
+        argv = ["polygonize", str(tmp_path / "rasters"), str(fifo)]
+    else:
+        argv = ["eval", str(gt_geojson), str(gt_geojson), str(fifo)]
+    thread, data = _read_fifo(fifo)
+    try:
+        assert main(argv) == 0
+    finally:
+        if thread.is_alive() and not data:  # the command never opened the FIFO: let the reader end
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        thread.join(timeout=10)
+    if command == "polygonize":
+        assert [r.tile_id for r in read_geojson(data[0])] == ["t0", "t1"]
+    else:
+        assert json.loads(data[0])["ap"] == pytest.approx(1.0)
+
+
 class TestEval:
     def test_self_eval_perfect(self, gt_geojson, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -393,13 +453,31 @@ class TestEval:
         assert "'t0'" in err["errors"][0]["error"] and "32x32" in err["errors"][0]["error"]
         assert not (tmp_path / "r.json").exists()
 
-    def test_report_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys):
+    def test_report_onto_a_directory_is_named_error(self, gt_geojson, tmp_path, capsys, monkeypatch):
         report = tmp_path / "report.json"
         report.mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_corpus", lambda *args: calls.append(args))
         assert main(["eval", str(gt_geojson), str(gt_geojson), str(report)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert len(err["errors"]) == 1 and err["errors"][0]["tile_id"] is None
         assert err["errors"][0]["error"].startswith("IsADirectoryError: ")
+        assert calls == []  # the report is opened before the corpus is evaluated
+
+    def test_earlier_report_survives_a_failed_eval(self, tmp_path, capsys):
+        pred, gt, report = tmp_path / "pred.geojson", tmp_path / "gt.geojson", tmp_path / "r.json"
+        pred.write_bytes(write_geojson([TileRecord("t0", (32, 32), InstanceSet.of([rectangle(2, 2, 30, 30)]))]))
+        gt.write_bytes(write_geojson([TileRecord("t0", (16, 16), InstanceSet.of([rectangle(2, 2, 10, 10)]))]))
+        report.write_text('{"ap": 0.5}\n')
+        assert main(["eval", str(pred), str(gt), str(report)]) == 1
+        assert "MetricsError: " in json.loads(capsys.readouterr().err)["errors"][0]["error"]
+        assert report.read_text() == '{"ap": 0.5}\n'
+
+    def test_longer_earlier_report_is_replaced_whole(self, gt_geojson, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text("x" * 100_000)
+        assert main(["eval", str(gt_geojson), str(gt_geojson), str(report)]) == 0
+        assert json.loads(report.read_text())["ap"] == pytest.approx(1.0)
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.geojson"), str(tmp_path / "g.json"), str(tmp_path / "r.json")]) == 1
@@ -560,6 +638,16 @@ class TestRoundtrip:
         assert main(["roundtrip", str(gt_geojson), str(twice), *flags]) == 0
         assert len(labelled) == 2 + 4
         assert once.read_bytes() == twice.read_bytes()
+
+    def test_report_onto_a_directory_fails_before_any_tile(self, gt_geojson, tmp_path, capsys, monkeypatch):
+        report = tmp_path / "rt.json"
+        report.mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "polygonize_components", lambda *args: calls.append(args))
+        assert main(["roundtrip", str(gt_geojson), str(report)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert len(err["errors"]) == 1 and err["errors"][0]["error"].startswith("IsADirectoryError: ")
+        assert calls == []
 
     def test_fixed_seed_reproducible(self, gt_geojson, tmp_path):
         a = tmp_path / "a.json"

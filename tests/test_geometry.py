@@ -18,47 +18,37 @@ from polyform.geometry import (
     merge_collinear_edges,
     near_pairs,
     point_in_polygon,
-    point_segment_foot,
     project_points_to_segments,
     signed_area,
 )
 
 from polyform.raster import RasterError, encode_afm, polygon_mask
 
-from oracles import min_dist_over_segments, point_in_polygon_ring_by_ring
+from oracles import min_dist_over_segments, point_in_polygon_ring_by_ring, segment_foot
 from synth import annulus, random_rectilinear_polygon, random_star_polygon, rect_coords
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
 
+def project_one(px, py, ax, ay, bx, by) -> tuple[float, float, float]:
+    """project_points_to_segments on one point and segment, as Python floats."""
+    fx, fy, d2 = project_points_to_segments(*(np.array([float(v)]) for v in (px, py, ax, ay, bx, by)))
+    return fx[0].item(), fy[0].item(), d2[0].item()
+
+
 class TestProjectPointToSegment:
-    """geometry.point_segment_foot, the scalar projection Douglas-Peucker runs."""
+    """geometry.project_points_to_segments, the one point-to-segment projection."""
 
     def test_perpendicular_drop(self):
-        assert point_segment_foot(2, 3, 0, 0, 4, 0) == (2.0, 0.0, 0.5, 3.0)
+        assert project_one(2, 3, 0, 0, 4, 0) == (2.0, 0.0, 9.0)
 
     def test_clamped_to_endpoint(self):
-        fx, fy, t, dist = point_segment_foot(5, 1, 0, 0, 4, 0)
-        assert (fx, fy, t) == (4.0, 0.0, 1.0)
-        assert dist == pytest.approx(math.sqrt(2), abs=1e-12)
+        fx, fy, d2 = project_one(5, 1, 0, 0, 4, 0)
+        assert (fx, fy) == (4.0, 0.0)
+        assert d2 == pytest.approx(2.0, abs=1e-12)
 
     def test_point_on_segment(self):
-        assert point_segment_foot(1, 1, 0, 0, 2, 2) == (1.0, 1.0, 0.5, 0.0)
-
-    @pytest.mark.parametrize(
-        "p, foot",
-        [((1.0, 1.0), (1.0, 1.0, 0.0, 0.0)), ((4.0, 5.0), (1.0, 1.0, 0.0, 5.0)), ((-3.0, 4.0), (1.0, 1.0, 0.0, 5.0))],
-    )
-    def test_zero_length_segment_projects_onto_its_point(self, p, foot):
-        assert point_segment_foot(*p, 1.0, 1.0, 1.0, 1.0) == foot
-
-    def test_numerically_coincident_endpoints_take_the_nearer(self):
-        # the endpoints differ, but the squared length underflows to 0
-        ax, bx = 0.0, 2.0**-600
-        assert point_segment_foot(2.0**-599, 0.0, ax, 0.0, bx, 0.0) == (bx, 0.0, 1.0, 2.0**-600)
-        assert point_segment_foot(-(2.0**-600), 0.0, ax, 0.0, bx, 0.0) == (ax, 0.0, 0.0, 2.0**-600)
-        # equidistant: the start wins the tie
-        assert point_segment_foot(2.0**-601, 0.0, ax, 0.0, bx, 0.0) == (ax, 0.0, 0.0, 2.0**-601)
+        assert project_one(1, 1, 0, 0, 2, 2) == (1.0, 1.0, 0.0)
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(GeometryError):
@@ -66,22 +56,10 @@ class TestProjectPointToSegment:
 
     @given(coord, coord, coord, coord, coord, coord)
     def test_dist_never_exceeds_endpoint_dists(self, px, py, ax, ay, bx, by):
-        if (ax, ay) == (bx, by):
-            return
-        _, _, _, dist = point_segment_foot(px, py, ax, ay, bx, by)
+        assume((bx - ax) * (bx - ax) + (by - ay) * (by - ay) > 0)  # the kernel takes nonzero-length segments
+        dist = math.sqrt(project_one(px, py, ax, ay, bx, by)[2])
         assert dist <= math.hypot(px - ax, py - ay) + 1e-9
         assert dist <= math.hypot(px - bx, py - by) + 1e-9
-
-    @given(
-        st.integers(-3, 3),
-        st.lists(st.floats(min_value=-1, max_value=1, allow_subnormal=False), min_size=6, max_size=6),
-    )
-    def test_foot_equals_the_vectorised_kernel(self, exponent, unit):
-        px, py, ax, ay, bx, by = (u * 10.0**exponent for u in unit)
-        assume((bx - ax) ** 2 + (by - ay) ** 2 > 1e-20 * 10.0 ** (2 * exponent))
-        fx, fy, _t, _dist = point_segment_foot(px, py, ax, ay, bx, by)
-        vfx, vfy, _d2 = project_points_to_segments(*(np.array([v]) for v in (px, py, ax, ay, bx, by)))
-        assert (fx, fy) == (vfx[0], vfy[0])
 
 
 def resize_per_axis(instances: InstanceSet, fx: float, fy: float) -> InstanceSet:
@@ -153,7 +131,7 @@ class TestNearestSegment:
                 for c in range(24):
                     px, py = c + 0.5, r + 0.5
                     idx, dist = min_dist_over_segments(px, py, segs)
-                    fx, fy, _t, _d = point_segment_foot(px, py, *segs[idx])
+                    fx, fy = segment_foot(px, py, *segs[idx])
                     assert afm[r, c, 0] == pytest.approx(fx - px, abs=1e-9)
                     assert afm[r, c, 1] == pytest.approx(fy - py, abs=1e-9)
                     assert math.hypot(*afm[r, c]) == pytest.approx(dist, abs=1e-9)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import ndimage
 
 from polyform.geometry import DegenerateRingError, InstanceSet, Point2, Polygon, signed_area
+from polyform import polygonize
 from polyform.polygonize import (
     EIGHT,
     FOUR,
@@ -15,6 +16,7 @@ from polyform.polygonize import (
     PolygonizeConfig,
     PolygonizeError,
     VertexSet,
+    _dp_rings,
     _trace_window,
     component_crops,
     connected_components,
@@ -587,6 +589,26 @@ class TestComponentCrops:
         assert component_crops(grid_f32(np.zeros((6, 5))), 0.5) == []
 
 
+LATTICE = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def closed_lattice_chain(draw):
+    """A closed chain of lattice points (x + 0.5, y + 0.5) with consecutive
+    repeats, out-and-back spurs and, at times, a last point equal to the first."""
+    out = []
+    for p in draw(st.lists(LATTICE, max_size=14)):
+        out.append(p)
+        step = draw(st.sampled_from(["plain", "repeat", "spur"]))
+        if step == "repeat":
+            out.append(p)
+        elif step == "spur":
+            out += [draw(LATTICE), p]
+    if out and draw(st.booleans()):
+        out.append(out[0])
+    return [(x + 0.5, y + 0.5) for x, y in out]
+
+
 class TestDouglasPeucker:
     def test_equals_scalar_reference_on_degraded_chains(self):
         # The first two point loops make math.hypot and the square root of the
@@ -609,6 +631,27 @@ class TestDouglasPeucker:
                 except DegenerateRingError:
                     got = None
                 assert got == douglas_peucker_closed(chain.centers(), tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(closed_lattice_chain(), min_size=1, max_size=25), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    @example(
+        [
+            [],
+            [(0.5, 0.5)],
+            [(0.5, 0.5), (0.5, 0.5), (2.5, 0.5)],  # a repeat leaves two points
+            [(0.5, 0.5), (2.5, 0.5), (0.5, 0.5)],  # the closing point equals the first
+            # a repeat, a spur and a closing point equal to the first
+            [(0.5, 0.5), (2.5, 0.5), (2.5, 0.5), (2.5, 2.5), (4.5, 4.5), (2.5, 2.5), (0.5, 2.5), (0.5, 0.5)],
+            [(0.5, 0.5), (1.5, 1.5), (2.5, 0.5), (1.5, 1.5)],  # collapses below 3 under the tolerance
+        ],
+        1.0,
+    )
+    def test_batched_chains_equal_the_scalar_reference(self, chains, tol):
+        lengths = np.array([len(chain) for chain in chains], dtype=np.int64)
+        pts = np.array([p for chain in chains for p in chain], dtype=np.float64).reshape(-1, 2)
+        rings = _dp_rings(pts, np.cumsum(lengths) - lengths, np.cumsum(lengths), tol)
+        got = [None if ring is None else [tuple(v) for v in ring.vertices] for ring in rings]
+        assert got == [douglas_peucker_closed(chain, tol) for chain in chains]
 
     def test_rectangle_reduces_to_corners(self):
         chain = square_chain(1, 1, 9, 7, 12, 12)
@@ -800,6 +843,20 @@ class TestPolygonizeComponentsOracle:
         got, want = polygonize_both(soft, grids.heatmap, grids.offsets, PolygonizeConfig(connectivity=connectivity))
         assert len(got) >= 20
         assert repr(got) == repr(want)
+
+    def test_one_douglas_peucker_call_per_tile(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        inst = random_tile(rng, 256, 256, n_min=25, n_max=30, min_side=12, max_side=36, separation=1)
+        spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, vertex_dropout_prob=0.3,
+                           spurious_vertex_count=40, heatmap_noise_sigma=0.02, rng_seed=15)
+        soft, grids = degrade(rasterize_mask(inst, 256, 256), encode_vertices(inst, 256, 256), spec)
+        calls = []
+        dp_rings = polygonize._dp_rings
+        monkeypatch.setattr(polygonize, "_dp_rings", lambda pts, lo, hi, tol: calls.append(len(lo)) or dp_rings(pts, lo, hi, tol))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            polygonize_pipeline(soft, grids.heatmap, grids.offsets)
+        assert len(calls) == 1 and calls[0] >= 2  # every fallback chain of the tile in one call
 
     def test_pinhole_near_three_vertices_keeps_its_hole(self):
         # a one-pixel hole traces to a 4-pixel diamond; three vertices 2 px
