@@ -22,6 +22,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -164,7 +165,7 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
             afm = encode_afm(instances, mask.height, mask.width).data.astype(np.float32)
         else:  # no segment to point at
             afm = np.zeros((mask.height, mask.width, 2), dtype=np.float32)
-        files = {kind: f"{name}.{kind}.rgf" for kind in ("mask", "afm", "heatmap", "offsets")}
+        files = {kind: f"{name}.{kind}.rgf" for kind in pio.RASTER_CHANNELS}
         written = []
         try:
             for filename, grid in zip(files.values(), (mask, RasterGrid(afm), grids.heatmap, grids.offsets)):
@@ -184,7 +185,9 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
     return errors
 
 
-# polygonize flag (argparse dest, also its key in the output metadata) -> PolygonizeConfig field
+# config flag tables: argparse dest (the flag is --dest with "-" for "_") ->
+# config field; each flag takes its type and default from the field's default.
+# A polygonize dest is also its key in the output metadata
 _POLYGONIZE_FLAGS = {
     "mask_threshold": "mask_threshold",
     "topk": "top_k",
@@ -194,25 +197,42 @@ _POLYGONIZE_FLAGS = {
     "connectivity": "connectivity",
     "dp_fallback_tolerance": "dp_fallback_tolerance",
 }
+_EVAL_FLAGS = {"iou_thr": "iou_thr", "vertex_dist_thr": "vertex_dist_thr"}
+_DEGRADE_FLAGS = {
+    "dilate": "dilate_radius",
+    "erode": "erode_radius",
+    "jitter_sigma": "boundary_jitter_sigma",
+    "heatmap_noise_sigma": "heatmap_noise_sigma",
+    "vertex_dropout": "vertex_dropout_prob",
+    "spurious": "spurious_vertex_count",
+    "seed": "rng_seed",
+}
 
 
-def _polygonize_config(args: argparse.Namespace, scale: float = 1.0) -> PolygonizeConfig:
-    return PolygonizeConfig(scale=scale, **{field: getattr(args, dest) for dest, field in _POLYGONIZE_FLAGS.items()})
+def _add_flags(p: argparse.ArgumentParser, table: dict[str, str], defaults: object) -> None:
+    for dest, field in table.items():
+        default = getattr(defaults, field)
+        choices = [FOUR, EIGHT] if field == "connectivity" else None
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default, choices=choices)
+
+
+def _config(cls: type, table: dict[str, str], args: argparse.Namespace, **fields):
+    """cls built from the flags of `table`, plus the given fields."""
+    return cls(**fields, **{field: getattr(args, dest) for dest, field in table.items()})
 
 
 def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     raster_dir = Path(args.raster_dir)
     scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
-    cfg = _polygonize_config(args, float(scale))
-
-    channels = {"mask": 1, "heatmap": 1, "offsets": 2}  # raster kind -> channel count
+    cfg = _config(PolygonizeConfig, _POLYGONIZE_FLAGS, args, scale=float(scale))
 
     def work(tile: pio.ManifestTile):
-        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in channels]
-        for (kind, count), grid in zip(channels.items(), rasters):
+        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in pio.MANIFEST_RASTERS]
+        for kind, grid in zip(pio.MANIFEST_RASTERS, rasters):
             if (grid.height, grid.width) != tile.grid_size:
                 gh, gw = tile.grid_size
                 raise pio.ManifestError(f"tile {tile.tile_id!r}: {kind} raster is {grid.height}x{grid.width}, grid_size is {gh}x{gw}")
+            count = pio.RASTER_CHANNELS[kind]
             if grid.channels != count:
                 raise pio.ManifestError(f"tile {tile.tile_id!r}: {kind} raster has channel count {grid.channels}, expected {count}")
         return pio.TileRecord(tile.tile_id, tile.image_size, polygonize_pipeline(*rasters, cfg))
@@ -226,42 +246,24 @@ def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     return errors
 
 
-def _eval_config(args: argparse.Namespace) -> EvalConfig:
-    return EvalConfig(iou_thr=args.iou_thr, vertex_dist_thr=args.vertex_dist_thr)
-
-
 def cmd_eval(args: argparse.Namespace) -> list[dict]:
     preds = pio.read_annotations(args.pred)
     gts = pio.read_annotations(args.gt)
     with _output(args.report) as write:
-        report = evaluate_corpus(preds, gts, _eval_config(args))
+        report = evaluate_corpus(preds, gts, _config(EvalConfig, _EVAL_FLAGS, args))
         write((json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n").encode())
     print(report.render_table())
     return []
 
 
-def _degrade_spec(args: argparse.Namespace) -> DegradeSpec:
-    return DegradeSpec(
-        dilate_radius=args.dilate,
-        erode_radius=args.erode,
-        boundary_jitter_sigma=args.jitter_sigma,
-        heatmap_noise_sigma=args.heatmap_noise_sigma,
-        vertex_dropout_prob=args.vertex_dropout,
-        spurious_vertex_count=args.spurious,
-        rng_seed=args.seed,
-    )
-
-
-def _check_roundtrip(args: argparse.Namespace) -> None:
+def _roundtrip_configs(args: argparse.Namespace) -> tuple[DegradeSpec, PolygonizeConfig]:
     _check_scale(args)
-    _polygonize_config(args, float(args.scale))
-    _degrade_spec(args)
+    return _config(DegradeSpec, _DEGRADE_FLAGS, args), _config(PolygonizeConfig, _POLYGONIZE_FLAGS, args, scale=float(args.scale))
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
     gt_records = pio.read_annotations(args.gt)
-    spec = _degrade_spec(args)
-    cfg = _polygonize_config(args, float(args.scale))
+    spec, cfg = _roundtrip_configs(args)
 
     def work(rec: pio.TileRecord):
         frame, frame_instances, _, mask, grids = _encode_tile(rec, args.size, args.scale)
@@ -291,15 +293,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
             return errors or _run_error("no tiles processed")
         report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
         mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
-        payload = {
-            "mask_ap": mask_ap,
-            "polygon_ap": report.ap,
-            "ap_gap": report.ap - mask_ap,
-            **report.to_json_dict(),
-        }
-        write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-    width = max(len(k) for k in payload)
-    print("\n".join(f"{k.ljust(width)}  {v:.6f}" for k, v in payload.items()))
+        gap = {"mask_ap": mask_ap, "polygon_ap": report.ap, "ap_gap": report.ap - mask_ap}
+        write((json.dumps({**gap, **report.to_json_dict()}, sort_keys=True, indent=2) + "\n").encode())
+    print(report.render_table(**gap))
     return errors
 
 
@@ -309,14 +305,6 @@ def cmd_render(args: argparse.Namespace) -> list[dict]:
     Path(args.output).write_text(svg)
     print(f"rendered {len(records)} tiles -> {args.output}")
     return []
-
-
-def _add_polygonize_flags(p: argparse.ArgumentParser) -> None:
-    defaults = PolygonizeConfig()
-    for dest, field in _POLYGONIZE_FLAGS.items():
-        default = getattr(defaults, field)
-        choices = [FOUR, EIGHT] if field == "connectivity" else None
-        p.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default, choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,31 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polygonize", help="extract polygons from encoded rasters")
     p.add_argument("raster_dir")
     p.add_argument("output", help="output GeoJSON path")
-    _add_polygonize_flags(p)
-    p.set_defaults(fn=cmd_polygonize, validate=_polygonize_config)
+    _add_flags(p, _POLYGONIZE_FLAGS, PolygonizeConfig())
+    p.set_defaults(fn=cmd_polygonize, validate=partial(_config, PolygonizeConfig, _POLYGONIZE_FLAGS))
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("pred", help="predictions GeoJSON")
     p.add_argument("gt", help="ground truth GeoJSON or COCO json")
     p.add_argument("report", help="output report JSON path")
-    p.add_argument("--iou-thr", type=float, default=0.5)
-    p.add_argument("--vertex-dist-thr", type=float, default=5.0)
-    p.set_defaults(fn=cmd_eval, validate=_eval_config)
+    _add_flags(p, _EVAL_FLAGS, EvalConfig())
+    p.set_defaults(fn=cmd_eval, validate=partial(_config, EvalConfig, _EVAL_FLAGS))
 
     p = sub.add_parser("roundtrip", help="encode, optionally degrade, polygonize, and compare AP")
     p.add_argument("gt", help="ground truth GeoJSON or COCO json")
     p.add_argument("report", help="output report JSON path")
     p.add_argument("--size", type=_parse_size, default=None)
     p.add_argument("--scale", type=int, default=1)
-    _add_polygonize_flags(p)
-    p.add_argument("--dilate", type=int, default=0)
-    p.add_argument("--erode", type=int, default=0)
-    p.add_argument("--jitter-sigma", type=float, default=0.0)
-    p.add_argument("--heatmap-noise-sigma", type=float, default=0.0)
-    p.add_argument("--vertex-dropout", type=float, default=0.0)
-    p.add_argument("--spurious", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_roundtrip, validate=_check_roundtrip)
+    _add_flags(p, _POLYGONIZE_FLAGS, PolygonizeConfig())
+    _add_flags(p, _DEGRADE_FLAGS, DegradeSpec())
+    p.set_defaults(fn=cmd_roundtrip, validate=_roundtrip_configs)
 
     p = sub.add_parser("render", help="render GeoJSON polygons to SVG")
     p.add_argument("input", help="GeoJSON path")

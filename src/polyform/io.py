@@ -17,15 +17,17 @@ Formats:
     positive int down-sampling factor) and "tiles", a list of objects
     with a unique string "tile_id", "image_size" and "grid_size" (pairs
     of positive ints (h, w) with image = grid x scale) and "files", the
-    raster file name per kind ("mask", "afm", "heatmap", "offsets"; the
-    reader needs all but "afm"). File names are plain names inside the
+    raster file name per kind of RASTER_CHANNELS (the reader needs all
+    but "afm"). File names are plain names inside the
     raster directory: no directory part, no ".." and not absolute.
   - SVG: deterministic polygon overlays, one even-odd path per instance.
 
 Readers raise typed FormatError subclasses on malformed input, never
 arbitrary exceptions. Instance scores must be finite: they rank the
-predictions for matching. Tile ids (and COCO image ids) must be unique:
-tiles are keyed by id.
+predictions for matching, and the writers raise on a non-finite one too.
+Image sizes are positive ints and COCO image ids are ints (a bool or a
+float is neither). Tile ids (and COCO image ids) must be unique: tiles are
+keyed by id.
 """
 from __future__ import annotations
 
@@ -179,14 +181,15 @@ def _ring_coords_closed(ring: Ring) -> list[list[float]]:
 def write_geojson(records: Sequence[TileRecord], metadata: dict | None = None) -> bytes:
     features = []
     for rec in records:
-        for sp in rec.instances:
+        for i, sp in enumerate(rec.instances):
             poly = sp.polygon
             rings = [_ring_coords_closed(poly.outer)] + [_ring_coords_closed(h) for h in poly.holes]
+            score = _finite_score(sp.score, f"tile {rec.tile_id!r} instance {i}", GeoJsonError)
             features.append(
                 {
                     "type": "Feature",
                     "geometry": {"type": "Polygon", "coordinates": rings},
-                    "properties": {"tile_id": rec.tile_id, "score": sp.score},
+                    "properties": {"tile_id": rec.tile_id, "score": score},
                 }
             )
     doc: dict = {
@@ -239,10 +242,9 @@ def _geojson_records(doc: object) -> list[TileRecord]:
     try:
         for entry in doc["tiles"]:
             tile_id = str(entry["tile_id"])
-            h, w = entry["image_size"]
             order.append(tile_id)
-            sizes[tile_id] = (int(h), int(w))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            sizes[tile_id] = _size_pair(entry["image_size"], f"tile {tile_id!r} image_size", GeoJsonError)
+    except (KeyError, TypeError) as exc:
         raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
     _reject_repeats(order, "tile_id", GeoJsonError)
     by_tile: dict[str, list[ScoredPolygon]] = {tid: [] for tid in order}
@@ -315,11 +317,13 @@ def _coco_records(doc: object) -> list[TileRecord]:
     order: list[int] = []
     try:
         for img in doc["images"]:
-            image_id = int(img["id"])
+            image_id = img["id"]
+            if not _is_int(image_id):
+                raise CocoError(f"image id {image_id!r} is not an int")
             tile_id = str(img.get("file_name", image_id))
-            images[image_id] = (tile_id, int(img["height"]), int(img["width"]))
+            images[image_id] = (tile_id, *_size_pair([img["height"], img["width"]], f"image {image_id} size", CocoError))
             order.append(image_id)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CocoError(f"bad 'images' entry: {exc!r}") from exc
     _reject_repeats(order, "image id", CocoError)
     _reject_repeats([images[i][0] for i in order], "tile id (file_name)", CocoError)
@@ -332,13 +336,10 @@ def _coco_records(doc: object) -> list[TileRecord]:
         if not isinstance(ann, dict):
             raise CocoError(f"annotation {k}: not an object")
         what = f"annotation {ann.get('id', k)}"
-        try:
-            image_id = int(ann["image_id"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CocoError(f"{what}: {exc!r}") from exc
+        image_id = ann.get("image_id")
         score = _finite_score(ann.get("score", 1.0), what, CocoError)
-        if image_id not in images:
-            raise CocoError(f"{what}: unknown image_id {image_id}")
+        if not _is_int(image_id) or image_id not in images:
+            raise CocoError(f"{what}: unknown image_id {image_id!r}")
         if ann.get("iscrowd"):
             crowd_seen += 1
         rings = _rings_from_segmentation(ann.get("segmentation"), what)
@@ -400,7 +401,7 @@ def write_coco_annotations(records: Sequence[TileRecord]) -> bytes:
                     "area": poly.area(),
                     "bbox": [min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys)],
                     "iscrowd": 0,
-                    "score": sp.score,
+                    "score": _finite_score(sp.score, f"annotation {ann_id}", CocoError),
                 }
             )
             ann_id += 1
@@ -412,7 +413,9 @@ def write_coco_annotations(records: Sequence[TileRecord]) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-_MANIFEST_RASTERS = ("mask", "heatmap", "offsets")  # the kinds polygonize reads
+# the raster kinds encode writes, in its write order, and each kind's channel count
+RASTER_CHANNELS = {"mask": 1, "afm": 2, "heatmap": 1, "offsets": 2}
+MANIFEST_RASTERS = tuple(kind for kind in RASTER_CHANNELS if kind != "afm")  # the kinds polygonize reads
 
 
 @dataclass(frozen=True)
@@ -438,13 +441,17 @@ def write_manifest(scale: int, tiles: Sequence[ManifestTile]) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
-def _size_pair(value: object, what: str) -> tuple[int, int]:
+def _size_pair(value: object, what: str, error: type[FormatError] = ManifestError) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2 and all(_positive_int(v) for v in value)):
-        raise ManifestError(f"{what} must be a pair of positive ints, got {value!r}")
+        raise error(f"{what} must be a pair of positive ints, got {value!r}")
     return value[0], value[1]
 
 
@@ -467,8 +474,8 @@ def _manifest_tile(entry: object, scale: int) -> ManifestTile:
     if image_size != (grid_size[0] * scale, grid_size[1] * scale):
         raise ManifestError(f"{what}: image_size {list(image_size)} is not grid_size {list(grid_size)} x scale {scale}")
     files = entry.get("files")
-    if not (isinstance(files, dict) and all(kind in files for kind in _MANIFEST_RASTERS)):
-        raise ManifestError(f"{what}: files must name the {', '.join(_MANIFEST_RASTERS)} rasters")
+    if not (isinstance(files, dict) and all(kind in files for kind in MANIFEST_RASTERS)):
+        raise ManifestError(f"{what}: files must name the {', '.join(MANIFEST_RASTERS)} rasters")
     for name in files.values():
         if not _plain_name(name):
             raise ManifestError(f"{what}: {name!r} is not a plain file name")

@@ -87,8 +87,8 @@ class EvalReport:
     def to_json_dict(self) -> dict[str, float]:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
-    def render_table(self) -> str:
-        rows = self.to_json_dict()
+    def render_table(self, **leading: float) -> str:
+        rows = {**leading, **self.to_json_dict()}
         width = max(len(k) for k in rows)
         lines = [f"{k.ljust(width)}  {v:.6f}" for k, v in rows.items()]
         return "\n".join(lines)

@@ -123,13 +123,16 @@ def component_crops(
 ) -> list[tuple[int, int, np.ndarray, float]]:
     """The connected components of soft > tau, in label order, as
     (r0, c0, crop, score): the component's bounding-box mask at frame offset
-    (r0, c0) and the f64 mean of the soft mask over its pixels."""
+    (r0, c0) and the f64 mean of the soft mask over its pixels. A component
+    whose mean is not finite (it holds +inf) raises PolygonizeError."""
     values = soft.channel()
     lab, boxes = _label_boxes(values > tau, connectivity)
     out = []
     for comp, (rows, cols) in enumerate(boxes, start=1):
         region = lab[rows, cols] == comp
         score = float(values[rows, cols][region].astype(np.float64).mean())
+        if not math.isfinite(score):
+            raise PolygonizeError(f"component {comp} at row {rows.start}, col {cols.start}: soft-mask mean {score} is not finite")
         out.append((rows.start, cols.start, region, score))
     return out
 
@@ -513,6 +516,8 @@ def _dp_rings(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tolerance: float)
     chord, so it is neither chord end. Consecutive kept points are the ends
     of one chord, so the ring has no repeats.
     """
+    if len(lo) == 0:  # a tile without fallback chains skips the array steps
+        return []
     rings: list[Ring | None] = [None] * len(lo)
     chain, at = expand_ranges(np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64) - 1)
     xy = pts[at]

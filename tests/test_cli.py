@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import threading
@@ -13,7 +14,9 @@ from polyform import cli, polygonize
 from polyform.cli import main
 from polyform.geometry import InstanceSet
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
-from polyform.raster import RasterGrid
+from polyform.metrics import EvalConfig
+from polyform.polygonize import PolygonizeConfig
+from polyform.raster import DegradeSpec, RasterGrid
 
 from synth import annulus, random_tile, rectangle
 
@@ -254,6 +257,22 @@ class TestPolygonize:
         assert err == {"errors": [{"tile_id": "bad", "error": want}]}
         assert [r.tile_id for r in read_geojson(pred.read_bytes())] == ["ok"]
 
+    def test_non_finite_soft_mask_fails_its_tile(self, tmp_path, capsys):
+        records = [TileRecord(tile_id, (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])) for tile_id in ("inf", "ok")]
+        gt = tmp_path / "gt.geojson"
+        gt.write_bytes(write_geojson(records))
+        out, pred = tmp_path / "rasters", tmp_path / "pred.geojson"
+        assert main(["encode", str(gt), str(out)]) == 0
+        path = out / json.loads((out / "manifest.json").read_text())["tiles"][0]["files"]["mask"]
+        soft = read_rgf(path.read_bytes()).data.astype(np.float32)
+        soft[6, 6, 0] = np.inf  # one pixel inside the building
+        path.write_bytes(write_rgf(RasterGrid(soft)))
+        assert main(["polygonize", str(out), str(pred)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        want = "PolygonizeError: component 1 at row 2, col 2: soft-mask mean inf is not finite"
+        assert err == {"errors": [{"tile_id": "inf", "error": want}]}
+        assert [r.tile_id for r in read_geojson(pred.read_bytes())] == ["ok"]
+
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["polygonize", "x", "y", "--frobnicate", "1"])
@@ -373,6 +392,24 @@ def test_bad_flag_value_is_usage_error(gt_geojson, tmp_path, capsys, argv, outpu
     assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / output).exists()
+
+
+def test_config_flags_come_from_the_dataclasses():
+    parser = cli.build_parser()
+    commands = {
+        ("polygonize", "r", "o.geojson"): [(PolygonizeConfig, cli._POLYGONIZE_FLAGS)],
+        ("eval", "p", "g", "r.json"): [(EvalConfig, cli._EVAL_FLAGS)],
+        ("roundtrip", "g", "r.json"): [(PolygonizeConfig, cli._POLYGONIZE_FLAGS), (DegradeSpec, cli._DEGRADE_FLAGS)],
+    }
+    unflagged = set()
+    for argv, tables in commands.items():
+        args = parser.parse_args(argv)
+        for cls, table in tables:
+            assert cli._config(cls, table, args) == cls()
+            assert len(set(table.values())) == len(table)  # every flag sets its own field
+            unflagged |= {(cls.__name__, f.name) for f in dataclasses.fields(cls) if f.name not in table.values()}
+    # the scale comes from the manifest (polygonize) or --scale (roundtrip)
+    assert unflagged == {("PolygonizeConfig", "scale"), ("EvalConfig", "boundary_d_frac")}
 
 
 def _read_fifo(path: Path) -> tuple[threading.Thread, list[bytes]]:

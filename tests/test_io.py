@@ -177,6 +177,14 @@ class TestGeoJson:
         with pytest.raises(GeoJsonError, match="'a' appears twice"):
             read_geojson(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "size", [[512.9, True], [512.9, 512], [True, 512], ["64", 64], [0, 8], [8], [8, 8, 8]], ids=str
+    )
+    def test_image_size_must_be_positive_ints(self, size):
+        tile = _TILE_T.replace("[8, 8]", json.dumps(size))
+        with pytest.raises(GeoJsonError, match="image_size must be a pair of positive ints"):
+            read_geojson(tile + '"features": []}')
+
     def test_side_past_float_range_rejected(self):
         tile = _TILE_T.replace("[8, 8]", "[8, 1" + "0" * 400 + "]")
         with pytest.raises(FormatError, match="bad image size"):
@@ -198,6 +206,14 @@ class TestGeoJson:
 
     def test_exactly_on_bounds_tolerated(self):
         TileRecord("t", (8, 8), InstanceSet.of([rectangle(0, 0, 8, 8)]))
+
+
+@pytest.mark.parametrize("score", [float("inf"), float("nan")], ids=str)
+@pytest.mark.parametrize("write, error", [(write_geojson, GeoJsonError), (write_coco_annotations, CocoError)])
+def test_writers_reject_non_finite_score(write, error, score):
+    records = [TileRecord("t", (8, 8), InstanceSet.of([rectangle(0, 0, 4, 4)], scores=[score]))]
+    with pytest.raises(error, match="non-finite score"):
+        write(records)
 
 
 class TestCoco:
@@ -285,6 +301,31 @@ class TestCoco:
         doc = {"images": [{**img, "height": 8, "width": 8} for img in images], "annotations": []}
         path = tmp_path / "coco.json"
         path.write_text(json.dumps(doc))
+        with pytest.raises(CocoError, match=match):
+            read_coco_annotations(path)
+
+    @pytest.mark.parametrize(
+        "images, annotation_image_id, match",
+        [
+            ([{"id": 1, "height": 64.5, "width": 64}], 1, r"image 1 size must be a pair of positive ints, got \[64.5, 64\]"),
+            ([{"id": 1, "height": 64, "width": "64"}], 1, "image 1 size must be a pair of positive ints"),
+            ([{"id": 1, "height": True, "width": 64}], 1, "image 1 size must be a pair of positive ints"),
+            ([{"id": 1, "height": 0, "width": 64}], 1, "image 1 size must be a pair of positive ints"),
+            ([{"id": 1.7, "height": 8, "width": 8}, {"id": 1, "height": 8, "width": 8}], 1, "image id 1.7 is not an int"),
+            ([{"id": True, "height": 8, "width": 8}], 1, "image id True is not an int"),
+            ([{"id": "1", "height": 8, "width": 8}], 1, "image id '1' is not an int"),
+            ([{"id": 1, "height": 8, "width": 8}], 1.0, "unknown image_id 1.0"),
+            ([{"id": 1, "height": 8, "width": 8}], True, "unknown image_id True"),
+        ],
+        ids=[
+            "height-float", "width-string", "height-bool", "height-zero", "id-float", "id-bool", "id-string",
+            "annotation-image-id-float", "annotation-image-id-bool",
+        ],
+    )
+    def test_sizes_and_image_ids_must_be_ints(self, tmp_path, images, annotation_image_id, match):
+        annotation = {"id": 1, "image_id": annotation_image_id, "segmentation": [[1, 1, 5, 1, 5, 5, 1, 5]]}
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps({"images": images, "annotations": [annotation]}))
         with pytest.raises(CocoError, match=match):
             read_coco_annotations(path)
 
