@@ -241,7 +241,7 @@ def _geojson_records(doc: object) -> list[TileRecord]:
     sizes: dict[str, tuple[int, int]] = {}
     try:
         for entry in doc["tiles"]:
-            tile_id = str(entry["tile_id"])
+            tile_id = _string_id(entry["tile_id"], "tile_id", GeoJsonError)
             order.append(tile_id)
             sizes[tile_id] = _size_pair(entry["image_size"], f"tile {tile_id!r} image_size", GeoJsonError)
     except (KeyError, TypeError) as exc:
@@ -267,7 +267,7 @@ def _geojson_records(doc: object) -> list[TileRecord]:
         props = feature.get("properties") or {}
         if not isinstance(props, dict):
             raise GeoJsonError(f"{what}: properties is not an object")
-        tile_id = str(props.get("tile_id", ""))
+        tile_id = _string_id(props.get("tile_id"), f"{what}: tile_id", GeoJsonError)
         if tile_id not in by_tile:
             raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
         score = _finite_score(props.get("score", 1.0), what, GeoJsonError)
@@ -320,7 +320,7 @@ def _coco_records(doc: object) -> list[TileRecord]:
             image_id = img["id"]
             if not _is_int(image_id):
                 raise CocoError(f"image id {image_id!r} is not an int")
-            tile_id = str(img.get("file_name", image_id))
+            tile_id = _string_id(img["file_name"], "file_name", CocoError) if "file_name" in img else str(image_id)
             images[image_id] = (tile_id, *_size_pair([img["height"], img["width"]], f"image {image_id} size", CocoError))
             order.append(image_id)
     except (KeyError, TypeError) as exc:
@@ -353,11 +353,9 @@ def _coco_records(doc: object) -> list[TileRecord]:
         by_image[image_id].append(ScoredPolygon(poly, score))
     if crowd_seen:
         warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations", stacklevel=3)
-    records = []
-    for image_id in order:
-        tile_id, h, w = images[image_id]
-        records.append(TileRecord(tile_id, (h, w), InstanceSet(tuple(by_image[image_id]))))
-    return records
+    return [
+        TileRecord(images[i][0], images[i][1:], InstanceSet(tuple(by_image[i]))) for i in order
+    ]
 
 
 def read_annotations(path: str | Path) -> list[TileRecord]:
@@ -445,6 +443,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _string_id(value: object, what: str, error: type[FormatError]) -> str:
+    if not isinstance(value, str):
+        raise error(f"{what} {value!r} is not a string")
+    return value
+
+
 def _positive_int(value: object) -> bool:
     return _is_int(value) and value >= 1
 
@@ -465,9 +469,7 @@ def _plain_name(value: object) -> bool:
 def _manifest_tile(entry: object, scale: int) -> ManifestTile:
     if not isinstance(entry, dict):
         raise ManifestError(f"tile entry {entry!r} is not an object")
-    tile_id = entry.get("tile_id")
-    if not isinstance(tile_id, str):
-        raise ManifestError(f"tile_id {tile_id!r} is not a string")
+    tile_id = _string_id(entry.get("tile_id"), "tile_id", ManifestError)
     what = f"tile {tile_id!r}"
     image_size = _size_pair(entry.get("image_size"), f"{what} image_size")
     grid_size = _size_pair(entry.get("grid_size"), f"{what} grid_size")

@@ -254,11 +254,11 @@ def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     return RasterGrid.from_array(grid.astype(np.uint8))
 
 
-# encode_afm prunes on square pixel blocks, _AFM_BAND block rows at a time,
-# with a relative slack on each block's upper bound of _AFM_SLACK per unit
-# of coordinate magnitude
-_AFM_BLOCK = 16
-_AFM_BAND = 4
+# encode_afm prunes on square pixel cells, _AFM_BAND cell rows at a time,
+# each bounded by the exact distance at its centre, with a relative slack
+# on that bound of _AFM_SLACK per unit of coordinate magnitude
+_AFM_BLOCK = 8
+_AFM_BAND = 8
 _AFM_SLACK = 1e-12
 
 
@@ -272,25 +272,25 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
 
     The result is bitwise equal to sweeping every segment over every pixel
     in index order, keeping a segment's foot wherever its squared distance
-    is strictly below the best so far. The frame is padded to whole blocks
-    of _AFM_BLOCK x _AFM_BLOCK pixels (each swept rectangle is cropped back
-    to the frame). A block's upper bound is the least, over segments, of
-    the squared distance from the segment to the block's farthest
-    pixel-centre corner: distance to a segment is convex, so its maximum
-    over the block sits at a corner. A
-    segment is a candidate for a block when the squared distance from the
-    block's pixel-centre box to the segment's bounding box, a lower bound
-    for every pixel in the block, is within that upper bound. The winner of
-    a pixel is never farther than the bound, so it is a candidate of its
-    block, ties included, and sweeping the candidates in index order with
-    the same arithmetic picks it as the full sweep does. Per band of
-    _AFM_BAND block rows, each segment visits the block rectangle that holds
-    its candidates there; extra blocks cannot change a result. The upper
-    bound is widened by a relative slack of _AFM_SLACK per unit of the
-    largest pixel or vertex coordinate, well above the rounding error of the
-    bounds and of the kernel's squared distances, which on a 16 x 16 block
-    (upper bound at least 112.5) stays below 1e-14 per unit. A NaN or
-    infinite upper bound prunes nothing.
+    is strictly below the best so far. The frame is padded to whole cells
+    of _AFM_BLOCK x _AFM_BLOCK pixels (swept rectangles are cropped back to
+    it). Every pixel centre of a cell lies within r = (_AFM_BLOCK - 1) / 2 *
+    sqrt(2) of the cell's centre q, and distance to the nearest segment is
+    1-Lipschitz, so no pixel's winner is farther than the cell's upper bound
+    (sqrt(f2) + r) ** 2, f2 the least squared distance from q over segments.
+    A segment is a candidate for a cell when the squared distance from the
+    cell's pixel-centre box to the segment's bounding box, a lower bound for
+    every pixel in the cell, is within that upper bound, so each pixel's
+    winner is a candidate of its cell, ties included, and sweeping the
+    candidates in index order with the same arithmetic picks it as the full
+    sweep does. Per band of _AFM_BAND cell rows, each segment visits the
+    cell rectangle that holds its candidates there; extra cells cannot
+    change a result. The bound is widened by a relative slack of _AFM_SLACK
+    per unit of the largest pixel or vertex coordinate M. Rounding in the
+    gaps, the kernel's squared distances, r, the sqrt, the + r and the
+    squaring errs by a few ulps of M times the distance; over a bound of at
+    least r ** 2 = 24.5 that stays below 1e-14 per unit. A NaN or infinite
+    upper bound prunes nothing.
     """
     ax, ay, bx, by, _ = edge_arrays([sp.polygon for sp in instances])
     if not ax.size:
@@ -300,12 +300,14 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     block = _AFM_BLOCK
     xs = np.arange(-(-w // block) * block, dtype=np.float64) + 0.5
     ys = np.arange(-(-h // block) * block, dtype=np.float64) + 0.5
-    # each block column's (row's) pixel-centre span, and its squared gap
-    # to each segment's bounding box: (block columns or rows, segments)
+    # each cell column's (row's) pixel-centre span, and its squared gap
+    # to each segment's bounding box: (cell columns or rows, segments)
     x_lo, x_hi = xs[::block, None], xs[block - 1 :: block, None]
     y_lo, y_hi = ys[::block, None], ys[block - 1 :: block, None]
     gap_x = np.maximum(np.maximum(np.minimum(ax, bx) - x_hi, x_lo - np.maximum(ax, bx)), 0.0) ** 2
     gap_y = np.maximum(np.maximum(np.minimum(ay, by) - y_hi, y_lo - np.maximum(ay, by)), 0.0) ** 2
+    q_x, q_y = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
+    reach = (block - 1) / 2 * math.sqrt(2)
     slack = 1.0 + _AFM_SLACK * max(1.0, xs[-1], ys[-1], float(np.abs(ax).max()), float(np.abs(ay).max()))
     # the feet land in the result, which becomes the displacement in place;
     # a rectangle is cropped to the frame and never taller than one band,
@@ -317,13 +319,9 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     better_buffer = np.empty(size, dtype=bool)
     for b0 in range(0, len(y_lo), _AFM_BAND):
         band = slice(b0, b0 + _AFM_BAND)
-        corners = [
-            project_points_to_segments(cx, cy, ax, ay, bx, by)[2]
-            for cy in (y_lo[band, None], y_hi[band, None])
-            for cx in (x_lo, x_hi)
-        ]
-        # NaN distances bound nothing: fmin skips a segment with a NaN corner
-        upper = np.fmin.reduce(np.maximum.reduce(corners), axis=-1)
+        # NaN distances bound nothing: fmin skips a segment with a NaN distance
+        f2 = np.fmin.reduce(project_points_to_segments(q_x, q_y[band, None], ax, ay, bx, by)[2], axis=-1)
+        upper = (np.sqrt(f2) + reach) ** 2
         limit = np.where(np.isfinite(upper), upper * slack, np.inf)
         cand = gap_y[band, None, :] + gap_x[None, :, :] <= limit[:, :, None]
         in_row, in_col = cand.any(axis=1), cand.any(axis=0)

@@ -177,6 +177,25 @@ class TestGeoJson:
         with pytest.raises(GeoJsonError, match="'a' appears twice"):
             read_geojson(json.dumps(doc))
 
+    @pytest.mark.parametrize("tile_id", [1, True, None], ids=str)
+    def test_tile_id_must_be_a_string(self, tile_id):
+        # never str()-ed: 1 would read as tile '1' and take features of "1"
+        doc = json.loads(write_geojson([TileRecord("1", (8, 8), InstanceSet.of([rectangle(0, 0, 4, 4)]))]))
+        doc["tiles"][0]["tile_id"] = tile_id
+        with pytest.raises(GeoJsonError, match="tile_id .* is not a string"):
+            read_geojson(json.dumps(doc))
+        doc["tiles"][0]["tile_id"] = "1"
+        doc["features"][0]["properties"]["tile_id"] = tile_id
+        with pytest.raises(GeoJsonError, match="feature 0: tile_id .* is not a string"):
+            read_geojson(json.dumps(doc))
+
+    def test_feature_without_tile_id_rejected(self):
+        # not even by a tile whose id is the empty string
+        doc = json.loads(write_geojson([TileRecord("", (8, 8), InstanceSet.of([rectangle(0, 0, 4, 4)]))]))
+        del doc["features"][0]["properties"]["tile_id"]
+        with pytest.raises(GeoJsonError, match="feature 0: tile_id None is not a string"):
+            read_geojson(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "size", [[512.9, True], [512.9, 512], [True, 512], ["64", 64], [0, 8], [8], [8, 8, 8]], ids=str
     )
@@ -302,6 +321,13 @@ class TestCoco:
         path = tmp_path / "coco.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CocoError, match=match):
+            read_coco_annotations(path)
+
+    @pytest.mark.parametrize("file_name", [7, None, ["a"]], ids=str)
+    def test_file_name_must_be_a_string(self, tmp_path, file_name):
+        path = tmp_path / "coco.json"
+        path.write_text(json.dumps({"images": [{"id": 1, "file_name": file_name, "height": 8, "width": 8}]}))
+        with pytest.raises(CocoError, match="file_name .* is not a string"):
             read_coco_annotations(path)
 
     @pytest.mark.parametrize(

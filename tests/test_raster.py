@@ -5,7 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import ndimage
 
-from polyform.geometry import FRAME_TOL, InstanceSet, Point2, Polygon, Ring, point_in_polygon
+from polyform import raster
+from polyform.geometry import (
+    FRAME_TOL, InstanceSet, Point2, Polygon, Ring, point_in_polygon, project_points_to_segments,
+)
 from polyform.io import FormatError, TileRecord
 from polyform.raster import (
     DegradeSpec,
@@ -169,11 +172,13 @@ class TestEncodeAfm:
             assert np.array_equal(afm, afm_full_sweep(inst, 64, 64))
 
     def test_rounding_tie_at_a_block_corner_is_kept(self):
-        # at the block corner (15.5, 15.5) the first triangle's edge 0, which
-        # ends at its vertex nearest the corner, wins with a squared distance
+        # at the pixel centre (15.5, 15.5) the first triangle's edge 0, which
+        # ends at its vertex nearest that pixel, wins with a squared distance
         # that rounds a few ulps below its squared gap to the edge's bounding
-        # box; the second triangle sets the block's upper bound at the same
-        # corner, between the two, so only the slack keeps edge 0 a candidate
+        # box. The pixel is the corner of the cell centred at (12, 12), and
+        # the second triangle, near that cell's diagonal, is the nearest to
+        # its centre: the cell's bound, about 113.356, clears edge 0's squared
+        # gap, about 113.352, by far more than rounding
         near = Polygon.from_coords(
             [(55.26932155494529, 81.73035381530212), (18.462126554038303, 25.726318980613318),
              (23.202707844130455, 28.243597477623588)]
@@ -185,6 +190,61 @@ class TestEncodeAfm:
         inst = InstanceSet.of([near, centre])
         for h, w in ((16, 16), (20, 30)):
             assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
+
+    def test_rounding_tie_at_a_cell_centre_bound_is_kept(self):
+        # the pixel centre p = (8.5, 0.5) is the corner of the cell centred at
+        # q = (12, 4). The first triangle's vertex v and the second's u lie on
+        # the diagonal through p and q, both a = 6.498... * sqrt(2) from p: an
+        # exact tie at p, which the first triangle wins by index. u is
+        # a - r from q, so the cell's bound (|q - u| + r) ** 2 equals a ** 2,
+        # the squared gap from the cell's pixel-centre box to the first
+        # triangle's edges, but rounds an ulp below it; only the slack keeps
+        # them candidates
+        near = Polygon.from_coords(
+            [(2.001812933737847, -5.998187066262153), (-12.945868206570806, -11.086062376070814),
+             (0.7964637774336552, -9.783484303479446)]
+        )
+        far = Polygon.from_coords(
+            [(14.998187066262153, 6.998187066262153), (19.76028419501813, 8.404888744909055),
+             (23.635017681955997, 19.202183227637263)]
+        )
+        inst = InstanceSet.of([near, far])
+        for h, w in ((8, 16), (20, 30)):
+            assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_bitwise_equal_with_vertices_up_to_2_29_px_away(self, data):
+        # the slack grows with the largest coordinate, and nothing in the
+        # sweep may warn (the suite turns a RuntimeWarning into an error).
+        # Coordinates are quarter pixels, near the frame or anywhere within
+        # 2**29 px of it
+        h = data.draw(st.integers(1, 40), label="h")
+        w = data.draw(st.integers(1, 40), label="w")
+        coord = st.one_of(st.integers(-32, 192), st.integers(-(2**31), 2**31)).map(lambda v: v / 4)
+        polys = []
+        for _ in range(data.draw(st.integers(1, 3), label="polygons")):
+            pts = data.draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=5, unique=True), label="ring")
+            polys.append(Polygon.from_coords(pts))
+        inst = InstanceSet.of(polys)
+        assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
+
+    def test_projected_pixels_on_a_sparse_tile(self, monkeypatch):
+        # the sweep's work: pixels projected onto candidate segments, summed
+        # over the kernel's out= buffers. The cell-centre bound projects
+        # 1,152,704 (4.40 per pixel) on this tile; the 16 px block-corner
+        # bound it replaced projected 1,647,872, so a looser bound fails
+        inst = random_tile(np.random.default_rng(20), 512, 512)
+        projected = []
+
+        def counting(*args, out=None):
+            if out is not None:
+                projected.append(out[0].size)
+            return project_points_to_segments(*args, out=out)
+
+        monkeypatch.setattr(raster, "project_points_to_segments", counting)
+        encode_afm(inst, 512, 512)
+        assert len(inst) == 7 and 0 < sum(projected) <= 1_152_704
 
     def test_bitwise_equal_on_dense_tile_with_courtyards(self):
         # a perfbench dense_corpus-style tile: 25-40 buildings, every fifth
