@@ -75,7 +75,7 @@ class Ring:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        vs = tuple(Point2(*v) for v in self.vertices)
+        vs = tuple(v if isinstance(v, Point2) else Point2(*v) for v in self.vertices)
         if len(vs) < 3:
             raise GeometryError(f"ring needs >= 3 vertices, got {len(vs)}")
         for i, v in enumerate(vs):
@@ -202,13 +202,18 @@ def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.nda
     out, if given, is four f64 arrays of the broadcast shape: (fx, fy, d2)
     are written into the first three and returned, and the fourth is
     scratch. Either way the arithmetic is the same, so the results are
-    bitwise equal."""
+    bitwise equal.
+
+    A segment whose squared length underflows to 0 (shorter than about
+    1e-154 px) raises no warning: its t is +-inf, clipped to an end, or
+    nan where the numerator is 0 too."""
     fx, fy, d2, t = (None,) * 4 if out is None else out
     ex, ey = bx - ax, by - ay
     l2 = ex * ex + ey * ey
     # each ufunc writes into its buffer, or allocates it when there is none
     t = np.add((px - ax) * ex, (py - ay) * ey, out=t)
-    t /= l2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t /= l2
     np.clip(t, 0.0, 1.0, out=t)
     fx = np.multiply(t, ex, out=fx)
     fx += ax
@@ -286,27 +291,72 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return item, np.arange(item.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
+_NO_PAIRS.flags.writeable = False
+_MAX_BANDS = 2**50
+_OWN = np.array([0.0])
+_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
+
+
+def _lex_keys(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """Complex keys major + minor * 1j, which numpy sorts and searches in
+    lexicographic (major, minor) order; both parts are stored exactly."""
+    keys = np.empty(len(major), dtype=np.complex128)
+    keys.real, keys.imag = major, minor
+    return keys
+
+
 def near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of points a[i], b[j] ((n, 2) and (m, 2) arrays of finite
-    (x, y)) whose x coordinates lie within r of each other, as index arrays
-    (i, j) with i ascending; a superset of the pairs within distance r.
+    """The pairs of points a[i], b[j] ((n, 2) and (m, 2) arrays of finite
+    (x, y)) that lie in neighbouring y bands and within r in x, as index
+    arrays (i, j) with i ascending; a superset of the pairs within distance
+    r - 1 (see below).
 
-    b is sorted by x once (stable argsort), two searchsorted calls find each
-    a[i]'s window [x - r, x + r] in it, and expand_ranges lists the windows,
-    so the work grows with the pairs returned, not with n * m.
+    The bands have height r: band(y) = floor((y - y0) / r), y0 the least y
+    of a and b, with every point in band 0 (so the search is an x-window)
+    when the largest such quotient passes 2**50 or is not a number. Pair
+    (i, j) is listed exactly when |band(a[i].y) - band(b[j].y)| <= 1 and
+    a[i].x - r <= b[j].x <= a[i].x + r, each expression rounded as written.
 
-    The window ends are rounded, so a caller that wants every pair whose
-    computed distance is at most d passes r = d + 1. While coordinates and r
-    stay below 2**50 in magnitude, each rounding (of x - r and x + r, and of
-    the x difference inside the caller's distance) is at most 1/16: a margin
-    of 1 is one no rounding comes near.
+    The points of b are sorted once on the key band + x * 1j: numpy orders
+    complex numbers by real part, then by imaginary part, so the key orders
+    by band, then by x. It is exact, since both parts are stored as
+    computed and a band below 2**50 is an integer that a float holds. Each
+    query, a point of a in one band, takes two searchsorted calls, for
+    (band, x - r) and (band, x + r), to find the run of b in that band whose
+    x lies in its window, and expand_ranges lists the runs. The three bands
+    of a pair are covered on the larger side once and on the smaller side
+    three times: with n > m each point of b is entered in its own band and
+    the two next to it, else each point of a queries those three bands.
+    The work grows with the pairs returned, not with n * m.
+
+    A caller that wants every pair whose computed distance is at most d
+    passes r = d + 1. While coordinates stay below 2**50 in magnitude and r
+    below 2**48, the roundings stay inside that margin of 1. Each
+    difference of two coordinates (the window ends, y - y0, and the
+    caller's own x and y differences) rounds by at most 1/8, the caller's
+    squares and square root add at most 3 * 2**-53 * r < 3/32, and each
+    quotient (y - y0) / r rounds by at most 1/4 px. So the points of a pair
+    within computed distance d lie within r - 25/32 of each other in x and
+    in y: b[j].x is inside the rounded window, and the two band quotients
+    differ by less than 1 - 1 / (32 r), so the bands are neighbours.
     """
-    order = np.argsort(b[:, 0], kind="stable")
-    bx = b[order, 0]
-    lo = np.searchsorted(bx, a[:, 0] - r, "left")
-    hi = np.searchsorted(bx, a[:, 0] + r, "right") - 1
+    if len(a) == 0 or len(b) == 0:
+        return _NO_PAIRS, _NO_PAIRS
+    y0 = min(a[:, 1].min(), b[:, 1].min())
+    if (max(a[:, 1].max(), b[:, 1].max()) - y0) / r <= _MAX_BANDS:
+        band_a, band_b = (np.floor((p[:, 1] - y0) / r) for p in (a, b))
+    else:
+        band_a, band_b = np.zeros(len(a)), np.zeros(len(b))
+    shift_b, shift_a = (_NEIGHBOURS, _OWN) if len(a) > len(b) else (_OWN, _NEIGHBOURS)
+    keys = _lex_keys((band_b + shift_b[:, None]).ravel(), np.tile(b[:, 0], len(shift_b)))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    band_q = (band_a[:, None] + shift_a).ravel()
+    lo = np.searchsorted(keys, _lex_keys(band_q, np.repeat(a[:, 0] - r, len(shift_a))), "left")
+    hi = np.searchsorted(keys, _lex_keys(band_q, np.repeat(a[:, 0] + r, len(shift_a))), "right") - 1
     i, k = expand_ranges(lo, hi)
-    return i, order[k]
+    return i // len(shift_a), order[k] % len(b)
 
 
 def edge_tolerance(ax, ay, bx, by, len2) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,24 @@ and a corpus-level aggregator producing a flat report.
 Instance masks are compared as crops (r0, c0, mask): the boolean mask of
 the instance's bounding box at frame offset (r0, c0), background outside
 it, so disjoint boxes give intersection 0 and every count equals the
-full-frame one. The Boundary IoU band is taken on the crop padded by one
-pixel, which is exact: the pad ring is background (or past the image
-border, which counts as background), and no background pixel farther out
-is nearer in Chebyshev distance than the ring pixel on the way to it.
+full-frame one.
+
+The Boundary IoU band of a mask is its pixels within Chebyshev distance d
+of a pixel outside it, the image border counting as outside. Every crop of
+a tile, pred and gt, goes into one atlas (raster.shelf_pack), each crop
+followed by one background row and column, and one erosion serves them
+all: two ndimage.minimum_filter1d passes of width 2d + 1, with the atlas
+border as background (mode "constant", cval 0). The band is mask &
+~eroded, sliced back out per crop. This is exact. Erosion by the
+(2d + 1) square keeps a pixel exactly when every pixel of the square
+around it is set, that is, when its Chebyshev distance to background
+exceeds d. A square that stays inside its crop reads what the frame
+holds there. A square that leaves its crop covers the pixel just past the
+crop's side, in its own row or column, and that pixel is a gap pixel
+(another crop's following row or column, or this crop's own) or lies
+past the atlas border: background, as the frame is past the crop's
+bounding box. So the pixel erodes away in the atlas as on the frame. A
+full frame is one crop.
 """
 from __future__ import annotations
 
@@ -25,7 +39,7 @@ from scipy import ndimage
 from .geometry import InstanceSet, Polygon, edge_arrays, near_pairs, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
-from .raster import RasterGrid, bounding_crop, polygon_mask_crops, union_of_crops
+from .raster import RasterGrid, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -148,12 +162,19 @@ def _band_distance(h: int, w: int, d_frac: float) -> int:
     return max(1, round(d_frac * math.hypot(h, w)))
 
 
-def _inner_band(mask: np.ndarray, d: int) -> np.ndarray:
-    """Mask pixels within Chebyshev distance d of the contour (the array border
-    counts as outside, matching the COCO boundary convention; exact on crops)."""
-    padded = np.pad(mask, 1)
-    dist = ndimage.distance_transform_cdt(padded, metric="chessboard")
-    return (dist[1:-1, 1:-1] <= d) & mask
+def _inner_bands(masks: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
+    """The Boundary IoU band at distance d of each boolean mask, from one
+    erosion of one atlas (see the module docstring)."""
+    if not masks:
+        return []
+    ys, xs, height, width = shelf_pack([(m.shape[0] + 1, m.shape[1] + 1) for m in masks])
+    atlas = np.zeros((height, width), dtype=bool)
+    for m, y, x in zip(masks, ys, xs):
+        atlas[y : y + m.shape[0], x : x + m.shape[1]] = m
+    eroded = ndimage.minimum_filter1d(atlas, 2 * d + 1, axis=0, mode="constant", cval=0)
+    eroded = ndimage.minimum_filter1d(eroded, 2 * d + 1, axis=1, mode="constant", cval=0)
+    band = atlas & ~eroded
+    return [band[y : y + m.shape[0], x : x + m.shape[1]] for m, y, x in zip(masks, ys, xs)]
 
 
 def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
@@ -163,7 +184,7 @@ def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
         raise MetricsError(f"shape mismatch {a.height}x{a.width} vs {b.height}x{b.width}")
     _check_positive("d_frac", d_frac)
     d = _band_distance(a.height, a.width, d_frac)
-    return _iou_counts(_inner_band(_binary(a), d), _inner_band(_binary(b), d))
+    return _iou_counts(*(_inner_bands([_binary(g)], d)[0] for g in (a, b)))  # a frame is one crop
 
 
 def polis(a: Polygon, b: Polygon) -> float:
@@ -210,8 +231,9 @@ def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> 
     when both crops are empty, as _crop_iou gives it.
     """
     if band:
-        preds = [(r0, c0, _inner_band(m, band)) for r0, c0, m in preds]
-        gts = [(r0, c0, _inner_band(m, band)) for r0, c0, m in gts]
+        bands = _inner_bands([m for _, _, m in (*preds, *gts)], band)
+        preds = [(r0, c0, m) for (r0, c0, _), m in zip(preds, bands)]
+        gts = [(r0, c0, m) for (r0, c0, _), m in zip(gts, bands[len(preds) :])]
     pred_areas = np.array([np.count_nonzero(m) for _, _, m in preds], dtype=np.int64)
     gt_areas = np.array([np.count_nonzero(m) for _, _, m in gts], dtype=np.int64)
     out = np.outer(pred_areas == 0, gt_areas == 0).astype(np.float64)

@@ -32,7 +32,7 @@ from .geometry import (
     near_pairs,
     project_points_to_segments,
 )
-from .raster import RasterGrid, bounding_crop, offset_coords
+from .raster import RasterGrid, bounding_crop, offset_coords, shelf_pack
 
 FOUR = "four"
 EIGHT = "eight"
@@ -264,28 +264,12 @@ class _Chains(NamedTuple):
     firsts: list[int]
 
 
-def _shelf_pack(shapes: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int]:
-    """Top-left corners (ys, xs) of (h, w) rectangles packed on shelves,
-    tallest first, and the packing's (height, width). The rectangles of a
-    shelf share its top row, and its first rectangle is its tallest."""
-    width = max(max(w for _h, w in shapes), math.isqrt(sum(h * w for h, w in shapes)))
-    ys, xs = [0] * len(shapes), [0] * len(shapes)
-    y = x = shelf = 0
-    for i in sorted(range(len(shapes)), key=lambda i: -shapes[i][0]):
-        h, w = shapes[i]
-        if x + w > width:
-            y, x, shelf = y + shelf, 0, 0
-        ys[i], xs[i] = y, x
-        x, shelf = x + w, max(shelf, h)
-    return ys, xs, y + shelf, width
-
-
 def _trace_windows(windows: Sequence[tuple[int, int, np.ndarray]]) -> _Chains:
     """trace_boundary on every component of a tile at once.
 
     windows holds (r0, c0, mask) per component: its boolean mask on its
     bounding box at frame offset (r0, c0). Every mask, padded by one
-    background pixel, is copied into one atlas (_shelf_pack), so one
+    background pixel, is copied into one atlas (raster.shelf_pack), so one
     neighbour-code pass and one background labelling serve the whole tile,
     and the work scales with the components' boxes, not with the frame.
     Each window's pad keeps its pixels' neighbours inside it, so a pixel's
@@ -305,7 +289,7 @@ def _trace_windows(windows: Sequence[tuple[int, int, np.ndarray]]) -> _Chains:
     starts at the pixel above that first pixel, a component pixel.
     """
     shapes = [(mask.shape[0] + 2, mask.shape[1] + 2) for _r0, _c0, mask in windows]
-    ys, xs, height, width = _shelf_pack(shapes)
+    ys, xs, height, width = shelf_pack(shapes)
     atlas = np.zeros((height, width), dtype=bool)
     owner = np.empty((height, width), dtype=np.int32)  # window index; read only inside windows
     walks: list[list[tuple[int, int]]] = []

@@ -233,6 +233,26 @@ def bounding_crop(mask: np.ndarray) -> tuple[int, int, np.ndarray]:
     return int(rows[0]), int(cols[0]), band[:, cols[0] : cols[-1] + 1]
 
 
+def shelf_pack(shapes: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int]:
+    """Top-left corners (ys, xs) of (h, w) rectangles packed on shelves,
+    tallest first, and the packing's (height, width). The rectangles of a
+    shelf share its top row, and its first rectangle is its tallest.
+
+    Two atlases use it: polygonize traces every component window of a tile
+    in one, and metrics erodes every instance crop of a tile in one for
+    the Boundary IoU band."""
+    width = max(max(w for _h, w in shapes), math.isqrt(sum(h * w for h, w in shapes)))
+    ys, xs = [0] * len(shapes), [0] * len(shapes)
+    y = x = shelf = 0
+    for i in sorted(range(len(shapes)), key=lambda i: -shapes[i][0]):
+        h, w = shapes[i]
+        if x + w > width:
+            y, x, shelf = y + shelf, 0, 0
+        ys[i], xs[i] = y, x
+        x, shelf = x + w, max(shelf, h)
+    return ys, xs, y + shelf, width
+
+
 def union_of_crops(crops: Iterable[tuple[int, int, np.ndarray]], h: int, w: int) -> np.ndarray:
     """The h x w boolean frame set wherever any (r0, c0, crop) is set."""
     out = np.zeros((h, w), dtype=bool)

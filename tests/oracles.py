@@ -172,6 +172,28 @@ def boundary_band_enum(mask: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def near_pairs_banded(a: np.ndarray, b: np.ndarray, r: float) -> list[tuple[int, int]]:
+    """The pairs geometry.near_pairs documents, tested pair by pair in
+    scalar arithmetic: y bands of height r counted from the least y (one
+    band when the largest quotient passes 2**50), bands at most one apart,
+    and x within the rounded window [x - r, x + r]."""
+    if not (len(a) and len(b)):
+        return []
+    ys = [float(y) for y in (*a[:, 1], *b[:, 1])]
+    y0 = min(ys)
+    banded = (max(ys) - y0) / r <= 2**50
+
+    def band(y: float) -> int:
+        return math.floor((y - y0) / r) if banded else 0
+
+    return [
+        (i, j)
+        for i, (ax, ay) in enumerate(a.tolist())
+        for j, (bx, by) in enumerate(b.tolist())
+        if ax - r <= bx <= ax + r and abs(band(ay) - band(by)) <= 1
+    ]
+
+
 def inner_band_full(mask: np.ndarray, d: int) -> np.ndarray:
     """Full-frame Boundary IoU band: mask pixels within Chebyshev distance d
     of the contour, the image border counting as outside."""

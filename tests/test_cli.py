@@ -12,12 +12,13 @@ import pytest
 
 from polyform import cli, polygonize
 from polyform.cli import main
-from polyform.geometry import InstanceSet
+from polyform.geometry import InstanceSet, Polygon
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
 from polyform.metrics import EvalConfig
 from polyform.polygonize import PolygonizeConfig
 from polyform.raster import DegradeSpec, RasterGrid
 
+from oracles import afm_full_sweep
 from synth import annulus, random_tile, rectangle
 
 
@@ -104,6 +105,22 @@ class TestEncode:
         assert main(["eval", str(pred), str(gt), str(report)]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(report.read_text())["ap"] == 1.0
+
+    def test_edge_whose_square_underflows_encodes_without_warning(self, tmp_path, capsys):
+        # the closing edge (0, 5.8e-242) -> (0, 0) has a squared length of 0,
+        # so its projection divides by zero; the suite turns a RuntimeWarning
+        # into an error, and the command's stderr holds one JSON object only
+        inst = InstanceSet.of([Polygon.from_coords([(0, 0), (0, 0.25), (0, 5.8e-242)])])
+        src = tmp_path / "tiny.geojson"
+        src.write_bytes(write_geojson([TileRecord("t", (8, 8), inst)]))
+        out = tmp_path / "rasters"
+        assert main(["encode", str(src), str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and isinstance(json.loads(err), dict) and "Warning" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        afm = read_rgf((out / manifest["tiles"][0]["files"]["afm"]).read_bytes())
+        with np.errstate(divide="ignore", invalid="ignore"):  # the oracle divides by the same 0
+            assert np.array_equal(afm.data, afm_full_sweep(inst, 8, 8))
 
     def test_raster_write_fault_fails_only_its_tile(self, gt_geojson, tmp_path, capsys):
         out = tmp_path / "rasters"

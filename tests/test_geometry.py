@@ -24,7 +24,7 @@ from polyform.geometry import (
 
 from polyform.raster import RasterError, encode_afm, polygon_mask
 
-from oracles import min_dist_over_segments, point_in_polygon_ring_by_ring, segment_foot
+from oracles import min_dist_over_segments, near_pairs_banded, point_in_polygon_ring_by_ring, segment_foot
 from synth import annulus, random_rectilinear_polygon, random_star_polygon, rect_coords
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
@@ -289,20 +289,64 @@ def near_pair_sets(draw):
     return np.array(a).reshape(-1, 2) + offset, np.array(b).reshape(-1, 2) + offset, r
 
 
+@st.composite
+def wide_pair_sets(draw):
+    """Two point sets with quarter-pixel coordinates up to 2**29 in
+    magnitude and a radius r: each point lies anywhere in that range or
+    within 40 px of one drawn centre, and some points of b are a point of a
+    moved by exactly r."""
+    r = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0]) | st.floats(0.01, 20))
+    cx, cy = (draw(st.integers(-(2**31), 2**31)) / 4 for _ in range(2))
+    near = st.tuples(st.integers(-160, 160).map(lambda v: cx + v / 4), st.integers(-160, 160).map(lambda v: cy + v / 4))
+    anywhere = st.integers(-(2**31), 2**31).map(lambda v: v / 4)
+    far = st.tuples(anywhere, anywhere)
+    a = draw(st.lists(near | far, max_size=12))
+    b = draw(st.lists(near | far, max_size=12))
+    steps = [(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r), (0.6 * r, 0.8 * r)]
+    for (x, y), (dx, dy) in draw(st.lists(st.tuples(st.sampled_from(a), st.sampled_from(steps)), max_size=4)) if a else []:
+        b.append((x + dx, y + dy))
+    return np.array(a).reshape(-1, 2), np.array(b).reshape(-1, 2), r
+
+
 class TestNearPairs:
-    @settings(max_examples=300, deadline=None)
-    @given(near_pair_sets())
-    def test_every_pair_within_r_with_i_ascending(self, sets):
-        a, b, r = sets
+    @staticmethod
+    def check(a, b, r):
+        """near_pairs(a, b, r + 1) lists exactly the documented pairs, with i
+        ascending, and holds every pair within distance r."""
         i, j = near_pairs(a, b, r + 1)
         assert np.all(np.diff(i) >= 0)
         got = list(zip(i.tolist(), j.tolist()))
-        # the pairs whose b x lies in a's rounded window, each once
-        lo, hi = a[:, 0, None] - (r + 1), a[:, 0, None] + (r + 1)
-        window = (lo <= b[None, :, 0]) & (b[None, :, 0] <= hi)
-        assert sorted(got) == list(zip(*(k.tolist() for k in np.nonzero(window))))
+        assert sorted(got) == near_pairs_banded(a, b, r + 1)
         d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
         assert set(zip(*(k.tolist() for k in np.nonzero(d <= r)))) <= set(got)
+        return set(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_pair_sets())
+    def test_every_pair_within_r_with_i_ascending(self, sets):
+        self.check(*sets)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_pair_sets())
+    def test_banded_pairs_with_coordinates_up_to_2_29(self, sets):
+        self.check(*sets)
+
+    def test_one_band_past_2_50_bands(self):
+        # with r + 1 = 1.5, points 1.5 * 2**50 apart in y make the last band
+        # quotient exactly 2**50: the bands hold, and the far pair at equal x
+        # is cut. A quarter pixel farther the quotient rounds up past 2**50,
+        # every point is in band 0, and the search is the x-window, which
+        # lists the far pair too
+        top = 0.75 * 2**50
+        a = np.array([[0.0, -top], [3.0, top]])
+        near = [[0.25, -top + 0.25], [2.75, top - 0.375]]
+        assert self.check(a, np.array([*near, [0.0, top]]), 0.5) == {(0, 0), (1, 1)}
+        assert self.check(a, np.array([*near, [0.0, top + 0.25]]), 0.5) == {(0, 0), (0, 2), (1, 1)}
+
+    def test_empty_side_gives_no_pairs(self):
+        for a, b in ((np.zeros((0, 2)), np.ones((3, 2))), (np.ones((3, 2)), np.zeros((0, 2)))):
+            i, j = near_pairs(a, b, 2.0)
+            assert i.size == j.size == 0 and i.dtype.kind == j.dtype.kind == "i"
 
 
 class TestSignedArea:
@@ -332,6 +376,14 @@ class TestInvariants:
     def test_ring_rejects_consecutive_duplicates(self):
         with pytest.raises(GeometryError):
             Ring.from_coords([(0, 0), (0, 0), (1, 1), (2, 0)])
+
+    def test_ring_keeps_its_points_and_checks_raw_pairs(self):
+        pts = (Point2(0, 0), Point2(4, 0), Point2(0, 3))
+        assert all(v is p for v, p in zip(Ring(pts).vertices, pts))
+        raw = Ring(((0, 0), (4, 0), (0, 3))).vertices
+        assert raw == pts and all(type(v) is Point2 for v in raw)
+        with pytest.raises(GeometryError):
+            Ring(((0, 0), (4, float("nan")), (0, 3)))
 
     def test_point_rejects_non_finite(self):
         with pytest.raises(GeometryError):

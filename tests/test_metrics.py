@@ -15,6 +15,7 @@ from polyform.metrics import (
     MetricsError,
     _coco_summary,
     _greedy_match,
+    _inner_bands,
     _iou_matrix,
     boundary_iou,
     ciou,
@@ -29,7 +30,7 @@ from polyform.metrics import (
 from polyform.polygonize import VertexSet
 from polyform.raster import RasterGrid, rasterize_mask
 
-from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, polis_sampled, vertex_f1_pairs
+from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, inner_band_full, polis_sampled, vertex_f1_pairs
 from synth import random_star_polygon, rectangle
 
 
@@ -70,6 +71,25 @@ class TestIouMask:
             iou_mask(grid_of(np.zeros((4, 4), dtype=np.uint8)), grid_of(np.zeros((5, 4), dtype=np.uint8)))
 
 
+@st.composite
+def band_crop_sets(draw):
+    """A frame of up to 40 x 40 pixels, a band distance d from 1 to 60, and
+    crops (r0, c0, mask) of it: random masks in random boxes, which may be
+    empty or flush with a frame edge, or the whole frame as one crop."""
+    h, w = draw(st.integers(1, 40), label="h"), draw(st.integers(1, 40), label="w")
+    d = draw(st.integers(1, 4) | st.integers(1, 60), label="d")
+    if draw(st.integers(0, 4), label="whole frame") == 0:
+        boxes = [(0, 0, h, w)]
+    else:
+        boxes = []
+        for _ in range(draw(st.integers(1, 6), label="crops")):
+            r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            boxes.append((r0, c0, draw(st.integers(0, h - r0)), draw(st.integers(0, w - c0))))
+    density = draw(st.sampled_from([0.3, 0.7, 0.95, 1.0]), label="density")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return h, w, d, [(r0, c0, rng.random((bh, bw)) < density) for r0, c0, bh, bw in boxes]
+
+
 class TestBoundaryIou:
     def test_identical_masks(self):
         arr = np.zeros((20, 20), dtype=np.uint8)
@@ -93,20 +113,33 @@ class TestBoundaryIou:
         assert 0.0 < boundary < plain
 
     def test_band_matches_enumeration_oracle(self):
-        from polyform.metrics import _band_distance, _inner_band
+        from polyform.metrics import _band_distance
 
         rng = np.random.default_rng(41)
         for _ in range(5):
             arr = (rng.random((14, 14)) < 0.45)
             d = _band_distance(14, 14, 0.02)
             assert d == 1  # small image: band collapses to the 1-px rim
-            assert np.array_equal(_inner_band(arr, d), boundary_band_enum(arr, d))
+            assert np.array_equal(_inner_bands([arr], d)[0], boundary_band_enum(arr, d))
         big = np.zeros((40, 40), dtype=bool)
         big[3:36, 6:31] = True
         from polyform.metrics import _band_distance as bd
 
         d = bd(40, 40, 0.05)
-        assert np.array_equal(_inner_band(big, d), boundary_band_enum(big, d))
+        assert np.array_equal(_inner_bands([big], d)[0], boundary_band_enum(big, d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(band_crop_sets())
+    def test_atlas_bands_equal_full_frame_oracles(self, case):
+        h, w, d, crops = case
+        bands = _inner_bands([m for _, _, m in crops], d)
+        assert len(bands) == len(crops)
+        for (r0, c0, m), band in zip(crops, bands):
+            frame = np.zeros((h, w), dtype=bool)
+            rows, cols = slice(r0, r0 + m.shape[0]), slice(c0, c0 + m.shape[1])
+            frame[rows, cols] = m
+            assert np.array_equal(band, inner_band_full(frame, d)[rows, cols])
+            assert np.array_equal(band, boundary_band_enum(m, d))
 
     def test_range(self):
         rng = np.random.default_rng(43)
