@@ -138,8 +138,11 @@ class TileRecord:
                     )
 
 
-def write_rgf(grid: RasterGrid) -> bytes:
-    """Serialize a grid; only u8 and f32 grids are representable on disk."""
+def rgf_parts(grid: RasterGrid) -> tuple[bytes, np.ndarray]:
+    """A grid's RGF bytes in two parts: the header, and the payload as a flat
+    u8 view of the grid's little-endian data (the grid's own buffer on
+    little-endian hosts), so a file can be written without joining them.
+    Only u8 and f32 grids are representable on disk."""
     if grid.data.dtype not in _CODE_BY_DTYPE:
         raise RgfError(f"dtype {grid.dtype_name} not serializable; convert to u8 or f32 first")
     header = _HEADER.pack(
@@ -147,7 +150,12 @@ def write_rgf(grid: RasterGrid) -> bytes:
     )
     # on-disk payload is little-endian; a no-op on LE hosts
     payload = np.ascontiguousarray(grid.data).astype(grid.data.dtype.newbyteorder("<"), copy=False)
-    return b"".join((header, memoryview(payload)))  # one copy of the payload
+    return header, payload.reshape(-1).view(np.uint8)  # a byte view for every shape, empty ones too
+
+
+def write_rgf(grid: RasterGrid) -> bytes:
+    """Serialize a grid: the join of its rgf_parts."""
+    return b"".join(rgf_parts(grid))  # one copy of the payload
 
 
 def read_rgf(data: bytes) -> RasterGrid:

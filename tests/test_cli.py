@@ -55,6 +55,72 @@ class TestEncode:
         main(["encode", str(gt_geojson), str(out)])
         assert read_all_bytes(out) == first
 
+    def test_reencode_leaves_an_open_reader_the_earlier_file(self, tmp_path):
+        # the earlier raster is removed and a new file created, so a handle
+        # on it still reads the complete earlier bytes, not the new ones
+        def gt(x0):
+            path = tmp_path / f"gt{x0}.geojson"
+            path.write_bytes(write_geojson([TileRecord("t", (32, 32), InstanceSet.of([rectangle(x0, 4, x0 + 10, 14)]))]))
+            return path
+
+        out, fresh = tmp_path / "rasters", tmp_path / "fresh"
+        assert main(["encode", str(gt(2)), str(out)]) == 0
+        earlier = (out / "t.afm.rgf").read_bytes()
+        assert main(["encode", str(gt(12)), str(fresh)]) == 0
+        with (out / "t.afm.rgf").open("rb") as reader:
+            assert main(["encode", str(gt(12)), str(out)]) == 0
+            assert reader.read() == earlier
+        assert (out / "t.afm.rgf").read_bytes() == (fresh / "t.afm.rgf").read_bytes() != earlier
+
+    def test_reencode_over_an_earlier_run_equals_a_fresh_encode(self, gt_geojson, tmp_path):
+        # the earlier run's files are longer (larger frames) and hold other
+        # buildings; none of their bytes survive
+        records = [
+            TileRecord("t0", (48, 40), InstanceSet.of([rectangle(20, 24, 36, 44)])),
+            TileRecord("t1", (48, 40), InstanceSet()),
+        ]
+        earlier = tmp_path / "earlier.geojson"
+        earlier.write_bytes(write_geojson(records))
+        out, fresh = tmp_path / "rasters", tmp_path / "fresh"
+        assert main(["encode", str(earlier), str(out)]) == 0
+        assert main(["encode", str(gt_geojson), str(out)]) == 0
+        assert main(["encode", str(gt_geojson), str(fresh)]) == 0
+        assert read_all_bytes(out) == read_all_bytes(fresh)
+
+    def test_short_writes_are_continued(self, gt_geojson, tmp_path, monkeypatch):
+        # os.writev may write less than it was given; the rest follows in
+        # further calls, a header and a payload split anywhere (a loop that
+        # makes no progress fails on the call count, not on a full disk)
+        fresh, out = tmp_path / "fresh", tmp_path / "rasters"
+        assert main(["encode", str(gt_geojson), str(fresh)]) == 0
+        writev, calls = os.writev, []
+
+        def short(fd, buffers):
+            assert len(calls) < 1000
+            left, cut = 333, []
+            for buffer in buffers:
+                cut.append(memoryview(buffer)[:left])
+                left -= len(cut[-1])
+                if not left:
+                    break
+            calls.append(len(cut))
+            return writev(fd, cut)
+
+        monkeypatch.setattr(cli.os, "writev", short)
+        assert main(["encode", str(gt_geojson), str(out)]) == 0
+        assert len(calls) > 9 and 2 in calls
+        assert read_all_bytes(out) == read_all_bytes(fresh)
+
+    def test_symlink_at_a_raster_path_is_replaced_not_followed(self, gt_geojson, tmp_path):
+        out, outside = tmp_path / "rasters", tmp_path / "outside.bin"
+        out.mkdir()
+        outside.write_bytes(b"not a raster")
+        (out / "t0.mask.rgf").symlink_to(outside)
+        assert main(["encode", str(gt_geojson), str(out)]) == 0
+        assert outside.read_bytes() == b"not a raster"
+        assert not (out / "t0.mask.rgf").is_symlink()
+        assert read_rgf((out / "t0.mask.rgf").read_bytes()).height == 32
+
     def test_scale_four_on_512_gives_128_grids(self, tmp_path):
         records = [TileRecord("big", (512, 512), InstanceSet.of([rectangle(40, 40, 200, 160)]))]
         src = tmp_path / "gt.geojson"

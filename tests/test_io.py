@@ -1,6 +1,7 @@
 import copy
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from polyform.io import (
     read_manifest,
     read_rgf,
     render_svg,
+    rgf_parts,
     write_coco_annotations,
     write_geojson,
     write_manifest,
@@ -40,6 +42,28 @@ def records_fixture():
     ]
 
 
+def edge_arrays(dtype) -> list[np.ndarray]:
+    """Grids with a zero side, and views that are not C-contiguous (a
+    transpose, a strided slice), which RasterGrid copies into its own layout."""
+    base = np.arange(8 * 9 * 4).reshape(8, 9, 4).astype(dtype)
+    return [np.zeros((0, 0, 1), dtype), np.zeros((3, 0, 2), dtype), base.transpose(1, 0, 2), base[::2, 1::3, ::3]]
+
+
+def assert_parts_are(grid: RasterGrid, blob: bytes) -> None:
+    """rgf_parts is the header and a flat byte view of the little-endian
+    payload, laid out from the format's definition, and together they are
+    write_rgf's bytes; on a little-endian host the view is the grid's own
+    buffer."""
+    header, payload = rgf_parts(grid)
+    code = {np.uint8: 0, np.float32: 1}[grid.data.dtype.type]
+    assert header == struct.pack("<4sIIII", b"RGF1", grid.height, grid.width, grid.channels, code)
+    assert payload.dtype == np.uint8 and payload.ndim == 1
+    assert payload.tobytes() == grid.data.astype(grid.data.dtype.newbyteorder("<")).tobytes()
+    assert header + payload.tobytes() == blob
+    if sys.byteorder == "little" and payload.size:
+        assert np.shares_memory(payload, grid.data)
+
+
 class TestRgf:
     def test_header_arithmetic(self):
         grid = RasterGrid(np.array([[[7]]], dtype=np.uint8))
@@ -51,19 +75,24 @@ class TestRgf:
 
     def test_u8_roundtrip_bitwise(self):
         rng = np.random.default_rng(3)
-        grid = RasterGrid(rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8))
-        again = read_rgf(write_rgf(grid))
-        assert again.data.dtype == np.uint8
-        assert np.array_equal(again.data, grid.data)
+        for array in (rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8), *edge_arrays(np.uint8)):
+            grid = RasterGrid(array)
+            blob = write_rgf(grid)
+            assert_parts_are(grid, blob)
+            again = read_rgf(blob)
+            assert again.data.dtype == np.uint8
+            assert np.array_equal(again.data, array)
 
     def test_f32_roundtrip_bitwise(self):
         rng = np.random.default_rng(4)
-        grid = RasterGrid(rng.normal(size=(6, 4, 2)).astype(np.float32))
-        blob = write_rgf(grid)
-        again = read_rgf(blob)
-        assert again.data.dtype == np.float32
-        assert np.array_equal(again.data.view(np.uint32), grid.data.view(np.uint32))
-        assert write_rgf(again) == blob
+        for array in (rng.normal(size=(6, 4, 2)).astype(np.float32), *edge_arrays(np.float32)):
+            grid = RasterGrid(array)
+            blob = write_rgf(grid)
+            assert_parts_are(grid, blob)
+            again = read_rgf(blob)
+            assert again.data.dtype == np.float32
+            assert np.array_equal(again.data.view(np.uint32), array.view(np.uint32))
+            assert write_rgf(again) == blob
 
     def test_read_does_not_alias_its_input(self):
         grid = RasterGrid(np.arange(12, dtype=np.float32).reshape(2, 3, 2))
