@@ -8,7 +8,6 @@ Boundary IoU, PoLiS, C-IoU, vertex F1).
 """
 from .geometry import (
     InstanceSet,
-    LineSegment,
     Point2,
     Polygon,
     Ring,

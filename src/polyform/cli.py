@@ -2,21 +2,25 @@
 them, polygonize rasters back to polygons, evaluate, round-trip, render.
 
 Every subcommand is deterministic for fixed flags (plus --seed where
-randomness is involved). Exit code 0 means no per-tile errors. stderr holds
-at most one JSON object: {"errors": [...]} when a tile or the run failed,
-and {"warnings": [...]} with the library's UserWarning messages, both keys
-when both apply. encode,
-polygonize and roundtrip process tiles on a thread pool whose size comes
-from the POLYFORM_WORKERS environment variable, else the available
+randomness is involved). It builds its config objects from its flags once,
+before any file is read; a value they reject is a usage error. Exit code 0
+means no per-tile errors. stderr holds at most one JSON object:
+{"errors": [...]} when a tile or the run failed, and {"warnings": [...]}
+with the library's UserWarning messages, both keys when both apply.
+Annotations are read as GeoJSON or COCO (polyform.io.read_annotations).
+encode, polygonize and roundtrip process tiles on a thread pool whose size
+comes from the POLYFORM_WORKERS environment variable, else the available
 parallelism; it is resolved before any file is written, and output order
 never depends on it. polygonize takes the scale and each tile's frame size
 from the manifest.json that encode wrote (see polyform.io). encode removes
 a file already at a raster or manifest path and creates it anew, so an
-earlier run's files are replaced, never truncated in place.
+earlier run's files are replaced, never truncated in place; polygonize,
+eval, roundtrip and render write their one output through _output.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -24,7 +28,6 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -189,10 +192,7 @@ def cmd_encode(args: argparse.Namespace) -> list[dict]:
         # and removes the files it wrote before the fault
         rec, name = item
         frame, _, instances, mask, grids = _encode_tile(rec, args.size, args.scale)
-        if len(instances):
-            afm = encode_afm(instances, mask.height, mask.width).data.astype(np.float32)
-        else:  # no segment to point at
-            afm = np.zeros((mask.height, mask.width, 2), dtype=np.float32)
+        afm = encode_afm(instances, mask.height, mask.width).data.astype(np.float32)
         files = {kind: f"{name}.{kind}.rgf" for kind in pio.RASTER_CHANNELS}
         written = []
         try:
@@ -250,10 +250,10 @@ def _config(cls: type, table: dict[str, str], args: argparse.Namespace, **fields
     return cls(**fields, **{field: getattr(args, dest) for dest, field in table.items()})
 
 
-def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
+def cmd_polygonize(args: argparse.Namespace, cfg: PolygonizeConfig) -> list[dict]:
     raster_dir = Path(args.raster_dir)
     scale, tiles = pio.read_manifest(raster_dir / "manifest.json")
-    cfg = _config(PolygonizeConfig, _POLYGONIZE_FLAGS, args, scale=float(scale))
+    cfg = dataclasses.replace(cfg, scale=float(scale))
 
     def work(tile: pio.ManifestTile):
         rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in pio.MANIFEST_RASTERS]
@@ -275,11 +275,11 @@ def cmd_polygonize(args: argparse.Namespace) -> list[dict]:
     return errors
 
 
-def cmd_eval(args: argparse.Namespace) -> list[dict]:
+def cmd_eval(args: argparse.Namespace, cfg: EvalConfig) -> list[dict]:
     preds = pio.read_annotations(args.pred)
     gts = pio.read_annotations(args.gt)
     with _output(args.report) as write:
-        report = evaluate_corpus(preds, gts, _config(EvalConfig, _EVAL_FLAGS, args))
+        report = evaluate_corpus(preds, gts, cfg)
         write((json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n").encode())
     print(report.render_table())
     return []
@@ -290,9 +290,8 @@ def _roundtrip_configs(args: argparse.Namespace) -> tuple[DegradeSpec, Polygoniz
     return _config(DegradeSpec, _DEGRADE_FLAGS, args), _config(PolygonizeConfig, _POLYGONIZE_FLAGS, args, scale=float(args.scale))
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
+def cmd_roundtrip(args: argparse.Namespace, spec: DegradeSpec, cfg: PolygonizeConfig) -> list[dict]:
     gt_records = pio.read_annotations(args.gt)
-    spec, cfg = _roundtrip_configs(args)
 
     def work(rec: pio.TileRecord):
         frame, frame_instances, _, mask, grids = _encode_tile(rec, args.size, args.scale)
@@ -329,9 +328,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_render(args: argparse.Namespace) -> list[dict]:
-    records = pio.read_geojson(pio.read_text(args.input))
-    svg = pio.render_svg(records, pio.SvgStyle(background=args.background))
-    Path(args.output).write_text(svg)
+    records = pio.read_annotations(args.input)
+    with _output(args.output) as write:
+        write(pio.render_svg(records, pio.SvgStyle(background=args.background)).encode())
     print(f"rendered {len(records)} tiles -> {args.output}")
     return []
 
@@ -345,20 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--size", type=_parse_size, default=None, help="target frame HxW, e.g. 512x512")
     p.add_argument("--scale", type=int, default=1, help="down-sampling factor")
-    p.set_defaults(fn=cmd_encode, validate=_check_scale)
+    p.set_defaults(fn=cmd_encode, configs=_check_scale)
 
     p = sub.add_parser("polygonize", help="extract polygons from encoded rasters")
     p.add_argument("raster_dir")
     p.add_argument("output", help="output GeoJSON path")
     _add_flags(p, _POLYGONIZE_FLAGS, PolygonizeConfig())
-    p.set_defaults(fn=cmd_polygonize, validate=partial(_config, PolygonizeConfig, _POLYGONIZE_FLAGS))
+    p.set_defaults(fn=cmd_polygonize, configs=lambda args: (_config(PolygonizeConfig, _POLYGONIZE_FLAGS, args),))
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("pred", help="predictions GeoJSON")
     p.add_argument("gt", help="ground truth GeoJSON or COCO json")
     p.add_argument("report", help="output report JSON path")
     _add_flags(p, _EVAL_FLAGS, EvalConfig())
-    p.set_defaults(fn=cmd_eval, validate=partial(_config, EvalConfig, _EVAL_FLAGS))
+    p.set_defaults(fn=cmd_eval, configs=lambda args: (_config(EvalConfig, _EVAL_FLAGS, args),))
 
     p = sub.add_parser("roundtrip", help="encode, optionally degrade, polygonize, and compare AP")
     p.add_argument("gt", help="ground truth GeoJSON or COCO json")
@@ -367,29 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=1)
     _add_flags(p, _POLYGONIZE_FLAGS, PolygonizeConfig())
     _add_flags(p, _DEGRADE_FLAGS, DegradeSpec())
-    p.set_defaults(fn=cmd_roundtrip, validate=_roundtrip_configs)
+    p.set_defaults(fn=cmd_roundtrip, configs=_roundtrip_configs)
 
-    p = sub.add_parser("render", help="render GeoJSON polygons to SVG")
-    p.add_argument("input", help="GeoJSON path")
+    p = sub.add_parser("render", help="render polygons to SVG")
+    p.add_argument("input", help="GeoJSON or COCO json")
     p.add_argument("output", help="SVG path")
     p.add_argument("--background", choices=["none", "checker"], default="none")
-    p.set_defaults(fn=cmd_render)
+    p.set_defaults(fn=cmd_render, configs=lambda args: ())
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    validate = getattr(args, "validate", None)
-    if validate is not None:
-        try:  # flag values the command would reject are usage errors
-            validate(args)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:  # flag values the command would reject are usage errors
+        configs = args.configs(args) or ()  # encode's check builds none
+    except ValueError as exc:
+        parser.error(str(exc))
     # the pool is entered and left inside the block, so warnings from every
     # worker thread are recorded
     with warnings.catch_warnings(record=True) as caught:
-        errors = _run(args)
+        errors = _run(args, configs)
     warned = []
     for w in caught:
         if issubclass(w.category, UserWarning):
@@ -402,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if errors else 0
 
 
-def _run(args: argparse.Namespace) -> list[dict]:
+def _run(args: argparse.Namespace, configs: tuple) -> list[dict]:
     """The command's per-tile errors, or the one error that ended the run."""
     if args.fn in (cmd_encode, cmd_polygonize, cmd_roundtrip):
         try:
@@ -410,7 +407,7 @@ def _run(args: argparse.Namespace) -> list[dict]:
         except ValueError as exc:
             return _run_error(f"POLYFORM_WORKERS: {exc}")
     try:
-        return args.fn(args)
+        return args.fn(args, *configs)
     except (pio.FormatError, MetricsError) as exc:
         return _run_error(f"{type(exc).__name__}: {exc}")
     except FileNotFoundError as exc:

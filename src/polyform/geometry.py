@@ -47,24 +47,6 @@ def in_frame(p: Point2, h: int, w: int) -> bool:
 
 
 @dataclass(frozen=True)
-class LineSegment:
-    """Directed segment between two distinct points."""
-
-    start: Point2
-    end: Point2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", Point2(*self.start))
-        object.__setattr__(self, "end", Point2(*self.end))
-        if self.start == self.end:
-            raise GeometryError(f"degenerate segment at {self.start}")
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.end.x - self.start.x, self.end.y - self.start.y)
-
-
-@dataclass(frozen=True)
 class Ring:
     """Closed vertex loop; the first vertex is not repeated in storage.
 
@@ -134,10 +116,10 @@ class Polygon:
     def vertex_count(self) -> int:
         return sum(len(r) for r in self.rings())
 
-    def boundary_segments(self) -> list[LineSegment]:
-        """The edges of edge_arrays([self]), in its order."""
+    def boundary_segments(self) -> list[tuple[Point2, Point2]]:
+        """The edges of edge_arrays([self]) as (start, end) pairs, in its order."""
         ax, ay, bx, by, _ = (c.tolist() for c in edge_arrays([self]))
-        return [LineSegment((x0, y0), (x1, y1)) for x0, y0, x1, y1 in zip(ax, ay, bx, by)]
+        return [(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in zip(ax, ay, bx, by)]
 
     def scaled(self, fx: float, fy: float | None = None) -> "Polygon":
         """Multiply x by fx and y by fy (default fx); orientation is renormalized."""

@@ -369,8 +369,9 @@ def _coco_records(doc: object) -> list[TileRecord]:
 def read_annotations(path: str | Path) -> list[TileRecord]:
     """A GeoJSON FeatureCollection or a COCO annotation file, told apart by
     its content; the file is read and parsed once."""
+    text = read_text(path)  # its errors name the path
     try:
-        doc = parse_json(read_text(path))
+        doc = parse_json(text)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if isinstance(doc, dict) and doc.get("type") == "FeatureCollection":

@@ -450,8 +450,6 @@ def evaluate_corpus(
     tile_cious: list[float] = []
     tile_vertex_f1: list[float] = []
     polis_values: list[float] = []
-    matched_gts = 0
-    total_gts = 0
 
     for tile in sorted(gt_by_id):
         gt_rec = gt_by_id[tile]
@@ -468,7 +466,6 @@ def evaluate_corpus(
         ious = _iou_matrix(pred_crops, gt_crops)
         mask_tables.append((ious, scores))
         boundary_tables.append((_iou_matrix(pred_crops, gt_crops, _band_distance(h, w, cfg.boundary_d_frac)), scores))
-        total_gts += len(gt_crops)
 
         tile_ious.append(_union_iou(pred_crops, gt_crops))
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
@@ -476,13 +473,13 @@ def evaluate_corpus(
         match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]
         for pi in np.flatnonzero(match >= 0):
             polis_values.append(polis(pred_polys[pi], gt_polys[match[pi]]))
-            matched_gts += 1
 
         tile_vertex_f1.append(
             vertex_f1(_vertices_of(pred_rec.instances), _vertices_of(gt_rec.instances), cfg.vertex_dist_thr)
         )
 
     ap, ap50, ap75, ar, ar50, ar75 = _coco_summary(mask_tables)
+    total_gts = sum(ious.shape[1] for ious, _ in mask_tables)
     return EvalReport(
         ap=ap,
         ap50=ap50,
@@ -495,5 +492,5 @@ def evaluate_corpus(
         ciou=float(np.mean(tile_cious)) if tile_cious else 1.0,
         iou=float(np.mean(tile_ious)) if tile_ious else 1.0,
         vertex_f1=float(np.mean(tile_vertex_f1)) if tile_vertex_f1 else 1.0,
-        polis_match_rate=(matched_gts / total_gts) if total_gts else 1.0,
+        polis_match_rate=(len(polis_values) / total_gts) if total_gts else 1.0,
     )

@@ -118,6 +118,8 @@ class DegradeSpec:
             raise RasterError("boundary_jitter_sigma and heatmap_noise_sigma must be finite")
         if not 0.0 <= self.vertex_dropout_prob <= 1.0:
             raise RasterError(f"vertex_dropout_prob {self.vertex_dropout_prob} outside [0, 1]")
+        if not 0 <= self.rng_seed < 2**128:  # the key range of np.random.Philox
+            raise RasterError(f"rng_seed {self.rng_seed} outside [0, 2**128)")
 
 
 # the edge test of polygon_mask_crops visits a band of pixels along each edge,
@@ -287,8 +289,9 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     projection x' on the nearest boundary segment over all instances.
 
     Ties between equidistant segments go to the lowest segment index
-    (instance order, outer ring then holes, edges in ring order). Returned
-    at f64 precision; convert to f32 explicitly before serializing.
+    (instance order, outer ring then holes, edges in ring order). An
+    instance set without segments, like an empty frame, gives the all-zero
+    field. Returned at f64 precision; convert to f32 before serializing.
 
     The result is bitwise equal to sweeping every segment over every pixel
     in index order, keeping a segment's foot wherever its squared distance
@@ -313,9 +316,7 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     upper bound prunes nothing.
     """
     ax, ay, bx, by, _ = edge_arrays([sp.polygon for sp in instances])
-    if not ax.size:
-        raise RasterError("no segments")
-    if h == 0 or w == 0:
+    if not ax.size or h == 0 or w == 0:
         return RasterGrid(np.zeros((h, w, 2)))
     block = _AFM_BLOCK
     xs = np.arange(-(-w // block) * block, dtype=np.float64) + 0.5
@@ -422,11 +423,13 @@ def _square_morph(binary: np.ndarray, radius: int, dilate: bool) -> np.ndarray:
     then along the rows, each over shifted views. Every pass is exact on the
     frame embedded in a False plane: outside the frame the plane stays False
     under erosion, and a pixel a dilation reaches through the outside it
-    also reaches through the frame, which is a box.
+    also reaches through the frame, which is a box. The radius is clamped
+    to max(h, w), where a dilation has reached the whole frame from any set
+    pixel and an erosion has cleared it: more passes change nothing.
     """
     op = np.logical_or if dilate else np.logical_and
     out = binary.copy()
-    for _ in range(radius):
+    for _ in range(min(radius, max(binary.shape))):
         for src in (out, out.T):  # the second pass runs on the first's result
             res = src.copy(order="K")
             op(res[1:], src[:-1], out=res[1:])

@@ -304,11 +304,11 @@ def coco_summary(tables) -> tuple:
 
 def _sample_boundary(poly: Polygon, step: float) -> np.ndarray:
     chunks = []
-    for seg in poly.boundary_segments():
-        n = max(2, int(math.ceil(seg.length / step)) + 1)
+    for a, b in poly.boundary_segments():
+        n = max(2, int(math.ceil(math.hypot(b.x - a.x, b.y - a.y) / step)) + 1)
         t = np.linspace(0.0, 1.0, n)
-        xs = seg.start.x + t * (seg.end.x - seg.start.x)
-        ys = seg.start.y + t * (seg.end.y - seg.start.y)
+        xs = a.x + t * (b.x - a.x)
+        ys = a.y + t * (b.y - a.y)
         chunks.append(np.stack([xs, ys], axis=1))
     return np.concatenate(chunks, axis=0)
 
@@ -346,7 +346,7 @@ def max_chain_deviation(chain_points, ring_points) -> float:
 def afm_full_sweep(instances, h: int, w: int) -> np.ndarray:
     """Attraction field (h, w, 2) at f64: every boundary segment swept over the
     whole tile, the lowest segment index winning ties."""
-    segs = [(s.start.x, s.start.y, s.end.x, s.end.y) for sp in instances for s in sp.polygon.boundary_segments()]
+    segs = [(*a, *b) for sp in instances for a, b in sp.polygon.boundary_segments()]
     x = np.arange(w, dtype=np.float64)[None, :] + 0.5
     y = np.arange(h, dtype=np.float64)[:, None] + 0.5
     best_d2 = np.full((h, w), np.inf)

@@ -123,11 +123,7 @@ def test_criterion_2_afm_oracle_equivalence():
     rng = np.random.default_rng(515)
     for _ in range(20):
         inst = random_tile(rng, 48, 48, n_min=2, n_max=4, min_side=12, max_side=20)
-        segs = [
-            (s.start.x, s.start.y, s.end.x, s.end.y)
-            for sp in inst
-            for s in sp.polygon.boundary_segments()
-        ]
+        segs = [(*a, *b) for sp in inst for a, b in sp.polygon.boundary_segments()]
         afm = encode_afm(inst, 48, 48)
         mag = np.hypot(afm.data[:, :, 0], afm.data[:, :, 1])
         for r in range(48):

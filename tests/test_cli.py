@@ -450,6 +450,8 @@ BAD_FLAG_VALUES = [
     (["roundtrip", "{gt}", "{tmp}/r.json", "--dilate", "-1"], "r.json"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--jitter-sigma", "nan"], "r.json"),
     (["roundtrip", "{gt}", "{tmp}/r.json", "--heatmap-noise-sigma", "inf"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--seed", "-1"], "r.json"),
+    (["roundtrip", "{gt}", "{tmp}/r.json", "--seed", str(2**128)], "r.json"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "0"], "rasters"),
     (["encode", "{gt}", "{tmp}/rasters", "--scale", "-2"], "rasters"),
     (["encode", "{gt}", "{tmp}/rasters", "--size", "0x0"], "rasters"),
@@ -508,15 +510,17 @@ def _read_fifo(path: Path) -> tuple[threading.Thread, list[bytes]]:
     return thread, data
 
 
-@pytest.mark.parametrize("command", ["polygonize", "eval"])
+@pytest.mark.parametrize("command", ["polygonize", "eval", "render"])
 def test_output_to_a_fifo(gt_geojson, tmp_path, command):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     if command == "polygonize":
         assert main(["encode", str(gt_geojson), str(tmp_path / "rasters")]) == 0
         argv = ["polygonize", str(tmp_path / "rasters"), str(fifo)]
-    else:
+    elif command == "eval":
         argv = ["eval", str(gt_geojson), str(gt_geojson), str(fifo)]
+    else:
+        argv = ["render", str(gt_geojson), str(fifo)]
     thread, data = _read_fifo(fifo)
     try:
         assert main(argv) == 0
@@ -526,8 +530,10 @@ def test_output_to_a_fifo(gt_geojson, tmp_path, command):
         thread.join(timeout=10)
     if command == "polygonize":
         assert [r.tile_id for r in read_geojson(data[0])] == ["t0", "t1"]
-    else:
+    elif command == "eval":
         assert json.loads(data[0])["ap"] == pytest.approx(1.0)
+    else:
+        assert data[0] == render_bytes(gt_geojson, tmp_path / "file.svg")
 
 
 class TestEval:
@@ -620,6 +626,7 @@ class TestUnreadableInput:
         assert main(self.COMMANDS[command](str(bad), str(gt_geojson), tmp_path)) == 1
         err = json.loads(capsys.readouterr().err)
         assert "FormatError" in err["errors"][0]["error"] and "UTF-8" in err["errors"][0]["error"]
+        assert err["errors"][0]["error"].count(str(bad)) == 1
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_directory_as_input_is_named_error(self, gt_geojson, tmp_path, capsys, command):
@@ -628,6 +635,7 @@ class TestUnreadableInput:
         assert main(self.COMMANDS[command](str(folder), str(gt_geojson), tmp_path)) == 1
         err = json.loads(capsys.readouterr().err)
         assert "directory" in err["errors"][0]["error"]
+        assert err["errors"][0]["error"].count(str(folder)) == 1
 
 
 COCO_DOC = {
@@ -832,6 +840,11 @@ class TestEdgeVertices:
         assert json.loads(report.read_text())["iou"] == 1.0
 
 
+def render_bytes(src: Path, dst: Path) -> bytes:
+    assert main(["render", str(src), str(dst)]) == 0
+    return dst.read_bytes()
+
+
 class TestRender:
     def test_render_svg(self, gt_geojson, tmp_path):
         dst = tmp_path / "out.svg"
@@ -850,6 +863,11 @@ class TestRender:
         dst = tmp_path / "out.svg"
         assert main(["render", str(gt_geojson), str(dst), "--background", "checker"]) == 0
         assert "checker" in dst.read_text()
+
+    def test_coco_input_renders_as_its_geojson(self, gt_geojson, tmp_path):
+        coco = tmp_path / "gt.coco.json"
+        coco.write_bytes(write_coco_annotations(read_geojson(gt_geojson.read_bytes())))
+        assert render_bytes(coco, tmp_path / "coco.svg") == render_bytes(gt_geojson, tmp_path / "geojson.svg")
 
     def test_bad_background_rejected(self, gt_geojson, tmp_path):
         with pytest.raises(SystemExit):

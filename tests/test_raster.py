@@ -38,11 +38,7 @@ from test_fill import coordinate, free_ring, polygon_in
 
 
 def segments_of(instances):
-    return [
-        (s.start.x, s.start.y, s.end.x, s.end.y)
-        for sp in instances
-        for s in sp.polygon.boundary_segments()
-    ]
+    return [(*a, *b) for sp in instances for a, b in sp.polygon.boundary_segments()]
 
 
 class TestRasterizeMask:
@@ -133,9 +129,9 @@ class TestEncodeAfm:
         afm = encode_afm(inst, 4, 8)
         np.testing.assert_allclose(afm.data[0, :, :], 0.0, atol=1e-12)
 
-    def test_empty_instances_rejected(self):
-        with pytest.raises(RasterError, match="no segments"):
-            encode_afm(InstanceSet(), 4, 4)
+    def test_empty_instances_give_zero_field(self):
+        afm = encode_afm(InstanceSet(), 4, 4).data
+        assert afm.dtype == np.float64 and afm.shape == (4, 4, 2) and not afm.any()
 
     def test_empty_frame(self):
         inst = InstanceSet.of([rectangle(1, 1, 5, 5)])
@@ -448,6 +444,11 @@ class TestDegrade:
         with pytest.raises(RasterError):
             DegradeSpec(vertex_dropout_prob=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        with pytest.raises(RasterError):
+            DegradeSpec(rng_seed=seed)
+
     @pytest.mark.parametrize("field", ["boundary_jitter_sigma", "heatmap_noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, field, value):
@@ -519,13 +520,18 @@ def degrade_inputs(draw):
 
 class TestSquareMorph:
     @settings(max_examples=400, deadline=None)
-    @given(bool_frames(), st.integers(0, 3), st.booleans())
+    @given(bool_frames(), st.one_of(st.integers(0, 3), st.just(10**9)), st.booleans())
     def test_equals_scipy_binary_morphology(self, mask, radius, dilate):
         before = mask.copy()
         got = _square_morph(mask, radius, dilate)
         scipy_op = ndimage.binary_dilation if dilate else ndimage.binary_erosion
         assert got.dtype == bool and got.shape == mask.shape
-        assert np.array_equal(got, scipy_op(mask, structure=square(radius)))
+        # no structure holds 10**9; passes beyond max(h, w) change nothing
+        clamped = min(radius, max(mask.shape))
+        want = scipy_op(mask, structure=square(clamped))
+        assert np.array_equal(got, want)
+        if clamped < radius:
+            assert np.array_equal(want, scipy_op(mask, structure=square(clamped + 2)))
         assert np.array_equal(mask, before)
 
 
