@@ -3,19 +3,22 @@ them, polygonize rasters back to polygons, evaluate, round-trip, render.
 
 Every subcommand is deterministic for fixed flags (plus --seed where
 randomness is involved). It builds its config objects from its flags once,
-before any file is read; a value they reject is a usage error. Exit code 0
-means no per-tile errors. stderr holds at most one JSON object:
-{"errors": [...]} when a tile or the run failed, and {"warnings": [...]}
-with the library's UserWarning messages, both keys when both apply.
-Annotations are read as GeoJSON or COCO (polyform.io.read_annotations).
-encode, polygonize and roundtrip process tiles on a thread pool whose size
-comes from the POLYFORM_WORKERS environment variable, else the available
-parallelism; it is resolved before any file is written, and output order
-never depends on it. polygonize takes the scale and each tile's frame size
-from the manifest.json that encode wrote (see polyform.io). encode removes
-a file already at a raster or manifest path and creates it anew, so an
-earlier run's files are replaced, never truncated in place; polygonize,
-eval, roundtrip and render write their one output through _output.
+before any file is read; a value they reject is a usage error that names
+the flag. Exit code 0 means no per-tile errors. stderr holds at most one
+JSON object: {"errors": [...]} when a tile or the run failed, and
+{"warnings": [...]} with the library's UserWarning messages, both keys
+when both apply. Annotations are read as GeoJSON or COCO
+(polyform.io.read_annotations). encode, polygonize and roundtrip process
+tiles on a thread pool whose size comes from the POLYFORM_WORKERS
+environment variable, else the available parallelism; it is resolved
+before any file is written, and output order never depends on it.
+polygonize takes the scale and each tile's frame size from the
+manifest.json that encode wrote (see polyform.io), and maps each raster
+read-only (io.map_rgf). encode removes a file already at a raster or
+manifest path and creates it anew, so an earlier run's files are
+replaced, never truncated in place, and a running polygonize keeps the
+pages it mapped; polygonize, eval, roundtrip and render write their one
+output through _output.
 """
 from __future__ import annotations
 
@@ -246,8 +249,20 @@ def _add_flags(p: argparse.ArgumentParser, table: dict[str, str], defaults: obje
 
 
 def _config(cls: type, table: dict[str, str], args: argparse.Namespace, **fields):
-    """cls built from the flags of `table`, plus the given fields."""
-    return cls(**fields, **{field: getattr(args, dest) for dest, field in table.items()})
+    """cls built from the flags of `table`, plus the given fields. When cls
+    rejects them, the ValueError names the flag as argparse names one
+    ("argument --dilate: ..."): the first flag whose value alone makes cls
+    raise, with that raise's message."""
+    values = {field: getattr(args, dest) for dest, field in table.items()}
+    try:
+        return cls(**fields, **values)
+    except ValueError as exc:
+        for dest, field in table.items():
+            try:
+                cls(**{field: values[field]})
+            except ValueError as own:
+                raise ValueError(f"argument --{dest.replace('_', '-')}: {own}") from exc
+        raise
 
 
 def cmd_polygonize(args: argparse.Namespace, cfg: PolygonizeConfig) -> list[dict]:
@@ -256,7 +271,9 @@ def cmd_polygonize(args: argparse.Namespace, cfg: PolygonizeConfig) -> list[dict
     cfg = dataclasses.replace(cfg, scale=float(scale))
 
     def work(tile: pio.ManifestTile):
-        rasters = [pio.read_rgf((raster_dir / tile.files[kind]).read_bytes()) for kind in pio.MANIFEST_RASTERS]
+        # mapped, not read: each mapping goes with this tile's grids, as no
+        # array that polygonize_pipeline returns views its input
+        rasters = [pio.map_rgf(raster_dir / tile.files[kind]) for kind in pio.MANIFEST_RASTERS]
         for kind, grid in zip(pio.MANIFEST_RASTERS, rasters):
             if (grid.height, grid.width) != tile.grid_size:
                 gh, gw = tile.grid_size

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -158,8 +160,9 @@ def write_rgf(grid: RasterGrid) -> bytes:
     return b"".join(rgf_parts(grid))  # one copy of the payload
 
 
-def read_rgf(data: bytes) -> RasterGrid:
-    """Parse RGF bytes; the round trip through write_rgf is bitwise exact."""
+def _rgf_layout(data) -> tuple[tuple[int, int, int], np.dtype]:
+    """The grid shape and dtype that the RGF bytes `data` (any buffer: bytes
+    or a mapping) declare, after checking the header against the length."""
     if len(data) < _HEADER.size:
         raise RgfError(f"truncated header: got {len(data)} bytes, need {_HEADER.size}")
     magic, h, w, c, code = _HEADER.unpack_from(data)
@@ -175,9 +178,42 @@ def read_rgf(data: bytes) -> RasterGrid:
     expected = h * w * c * dtype.itemsize
     if len(data) - _HEADER.size != expected:
         raise RgfError(f"truncated payload: expected {expected} bytes, got {len(data) - _HEADER.size}")
-    # astype makes the one copy of the payload, in native byte order
-    arr = np.frombuffer(data, dtype=dtype.newbyteorder("<"), offset=_HEADER.size).astype(dtype).reshape(h, w, c)
-    return RasterGrid(arr)
+    return (h, w, c), dtype
+
+
+def _payload(data, shape: tuple[int, int, int], dtype: np.dtype) -> np.ndarray:
+    """The checked payload of `data` as a little-endian view of its buffer."""
+    return np.frombuffer(data, dtype=dtype.newbyteorder("<"), offset=_HEADER.size).reshape(shape)
+
+
+def read_rgf(data: bytes) -> RasterGrid:
+    """Parse RGF bytes into a grid that owns a copy of the payload; the round
+    trip through write_rgf is bitwise exact. map_rgf reads a file without
+    the copy."""
+    shape, dtype = _rgf_layout(data)
+    # astype makes the one copy of the payload, in native byte order, so the
+    # grid never aliases the caller's buffer
+    return RasterGrid(_payload(data, shape, dtype).astype(dtype))
+
+
+def map_rgf(path: str | Path) -> RasterGrid:
+    """The grid of an RGF file, its array the file's pages mapped read-only:
+    nothing is copied on little-endian hosts (big-endian ones byteswap into
+    a copy). The header is checked as read_rgf checks it. The mapping and
+    its file descriptor are released with the last array that views it.
+    A file truncated or rewritten in place while mapped may kill the
+    process with SIGBUS; one removed and created anew, as the CLI's encode
+    does, leaves the mapping its old pages."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:  # mmap rejects an empty file
+            _rgf_layout(b"")
+        pages = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        shape, dtype = _rgf_layout(pages)
+    except RgfError:
+        pages.close()
+        raise
+    return RasterGrid(_payload(pages, shape, dtype).astype(dtype, copy=False))
 
 
 def _ring_coords_closed(ring: Ring) -> list[list[float]]:

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon, edge_arrays, near_pairs, project_points_to_segments
+from .geometry import InstanceSet, Polygon, edge_arrays, expand_ranges, near_pairs, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
@@ -187,21 +187,69 @@ def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:
     return _iou_counts(*(_inner_bands([_binary(g)], d)[0] for g in (a, b)))  # a frame is one crop
 
 
+# the most (vertex, edge) elements one projection call gathers; pairs are
+# split between calls at pair boundaries, and a larger pair goes alone
+_POLIS_CHUNK = 2**16
+
+
+def _mean_distances(p: list[np.ndarray], q: list[np.ndarray], p_ranges: np.ndarray, q_ranges: np.ndarray) -> np.ndarray:
+    """Per pair k, the mean distance from the vertices p_ranges[k] = (first,
+    count) of edge set p to the nearest edge of q_ranges[k] in edge set q,
+    each set the (ax, ay, bx, by) of geometry.edge_arrays (each vertex starts
+    one edge). The (vertex, edge) elements of all pairs are gathered into
+    one projection call; a lone pair is broadcast instead, vertices against
+    edges, so it takes no gathered copies. Each pair's mean is taken over
+    its own contiguous slice of vertices."""
+    if len(p_ranges) == 1:
+        (first, n), (q_first, q_n) = p_ranges[0].tolist(), q_ranges[0].tolist()
+        v, e = slice(first, first + n), slice(q_first, q_first + q_n)
+        d2 = project_points_to_segments(p[0][v, None], p[1][v, None], *(side[e] for side in q))[2]
+        return np.sqrt(d2.min(axis=1)).mean(keepdims=True)
+    pair, vertex = expand_ranges(p_ranges[:, 0], p_ranges.sum(axis=1) - 1)
+    first, count = q_ranges[pair].T
+    row, edge = expand_ranges(first, first + count - 1)
+    d2 = project_points_to_segments(p[0][vertex][row], p[1][vertex][row], *(side[edge] for side in q))[2]
+    dist = np.sqrt(np.minimum.reduceat(d2, np.cumsum(count) - count))
+    ends = np.cumsum(p_ranges[:, 1]).tolist()
+    return np.array([dist[end - n : end].mean() for end, n in zip(ends, p_ranges[:, 1].tolist())])
+
+
+def _edge_ranges(polys: Sequence[Polygon], index: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The (ax, ay, bx, by) of edge_arrays(polys), and the (first edge, edge
+    count) of polys[i] for each i of index."""
+    *edges, counts = edge_arrays(polys)
+    return edges, np.stack([np.cumsum(counts) - counts, counts], axis=1)[index]
+
+
+def _polis_pairs(p: list[np.ndarray], p_ranges: np.ndarray, q: list[np.ndarray], q_ranges: np.ndarray) -> list[float]:
+    """PoLiS of each pair k of polygons, given as edge ranges p_ranges[k] of
+    edge set p and q_ranges[k] of q (see _mean_distances), in pair order,
+    with one projection per direction for every _POLIS_CHUNK elements."""
+    elements = (p_ranges[:, 1] * q_ranges[:, 1]).tolist()  # the same count in both directions
+    out: list[float] = []
+    start = 0
+    while start < len(elements):
+        # the next pairs whose elements fit under the cap, at least one
+        stop, total = start + 1, elements[start]
+        while stop < len(elements) and total + elements[stop] <= _POLIS_CHUNK:
+            total += elements[stop]
+            stop += 1
+        chunk = slice(start, stop)
+        a = _mean_distances(p, q, p_ranges[chunk], q_ranges[chunk])
+        b = _mean_distances(q, p, q_ranges[chunk], p_ranges[chunk])
+        out += (0.5 * a + 0.5 * b).tolist()
+        start = stop
+    return out
+
+
 def polis(a: Polygon, b: Polygon) -> float:
     """Symmetric mean vertex-to-boundary distance between two polygons.
 
     Hole vertices participate in the sums and hole rims belong to the
     boundary; distances are exact per-segment minima, not sampled.
     """
-    ax, ay, bx, by, counts = edge_arrays([a, b])
-    # each vertex starts one edge, so edge starts are the vertices in all_vertices order
-    of_a, of_b = slice(0, counts[0]), slice(counts[0], None)
-
-    def mean_dist(p: slice, q: slice) -> float:
-        d2 = project_points_to_segments(ax[p, None], ay[p, None], ax[q], ay[q], bx[q], by[q])[2]
-        return np.sqrt(d2.min(axis=1)).mean()
-
-    return 0.5 * mean_dist(of_a, of_b) + 0.5 * mean_dist(of_b, of_a)
+    *edges, (na, nb) = edge_arrays([a, b])
+    return _polis_pairs(edges, np.array([[0, na]]), edges, np.array([[na, nb]]))[0]
 
 
 def _crops_of(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> tuple[list[_Crop], list[_Crop]]:
@@ -471,8 +519,9 @@ def evaluate_corpus(
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
 
         match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]
-        for pi in np.flatnonzero(match >= 0):
-            polis_values.append(polis(pred_polys[pi], gt_polys[match[pi]]))
+        matched = np.flatnonzero(match >= 0)
+        if matched.size:
+            polis_values += _polis_pairs(*_edge_ranges(pred_polys, matched), *_edge_ranges(gt_polys, match[matched]))
 
         tile_vertex_f1.append(
             vertex_f1(_vertices_of(pred_rec.instances), _vertices_of(gt_rec.instances), cfg.vertex_dist_thr)

@@ -13,7 +13,17 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from polyform.geometry import GeometryError, InstanceSet, Polygon, Point2, Ring, ScoredPolygon, merge_collinear_edges
+from polyform.geometry import (
+    GeometryError,
+    InstanceSet,
+    Point2,
+    Polygon,
+    Ring,
+    ScoredPolygon,
+    edge_arrays,
+    merge_collinear_edges,
+    project_points_to_segments,
+)
 from polyform.metrics import MatchResult
 from polyform.raster import RasterGrid, VertexGrids
 
@@ -327,6 +337,21 @@ def polis_sampled(a: Polygon, b: Polygon, step: float = 1e-4) -> float:
         return acc / len(vertices)
 
     return 0.5 * mean_min(a.all_vertices(), samples_b) + 0.5 * mean_min(b.all_vertices(), samples_a)
+
+
+def polis_per_pair(a: Polygon, b: Polygon) -> float:
+    """PoLiS of one pair on its own: the library's earlier metrics.polis,
+    one geometry.edge_arrays call and one broadcast
+    geometry.project_points_to_segments call per direction."""
+    ax, ay, bx, by, counts = edge_arrays([a, b])
+    # each vertex starts one edge, so edge starts are the vertices in all_vertices order
+    of_a, of_b = slice(0, counts[0]), slice(counts[0], None)
+
+    def mean_dist(p: slice, q: slice) -> float:
+        d2 = project_points_to_segments(ax[p, None], ay[p, None], ax[q], ay[q], bx[q], by[q])[2]
+        return np.sqrt(d2.min(axis=1)).mean()
+
+    return 0.5 * mean_dist(of_a, of_b) + 0.5 * mean_dist(of_b, of_a)
 
 
 def max_chain_deviation(chain_points, ring_points) -> float:

@@ -303,6 +303,51 @@ class TestPolygonize:
         assert err == {"errors": [{"tile_id": "t0", "error": f"missing raster: {heatmap}"}]}
         assert [r.tile_id for r in read_geojson(dst.read_bytes())] == ["t1"]
 
+    def test_raster_path_that_is_a_directory_fails_only_its_tile(self, gt_geojson, tmp_path, capsys):
+        out = tmp_path / "rasters"
+        main(["encode", str(gt_geojson), str(out)])
+        mask = out / json.loads((out / "manifest.json").read_text())["tiles"][0]["files"]["mask"]
+        mask.unlink()
+        mask.mkdir()
+        dst = tmp_path / "pred.geojson"
+        assert main(["polygonize", str(out), str(dst)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"errors": [{"tile_id": "t0", "error": f"IsADirectoryError: [Errno 21] Is a directory: '{mask}'"}]}
+        assert [r.tile_id for r in read_geojson(dst.read_bytes())] == ["t1"]
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rasters_are_released_when_polygonize_returns(self, gt_geojson, tmp_path, monkeypatch, workers):
+        # no mapping of a raster, nor the descriptor mmap holds, outlives its tile
+        out = tmp_path / "rasters"
+        main(["encode", str(gt_geojson), str(out)])
+        monkeypatch.setenv("POLYFORM_WORKERS", workers)
+        mapped = []
+        map_rgf = cli.pio.map_rgf
+        monkeypatch.setattr(cli.pio, "map_rgf", lambda path: mapped.append(path) or map_rgf(path))
+        assert main(["polygonize", str(out), str(tmp_path / "pred.geojson")]) == 0
+        assert len(mapped) == 6
+        raster_dir = os.path.realpath(out) + os.sep
+        assert raster_dir not in Path("/proc/self/maps").read_text()
+        fds = [os.readlink(fd) for fd in Path("/proc/self/fd").iterdir() if fd.is_symlink()]
+        assert not [target for target in fds if target.startswith(raster_dir)]
+
+    def test_mapped_grid_keeps_its_values_when_encode_reruns(self, tmp_path):
+        def gt(x0):
+            path = tmp_path / f"gt{x0}.geojson"
+            path.write_bytes(write_geojson([TileRecord("t", (32, 32), InstanceSet.of([rectangle(x0, 4, x0 + 10, 14)]))]))
+            return path
+
+        out = tmp_path / "rasters"
+        assert main(["encode", str(gt(2)), str(out)]) == 0
+        earlier = read_rgf((out / "t.mask.rgf").read_bytes()).data
+        mapped = cli.pio.map_rgf(out / "t.mask.rgf")
+        assert main(["encode", str(gt(12)), str(out)]) == 0
+        later = read_rgf((out / "t.mask.rgf").read_bytes()).data
+        assert not np.array_equal(later, earlier)
+        assert np.array_equal(mapped.data, earlier)
+        assert np.array_equal(cli.pio.map_rgf(out / "t.mask.rgf").data, later)
+
     def test_raster_not_of_grid_size_fails_its_tile(self, tmp_path, capsys):
         records = [
             TileRecord("big", (16, 16), InstanceSet.of([rectangle(2, 2, 12, 12)])),
@@ -434,7 +479,7 @@ class TestPolygonize:
         MANIFEST_FAULTS[fault](manifest, outside)
         (out / "manifest.json").write_text(json.dumps(manifest))
         opened = []
-        monkeypatch.setattr(cli.pio, "read_rgf", lambda data: opened.append(data))
+        monkeypatch.setattr(cli.pio, "map_rgf", lambda path: opened.append(path))  # polygonize's one raster reader
         capsys.readouterr()
         assert main(["polygonize", str(out), str(tmp_path / "o.geojson")]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -475,8 +520,14 @@ def test_bad_flag_value_is_usage_error(gt_geojson, tmp_path, capsys, argv, outpu
     with pytest.raises(SystemExit) as err:
         main([arg.format(gt=gt_geojson, tmp=tmp_path) for arg in argv])
     assert err.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "error:" in stderr
     assert not (tmp_path / output).exists()
+    # a config flag is named as argparse names one with a bad type
+    config_dests = {*cli._POLYGONIZE_FLAGS, *cli._EVAL_FLAGS, *cli._DEGRADE_FLAGS}
+    for flag in argv:
+        if flag.startswith("--") and flag[2:].replace("-", "_") in config_dests:
+            assert f"error: argument {flag}: " in stderr
 
 
 def test_config_flags_come_from_the_dataclasses():

@@ -17,6 +17,7 @@ from polyform.io import (
     RgfError,
     SvgStyle,
     TileRecord,
+    map_rgf,
     read_coco_annotations,
     read_geojson,
     read_manifest,
@@ -129,6 +130,53 @@ class TestRgf:
         grid = RasterGrid(np.zeros((2, 2, 2), dtype=np.float64))
         with pytest.raises(RgfError, match="f64"):
             write_rgf(grid)
+
+
+_VALID_U8 = write_rgf(RasterGrid(np.arange(4, dtype=np.uint8).reshape(2, 2, 1)))
+# every malformed blob of TestRgf, by the fault it holds
+MALFORMED_RGF = {
+    "empty": b"",
+    "19 bytes": _VALID_U8[:19],
+    "bad magic": b"NOPE" + _VALID_U8[4:],
+    "unknown dtype": struct.pack("<4sIIII", b"RGF1", 1, 1, 1, 9) + b"\0",
+    "0 channels": struct.pack("<4sIIII", b"RGF1", 2, 2, 0, 0),
+    "payload one byte short": _VALID_U8[:-1],
+    "payload one byte long": _VALID_U8 + b"\0",
+}
+
+
+def mapped_outcome(blob: bytes, path) -> RasterGrid:
+    """map_rgf of the blob written to path, checked against read_rgf of the
+    blob: the same RgfError, or a read-only grid bitwise equal to its grid."""
+    path.write_bytes(blob)
+    try:
+        want = read_rgf(blob)
+    except RgfError as exc:
+        with pytest.raises(RgfError) as got:
+            map_rgf(path)
+        assert str(got.value) == str(exc)
+        raise
+    grid = map_rgf(path)
+    assert not grid.data.flags.writeable
+    assert grid.data.dtype == want.data.dtype and grid.data.shape == want.data.shape
+    assert grid.data.tobytes() == want.data.tobytes()
+    return grid
+
+
+class TestMappedRgf:
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_RGF))
+    def test_malformed_file_raises_the_read_rgf_error(self, tmp_path, fault):
+        with pytest.raises(RgfError):
+            mapped_outcome(MALFORMED_RGF[fault], tmp_path / "bad.rgf")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 7, 1), (6, 4, 2), (0, 0, 1), (3, 0, 2)])
+    def test_equals_read_rgf_and_is_read_only(self, tmp_path, dtype, shape):
+        array = np.random.default_rng(5).normal(scale=100, size=shape).astype(dtype)
+        grid = mapped_outcome(write_rgf(RasterGrid(array)), tmp_path / "grid.rgf")
+        assert np.array_equal(grid.data.view(np.uint8), array.view(np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.data[...] = 0
 
 
 _TILE_T = '{"type": "FeatureCollection", "tiles": [{"tile_id": "t", "image_size": [8, 8]}], '
@@ -497,12 +545,20 @@ class TestReaderFuzz:
     @given(rgf_blobs())
     @example(struct.pack("<4sIIII", b"RGF1", 2**32 - 1, 2**32 - 1, 0, 0))
     @example(struct.pack("<4sIIII", b"RGF1", 0, 2**32 - 1, 2**32 - 1, 1))
-    def test_read_rgf_raises_only_format_errors(self, blob):
+    def test_read_rgf_raises_only_format_errors(self, tmp_path_factory, blob):
         try:
             grid = read_rgf(blob)
         except FormatError:
+            grid = None
+        else:
+            assert write_rgf(grid) == blob
+        # the mapped reader agrees on the blob written to a file
+        try:
+            mapped = mapped_outcome(blob, tmp_path_factory.mktemp("rgf") / "blob.rgf")
+        except RgfError:
+            assert grid is None
             return
-        assert write_rgf(grid) == blob
+        assert write_rgf(mapped) == blob
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=400, deadline=None)

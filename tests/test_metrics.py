@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyform import metrics
 from polyform.geometry import InstanceSet, Point2, Polygon
@@ -27,11 +27,19 @@ from polyform.metrics import (
     polis,
     vertex_f1,
 )
-from polyform.polygonize import VertexSet
-from polyform.raster import RasterGrid, rasterize_mask
+from polyform.polygonize import VertexSet, polygonize_pipeline
+from polyform.raster import DegradeSpec, RasterGrid, degrade, encode_vertices, rasterize_mask
 
-from oracles import boundary_band_enum, coco_summary, greedy_match_scalar, inner_band_full, polis_sampled, vertex_f1_pairs
-from synth import random_star_polygon, rectangle
+from oracles import (
+    boundary_band_enum,
+    coco_summary,
+    greedy_match_scalar,
+    inner_band_full,
+    polis_per_pair,
+    polis_sampled,
+    vertex_f1_pairs,
+)
+from synth import annulus, random_rectilinear_polygon, random_star_polygon, rectangle
 
 
 def grid_of(arr):
@@ -187,6 +195,84 @@ class TestPolis:
             [(0, 0), (10, 0), (10, 10), (0, 10)], holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]]
         )
         assert polis(plain, holed) > 0.0
+
+
+# the dense benchmark profile: dilation, jitter, dropout, spurious vertices, noise
+DENSE_PROFILE = dict(
+    dilate_radius=1, boundary_jitter_sigma=0.5, vertex_dropout_prob=0.3, spurious_vertex_count=10, heatmap_noise_sigma=0.02
+)
+
+
+def degraded_dense_tile(seed: int, tile_id: str, side: int = 120) -> tuple[TileRecord, TileRecord]:
+    """A (prediction, ground truth) tile pair. The ground truth puts a notched
+    building, a courtyard annulus or nothing in each 40 px cell, at least 8 px
+    from the next; the prediction polygonizes its rasters degraded with the
+    dense profile."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for y0 in range(4, side, 40):
+        for x0 in range(4, side, 40):
+            kind = rng.integers(3)
+            if kind == 1:
+                w, h = (int(v) for v in rng.integers(12, 33, size=2))
+                polys.append(random_rectilinear_polygon(rng, x0, y0, w, h, int(rng.integers(0, 5))))
+            elif kind == 2:
+                left, top, right, bottom = (int(v) for v in rng.integers(5, 9, size=4))
+                polys.append(annulus(x0, y0, x0 + 32, y0 + 32, x0 + left, y0 + top, x0 + 32 - right, y0 + 32 - bottom))
+    gt = InstanceSet.of(polys)
+    mask, grids = rasterize_mask(gt, side, side), encode_vertices(gt, side, side)
+    soft, grids = degrade(mask, grids, DegradeSpec(**DENSE_PROFILE, rng_seed=seed))
+    pred = polygonize_pipeline(soft, grids.heatmap, grids.offsets)
+    return TileRecord(tile_id, (side, side), pred), TileRecord(tile_id, (side, side), gt)
+
+
+def polis_of_matches(pairs: list[tuple[TileRecord, TileRecord]], cfg: EvalConfig) -> tuple[float, float]:
+    """(polis_mean, polis_match_rate) from the per-pair oracle over each
+    tile's matches at cfg.iou_thr, tiles in id order."""
+    values, total = [], 0
+    for pred, gt in sorted(pairs, key=lambda pair: pair[1].tile_id):
+        total += len(gt.instances)
+        match = match_instances(pred.instances, gt.instances, *gt.image_size, cfg.iou_thr)
+        values += [polis_per_pair(pred.instances.instances[i].polygon, gt.instances.instances[j].polygon) for i, j, _ in match.pairs]
+    return float(np.mean(values)) if values else 0.0, (len(values) / total) if total else 1.0
+
+
+NO_MATCH = (tile("far", (32, 32), [rectangle(2, 2, 10, 10)]), tile("far", (32, 32), [rectangle(18, 18, 28, 28)]))
+ONE_MATCH = (
+    tile("one", (32, 32), [rectangle(3, 2, 11, 10)]),
+    tile("one", (32, 32), [rectangle(2, 2, 10, 10), rectangle(18, 18, 28, 30)]),
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # degraded tiles drop components that fail simplification
+class TestPolisOverTiles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3).map(
+        lambda seeds: [degraded_dense_tile(seed, f"d{k}") for k, seed in enumerate(seeds)]
+    ))
+    @example([NO_MATCH, ONE_MATCH])
+    @example([NO_MATCH])
+    def test_equals_the_per_pair_oracle(self, pairs):
+        cfg = EvalConfig()
+        report = evaluate_corpus([p for p, _ in pairs], [g for _, g in pairs], cfg)
+        want_mean, want_rate = polis_of_matches(pairs, cfg)
+        assert report.polis_mean.hex() == want_mean.hex()
+        assert report.polis_match_rate.hex() == want_rate.hex()
+
+    def test_capped_projection_calls_give_the_same_report(self, monkeypatch):
+        pairs = [degraded_dense_tile(seed, f"d{seed}") for seed in (3, 4)]
+        calls = []  # (elements, whether the call gathered them)
+        project = metrics.project_points_to_segments
+        monkeypatch.setattr(metrics, "project_points_to_segments",
+                            lambda *a: calls.append((np.broadcast(*a).size, a[0].ndim == 1)) or project(*a))
+        want = evaluate_corpus([p for p, _ in pairs], [g for _, g in pairs])
+        assert len(calls) == 4  # one call per direction per tile
+        calls.clear()
+        monkeypatch.setattr(metrics, "_POLIS_CHUNK", 300)
+        got = evaluate_corpus([p for p, _ in pairs], [g for _, g in pairs])
+        assert got == want and got.polis_mean.hex() == want.polis_mean.hex()
+        assert len(calls) > 8
+        assert all(elements <= 300 for elements, gathered in calls if gathered)  # a larger pair goes alone
 
 
 class TestCiou:
