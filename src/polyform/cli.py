@@ -336,7 +336,7 @@ def cmd_roundtrip(args: argparse.Namespace, spec: DegradeSpec, cfg: PolygonizeCo
             gt_masks[rec.tile_id] = gt_inst
         if not pred_records:
             return errors or _run_error("no tiles processed")
-        report = evaluate_corpus(pred_records, gt_eval, EvalConfig())
+        report = evaluate_corpus(pred_records, gt_eval, EvalConfig(), gt_crops=gt_masks)
         mask_ap = coco_ap_ar_from_crops(mask_preds, gt_masks, {r.tile_id: r.image_size for r in gt_eval})[0]
         gap = {"mask_ap": mask_ap, "polygon_ap": report.ap, "ap_gap": report.ap - mask_ap}
         write((json.dumps({**gap, **report.to_json_dict()}, sort_keys=True, indent=2) + "\n").encode())
@@ -390,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="SVG path")
     p.add_argument("--background", choices=["none", "checker"], default="none")
     p.set_defaults(fn=cmd_render, configs=lambda args: ())
+    for p in sub.choices.values():  # a usage error names the subcommand, as argparse's own do
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -399,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:  # flag values the command would reject are usage errors
         configs = args.configs(args) or ()  # encode's check builds none
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     # the pool is entered and left inside the block, so warnings from every
     # worker thread are recorded
     with warnings.catch_warnings(record=True) as caught:

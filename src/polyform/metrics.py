@@ -125,18 +125,42 @@ def _crop_iou(a: _Crop, b: _Crop, area_a: int, area_b: int) -> float:
     return inter / union
 
 
+def _covered_ranks(starts: Sequence[int], ends: Sequence[int]) -> tuple[list[int], int]:
+    """For the half-open spans [starts[k], ends[k]) of one axis, each
+    start's rank among the positions that some span covers, and how many
+    positions are covered. One pass over the spans in start order: every
+    position between the farthest end so far and the next start is
+    uncovered, and shifts each later start down by one."""
+    ranks = [0] * len(starts)
+    shift = reach = 0
+    for k in sorted(range(len(starts)), key=starts.__getitem__):
+        start = starts[k]
+        if start > reach:
+            shift += start - reach
+        ranks[k] = start - shift
+        if ends[k] > reach:
+            reach = ends[k]
+    return ranks, reach - shift
+
+
 def _union_iou(a: Sequence[_Crop], b: Sequence[_Crop]) -> float:
-    """IoU of the union of crops a with the union of crops b, counted on the
-    box that covers every crop; two empty unions count as 1."""
+    """IoU of the union of crops a with the union of crops b; two empty
+    unions count as 1.
+
+    The unions are painted on the rows and columns that some crop covers
+    only, each crop moved to the ranks of its first row and column among
+    them (_covered_ranks). Every row and column of a crop is covered, so
+    the crop stays whole; a row or column that no crop covers holds no
+    pixel of either union, so both counts equal the full frame's. No frame
+    larger than (covered rows) x (covered columns) is made."""
     crops = [crop for crop in (*a, *b) if crop[2].size]
     if not crops:
         return 1.0
-    r0 = min(r for r, _, _ in crops)
-    c0 = min(c for _, c, _ in crops)
-    h = max(r + m.shape[0] for r, _, m in crops) - r0
-    w = max(c + m.shape[1] for _, c, m in crops) - c0
-    union_a, union_b = (union_of_crops([(r - r0, c - c0, m) for r, c, m in side], h, w) for side in (a, b))
-    return _iou_counts(union_a, union_b)
+    rows, n_rows = _covered_ranks([r for r, _, _ in crops], [r + m.shape[0] for r, _, m in crops])
+    cols, n_cols = _covered_ranks([c for _, c, _ in crops], [c + m.shape[1] for _, c, m in crops])
+    moved = [(r0, c0, m) for r0, c0, (_, _, m) in zip(rows, cols, crops)]
+    n_a = sum(1 for crop in a if crop[2].size)
+    return _iou_counts(union_of_crops(moved[:n_a], n_rows, n_cols), union_of_crops(moved[n_a:], n_rows, n_cols))
 
 
 def _binary(grid: RasterGrid) -> np.ndarray:
@@ -478,6 +502,8 @@ def evaluate_corpus(
     preds: Iterable[TileRecord],
     gts: Iterable[TileRecord],
     config: EvalConfig | None = None,
+    *,
+    gt_crops: Mapping[str, Sequence[_Crop]] | None = None,
 ) -> EvalReport:
     """Aggregate every report metric over a tile collection.
 
@@ -485,6 +511,11 @@ def evaluate_corpus(
     ground truth, and each tile must have one image size on both sides.
     PoLiS is averaged over pairs matched at config.iou_thr; the per-tile
     union IoU, C-IoU and vertex F1 are averaged over tiles.
+
+    gt_crops, when given, maps each tile id to the
+    raster.polygon_mask_crops of its ground-truth polygons on its frame,
+    which a caller that filled them already passes so they are not filled
+    again; the report is the same.
     """
     cfg = config or EvalConfig()
     pred_by_id = _by_tile_id(preds, "predictions")
@@ -509,13 +540,18 @@ def evaluate_corpus(
         gt_polys = [sp.polygon for sp in gt_rec.instances]
         pred_polys = [sp.polygon for sp in pred_rec.instances]
         scores = [sp.score for sp in pred_rec.instances]
-        pred_crops, gt_crops = _crops_of(pred_polys, gt_polys, h, w)
+        if gt_crops is None:
+            pred_crops, gt_tile_crops = _crops_of(pred_polys, gt_polys, h, w)
+        else:
+            pred_crops, gt_tile_crops = polygon_mask_crops(pred_polys, h, w), gt_crops[tile]
+            if len(gt_tile_crops) != len(gt_polys):
+                raise MetricsError(f"tile {tile!r}: {len(gt_tile_crops)} ground-truth crops for {len(gt_polys)} polygons")
 
-        ious = _iou_matrix(pred_crops, gt_crops)
+        ious = _iou_matrix(pred_crops, gt_tile_crops)
         mask_tables.append((ious, scores))
-        boundary_tables.append((_iou_matrix(pred_crops, gt_crops, _band_distance(h, w, cfg.boundary_d_frac)), scores))
+        boundary_tables.append((_iou_matrix(pred_crops, gt_tile_crops, _band_distance(h, w, cfg.boundary_d_frac)), scores))
 
-        tile_ious.append(_union_iou(pred_crops, gt_crops))
+        tile_ious.append(_union_iou(pred_crops, gt_tile_crops))
         tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
 
         match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]

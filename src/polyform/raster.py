@@ -259,7 +259,9 @@ def union_of_crops(crops: Iterable[tuple[int, int, np.ndarray]], h: int, w: int)
     """The h x w boolean frame set wherever any (r0, c0, crop) is set."""
     out = np.zeros((h, w), dtype=bool)
     for r0, c0, crop in crops:
-        out[r0 : r0 + crop.shape[0], c0 : c0 + crop.shape[1]] |= crop
+        rows, cols = crop.shape
+        view = out[r0 : r0 + rows, c0 : c0 + cols]
+        view |= crop  # in place on the view: out[...] |= crop would also assign it back
     return out
 
 
@@ -449,6 +451,11 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
     clamped), vertex dropout, and spurious vertex injection. A counter-based
     Philox generator keyed by rng_seed makes runs reproducible. The jitter
     draws a full frame of noise and uses it on the band pixels only.
+
+    The heatmap and offsets are returned as f32. A vertex grid is copied
+    only when a stage writes into it (heatmap noise the heatmap; dropout
+    and spurious vertices both grids); one that none does comes back
+    sharing the input's read-only data, converted only if it is not f32.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.rng_seed))
     binary = _square_morph(mask.channel() > 0.5, spec.dilate_radius, dilate=True)
@@ -459,10 +466,13 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
         noise = rng.normal(0.0, spec.boundary_jitter_sigma, size=soft.shape)
         soft[band] = np.clip(soft[band] + noise[band].astype(np.float32), 0.0, 1.0)
 
-    heat = np.array(grids.heatmap.channel(), dtype=np.float32)
-    off = np.array(grids.offsets.data, dtype=np.float32)
+    # copy=None converts to f32 without copying data that is f32 already
+    vertex_edits = spec.vertex_dropout_prob > 0 or spec.spurious_vertex_count > 0
+    heat_written = vertex_edits or spec.heatmap_noise_sigma > 0
+    heat = np.array(grids.heatmap.channel(), dtype=np.float32, copy=True if heat_written else None)
+    off = np.array(grids.offsets.data, dtype=np.float32, copy=True if vertex_edits else None)
     if spec.heatmap_noise_sigma > 0:
-        heat = heat + rng.normal(0.0, spec.heatmap_noise_sigma, size=heat.shape).astype(np.float32)
+        heat += rng.normal(0.0, spec.heatmap_noise_sigma, size=heat.shape).astype(np.float32)
         np.clip(heat, 0.0, 1.0, out=heat)
     if spec.vertex_dropout_prob > 0:
         peaks = np.argwhere(grids.heatmap.channel() > 0)

@@ -221,6 +221,28 @@ def iou_full(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union
 
 
+def union_iou_bounding_box(a, b) -> float:
+    """IoU of the union of (r0, c0, crop) crops a with that of crops b, both
+    painted on the box that covers every non-empty crop, as
+    metrics._union_iou did before it painted on covered rows and columns
+    only; two empty unions count as 1."""
+    crops = [crop for crop in (*a, *b) if crop[2].size]
+    if not crops:
+        return 1.0
+    r0 = min(r for r, _, _ in crops)
+    c0 = min(c for _, c, _ in crops)
+    h = max(r + m.shape[0] for r, _, m in crops) - r0
+    w = max(c + m.shape[1] for _, c, m in crops) - c0
+    unions = []
+    for side in (a, b):
+        union = np.zeros((h, w), dtype=bool)
+        for r, c, m in side:
+            if m.size:
+                union[r - r0 : r - r0 + m.shape[0], c - c0 : c - c0 + m.shape[1]] |= m
+        unions.append(union)
+    return iou_full(*unions)
+
+
 def iou_matrix_full(pred_masks, gt_masks) -> np.ndarray:
     """Pred x gt IoU over full frames, every pair counted pixel by pixel."""
     out = np.zeros((len(pred_masks), len(gt_masks)))

@@ -521,7 +521,10 @@ def test_bad_flag_value_is_usage_error(gt_geojson, tmp_path, capsys, argv, outpu
         main([arg.format(gt=gt_geojson, tmp=tmp_path) for arg in argv])
     assert err.value.code == 2
     stderr = capsys.readouterr().err
-    assert "error:" in stderr
+    # the subcommand's usage and prog, for a value its config rejects as
+    # for one argparse's own type check rejects
+    assert f"usage: polyform {argv[0]} " in stderr
+    assert f"polyform {argv[0]}: error: " in stderr
     assert not (tmp_path / output).exists()
     # a config flag is named as argparse names one with a bad type
     config_dests = {*cli._POLYGONIZE_FLAGS, *cli._EVAL_FLAGS, *cli._DEGRADE_FLAGS}

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import ndimage
 
+from polyform import cli, metrics
 from polyform.cli import main
 from polyform.geometry import InstanceSet, Polygon, ScoredPolygon
-from polyform.io import TileRecord, write_geojson
+from polyform.io import TileRecord, read_annotations, write_geojson
 from polyform.metrics import (
     EvalConfig,
     EvalReport,
@@ -55,7 +56,11 @@ def polygons(draw, h: int, w: int) -> list[Polygon]:
         b = draw(st.integers(a + least, far))
         return a / 4, b / 4
 
-    kind = draw(st.sampled_from(["rect", "rect", "frame", "courtyard", "speck"]))
+    kind = draw(st.sampled_from(["rect", "rect", "block", "frame", "courtyard", "speck"]))
+    if kind == "block":  # 1 to 4 px a side, so rows and columns around it may hold no crop
+        x0, y0 = draw(st.integers(0, far_x - 4)), draw(st.integers(0, far_y - 4))
+        x1, y1 = draw(st.integers(x0 + 4, min(far_x, x0 + 16))), draw(st.integers(y0 + 4, min(far_y, y0 + 16)))
+        return [rectangle(x0 / 4, y0 / 4, x1 / 4, y1 / 4)]
     if kind == "frame":
         return [rectangle(0, 0, w, h)]
     if kind == "courtyard" and w >= 10 and h >= 10:
@@ -80,10 +85,10 @@ def instance_sets(draw, h: int, w: int, max_size: int = 5) -> InstanceSet:
 
 
 @st.composite
-def tile_pairs(draw) -> tuple[TileRecord, TileRecord]:
+def tile_pairs(draw, max_side: int = 28) -> tuple[TileRecord, TileRecord]:
     """A ground-truth tile and a prediction tile holding some of its polygons."""
-    h = draw(st.integers(6, 28))
-    w = draw(st.integers(6, 28))
+    h = draw(st.integers(6, max_side))
+    w = draw(st.integers(6, max_side))
     tile = f"t{draw(st.integers(0, 99))}"
     gts = draw(instance_sets(h, w))
     kept = [sp for sp in gts if draw(st.booleans())]
@@ -172,7 +177,7 @@ def test_crop_metrics_equal_full_frame_reference(pairs):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(tile_pairs())
+@given(tile_pairs(max_side=64))  # larger frames, so blocks and specks leave rows and columns no crop covers
 def test_ciou_equals_full_frame_union_iou(pair):
     pred, gt = pair
     h, w = gt.image_size
@@ -237,6 +242,32 @@ def test_roundtrip_mask_ap_equals_full_frame_reference(tmp_path, tile_seed, side
     assert main(["roundtrip", str(src), str(report), *flags]) == 0
     spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, rng_seed=seed)
     assert json.loads(report.read_text())["mask_ap"] == reference_mask_ap(gt, scale, spec)
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_roundtrip_fills_each_ground_truth_once(tmp_path, monkeypatch, scale):
+    # the crops made for mask AP go to evaluate_corpus, which fills only the
+    # predictions; with every vertex dropped, each prediction is the
+    # Douglas-Peucker ring of a dilated mask, never a ground-truth polygon
+    side = 96 * scale
+    tiles = [
+        TileRecord(f"t{k}", (side, side), random_tile(np.random.default_rng(k), 96, 96, n_min=2, n_max=5).scaled(scale))
+        for k in range(3)
+    ]
+    src = tmp_path / "gt.geojson"
+    src.write_bytes(write_geojson(tiles))
+    filled = []
+    for module in (cli, metrics):
+        fill = module.polygon_mask_crops
+        monkeypatch.setattr(module, "polygon_mask_crops",
+                            lambda polys, h, w, fill=fill: filled.append(list(polys)) or fill(polys, h, w))
+    flags = ["--scale", str(scale), "--dilate", "1", "--vertex-dropout", "1"]
+    assert main(["roundtrip", str(src), str(tmp_path / "r.json"), *flags]) == 0
+    gts = [[sp.polygon for sp in rec.instances] for rec in read_annotations(src)]
+    assert sorted(map(gts.index, (polys for polys in filled if polys in gts))) == [0, 1, 2]
+    every_gt = [poly for polys in gts for poly in polys]
+    assert not any(poly in every_gt for polys in filled if polys not in gts for poly in polys)
+    assert len(filled) == 2 * len(tiles)
 
 
 def test_trace_boundary_equals_windowed_trace_on_degraded_tile():

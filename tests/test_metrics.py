@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from polyform.metrics import (
     _greedy_match,
     _inner_bands,
     _iou_matrix,
+    _union_iou,
     boundary_iou,
     ciou,
     coco_ap_ar,
@@ -27,19 +29,23 @@ from polyform.metrics import (
     polis,
     vertex_f1,
 )
-from polyform.polygonize import VertexSet, polygonize_pipeline
-from polyform.raster import DegradeSpec, RasterGrid, degrade, encode_vertices, rasterize_mask
+from polyform.polygonize import PolygonizeConfig, VertexSet, polygonize_pipeline
+from polyform.raster import (
+    DegradeSpec, RasterGrid, degrade, downscale_targets, encode_vertices, polygon_mask_crops, rasterize_mask,
+)
 
 from oracles import (
     boundary_band_enum,
     coco_summary,
     greedy_match_scalar,
     inner_band_full,
+    iou_full,
     polis_per_pair,
     polis_sampled,
+    union_iou_bounding_box,
     vertex_f1_pairs,
 )
-from synth import annulus, random_rectilinear_polygon, random_star_polygon, rectangle
+from synth import annulus, random_rectilinear_polygon, random_star_polygon, random_tile, rectangle
 
 
 def grid_of(arr):
@@ -273,6 +279,108 @@ class TestPolisOverTiles:
         assert got == want and got.polis_mean.hex() == want.polis_mean.hex()
         assert len(calls) > 8
         assert all(elements <= 300 for elements, gathered in calls if gathered)  # a larger pair goes alone
+
+
+@st.composite
+def union_crop_sides(draw):
+    """(h, w, a, b): two lists of (r0, c0, crop) on one h x w frame. Crops are
+    small against the frame, so rows and columns no crop covers lie between
+    them; some are flush with the frame's last row or column, some are
+    0 x 0, and either side may be empty."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def crop():
+        if draw(st.integers(0, 5)) == 0:
+            return draw(st.integers(0, h)), draw(st.integers(0, w)), np.zeros((0, 0), dtype=bool)
+        rows, cols = draw(st.integers(1, max(1, h // 3))), draw(st.integers(1, max(1, w // 3)))
+        r0 = h - rows if draw(st.booleans()) else draw(st.integers(0, h - rows))
+        c0 = w - cols if draw(st.booleans()) else draw(st.integers(0, w - cols))
+        return r0, c0, rng.random((rows, cols)) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+
+    a = [crop() for _ in range(draw(st.integers(0, 5)))]
+    b = [crop() for _ in range(draw(st.integers(0, 5)))]
+    return h, w, a, b
+
+
+def _full_frame(crops, h, w) -> np.ndarray:
+    out = np.zeros((h, w), dtype=bool)
+    for r0, c0, m in crops:
+        out[r0 : r0 + m.shape[0], c0 : c0 + m.shape[1]] |= m
+    return out
+
+
+def _ones(rows: int, cols: int) -> np.ndarray:
+    return np.ones((rows, cols), dtype=bool)
+
+
+class TestUnionIou:
+    @settings(max_examples=300, deadline=None)
+    @given(union_crop_sides())
+    @example((20, 20, [(0, 0, _ones(3, 3))], [(10, 12, _ones(2, 2))]))  # uncovered rows and columns between
+    @example((12, 12, [(2, 2, _ones(4, 4)), (4, 4, _ones(4, 4))], [(3, 3, _ones(2, 5))]))  # overlap within a side
+    @example((8, 8, [(0, 0, _ones(0, 0)), (5, 5, _ones(2, 1))], []))  # a 0 x 0 crop, one side empty
+    @example((8, 8, [(0, 0, _ones(0, 0))], [(0, 0, _ones(0, 0))]))  # nothing on either side
+    @example((9, 9, [(6, 6, _ones(3, 3))], [(8, 0, _ones(1, 9)), (0, 8, _ones(9, 1))]))  # the last row and column
+    def test_equals_full_frame_oracle(self, case):
+        h, w, a, b = case
+        with mock.patch.object(metrics, "union_of_crops", wraps=metrics.union_of_crops) as paint:
+            got = _union_iou(a, b)
+        assert got.hex() == iou_full(_full_frame(a, h, w), _full_frame(b, h, w)).hex()
+        assert got.hex() == union_iou_bounding_box(a, b).hex()
+        # both unions are painted on (covered rows) x (covered columns), no larger
+        covered_rows, covered_cols = np.zeros(h, dtype=bool), np.zeros(w, dtype=bool)
+        for r0, c0, m in (*a, *b):
+            if m.size:
+                covered_rows[r0 : r0 + m.shape[0]] = True
+                covered_cols[c0 : c0 + m.shape[1]] = True
+        shapes = [call.args[1:] for call in paint.call_args_list]
+        assert shapes == ([(covered_rows.sum(), covered_cols.sum())] * 2 if covered_rows.any() else [])
+
+
+def frame_pair(seed: int, tile_id: str) -> tuple[TileRecord, TileRecord]:
+    """A (prediction, ground truth) pair on a 2048 px frame, as roundtrip
+    --scale 4 --dilate 1 --jitter-sigma 0.5 makes it: 3 to 7 buildings drawn
+    on the 512 px grid and scaled up, the grid rasters degraded and
+    polygonized back at scale 4."""
+    rng = np.random.default_rng(seed)
+    gt = random_tile(rng, 512, 512, n_min=3, n_max=7).scaled(4)
+    grid = downscale_targets(gt, 4)
+    spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, rng_seed=seed)
+    soft, grids = degrade(rasterize_mask(grid, 512, 512), encode_vertices(grid, 512, 512), spec)
+    pred = polygonize_pipeline(soft, grids.heatmap, grids.offsets, PolygonizeConfig(scale=4.0))
+    return TileRecord(tile_id, (2048, 2048), pred), TileRecord(tile_id, (2048, 2048), gt)
+
+
+def gt_crops_of(gts: list[TileRecord]) -> dict:
+    return {g.tile_id: polygon_mask_crops([sp.polygon for sp in g.instances], *g.image_size) for g in gts}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # degraded tiles drop components that fail simplification
+class TestGivenGroundTruthCrops:
+    @pytest.mark.parametrize("make", [degraded_dense_tile, frame_pair])
+    def test_report_equals_the_one_that_fills_them(self, make):
+        pairs = [make(seed, f"t{seed}") for seed in (5, 6)]
+        preds, gts = [p for p, _ in pairs], [g for _, g in pairs]
+        assert all(len(p.instances) for p in preds)
+        want = evaluate_corpus(preds, gts)
+        got = evaluate_corpus(preds, gts, gt_crops=gt_crops_of(gts))
+        assert {k: v.hex() for k, v in got.to_json_dict().items()} == {k: v.hex() for k, v in want.to_json_dict().items()}
+
+    def test_only_the_predictions_are_filled(self, monkeypatch):
+        pairs = [degraded_dense_tile(seed, f"t{seed}") for seed in (5, 6)]
+        crops = gt_crops_of([g for _, g in pairs])
+        filled = []
+        fill = metrics.polygon_mask_crops
+        monkeypatch.setattr(metrics, "polygon_mask_crops", lambda polys, h, w: filled.append(list(polys)) or fill(polys, h, w))
+        evaluate_corpus([p for p, _ in pairs], [g for _, g in pairs], gt_crops=crops)
+        assert filled == [[sp.polygon for sp in p.instances] for p, _ in sorted(pairs, key=lambda pair: pair[1].tile_id)]
+
+    def test_crops_of_other_polygons_are_rejected(self):
+        pred, gt = ONE_MATCH
+        crops = {gt.tile_id: gt_crops_of([gt])[gt.tile_id][:1]}
+        with pytest.raises(MetricsError, match="1 ground-truth crops for 2 polygons"):
+            evaluate_corpus([pred], [gt], gt_crops=crops)
 
 
 class TestCiou:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -389,6 +390,31 @@ class TestDegrade:
         assert np.array_equal(soft.channel(), mask.channel().astype(np.float32))
         assert np.array_equal(out.heatmap.data, grids.heatmap.data)
         assert np.array_equal(out.offsets.data, grids.offsets.data)
+
+    @pytest.mark.parametrize("heat_dtype, off_dtype", [(np.float32, np.float32), (np.uint8, np.float64)])
+    @pytest.mark.parametrize("noise, dropout, spurious", list(itertools.product((0.0, 0.05), (0.0, 0.4), (0, 6))))
+    def test_vertex_grids_are_copied_only_when_written(self, noise, dropout, spurious, heat_dtype, off_dtype):
+        # each vertex-side stage on or off: the outputs equal the copying
+        # oracle bit for bit, are f32 and read-only, and a grid no stage
+        # writes into shares the input's data when that is already f32
+        mask, f32_grids = self._fixture()
+        grids = VertexGrids(RasterGrid(f32_grids.heatmap.data.astype(heat_dtype)),
+                            RasterGrid(f32_grids.offsets.data.astype(off_dtype)))
+        before = [g.data.copy() for g in (grids.heatmap, grids.offsets)]
+        spec = DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, heatmap_noise_sigma=noise,
+                           vertex_dropout_prob=dropout, spurious_vertex_count=spurious, rng_seed=9)
+        soft, out = degrade(mask, grids, spec)
+        want_soft, want = degrade_scipy(mask, grids, spec)
+        for got, expect in ((soft, want_soft), (out.heatmap, want.heatmap), (out.offsets, want.offsets)):
+            assert got.data.dtype == np.float32 and got.data.shape == expect.data.shape
+            assert got.data.tobytes() == expect.data.tobytes()
+            assert not got.data.flags.writeable
+        heat_written = noise > 0 or dropout > 0 or spurious > 0
+        off_written = dropout > 0 or spurious > 0
+        assert np.shares_memory(out.heatmap.data, grids.heatmap.data) == (not heat_written and heat_dtype == np.float32)
+        assert np.shares_memory(out.offsets.data, grids.offsets.data) == (not off_written and off_dtype == np.float32)
+        for grid, data in zip((grids.heatmap, grids.offsets), before):
+            assert np.array_equal(grid.data, data)
 
     def test_dilate_single_pixel_becomes_block(self):
         mask = np.zeros((7, 7), dtype=np.uint8)
