@@ -466,11 +466,10 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
         noise = rng.normal(0.0, spec.boundary_jitter_sigma, size=soft.shape)
         soft[band] = np.clip(soft[band] + noise[band].astype(np.float32), 0.0, 1.0)
 
-    # copy=None converts to f32 without copying data that is f32 already
     vertex_edits = spec.vertex_dropout_prob > 0 or spec.spurious_vertex_count > 0
     heat_written = vertex_edits or spec.heatmap_noise_sigma > 0
-    heat = np.array(grids.heatmap.channel(), dtype=np.float32, copy=True if heat_written else None)
-    off = np.array(grids.offsets.data, dtype=np.float32, copy=True if vertex_edits else None)
+    heat = grids.heatmap.channel().astype(np.float32, copy=heat_written)
+    off = grids.offsets.data.astype(np.float32, copy=vertex_edits)
     if spec.heatmap_noise_sigma > 0:
         heat += rng.normal(0.0, spec.heatmap_noise_sigma, size=heat.shape).astype(np.float32)
         np.clip(heat, 0.0, 1.0, out=heat)
