@@ -8,7 +8,6 @@ function, so everything here is safe to share across threads.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -41,44 +40,208 @@ class Point2(namedtuple("Point2", ["x", "y"])):
 FRAME_TOL = 1e-6
 
 
-def in_frame(p: Point2, h: int, w: int) -> bool:
-    """Whether p lies in the closed w x h frame [0, w] x [0, h], widened by FRAME_TOL."""
-    return -FRAME_TOL <= p.x <= w + FRAME_TOL and -FRAME_TOL <= p.y <= h + FRAME_TOL
+def outside_frame(xy: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Which (x, y) rows of xy lie outside the closed w x h frame [0, w] x
+    [0, h] widened by FRAME_TOL."""
+    x, y = xy[:, 0], xy[:, 1]
+    return ~((-FRAME_TOL <= x) & (x <= w + FRAME_TOL) & (-FRAME_TOL <= y) & (y <= h + FRAME_TOL))
 
 
-@dataclass(frozen=True)
 class Ring:
     """Closed vertex loop; the first vertex is not repeated in storage.
 
-    Requires at least three vertices and no two consecutive equal vertices
-    (including the implicit closing edge).
+    coords holds the vertices as one read-only (n, 2) f64 array of (x, y)
+    rows. Requires at least three finite vertices and no two consecutive
+    equal vertices (including the implicit closing edge). Rings are values:
+    equal when their coordinates are equal (-0.0 equals 0.0 and hashes
+    alike), and immutable.
     """
 
-    vertices: tuple[Point2, ...]
+    __slots__ = ("coords", "_points")
 
-    def __post_init__(self) -> None:
-        vs = tuple(v if isinstance(v, Point2) else Point2(*v) for v in self.vertices)
-        if len(vs) < 3:
-            raise GeometryError(f"ring needs >= 3 vertices, got {len(vs)}")
-        for i, v in enumerate(vs):
-            if v == vs[(i + 1) % len(vs)]:
-                raise GeometryError(f"consecutive duplicate vertex {v} at index {i}")
-        object.__setattr__(self, "vertices", vs)
+    def __init__(self, vertices: Sequence[Point2 | tuple[float, float]] | np.ndarray) -> None:
+        """Vertices as Point2s, (x, y) pairs or an (n, 2) array, which is copied."""
+        if isinstance(vertices, np.ndarray):
+            points = None
+            coords = np.array(vertices, dtype=np.float64)
+            if coords.ndim != 2 or coords.shape[1] != 2:
+                raise GeometryError(f"ring coordinates need shape (n, 2), got {coords.shape}")
+            finite = np.isfinite(coords).all(axis=1)
+            if not finite.all():
+                Point2(*coords[np.argmin(finite)].tolist())  # raises the GeometryError every Point2 would
+        else:
+            points = tuple(v if isinstance(v, Point2) else Point2(*v) for v in vertices)
+            coords = np.array(points, dtype=np.float64).reshape(-1, 2)
+        if len(coords) < 3:
+            raise GeometryError(f"ring needs >= 3 vertices, got {len(coords)}")
+        repeats = (coords == np.roll(coords, -1, axis=0)).all(axis=1)
+        if repeats.any():
+            i = int(np.argmax(repeats))
+            raise GeometryError(f"consecutive duplicate vertex {Point2(*coords[i].tolist())} at index {i}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_points", points)
+
+    @classmethod
+    def _of(cls, coords: np.ndarray) -> "Ring":
+        """A ring on coords as they are: a read-only (n, 2) f64 array that
+        already passes the constructor's checks (see ring_faults)."""
+        ring = object.__new__(cls)
+        object.__setattr__(ring, "coords", coords)
+        object.__setattr__(ring, "_points", None)
+        return ring
 
     @classmethod
     def from_coords(cls, coords: Sequence[tuple[float, float]]) -> "Ring":
         return cls(tuple(Point2(x, y) for x, y in coords))
 
+    @property
+    def vertices(self) -> tuple[Point2, ...]:
+        """The vertices as Point2s, made from coords on first use (the
+        constructor's own Point2s when it was given a sequence)."""
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(map(Point2._make, self.coords.tolist())))
+        return self._points
+
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.coords + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+
+    def __repr__(self) -> str:
+        return f"Ring({self.coords.tolist()!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Ring is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Ring, (self.coords,)
 
     def reversed(self) -> "Ring":
-        return Ring(tuple(reversed(self.vertices)))
+        return Ring._of(self.coords[::-1])
 
     def scaled(self, fx: float, fy: float | None = None) -> "Ring":
         """Multiply x by fx and y by fy (default fx)."""
         fy = fx if fy is None else fy
-        return Ring(tuple(Point2(v.x * fx, v.y * fy) for v in self.vertices))
+        with np.errstate(over="ignore", under="ignore"):  # the constructor rejects what overflows
+            return Ring(self.coords * np.array([fx, fy], dtype=np.float64))
+
+
+def pack_rings(polys: Sequence["Polygon"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rings of the polygons in one array: (xy, bounds, firsts), ring k
+    the rows bounds[k]:bounds[k + 1] of the (n, 2) f64 array xy, polygon i
+    the rings firsts[i]:firsts[i + 1], outer ring first, then its holes."""
+    rings = [ring.coords for poly in polys for ring in poly.rings()]
+    xy = np.concatenate(rings) if rings else np.zeros((0, 2))
+    return xy, offsets([len(c) for c in rings]), offsets([1 + len(poly.holes) for poly in polys])
+
+
+def offsets(counts: Sequence[int]) -> np.ndarray:
+    """The int64 offsets [0, c0, c0 + c1, ...] of consecutive runs of the
+    given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    out[1:] = np.cumsum(counts)
+    return out
+
+
+def ring_successors(bounds: np.ndarray) -> np.ndarray:
+    """The index of each row's next vertex in its ring, the last row of a
+    ring wrapping to its first."""
+    succ = np.arange(1, bounds[-1] + 1)
+    starts, ends = bounds[:-1], bounds[1:]
+    nonempty = ends > starts
+    succ[ends[nonempty] - 1] = starts[nonempty]
+    return succ
+
+
+def ring_faults(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Which rings of (xy, bounds) (see pack_rings) the Ring constructor
+    rejects: fewer than three vertices, a non-finite coordinate, or two
+    consecutive equal vertices."""
+    starts = bounds[:-1]
+    bad = np.diff(bounds) < 3
+    if len(xy) == 0:
+        return bad
+    flawed = ~np.isfinite(xy).all(axis=1) | (xy == xy[ring_successors(bounds)]).all(axis=1)
+    run = bounds[1:] > starts
+    bad[run] |= np.logical_or.reduceat(flawed, starts[run])
+    return bad
+
+
+def _sequential_area(xy: np.ndarray) -> float:
+    """Shoelace area of one ring's (n, 2) vertices, summed term by term in
+    vertex order: the value every orientation decision rests on."""
+    xs, ys = xy.T.tolist()
+    acc = 0.0
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        acc += ax * by - bx * ay
+    return acc / 2.0
+
+
+def _area_signs(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per ring of (xy, bounds), a value that compares with 0 as its
+    signed_area does (>= 0, <= 0, NaN included).
+
+    The shoelace terms of every ring are summed in one reduceat, in
+    numpy's order. Any order of summing n terms t errs by at most
+    gamma = (n - 1) u / (1 - (n - 1) u) times sum |t|, u = 2**-53, so where
+    the sum exceeds 8 n u sum |t| (above 2 gamma with room for the
+    rounding of sum |t| and of the bound) it has the sign of the exact sum,
+    and so has signed_area's term-by-term sum. Every other ring (zero or
+    near-zero area, tiny or overflowing terms) is summed as signed_area
+    sums it."""
+    out = np.zeros(len(bounds) - 1)
+    run = np.flatnonzero(np.diff(bounds) > 0)
+    if len(run) == 0:
+        return out
+    succ = ring_successors(bounds)
+    x, y = xy[:, 0], xy[:, 1]
+    starts = bounds[:-1][run]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing terms are summed term by term below
+        terms = x * y[succ] - x[succ] * y
+        total = np.add.reduceat(terms, starts)
+        scale = np.add.reduceat(np.abs(terms), starts)
+        sure = (np.abs(total) > 8 * 2.0**-53 * np.diff(bounds)[run] * scale) & (scale > 1e-250)
+    out[run] = total
+    for k in run[~sure].tolist():
+        out[k] = _sequential_area(xy[bounds[k] : bounds[k + 1]])
+    return out
+
+
+def polygons_of(rings: Sequence[Ring], firsts: Sequence[int]) -> list["Polygon"]:
+    """Polygon(rings[f], tuple(rings[f + 1 : e])) for each consecutive pair
+    (f, e) of firsts, with every ring's orientation decided in one pass
+    (_area_signs), as each Polygon constructor decides it."""
+    bounds = offsets([len(ring.coords) for ring in rings])
+    xy = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2))
+    area = _area_signs(xy, bounds)
+    outer = np.zeros(len(rings), dtype=bool)
+    outer[list(firsts[:-1])] = True
+    keep = np.where(outer, area >= 0, area <= 0).tolist()
+    oriented = [ring if kept else ring.reversed() for ring, kept in zip(rings, keep)]
+    return [Polygon._of(oriented[f], tuple(oriented[f + 1 : e])) for f, e in zip(firsts, firsts[1:])]
+
+
+def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Polygon"]:
+    """Polygon.scaled(fx, fy) of each polygon, every ring checked and
+    oriented in one pass; the first ring the Ring constructor rejects
+    raises its GeometryError."""
+    xy, bounds, firsts = pack_rings(polys)
+    with np.errstate(over="ignore", under="ignore"):  # the ring checks reject what overflows
+        xy = xy * np.array([fx, fy], dtype=np.float64)
+    bad = ring_faults(xy, bounds)
+    if bad.any():
+        k = int(np.argmax(bad))
+        Ring(xy[bounds[k] : bounds[k + 1]])  # raises the ring's GeometryError
+    xy.flags.writeable = False
+    rings = [Ring._of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return polygons_of(rings, firsts.tolist())
 
 
 @dataclass(frozen=True)
@@ -99,6 +262,14 @@ class Polygon:
         object.__setattr__(self, "holes", holes)
 
     @classmethod
+    def _of(cls, outer: Ring, holes: tuple[Ring, ...]) -> "Polygon":
+        """A polygon on rings already oriented as the constructor orients them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "outer", outer)
+        object.__setattr__(poly, "holes", holes)
+        return poly
+
+    @classmethod
     def from_coords(
         cls,
         outer: Sequence[tuple[float, float]],
@@ -114,7 +285,7 @@ class Polygon:
         return [v for ring in self.rings() for v in ring.vertices]
 
     def vertex_count(self) -> int:
-        return sum(len(r) for r in self.rings())
+        return len(self.outer.coords) + sum(len(h.coords) for h in self.holes)
 
     def boundary_segments(self) -> list[tuple[Point2, Point2]]:
         """The edges of edge_arrays([self]) as (start, end) pairs, in its order."""
@@ -123,7 +294,7 @@ class Polygon:
 
     def scaled(self, fx: float, fy: float | None = None) -> "Polygon":
         """Multiply x by fx and y by fy (default fx); orientation is renormalized."""
-        return Polygon(self.outer.scaled(fx, fy), tuple(h.scaled(fx, fy) for h in self.holes))
+        return scale_polygons([self], fx, fx if fy is None else fy)[0]
 
     def area(self) -> float:
         return abs(signed_area(self.outer)) - sum(abs(signed_area(h)) for h in self.holes)
@@ -163,17 +334,13 @@ class InstanceSet:
         fy = fx if fy is None else fy
         if fx == 1 and fy == 1:
             return self
-        return InstanceSet(tuple(ScoredPolygon(sp.polygon.scaled(fx, fy), sp.score) for sp in self))
+        polys = scale_polygons([sp.polygon for sp in self], fx, fy)
+        return InstanceSet(tuple(ScoredPolygon(p, sp.score) for p, sp in zip(polys, self)))
 
 
 def signed_area(ring: Ring) -> float:
     """Shoelace area of a ring; positive iff the ring is CCW."""
-    vs = ring.vertices
-    acc = 0.0
-    for i, a in enumerate(vs):
-        b = vs[(i + 1) % len(vs)]
-        acc += a.x * b.y - b.x * a.y
-    return acc / 2.0
+    return _sequential_area(ring.coords)
 
 
 def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,13 +376,36 @@ def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.nda
     return fx, fy, d2
 
 
-def _turn_angle_deg(a: Point2, b: Point2, c: Point2) -> float:
-    """Absolute change of direction at b, in degrees within [0, 180]."""
-    ux, uy = b.x - a.x, b.y - a.y
-    vx, vy = c.x - b.x, c.y - b.y
+def _turn_angle_deg(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+    """Absolute change of direction at b on the path a -> b -> c, in degrees within [0, 180]."""
+    ux, uy = bx - ax, by - ay
+    vx, vy = cx - bx, cy - by
     cross = ux * vy - uy * vx
     dot = ux * vx + uy * vy
     return math.degrees(math.atan2(abs(cross), dot))
+
+
+def merged_collinear(xy: np.ndarray, angle_tol: float) -> np.ndarray:
+    """merge_collinear_edges on a ring's (n, 2) vertices, as a new (m, 2)
+    array: the vertices whose turn exceeds angle_tol when each is visited in
+    order, every removal counted at once, repeated to a fixpoint. Raises
+    DegenerateRingError when fewer than three would remain."""
+    verts = xy.tolist()
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(verts):
+            if len(verts) < 3:
+                raise DegenerateRingError("degenerate ring after collinear merge")
+            if _turn_angle_deg(*verts[i - 1], *verts[i], *verts[(i + 1) % len(verts)]) <= angle_tol:
+                del verts[i]
+                changed = True
+            else:
+                i += 1
+    if len(verts) < 3:
+        raise DegenerateRingError("degenerate ring after collinear merge")
+    return np.array(verts, dtype=np.float64)
 
 
 def merge_collinear_edges(ring: Ring, angle_tol: float) -> Ring:
@@ -226,25 +416,7 @@ def merge_collinear_edges(ring: Ring, angle_tol: float) -> Ring:
     """
     if angle_tol < 0:
         raise GeometryError(f"negative angle tolerance {angle_tol}")
-    verts = list(ring.vertices)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(verts):
-            if len(verts) < 3:
-                raise DegenerateRingError("degenerate ring after collinear merge")
-            a = verts[i - 1]
-            b = verts[i]
-            c = verts[(i + 1) % len(verts)]
-            if _turn_angle_deg(a, b, c) <= angle_tol:
-                del verts[i]
-                changed = True
-            else:
-                i += 1
-    if len(verts) < 3:
-        raise DegenerateRingError("degenerate ring after collinear merge")
-    return Ring(tuple(verts))
+    return Ring(merged_collinear(ring.coords, angle_tol))
 
 
 def edge_arrays(polys: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -252,17 +424,9 @@ def edge_arrays(polys: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.nd
     by), plus counts, each polygon's number of edges (its vertex_count).
     Edges come polygon by polygon, outer ring then holes, each ring in
     vertex order with its closing edge last: boundary_segments order."""
-    rings = [ring.vertices for poly in polys for ring in poly.rings()]
-    ring_len = np.array([len(vs) for vs in rings], dtype=np.int64)
-    counts = np.array([poly.vertex_count() for poly in polys], dtype=np.int64)
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings))
-    a = np.fromiter(flat, dtype=np.float64, count=2 * int(ring_len.sum())).reshape(-1, 2)
-    ring_end = np.cumsum(ring_len)
-    succ = np.arange(1, len(a) + 1)
-    succ[ring_end - 1] = ring_end - ring_len  # each ring's last edge closes on its first vertex
-    ax, ay = a.T
-    bx, by = a[succ].T
-    return ax, ay, bx, by, counts
+    xy, bounds, firsts = pack_rings(polys)
+    b = xy[ring_successors(bounds)]
+    return xy[:, 0], xy[:, 1], b[:, 0], b[:, 1], np.diff(bounds[firsts])
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

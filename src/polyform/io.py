@@ -31,6 +31,8 @@ keyed by id.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import mmap
@@ -43,7 +45,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import InstanceSet, Polygon, Ring, ScoredPolygon, in_frame, point_in_polygon, signed_area
+from .geometry import (
+    InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon, polygons_of,
+    ring_faults, signed_area,
+)
 from .raster import RasterGrid
 
 _MAGIC = b"RGF1"
@@ -132,12 +137,11 @@ class TileRecord:
         if not (1 <= h <= _MAX_SIDE and 1 <= w <= _MAX_SIDE):
             raise FormatError(f"tile {self.tile_id!r}: bad image size {self.image_size}")
         object.__setattr__(self, "image_size", (int(h), int(w)))
-        for sp in self.instances:
-            for v in sp.polygon.all_vertices():
-                if not in_frame(v, h, w):
-                    raise FormatError(
-                        f"tile {self.tile_id!r}: vertex ({v.x}, {v.y}) outside {w}x{h} bounds"
-                    )
+        xy = pack_rings([sp.polygon for sp in self.instances])[0]
+        outside = outside_frame(xy, h, w)
+        if outside.any():
+            x, y = xy[np.argmax(outside)].tolist()
+            raise FormatError(f"tile {self.tile_id!r}: vertex ({x}, {y}) outside {w}x{h} bounds")
 
 
 def rgf_parts(grid: RasterGrid) -> tuple[bytes, np.ndarray]:
@@ -216,10 +220,10 @@ def map_rgf(path: str | Path) -> RasterGrid:
     return RasterGrid(_payload(pages, shape, dtype).astype(dtype, copy=False))
 
 
-def _ring_coords_closed(ring: Ring) -> list[list[float]]:
-    coords = [[v.x, v.y] for v in ring.vertices]
-    coords.append(coords[0])
-    return coords
+def _closed_positions(ring: Ring) -> list[list[float]]:
+    positions = ring.coords.tolist()
+    positions.append(positions[0])
+    return positions
 
 
 def write_geojson(records: Sequence[TileRecord], metadata: dict | None = None) -> bytes:
@@ -227,7 +231,7 @@ def write_geojson(records: Sequence[TileRecord], metadata: dict | None = None) -
     for rec in records:
         for i, sp in enumerate(rec.instances):
             poly = sp.polygon
-            rings = [_ring_coords_closed(poly.outer)] + [_ring_coords_closed(h) for h in poly.holes]
+            rings = [_closed_positions(ring) for ring in poly.rings()]
             score = _finite_score(sp.score, f"tile {rec.tile_id!r} instance {i}", GeoJsonError)
             features.append(
                 {
@@ -249,9 +253,10 @@ def write_geojson(records: Sequence[TileRecord], metadata: dict | None = None) -
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def _parse_geojson_ring(positions: object, what: str) -> Ring:
-    if not isinstance(positions, list) or len(positions) < 4:
-        raise GeoJsonError(f"{what}: ring needs >= 4 positions (closed), got {positions!r}")
+def _parse_geojson_ring(positions: list, what: str) -> Ring:
+    """One ring's positions (a list of at least 4) checked and converted one
+    by one, closing position included: the reference that names the first
+    fault of a ring the batched _geojson_rings rejects."""
     pts = []
     for pos in positions:
         if not (isinstance(pos, list) and len(pos) == 2):
@@ -263,9 +268,35 @@ def _parse_geojson_ring(positions: object, what: str) -> Ring:
     if pts[0] != pts[-1]:
         raise GeoJsonError(f"{what}: unclosed ring")
     try:
-        return Ring.from_coords(pts[:-1])
+        return Ring(pts[:-1])
     except ValueError as exc:
         raise GeoJsonError(f"{what}: {exc}") from exc
+
+
+def _geojson_rings(raws: list[list], what) -> list[Ring]:
+    """The rings of GeoJSON position lists (each a list of at least 4), in
+    order, without their closing positions. Every position is converted in
+    one np.array call and every ring checked in one pass: positions that
+    are pairs of numbers, closed, finite, and no two consecutive vertices
+    equal. The first ring that fails raises the GeoJsonError that
+    _parse_geojson_ring gives it, what(k) naming ring k's feature."""
+    closed = offsets([len(positions) for positions in raws])
+    try:
+        pos = np.array(list(itertools.chain.from_iterable(raws)), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pos = None
+    if pos is None or pos.shape != (closed[-1], 2):  # a fault, or a value numpy reads otherwise than float()
+        return [_parse_geojson_ring(positions, what(k)) for k, positions in enumerate(raws)]
+    last = closed[1:] - 1
+    vertex = np.ones(len(pos), dtype=bool)
+    vertex[last] = False
+    xy, bounds = pos[vertex], closed - np.arange(len(closed))
+    bad = ring_faults(xy, bounds) | (pos[closed[:-1]] != pos[last]).any(axis=1)
+    if bad.any():  # None reads as NaN
+        k = int(np.argmax(bad))
+        _parse_geojson_ring(raws[k], what(k))
+    xy.flags.writeable = False
+    return [Ring._of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def read_geojson(data: bytes | str) -> list[TileRecord]:
@@ -295,52 +326,109 @@ def _geojson_records(doc: object) -> list[TileRecord]:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise GeoJsonError("'features' is not a list")
+    raws: list[list] = []  # every ring's positions, in file order
+    firsts = [0]  # feature i has rings firsts[i]:firsts[i + 1]
+    owners: list[tuple[str, float]] = []  # each feature's tile id and score
+    fault = None
     for i, feature in enumerate(features):
-        what = f"feature {i}"
-        if not isinstance(feature, dict):
-            raise GeoJsonError(f"{what}: not an object")
-        geom = feature.get("geometry")
-        kind = geom.get("type") if isinstance(geom, dict) else None
-        if kind != "Polygon":
-            raise GeoJsonError(f"{what}: unsupported geometry type {kind!r}")
-        rings = geom.get("coordinates")
-        if not isinstance(rings, list) or not rings:
-            raise GeoJsonError(f"{what}: empty coordinates")
-        outer = _parse_geojson_ring(rings[0], what)
-        holes = tuple(_parse_geojson_ring(r, what) for r in rings[1:])
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict):
-            raise GeoJsonError(f"{what}: properties is not an object")
-        tile_id = _string_id(props.get("tile_id"), f"{what}: tile_id", GeoJsonError)
-        if tile_id not in by_tile:
-            raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
-        score = _finite_score(props.get("score", 1.0), what, GeoJsonError)
-        by_tile[tile_id].append(ScoredPolygon(Polygon(outer, holes), score))
+        try:
+            owners.append(_geojson_feature(feature, f"feature {i}", raws, by_tile))
+        except GeoJsonError as exc:  # raised once the rings before it are checked
+            fault = exc
+            break
+        firsts.append(len(raws))
+    rings = _geojson_rings(raws, lambda k: f"feature {bisect.bisect_right(firsts, k) - 1}")
+    if fault is not None:
+        raise fault
+    for (tile_id, score), poly in zip(owners, polygons_of(rings, firsts)):
+        by_tile[tile_id].append(ScoredPolygon(poly, score))
     return [
         TileRecord(tid, sizes[tid], InstanceSet(tuple(by_tile[tid]))) for tid in order
     ]
 
 
-def _rings_from_segmentation(seg: object, what: str) -> list[Ring]:
-    if isinstance(seg, dict):
-        raise CocoError(f"{what}: unsupported encoding (RLE segmentation)")
-    if not isinstance(seg, list) or not seg:
-        raise CocoError(f"{what}: empty segmentation")
-    rings = []
-    for flat in seg:
-        if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2 != 0:
-            raise CocoError(f"{what}: bad polygon array of length {len(flat) if isinstance(flat, list) else '?'}")
+def _geojson_feature(feature: object, what: str, raws: list[list], by_tile: dict) -> tuple[str, float]:
+    """A feature's tile id and score, after appending the position list of
+    each of its rings to raws; the positions themselves are checked by
+    _geojson_rings."""
+    if not isinstance(feature, dict):
+        raise GeoJsonError(f"{what}: not an object")
+    geom = feature.get("geometry")
+    kind = geom.get("type") if isinstance(geom, dict) else None
+    if kind != "Polygon":
+        raise GeoJsonError(f"{what}: unsupported geometry type {kind!r}")
+    rings = geom.get("coordinates")
+    if not isinstance(rings, list) or not rings:
+        raise GeoJsonError(f"{what}: empty coordinates")
+    for positions in rings:
+        if not isinstance(positions, list) or len(positions) < 4:
+            raise GeoJsonError(f"{what}: ring needs >= 4 positions (closed), got {positions!r}")
+        raws.append(positions)
+    props = feature.get("properties") or {}
+    if not isinstance(props, dict):
+        raise GeoJsonError(f"{what}: properties is not an object")
+    tile_id = _string_id(props.get("tile_id"), f"{what}: tile_id", GeoJsonError)
+    if tile_id not in by_tile:
+        raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
+    return tile_id, _finite_score(props.get("score", 1.0), what, GeoJsonError)
+
+
+def _parse_coco_ring(flat: list, what: str) -> Ring:
+    """One polygon array (a list of at least 6 values, of even length)
+    checked and converted value by value, a closing point equal to the first
+    dropped: the reference that names the fault of a ring the batched
+    _coco_rings rejects."""
+    try:
+        pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
+    if len(pts) > 3 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    try:
+        return Ring(pts)
+    except ValueError as exc:
+        raise CocoError(f"{what}: {exc}") from exc
+
+
+def _coco_rings(raws: list[list], what) -> tuple[list[Ring], CocoError | None]:
+    """The rings of COCO polygon arrays (each a list of at least 6 values,
+    of even length), in order, each without a closing point equal to its
+    first. Every value is converted in one np.array call and every ring
+    checked in one pass: numbers, finite, and no two consecutive vertices
+    equal. Returns the rings before the first array that fails, and the
+    CocoError that _parse_coco_ring gives that array, what(k) naming array
+    k's annotation (None when every array passes)."""
+    flat_ends = offsets([len(flat) for flat in raws])
+    try:
+        values = np.array(list(itertools.chain.from_iterable(raws)), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    count = len(raws)
+    if values is None or values.shape != (flat_ends[-1],):  # a fault, or a value numpy reads otherwise than float()
+        rings: list[Ring] = []
+        for k, flat in enumerate(raws):
+            try:
+                rings.append(_parse_coco_ring(flat, what(k)))
+            except CocoError as exc:
+                return rings, exc
+        return rings, None
+    pos = values.reshape(-1, 2)
+    ends = flat_ends // 2
+    first, last = ends[:-1], ends[1:] - 1
+    closing = (np.diff(ends) > 3) & (pos[first] == pos[last]).all(axis=1)
+    vertex = np.ones(len(pos), dtype=bool)
+    vertex[last[closing]] = False
+    xy, bounds = pos[vertex], offsets(np.diff(ends) - closing)
+    bad = ring_faults(xy, bounds)  # None reads as NaN
+    good = int(np.argmax(bad)) if bad.any() else count
+    xy.flags.writeable = False
+    rings = [Ring._of(xy[a:b]) for a, b in zip(bounds[:good].tolist(), bounds[1 : good + 1].tolist())]
+    if good < count:
         try:
-            pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
-        if len(pts) > 3 and pts[0] == pts[-1]:
-            pts = pts[:-1]
-        try:
-            rings.append(Ring.from_coords(pts))
-        except ValueError as exc:
-            raise CocoError(f"{what}: {exc}") from exc
-    return rings
+            _parse_coco_ring(raws[good], what(good))
+        except CocoError as exc:
+            return rings, exc
+    return rings, None
 
 
 def read_coco_annotations(path: str | Path) -> list[TileRecord]:
@@ -376,30 +464,67 @@ def _coco_records(doc: object) -> list[TileRecord]:
     annotations = doc.get("annotations", [])
     if not isinstance(annotations, list):
         raise CocoError("'annotations' is not a list")
+    raws: list[list] = []  # every polygon array, in file order
+    firsts = [0]  # annotation k has rings firsts[k]:firsts[k + 1]
+    whats: list[str] = []  # each annotation's name in messages
+    owners: list[tuple[int, float]] = []  # each annotation's image id and score
+    fault = None
     for k, ann in enumerate(annotations):
         if not isinstance(ann, dict):
-            raise CocoError(f"annotation {k}: not an object")
-        what = f"annotation {ann.get('id', k)}"
-        image_id = ann.get("image_id")
-        score = _finite_score(ann.get("score", 1.0), what, CocoError)
-        if not _is_int(image_id) or image_id not in images:
-            raise CocoError(f"{what}: unknown image_id {image_id!r}")
+            fault = CocoError(f"annotation {k}: not an object")
+            break
+        whats.append(f"annotation {ann.get('id', k)}")
+        try:
+            owners.append(_coco_annotation(ann, whats[-1], images, raws))
+        except CocoError as exc:  # raised once the rings before it are checked
+            fault = exc
+            break
         if ann.get("iscrowd"):
             crowd_seen += 1
-        rings = _rings_from_segmentation(ann.get("segmentation"), what)
-        rings.sort(key=lambda r: -abs(signed_area(r)))
-        outer, holes = rings[0], tuple(rings[1:])
-        poly = Polygon(outer, holes)
-        for hole in holes:
-            if not point_in_polygon(hole.vertices[0], Polygon(outer)):
+        firsts.append(len(raws))
+    rings, ring_fault = _coco_rings(raws, lambda r: whats[bisect.bisect_right(firsts, r) - 1])
+    done = bisect.bisect_right(firsts, len(rings)) - 1  # the annotations whose rings all passed
+    # each annotation's rings, the largest by absolute area first: its outer boundary
+    ring_order = []
+    for f, e in zip(firsts[:done], firsts[1 : done + 1]):
+        ring_order += [f] if e - f == 1 else sorted(range(f, e), key=lambda r: -abs(signed_area(rings[r])))
+    polys = polygons_of([rings[r] for r in ring_order], firsts[: done + 1])
+    for (image_id, score), what, poly, f, e in zip(owners, whats, polys, firsts, firsts[1:]):
+        outer = Polygon._of(poly.outer, ())
+        for r in ring_order[f + 1 : e]:
+            if not point_in_polygon(tuple(rings[r].coords[0].tolist()), outer):
                 warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=3)
                 break
         by_image[image_id].append(ScoredPolygon(poly, score))
+    if ring_fault is not None:
+        raise ring_fault
+    if fault is not None:
+        raise fault
     if crowd_seen:
         warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations", stacklevel=3)
     return [
         TileRecord(images[i][0], images[i][1:], InstanceSet(tuple(by_image[i]))) for i in order
     ]
+
+
+def _coco_annotation(ann: dict, what: str, images: dict, raws: list[list]) -> tuple[int, float]:
+    """An annotation's image id and score, after appending each of its
+    polygon arrays to raws; the values themselves are checked by
+    _coco_rings."""
+    image_id = ann.get("image_id")
+    score = _finite_score(ann.get("score", 1.0), what, CocoError)
+    if not _is_int(image_id) or image_id not in images:
+        raise CocoError(f"{what}: unknown image_id {image_id!r}")
+    seg = ann.get("segmentation")
+    if isinstance(seg, dict):
+        raise CocoError(f"{what}: unsupported encoding (RLE segmentation)")
+    if not isinstance(seg, list) or not seg:
+        raise CocoError(f"{what}: empty segmentation")
+    for flat in seg:
+        if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2 != 0:
+            raise CocoError(f"{what}: bad polygon array of length {len(flat) if isinstance(flat, list) else '?'}")
+        raws.append(flat)
+    return image_id, score
 
 
 def read_annotations(path: str | Path) -> list[TileRecord]:
@@ -427,14 +552,8 @@ def write_coco_annotations(records: Sequence[TileRecord]) -> bytes:
         images.append({"id": image_id, "file_name": rec.tile_id, "height": h, "width": w})
         for sp in rec.instances:
             poly = sp.polygon
-            seg = []
-            for ring in poly.rings():
-                flat: list[float] = []
-                for v in ring.vertices:
-                    flat.extend((v.x, v.y))
-                seg.append(flat)
-            xs = [v.x for v in poly.all_vertices()]
-            ys = [v.y for v in poly.all_vertices()]
+            seg = [ring.coords.ravel().tolist() for ring in poly.rings()]
+            xs, ys = pack_rings([poly])[0].T.tolist()
             annotations.append(
                 {
                     "id": ann_id,
@@ -599,10 +718,10 @@ def render_svg(records: Sequence[TileRecord], style: SvgStyle | None = None) -> 
             color = _PALETTE[i % len(_PALETTE)]
             cmds = []
             for ring in sp.polygon.rings():
-                vs = ring.vertices
-                cmds.append(f"M {_fmt(vs[0].x)} {_fmt(vs[0].y)}")
-                cmds.extend(f"L {_fmt(v.x)} {_fmt(v.y)}" for v in vs[1:])
-                cmds.append(f"L {_fmt(vs[0].x)} {_fmt(vs[0].y)}")  # explicit closing side
+                (x0, y0), *rest = ring.coords.tolist()
+                cmds.append(f"M {_fmt(x0)} {_fmt(y0)}")
+                cmds.extend(f"L {_fmt(x)} {_fmt(y)}" for x, y in rest)
+                cmds.append(f"L {_fmt(x0)} {_fmt(y0)}")  # explicit closing side
                 cmds.append("Z")
             parts.append(
                 f'<path d="{" ".join(cmds)}" fill="{color}" fill-opacity="{_fmt(_FILL_OPACITY)}" '

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon, edge_arrays, expand_ranges, near_pairs, project_points_to_segments
+from .geometry import InstanceSet, Polygon, edge_arrays, expand_ranges, near_pairs, pack_rings, project_points_to_segments
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
@@ -330,19 +330,31 @@ def _greedy_match(ious: np.ndarray, scores: Sequence[float], thresholds: Sequenc
     """The one matching rule, at every threshold in one pass: predictions in
     score order each take the free ground truth of highest IoU >= thr, the
     lowest index on ties. Row t gives each prediction's ground truth at
-    thresholds[t], or -1 when it stays unmatched."""
+    thresholds[t], or -1 when it stays unmatched.
+
+    A prediction visits only its candidates, the ground truths whose IoU
+    meets the lowest threshold, in index order, in Python scalars."""
     n_pred, n_gt = ious.shape
-    thr = np.asarray(thresholds, dtype=np.float64)[:, None]
-    rows = np.arange(len(thr))
-    matches = np.full((len(thr), n_pred), -1, dtype=np.intp)
-    free = np.ones((len(thr), n_gt), dtype=bool)
-    for i in _score_order(scores) if n_gt else ():
-        candidates = np.where(free & (ious[i] >= thr), ious[i], -np.inf)
-        j = candidates.argmax(axis=1)  # the first maximum
-        hit = candidates[rows, j] > -np.inf
-        matches[hit, i] = j[hit]
-        free[rows[hit], j[hit]] = False
-    return matches
+    thr = [float(t) for t in thresholds]
+    matches = [[-1] * n_pred for _ in thr]
+    if n_pred and n_gt and thr:
+        rows, cols = np.nonzero(ious >= min(thr))
+        candidates: list[list[tuple[int, float]]] = [[] for _ in range(n_pred)]
+        for i, j, iou in zip(rows.tolist(), cols.tolist(), ious[rows, cols].tolist()):
+            candidates[i].append((j, iou))
+        taken: list[set[int]] = [set() for _ in thr]
+        for i in _score_order(scores):
+            if not candidates[i]:
+                continue
+            for t, (bound, used, row) in enumerate(zip(thr, taken, matches)):
+                best, best_iou = -1, bound
+                for j, iou in candidates[i]:
+                    if iou >= best_iou and (best < 0 or iou > best_iou) and j not in used:
+                        best, best_iou = j, iou
+                if best >= 0:
+                    used.add(best)
+                    row[i] = best
+    return np.array(matches, dtype=np.intp).reshape(len(thr), n_pred)
 
 
 def match_instances(
@@ -458,12 +470,15 @@ def vertex_f1(pred: VertexSet, gt: VertexSet, dist_thr: float = 5.0) -> float:
     pair matches when its distance is <= dist_thr. Only the pairs of
     geometry.near_pairs(pred, gt, dist_thr + 1) are measured."""
     _check_positive("dist_thr", dist_thr)
-    if len(pred) == 0 and len(gt) == 0:
+    return _vertex_f1(pred.coords(), gt.coords(), dist_thr)
+
+
+def _vertex_f1(p: np.ndarray, g: np.ndarray, dist_thr: float) -> float:
+    """vertex_f1 of two (n, 2) arrays of vertex (x, y) coordinates."""
+    if len(p) == 0 and len(g) == 0:
         return 1.0
-    if len(pred) == 0 or len(gt) == 0:
+    if len(p) == 0 or len(g) == 0:
         return 0.0
-    p = pred.coords()
-    g = gt.coords()
     rows, cols = near_pairs(p, g, dist_thr + 1.0)
     d = np.sqrt(((p[rows] - g[cols]) ** 2).sum(axis=1))
     within = d <= dist_thr
@@ -482,11 +497,6 @@ def vertex_f1(pred: VertexSet, gt: VertexSet, dist_thr: float = 5.0) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def _vertices_of(instances: InstanceSet) -> VertexSet:
-    points = tuple((v, 1.0) for sp in instances for v in sp.polygon.all_vertices())
-    return VertexSet(points)
 
 
 def _by_tile_id(records: Iterable[TileRecord], what: str) -> dict[str, TileRecord]:
@@ -559,9 +569,7 @@ def evaluate_corpus(
         if matched.size:
             polis_values += _polis_pairs(*_edge_ranges(pred_polys, matched), *_edge_ranges(gt_polys, match[matched]))
 
-        tile_vertex_f1.append(
-            vertex_f1(_vertices_of(pred_rec.instances), _vertices_of(gt_rec.instances), cfg.vertex_dist_thr)
-        )
+        tile_vertex_f1.append(_vertex_f1(pack_rings(pred_polys)[0], pack_rings(gt_polys)[0], cfg.vertex_dist_thr))
 
     ap, ap50, ap75, ar, ar50, ar75 = _coco_summary(mask_tables)
     total_gts = sum(ious.shape[1] for ious, _ in mask_tables)

@@ -21,16 +21,17 @@ from scipy import ndimage
 
 from .geometry import (
     DegenerateRingError,
-    GeometryError,
     InstanceSet,
     Point2,
-    Polygon,
     Ring,
     ScoredPolygon,
     expand_ranges,
-    merge_collinear_edges,
+    merged_collinear,
     near_pairs,
+    polygons_of,
     project_points_to_segments,
+    ring_faults,
+    ring_successors,
 )
 from .raster import RasterGrid, bounding_crop, offset_coords, shelf_pack
 
@@ -436,14 +437,54 @@ def _snap_winners(
     return chain[winners], match[winners]
 
 
-def _snapped_ring(vtx: np.ndarray, vertex_ids: np.ndarray, merge_angle: float) -> Ring:
-    """The ring through the given vertices with near-collinear joints merged;
-    FallbackRequired when it degenerates."""
-    try:
-        ring = Ring(tuple(Point2(x, y) for x, y in vtx[vertex_ids].tolist()))
-        return merge_collinear_edges(ring, merge_angle)
-    except GeometryError as exc:  # degenerate merge or coincident vertex coordinates
-        raise FallbackRequired(str(exc)) from exc
+# a turn this far above merge_angle, by numpy's arctan2, is above it by
+# math.atan2 too: the two differ by a few ulps of at most 180 degrees
+_TURN_MARGIN = 1e-6
+
+
+def _snapped_rings(vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int], merge_angle: float) -> list[Ring | None]:
+    """The snapped ring of each chain k, through the vertices
+    vtx[vertex_ids[cuts[k]:cuts[k + 1]]] with near-collinear joints merged
+    (geometry.merge_collinear_edges), or None where the chain falls back:
+    fewer than three vertices, two consecutive ones at equal coordinates,
+    or a merge that degenerates.
+
+    Every chain's turns are measured in one pass. A ring whose every turn
+    exceeds merge_angle by _TURN_MARGIN keeps all its vertices, as
+    merge_collinear_edges keeps them; only the others are merged one by
+    one."""
+    rings: list[Ring | None] = [None] * (len(cuts) - 1)
+    bounds = np.asarray(cuts, dtype=np.int64)
+    xy = vtx[vertex_ids]
+    if len(xy) == 0:
+        return rings
+    xy.flags.writeable = False
+    succ = ring_successors(bounds)
+    prev = np.empty_like(succ)
+    prev[succ] = np.arange(len(succ))
+    u, v = xy - xy[prev], xy[succ] - xy
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    dot = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+    near = np.degrees(np.arctan2(np.abs(cross), dot)) <= merge_angle + _TURN_MARGIN
+    starts = bounds[:-1]
+    run = np.flatnonzero(np.diff(bounds) > 0)
+    merging = np.zeros(len(rings), dtype=bool)
+    merging[run] = np.logical_or.reduceat(near, starts[run])
+    fault = ring_faults(xy, bounds)
+    for k, (a, b) in enumerate(zip(starts.tolist(), bounds[1:].tolist())):
+        if fault[k]:
+            continue
+        if not merging[k]:
+            rings[k] = Ring._of(xy[a:b])
+            continue
+        try:
+            merged = merged_collinear(xy[a:b], merge_angle)
+        except DegenerateRingError:
+            continue
+        if not ring_faults(merged, np.array([0, len(merged)]))[0]:
+            merged.flags.writeable = False
+            rings[k] = Ring._of(merged)
+    return rings
 
 
 def mav_attract_simplify(
@@ -469,7 +510,10 @@ def mav_attract_simplify(
         raise FallbackRequired("no vertices within tau_d of the chain")
     if len(winners) < 3:
         raise FallbackRequired(f"{len(winners)} surviving vertices")
-    return _snapped_ring(vertices.coords(), winners, merge_angle)
+    ring = _snapped_rings(vertices.coords(), winners, (0, len(winners)), merge_angle)[0]
+    if ring is None:
+        raise FallbackRequired("coincident vertex coordinates or a degenerate collinear merge")
+    return ring
 
 
 def _first_max(values: np.ndarray, group: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,10 +584,11 @@ def _dp_rings(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tolerance: float)
         keep[split] = True
         lo, hi = np.concatenate([lo[far], split]), np.concatenate([split, hi[far]])
     bounds = np.cumsum(np.add.reduceat(keep, start, dtype=np.int64)).tolist()
-    points = xy[keep].tolist()
+    points = xy[keep]
+    points.flags.writeable = False
     for k, a, b in zip(chain[first].tolist(), [0] + bounds, bounds):
         if b - a >= 3:
-            rings[k] = Ring(tuple(Point2(px, py) for px, py in points[a:b]))
+            rings[k] = Ring._of(points[a:b])
     return rings
 
 
@@ -607,30 +652,26 @@ def polygonize_components(
     chains = _trace_windows([(r0, c0, region) for r0, c0, region, _score in crops])
     pix = np.stack([chains.cols + 0.5, chains.rows + 0.5], axis=1)
     winner_chain, winner_vertex = _snap_winners(pix, chains.bounds, vtx, cfg.attract_dist)
-    cuts = np.searchsorted(winner_chain, np.arange(len(chains.bounds))).tolist()
-    rings: list[Ring | None] = [None] * (len(cuts) - 1)
-    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-        if b - a >= 3:
-            try:
-                rings[k] = _snapped_ring(vtx, winner_vertex[a:b], cfg.merge_angle)
-            except FallbackRequired:
-                pass
+    cuts = np.searchsorted(winner_chain, np.arange(len(chains.bounds)))
+    rings = _snapped_rings(vtx, winner_vertex, cuts, cfg.merge_angle)
     fallback = np.array([k for k, ring in enumerate(rings) if ring is None], dtype=np.int64)
     simplified = _dp_rings(pix, chains.bounds[fallback], chains.bounds[fallback + 1], cfg.dp_fallback_tolerance)
     for k, ring in zip(fallback.tolist(), simplified):
         rings[k] = ring
     dropped = 0
-    scored: list[ScoredPolygon] = []
+    kept: list[Ring] = []
+    firsts, scores = [0], []
     for (_r0, _c0, _region, score), first, end in zip(crops, chains.firsts, chains.firsts[1:]):
-        outer = rings[first]
-        if outer is None:
+        if rings[first] is None:
             dropped += 1
             continue
-        holes = tuple(hole for hole in rings[first + 1 : end] if hole is not None)
-        scored.append(ScoredPolygon(Polygon(outer, holes), score))
+        kept += [ring for ring in rings[first:end] if ring is not None]
+        firsts.append(len(kept))
+        scores.append(score)
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)
-    return rescale_polygons(InstanceSet(tuple(scored)), cfg.scale)
+    polys = polygons_of(kept, firsts)
+    return rescale_polygons(InstanceSet(tuple(map(ScoredPolygon, polys, scores))), cfg.scale)
 
 
 def rescale_polygons(instances: InstanceSet, s: float) -> InstanceSet:

@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
-    InstanceSet, Polygon, edge_arrays, edge_tolerance, expand_ranges, in_frame, on_edge, project_points_to_segments,
+    InstanceSet, Polygon, edge_arrays, edge_tolerance, expand_ranges, on_edge, outside_frame, pack_rings,
+    project_points_to_segments,
 )
 
 _ALLOWED_DTYPES = {
@@ -367,15 +368,12 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     return RasterGrid(field)
 
 
+# offsets are clamped into [-0.5, 0.5) after rounding to f32: rounding may
+# push a value just below 0.5 onto 0.5 itself, and a vertex on the frame's
+# far edge or just past an edge lies 0.5 or more from its clamped pixel's
+# center; both would leave the range
 _MIN_F32_OFFSET = np.float32(-0.5)
 _MAX_F32_OFFSET = np.nextafter(np.float32(0.5), np.float32(0.0))
-
-
-def _f32_offset(value: float) -> np.float32:
-    # rounding to f32 may push a value just below 0.5 onto 0.5 itself, and a
-    # vertex on the frame's far edge or just past an edge lies 0.5 or more
-    # from its clamped pixel's center; both would leave [-0.5, 0.5)
-    return min(max(np.float32(value), _MIN_F32_OFFSET), _MAX_F32_OFFSET)
 
 
 def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
@@ -388,24 +386,27 @@ def encode_vertices(instances: InstanceSet, h: int, w: int) -> VertexGrids:
     [-0.5, 0.5). When two vertices fall into one pixel the later write wins
     (warned).
     """
-    heat = np.zeros((h, w), dtype=np.float32)
-    off = np.zeros((h, w, 2), dtype=np.float32)
-    collisions = 0
-    for idx, scored in enumerate(instances):
-        for ring in scored.polygon.rings():
-            for v in ring.vertices:
-                if not in_frame(v, h, w):
-                    raise RasterError(f"vertex ({v.x}, {v.y}) of instance {idx} outside [0,{w}]x[0,{h}]")
-                c = min(max(math.floor(v.x), 0), w - 1)
-                r = min(max(math.floor(v.y), 0), h - 1)
-                if heat[r, c] == 1.0:
-                    collisions += 1
-                heat[r, c] = 1.0
-                off[r, c, 0] = _f32_offset(v.x - (c + 0.5))
-                off[r, c, 1] = _f32_offset(v.y - (r + 0.5))
+    xy, bounds, firsts = pack_rings([sp.polygon for sp in instances])
+    outside = outside_frame(xy, h, w)
+    if outside.any():
+        at = int(np.argmax(outside))
+        idx = int(np.searchsorted(bounds[firsts], at, "right")) - 1
+        x, y = xy[at].tolist()
+        raise RasterError(f"vertex ({x}, {y}) of instance {idx} outside [0,{w}]x[0,{h}]")
+    c = np.clip(np.floor(xy[:, 0]), 0, w - 1).astype(np.int64)
+    r = np.clip(np.floor(xy[:, 1]), 0, h - 1).astype(np.int64)
+    # each pixel's last vertex wins: the first of the reversed order
+    pixels, last = np.unique((r * w + c)[::-1], return_index=True)
+    last = len(xy) - 1 - last
+    heat = np.zeros(h * w, dtype=np.float32)
+    heat[pixels] = 1.0
+    off = np.zeros((h * w, 2), dtype=np.float32)
+    centres = np.stack([c[last], r[last]], axis=1) + 0.5
+    off[pixels] = np.clip((xy[last] - centres).astype(np.float32), _MIN_F32_OFFSET, _MAX_F32_OFFSET)
+    collisions = len(xy) - len(pixels)
     if collisions:
         warnings.warn(f"{collisions} vertex pixel collisions; later vertices won", stacklevel=2)
-    return VertexGrids(RasterGrid.from_array(heat), RasterGrid(off))
+    return VertexGrids(RasterGrid.from_array(heat.reshape(h, w)), RasterGrid(off.reshape(h, w, 2)))
 
 
 def offset_coords(rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from polyform.geometry import (
+    FRAME_TOL,
     GeometryError,
     InstanceSet,
     Point2,
@@ -24,8 +25,9 @@ from polyform.geometry import (
     merge_collinear_edges,
     project_points_to_segments,
 )
+from polyform.io import FormatError, GeoJsonError, TileRecord, _finite_score, _reject_repeats, _size_pair, _string_id
 from polyform.metrics import MatchResult
-from polyform.raster import RasterGrid, VertexGrids
+from polyform.raster import RasterError, RasterGrid, VertexGrids
 
 
 def segment_foot(px, py, ax, ay, bx, by) -> tuple[float, float]:
@@ -698,3 +700,127 @@ def degrade_scipy(mask, grids, spec):
             off[r, c, 0] = ox
             off[r, c, 1] = oy
     return RasterGrid.from_array(soft), VertexGrids(RasterGrid.from_array(heat), RasterGrid(off))
+
+
+def greedy_match_arrays(ious, scores, thresholds) -> np.ndarray:
+    """The library's earlier metrics._greedy_match: one (thresholds x gts)
+    array pass per prediction in score order, each taking the first maximum
+    of its free candidates at or above each threshold."""
+    n_pred, n_gt = ious.shape
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None]
+    rows = np.arange(len(thr))
+    matches = np.full((len(thr), n_pred), -1, dtype=np.intp)
+    free = np.ones((len(thr), n_gt), dtype=bool)
+    order = sorted(range(n_pred), key=lambda i: (-scores[i], i))
+    for i in order if n_gt else ():
+        candidates = np.where(free & (ious[i] >= thr), ious[i], -np.inf)
+        j = candidates.argmax(axis=1)  # the first maximum
+        hit = candidates[rows, j] > -np.inf
+        matches[hit, i] = j[hit]
+        free[rows[hit], j[hit]] = False
+    return matches
+
+
+def _in_frame(p: Point2, h: int, w: int) -> bool:
+    return -FRAME_TOL <= p.x <= w + FRAME_TOL and -FRAME_TOL <= p.y <= h + FRAME_TOL
+
+
+def encode_vertices_loop(instances, h: int, w: int) -> VertexGrids:
+    """The library's earlier raster.encode_vertices: a loop over every
+    Point2 in instance, ring and vertex order, the later write winning a
+    pixel, collisions counted as writes onto a set pixel (returned with the
+    grids as (grids, collisions) instead of warned)."""
+    heat = np.zeros((h, w), dtype=np.float32)
+    off = np.zeros((h, w, 2), dtype=np.float32)
+    low, high = np.float32(-0.5), np.nextafter(np.float32(0.5), np.float32(0.0))
+    collisions = 0
+    for idx, scored in enumerate(instances):
+        for ring in scored.polygon.rings():
+            for v in ring.vertices:
+                if not _in_frame(v, h, w):
+                    raise RasterError(f"vertex ({v.x}, {v.y}) of instance {idx} outside [0,{w}]x[0,{h}]")
+                c = min(max(math.floor(v.x), 0), w - 1)
+                r = min(max(math.floor(v.y), 0), h - 1)
+                if heat[r, c] == 1.0:
+                    collisions += 1
+                heat[r, c] = 1.0
+                off[r, c, 0] = min(max(np.float32(v.x - (c + 0.5)), low), high)
+                off[r, c, 1] = min(max(np.float32(v.y - (r + 0.5)), low), high)
+    return VertexGrids(RasterGrid.from_array(heat), RasterGrid(off)), collisions
+
+
+def _geojson_ring_objects(positions, what: str) -> Ring:
+    if not isinstance(positions, list) or len(positions) < 4:
+        raise GeoJsonError(f"{what}: ring needs >= 4 positions (closed), got {positions!r}")
+    pts = []
+    for pos in positions:
+        if not (isinstance(pos, list) and len(pos) == 2):
+            raise GeoJsonError(f"{what}: bad position {pos!r}")
+        try:
+            pts.append((float(pos[0]), float(pos[1])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GeoJsonError(f"{what}: bad position {pos!r}") from exc
+    if pts[0] != pts[-1]:
+        raise GeoJsonError(f"{what}: unclosed ring")
+    try:
+        return Ring.from_coords(pts[:-1])
+    except ValueError as exc:
+        raise GeoJsonError(f"{what}: {exc}") from exc
+
+
+def geojson_records_objects(doc) -> list:
+    """The library's earlier io._geojson_records on a parsed document: each
+    position converted and checked on its own, a Point2 per vertex, a Ring
+    and a Polygon per feature in file order, then each tile's vertices
+    checked against its frame one Point2 at a time. The tiles member and
+    the ids and scores go through the library's own io._string_id,
+    io._size_pair, io._reject_repeats and io._finite_score."""
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise GeoJsonError("not a FeatureCollection")
+    if "tiles" not in doc:
+        raise GeoJsonError("missing 'tiles' member (tile ids and sizes)")
+    order, sizes = [], {}
+    try:
+        for entry in doc["tiles"]:
+            tile_id = _string_id(entry["tile_id"], "tile_id", GeoJsonError)
+            order.append(tile_id)
+            sizes[tile_id] = _size_pair(entry["image_size"], f"tile {tile_id!r} image_size", GeoJsonError)
+    except (KeyError, TypeError) as exc:
+        raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
+    _reject_repeats(order, "tile_id", GeoJsonError)
+    by_tile = {tid: [] for tid in order}
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise GeoJsonError("'features' is not a list")
+    for i, feature in enumerate(features):
+        what = f"feature {i}"
+        if not isinstance(feature, dict):
+            raise GeoJsonError(f"{what}: not an object")
+        geom = feature.get("geometry")
+        kind = geom.get("type") if isinstance(geom, dict) else None
+        if kind != "Polygon":
+            raise GeoJsonError(f"{what}: unsupported geometry type {kind!r}")
+        rings = geom.get("coordinates")
+        if not isinstance(rings, list) or not rings:
+            raise GeoJsonError(f"{what}: empty coordinates")
+        outer = _geojson_ring_objects(rings[0], what)
+        holes = tuple(_geojson_ring_objects(r, what) for r in rings[1:])
+        props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise GeoJsonError(f"{what}: properties is not an object")
+        tile_id = _string_id(props.get("tile_id"), f"{what}: tile_id", GeoJsonError)
+        if tile_id not in by_tile:
+            raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
+        score = _finite_score(props.get("score", 1.0), what, GeoJsonError)
+        by_tile[tile_id].append(ScoredPolygon(Polygon(outer, holes), score))
+    records = []
+    for tid in order:
+        h, w = sizes[tid]
+        if not (1 <= h <= 2**29 and 1 <= w <= 2**29):
+            raise FormatError(f"tile {tid!r}: bad image size {(h, w)}")
+        for sp in by_tile[tid]:
+            for v in sp.polygon.all_vertices():
+                if not _in_frame(v, h, w):
+                    raise FormatError(f"tile {tid!r}: vertex ({v.x}, {v.y}) outside {w}x{h} bounds")
+        records.append(TileRecord(tid, (h, w), InstanceSet(tuple(by_tile[tid]))))
+    return records

@@ -12,7 +12,7 @@ import pytest
 
 from polyform import cli, polygonize
 from polyform.cli import main
-from polyform.geometry import InstanceSet, Polygon
+from polyform.geometry import InstanceSet, Polygon, Ring
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
 from polyform.metrics import EvalConfig
 from polyform.polygonize import PolygonizeConfig
@@ -958,3 +958,33 @@ class TestWorkers:
         manifest = json.loads(files["manifest.json"])
         assert [t["tile_id"] for t in manifest["tiles"]] == [r.tile_id for r in records if r.tile_id != "odd"]
         assert len(files) == 1 + 4 * 9
+
+
+def test_no_command_goes_through_per_vertex_points(tmp_path, monkeypatch, capsys):
+    # every command path reads, builds and scores rings as coordinate
+    # arrays: with Ring.vertices raising, each still succeeds on two dense
+    # tiles with courtyards, through snapping, the DP fallback and rescaling
+    rng = np.random.default_rng(27)
+    records = []
+    for k in range(2):
+        inst = random_tile(rng, 128, 128, n_min=12, n_max=16, min_side=12, max_side=20, separation=2)
+        court = annulus(2, 100, 26, 126, 9, 107, 19, 119)
+        records.append(TileRecord(f"t{k}", (128, 128), InstanceSet.of([*(sp.polygon for sp in inst), court])))
+    gt = tmp_path / "gt.geojson"
+    gt.write_bytes(write_geojson(records))
+
+    def no_points(self):
+        raise AssertionError("Ring.vertices was read")
+
+    monkeypatch.setattr(Ring, "vertices", property(no_points))
+    d = str(tmp_path)
+    for argv in (
+        ["encode", str(gt), f"{d}/rasters"],
+        ["polygonize", f"{d}/rasters", f"{d}/pred.geojson"],
+        ["eval", f"{d}/pred.geojson", str(gt), f"{d}/report.json"],
+        ["roundtrip", str(gt), f"{d}/roundtrip.json", "--scale", "2", "--dilate", "1", "--jitter-sigma", "0.5",
+         "--vertex-dropout", "0.3", "--spurious", "20", "--seed", "3"],
+        ["render", f"{d}/pred.geojson", f"{d}/pred.svg"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert len(read_geojson((tmp_path / "pred.geojson").read_bytes())) == 2

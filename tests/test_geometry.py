@@ -15,6 +15,8 @@ from polyform.geometry import (
     ScoredPolygon,
     edge_arrays,
     merge_collinear_edges,
+    pack_rings,
+    polygons_of,
     near_pairs,
     point_in_polygon,
     project_points_to_segments,
@@ -391,3 +393,113 @@ class TestInvariants:
         )
         assert signed_area(poly.outer) > 0
         assert all(signed_area(h) < 0 for h in poly.holes)
+
+
+class TestRingValues:
+    """A ring is one read-only (n, 2) f64 array with value semantics."""
+
+    def test_negative_zero_equals_zero_and_hashes_alike(self):
+        a = Ring([(-0.0, 0.0), (4.0, -0.0), (0.0, 3.0)])
+        b = Ring([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])
+        assert a == b and hash(a) == hash(b)
+        pa, pb = Polygon(a), Polygon(b)
+        assert pa == pb and hash(pa) == hash(pb)
+        assert len({a, b}) == 1 and len({pa, pb}) == 1
+        assert a != Ring([(0.0, 0.0), (4.0, 0.0), (0.0, 3.5)]) and a != Ring([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)])
+
+    def test_coords_are_read_only_and_a_callers_array_is_copied(self):
+        source = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+        ring = Ring(source)
+        source[0, 0] = 9.0
+        assert ring.coords.tolist() == [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
+        assert ring.coords.dtype == np.float64 and ring.coords.shape == (3, 2)
+        with pytest.raises(ValueError):
+            ring.coords[0, 0] = 1.0
+        for derived in (ring.reversed(), ring.scaled(2.0), Polygon(ring).outer, Polygon(ring).scaled(0.5).outer):
+            assert not derived.coords.flags.writeable
+        with pytest.raises(AttributeError):
+            ring.coords = np.zeros((3, 2))
+
+    def test_points_pairs_and_arrays_make_equal_rings(self):
+        pairs = [(0, 0), (4.5, 0), (0, 3)]
+        rings = [Ring([Point2(*p) for p in pairs]), Ring(pairs), Ring(np.array(pairs)), Ring.from_coords(pairs)]
+        assert all(r == rings[0] for r in rings)
+        assert all(r.coords.tolist() == [[0.0, 0.0], [4.5, 0.0], [0.0, 3.0]] for r in rings)
+
+    def test_vertices_is_the_tuple_of_points(self):
+        pairs = [(0.25, 0.0), (4.0, -0.0), (0.0, 3.0), (-1.0, 2.0)]
+        want = tuple(Point2(x, y) for x, y in pairs)
+        for ring in (Ring(pairs), Ring(np.array(pairs))):
+            assert ring.vertices == want and all(type(v) is Point2 for v in ring.vertices)
+            assert repr(ring.vertices) == repr(want)  # -0.0 stays -0.0
+        poly = Polygon(Ring(pairs))
+        assert poly.all_vertices() == [v for r in poly.rings() for v in r.vertices]
+
+    def test_array_faults_raise_as_points_do(self):
+        with pytest.raises(GeometryError, match=r"^non-finite coordinates \(4.0, nan\)$"):
+            Ring(np.array([[0.0, 0.0], [4.0, np.nan], [0.0, 3.0]]))
+        with pytest.raises(GeometryError, match=r"^ring needs >= 3 vertices, got 2$"):
+            Ring(np.array([[0.0, 0.0], [4.0, 1.0]]))
+        with pytest.raises(GeometryError, match=r"^consecutive duplicate vertex Point2\(x=0.0, y=0.0\) at index 2$"):
+            Ring(np.array([[0.0, 0.0], [4.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(GeometryError, match=r"shape \(n, 2\)"):
+            Ring(np.zeros((3, 3)))
+
+    def test_copy_and_pickle_keep_the_value(self):
+        import copy
+        import pickle
+
+        poly = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (2, 1), (2, 2)]])
+        assert copy.deepcopy(poly) == poly and pickle.loads(pickle.dumps(poly)) == poly
+
+
+# coordinates on a coarse lattice, so rings often have zero or tiny area, and
+# huge ones whose shoelace terms overflow
+area_coord = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3) | st.sampled_from([1e-160, -1e-160, 1e160, 2.0**-1074])
+
+
+# points on one line whose coordinates round off it: areas of rounding size
+line_point = st.floats(-50, 50).map(lambda x: (x, 0.1 * x + 0.3))
+ring_points = st.lists(st.tuples(area_coord, area_coord), min_size=3, max_size=7) | st.lists(line_point, min_size=3, max_size=9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ring_points, min_size=1, max_size=6), st.lists(st.integers(1, 3), min_size=1, max_size=6))
+def test_batched_orientation_is_signed_areas(ring_coords, sizes):
+    # polygons_of orients every ring as Polygon does, by the sign of
+    # signed_area's term-by-term sum, zero and non-finite areas included
+    rings = []
+    for coords in ring_coords:
+        try:
+            rings.append(Ring(coords))
+        except GeometryError:
+            pass
+    assume(rings)
+    firsts = [0]
+    for size in sizes:
+        if firsts[-1] < len(rings):
+            firsts.append(min(len(rings), firsts[-1] + size))
+    if firsts[-1] < len(rings):
+        firsts.append(len(rings))
+    got = polygons_of(rings, firsts)
+    want = [Polygon(rings[f], tuple(rings[f + 1 : e])) for f, e in zip(firsts, firsts[1:])]
+    assert got == want
+    for g, w in zip(got, want):
+        assert [r.coords.tolist() for r in g.rings()] == [r.coords.tolist() for r in w.rings()]
+
+
+def test_zero_area_rings_keep_their_order():
+    flat = Ring([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
+    poly = polygons_of([flat, flat], [0, 2])[0]
+    assert signed_area(flat) == 0.0
+    assert poly.outer.coords.tolist() == flat.coords.tolist() == poly.holes[0].coords.tolist()
+
+
+def test_pack_rings_lays_rings_out_in_order():
+    polys = [Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (1, 2), (2, 2)]]),
+             Polygon.from_coords([(5, 5), (6, 5), (6, 6)])]
+    xy, bounds, firsts = pack_rings(polys)
+    assert bounds.tolist() == [0, 4, 7, 10] and firsts.tolist() == [0, 2, 3]
+    assert xy.tolist() == [list(v) for p in polys for v in p.all_vertices()]
+    xy, bounds, firsts = pack_rings([])
+    assert xy.shape == (0, 2) and bounds.tolist() == [0] and firsts.tolist() == [0]

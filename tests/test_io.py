@@ -31,6 +31,7 @@ from polyform.io import (
 )
 from polyform.raster import RasterGrid
 
+from oracles import geojson_records_objects
 from synth import annulus, rectangle
 
 
@@ -585,6 +586,120 @@ class TestReaderFuzz:
         for tile in tiles:
             assert tile.image_size == (tile.grid_size[0] * scale, tile.grid_size[1] * scale)
             assert all("/" not in name and name != ".." for name in tile.files.values())
+
+
+# a coordinate that the document's text spells 1e999, which json reads as inf
+OVERFLOW_MARK = 123456.789
+READER_COORDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.25, 3.0, 6.0, 7.5, 8.0]) | st.floats(0.0, 8.0)
+READER_FAULTS = ("non-list", "three", "short", "unclosed", "1e999", "duplicate", "outside", "unknown tile", "none")
+
+
+@st.composite
+def feature_collections(draw):
+    """The text of a FeatureCollection of two tiles whose features hold
+    random closed rings, with up to three faults applied: a non-list
+    position, a 3-element position, fewer than 4 positions, an unclosed
+    ring, 1e999, a consecutive duplicate, a vertex outside the frame, an
+    unknown tile_id, or a null coordinate."""
+    tiles = [{"tile_id": "a", "image_size": [8, 8]}, {"tile_id": "b", "image_size": [9, 10]}]
+    features = []
+    for _ in range(draw(st.integers(0, 4))):
+        rings = []
+        for _ in range(draw(st.integers(1, 3))):
+            pts = draw(st.lists(st.tuples(READER_COORDS, READER_COORDS), min_size=3, max_size=6, unique=True))
+            rings.append([list(p) for p in pts] + [list(pts[0])])
+        props = {"tile_id": draw(st.sampled_from("ab")), "score": draw(st.floats(0.0, 1.0))}
+        features.append({"type": "Feature", "geometry": {"type": "Polygon", "coordinates": rings}, "properties": props})
+    for _ in range(draw(st.integers(0, 3)) if features else 0):
+        feature = draw(st.sampled_from(features))
+        rings = feature["geometry"]["coordinates"]
+        r = draw(st.integers(0, len(rings) - 1))
+        ring = rings[r]
+        p = draw(st.integers(0, len(ring) - 1))
+        fault = draw(st.sampled_from(READER_FAULTS))
+        if fault == "non-list":
+            ring[p] = draw(st.sampled_from(["12", 3.5, None, {"x": 1.0, "y": 2.0}]))
+        elif fault == "three" and isinstance(ring[p], list):
+            ring[p] = [*ring[p], 0.0]
+        elif fault == "short":
+            rings[r] = ring[:3]
+        elif fault == "unclosed" and isinstance(ring[-1], list) and ring[-1]:
+            ring[-1] = [ring[-1][0] + 0.5, *ring[-1][1:]]
+        elif fault == "1e999" and isinstance(ring[p], list) and ring[p]:
+            ring[p] = [OVERFLOW_MARK, *ring[p][1:]]
+        elif fault == "duplicate":
+            ring.insert(p, copy.deepcopy(ring[p]))
+        elif fault == "outside":
+            ring[p] = [draw(st.sampled_from([10.5, -0.5, 8.0 + 1e-7])), 1.0]
+        elif fault == "unknown tile":
+            feature["properties"]["tile_id"] = "z"
+        elif fault == "none" and isinstance(ring[p], list) and ring[p]:
+            ring[p] = [None, *ring[p][1:]]
+    doc = {"type": "FeatureCollection", "tiles": tiles, "features": features}
+    return json.dumps(doc).replace(repr(OVERFLOW_MARK), "1e999")
+
+
+def reader_outcome(read, text):
+    """The records read, with their GeoJSON bytes (which tell -0.0 from
+    0.0), or the class and message of the FormatError raised."""
+    try:
+        records = read(text)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return records, write_geojson(records)
+
+
+class TestReaderOracle:
+    """read_geojson, which converts and checks every ring of a file in
+    batched array passes, against the object-based reader it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(feature_collections())
+    def test_generated_collections_read_as_the_object_reader_reads_them(self, text):
+        want = reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text)
+        assert reader_outcome(read_geojson, text) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(VALID_GEOJSON))
+    def test_mutated_documents_read_as_the_object_reader_reads_them(self, doc):
+        text = json.dumps(doc)
+        want = reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text)
+        assert reader_outcome(read_geojson, text) == want
+
+    def test_each_fault_is_named_as_before(self):
+        ring = [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 1.0]]
+        cases = {
+            "bad position '12'": ["12", *ring[1:]],
+            "bad position [4.0, 1.0, 0.0]": [ring[0], [4.0, 1.0, 0.0], *ring[2:]],
+            "ring needs >= 4 positions": ring[:3],
+            "unclosed ring": [*ring[:3], [1.0, 2.0]],
+            "non-finite coordinates (inf, 1.0)": [ring[0], [OVERFLOW_MARK, 1.0], *ring[2:]],
+            "consecutive duplicate vertex Point2(x=4.0, y=1.0) at index 1": [ring[0], ring[1], ring[1], *ring[2:]],
+            "bad position [None, 1.0]": [ring[0], [None, 1.0], *ring[2:]],
+        }
+        for message, positions in cases.items():
+            feature = {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [positions]}, "properties": {"tile_id": "a"}}
+            doc = {"type": "FeatureCollection", "tiles": [{"tile_id": "a", "image_size": [8, 8]}], "features": [feature]}
+            text = json.dumps(doc).replace(repr(OVERFLOW_MARK), "1e999")
+            with pytest.raises(GeoJsonError) as caught:
+                read_geojson(text)
+            assert message in str(caught.value)
+            assert reader_outcome(read_geojson, text) == reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text)
+
+    def test_an_earlier_ring_fault_comes_before_a_later_feature_fault(self):
+        good = [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 1.0]]
+        unclosed = [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 2.0]]
+        features = [
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [good, unclosed]}, "properties": {"tile_id": "a"}},
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [good]}, "properties": {"tile_id": "z"}},
+        ]
+        text = json.dumps({"type": "FeatureCollection", "tiles": [{"tile_id": "a", "image_size": [8, 8]}], "features": features})
+        with pytest.raises(GeoJsonError, match="^feature 0: unclosed ring$"):
+            read_geojson(text)
+        features.reverse()
+        text = json.dumps({"type": "FeatureCollection", "tiles": [{"tile_id": "a", "image_size": [8, 8]}], "features": features})
+        with pytest.raises(GeoJsonError, match="^feature 0: unknown tile_id 'z'$"):
+            read_geojson(text)
 
 
 class TestManifest:

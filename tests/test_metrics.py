@@ -37,6 +37,7 @@ from polyform.raster import (
 from oracles import (
     boundary_band_enum,
     coco_summary,
+    greedy_match_arrays,
     greedy_match_scalar,
     inner_band_full,
     polis_per_pair,
@@ -472,6 +473,21 @@ def test_one_matcher_pass_equals_a_scalar_match_per_threshold(table, thresholds)
     assert rows.shape == (len(thresholds), len(scores))
     for thr, row in zip(thresholds, rows):
         assert row.tolist() == matched_gts(greedy_match_scalar(ious, scores, thr), len(scores))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tie_heavy_tables(),
+    st.lists(st.sampled_from(TIE_IOUS + (0.0, 0.52, 0.97)) | st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_candidate_matcher_equals_the_array_pass(table, thresholds):
+    # each prediction visits only the ground truths at or above the lowest
+    # threshold; the matches equal one (thresholds x gts) pass per prediction
+    ious, scores = table
+    got = _greedy_match(ious, scores, thresholds)
+    want = greedy_match_arrays(ious, scores, thresholds)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
 
 
 def _ap_fixture():

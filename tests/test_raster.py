@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from polyform.raster import (
 from oracles import (
     afm_full_sweep,
     degrade_scipy,
+    encode_vertices_loop,
     min_dist_over_segments,
     point_segment_distance,
     rasterize_enum,
@@ -375,6 +377,43 @@ class TestEncodeVertices:
         decoded = set(map(tuple, offset_coords(rows, cols, grids.offsets.data).tolist()))
         truth = {tuple(v) for sp in inst for v in sp.polygon.all_vertices()}
         assert decoded == truth
+
+
+# vertices on a quarter-pixel lattice of a small frame, so pixels collide,
+# and anywhere up to FRAME_TOL past an edge
+vertex_coordinate = st.integers(0, 24).map(lambda k: k / 4) | st.floats(-FRAME_TOL, 6 + FRAME_TOL)
+
+
+@st.composite
+def vertex_instances(draw):
+    polys = []
+    for _ in range(draw(st.integers(0, 4))):
+        try:
+            polys.append(Polygon(Ring(draw(st.lists(st.tuples(vertex_coordinate, vertex_coordinate), min_size=3, max_size=8)))))
+        except ValueError:
+            pass
+    return InstanceSet.of(polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_instances(), st.sampled_from([(6, 6), (4, 6), (6, 5)]))
+def test_encode_vertices_is_the_point_loop_bitwise(inst, size):
+    # the array pass keeps the loop's "later vertex wins" rule, its
+    # collision count and its out-of-frame message
+    h, w = size
+    try:
+        want, collisions = encode_vertices_loop(inst, h, w)
+    except RasterError as exc:
+        with pytest.raises(RasterError) as caught:
+            encode_vertices(inst, h, w)
+        assert str(caught.value) == str(exc)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = encode_vertices(inst, h, w)
+    assert [str(c.message) for c in caught] == ([f"{collisions} vertex pixel collisions; later vertices won"] if collisions else [])
+    for a, b in ((got.heatmap, want.heatmap), (got.offsets, want.offsets)):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
 
 
 class TestDegrade:
