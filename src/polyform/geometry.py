@@ -83,15 +83,6 @@ class Ring:
         object.__setattr__(self, "_points", points)
 
     @classmethod
-    def _of(cls, coords: np.ndarray) -> "Ring":
-        """A ring on coords as they are: a read-only (n, 2) f64 array that
-        already passes the constructor's checks (see ring_faults)."""
-        ring = object.__new__(cls)
-        object.__setattr__(ring, "coords", coords)
-        object.__setattr__(ring, "_points", None)
-        return ring
-
-    @classmethod
     def from_coords(cls, coords: Sequence[tuple[float, float]]) -> "Ring":
         return cls(tuple(Point2(x, y) for x, y in coords))
 
@@ -124,13 +115,25 @@ class Ring:
         return Ring, (self.coords,)
 
     def reversed(self) -> "Ring":
-        return Ring._of(self.coords[::-1])
+        return ring_of(self.coords[::-1])
 
     def scaled(self, fx: float, fy: float | None = None) -> "Ring":
         """Multiply x by fx and y by fy (default fx)."""
         fy = fx if fy is None else fy
         with np.errstate(over="ignore", under="ignore"):  # the constructor rejects what overflows
             return Ring(self.coords * np.array([fx, fy], dtype=np.float64))
+
+
+_set_coords, _set_points = Ring.coords.__set__, Ring._points.__set__
+
+
+def ring_of(coords: np.ndarray) -> Ring:
+    """A ring on coords as they are, with no copy and no check: a read-only
+    (n, 2) f64 array that passes the constructor's checks (ring_faults)."""
+    ring = object.__new__(Ring)
+    _set_coords(ring, coords)
+    _set_points(ring, None)
+    return ring
 
 
 def pack_rings(polys: Sequence["Polygon"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,7 +243,7 @@ def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Po
         k = int(np.argmax(bad))
         Ring(xy[bounds[k] : bounds[k + 1]])  # raises the ring's GeometryError
     xy.flags.writeable = False
-    rings = [Ring._of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    rings = [ring_of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     return polygons_of(rings, firsts.tolist())
 
 

@@ -46,8 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon, polygons_of,
-    ring_faults, signed_area,
+    FRAME_TOL, InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon,
+    polygons_of, ring_faults, ring_of, signed_area,
 )
 from .raster import RasterGrid
 
@@ -137,10 +137,13 @@ class TileRecord:
         if not (1 <= h <= _MAX_SIDE and 1 <= w <= _MAX_SIDE):
             raise FormatError(f"tile {self.tile_id!r}: bad image size {self.image_size}")
         object.__setattr__(self, "image_size", (int(h), int(w)))
-        xy = pack_rings([sp.polygon for sp in self.instances])[0]
-        outside = outside_frame(xy, h, w)
-        if outside.any():
-            x, y = xy[np.argmax(outside)].tolist()
+        rings = [ring.coords for sp in self.instances for ring in sp.polygon.rings()]
+        if not rings:
+            return
+        xy = np.concatenate(rings)
+        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+        if not (-FRAME_TOL <= min(x0, y0) and x1 <= w + FRAME_TOL and y1 <= h + FRAME_TOL):
+            x, y = xy[np.argmax(outside_frame(xy, h, w))].tolist()
             raise FormatError(f"tile {self.tile_id!r}: vertex ({x}, {y}) outside {w}x{h} bounds")
 
 
@@ -276,16 +279,19 @@ def _parse_geojson_ring(positions: list, what: str) -> Ring:
 def _geojson_rings(raws: list[list], what) -> list[Ring]:
     """The rings of GeoJSON position lists (each a list of at least 4), in
     order, without their closing positions. Every position is converted in
-    one np.array call and every ring checked in one pass: positions that
+    one np.fromiter pass and every ring checked in one pass: positions that
     are pairs of numbers, closed, finite, and no two consecutive vertices
     equal. The first ring that fails raises the GeoJsonError that
     _parse_geojson_ring gives it, what(k) naming ring k's feature."""
     closed = offsets([len(positions) for positions in raws])
-    try:
-        pos = np.array(list(itertools.chain.from_iterable(raws)), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        pos = None
-    if pos is None or pos.shape != (closed[-1], 2):  # a fault, or a value numpy reads otherwise than float()
+    pos = None
+    every = list(itertools.chain.from_iterable(raws))
+    if set(map(type, every)) <= {list} and set(map(len, every)) <= {2}:
+        try:  # numpy reads a number or a numeric string as float() does, and None as NaN
+            pos = np.fromiter(itertools.chain.from_iterable(every), np.float64, 2 * len(every)).reshape(-1, 2)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if pos is None:
         return [_parse_geojson_ring(positions, what(k)) for k, positions in enumerate(raws)]
     last = closed[1:] - 1
     vertex = np.ones(len(pos), dtype=bool)
@@ -296,7 +302,7 @@ def _geojson_rings(raws: list[list], what) -> list[Ring]:
         k = int(np.argmax(bad))
         _parse_geojson_ring(raws[k], what(k))
     xy.flags.writeable = False
-    return [Ring._of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return [ring_of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def read_geojson(data: bytes | str) -> list[TileRecord]:
@@ -393,18 +399,18 @@ def _parse_coco_ring(flat: list, what: str) -> Ring:
 def _coco_rings(raws: list[list], what) -> tuple[list[Ring], CocoError | None]:
     """The rings of COCO polygon arrays (each a list of at least 6 values,
     of even length), in order, each without a closing point equal to its
-    first. Every value is converted in one np.array call and every ring
+    first. Every value is converted in one np.fromiter pass and every ring
     checked in one pass: numbers, finite, and no two consecutive vertices
     equal. Returns the rings before the first array that fails, and the
     CocoError that _parse_coco_ring gives that array, what(k) naming array
     k's annotation (None when every array passes)."""
     flat_ends = offsets([len(flat) for flat in raws])
-    try:
-        values = np.array(list(itertools.chain.from_iterable(raws)), dtype=np.float64)
+    try:  # numpy reads a number or a numeric string as float() does, and None as NaN
+        values = np.fromiter(itertools.chain.from_iterable(raws), np.float64, flat_ends[-1])
     except (TypeError, ValueError, OverflowError):
         values = None
     count = len(raws)
-    if values is None or values.shape != (flat_ends[-1],):  # a fault, or a value numpy reads otherwise than float()
+    if values is None:
         rings: list[Ring] = []
         for k, flat in enumerate(raws):
             try:
@@ -422,7 +428,7 @@ def _coco_rings(raws: list[list], what) -> tuple[list[Ring], CocoError | None]:
     bad = ring_faults(xy, bounds)  # None reads as NaN
     good = int(np.argmax(bad)) if bad.any() else count
     xy.flags.writeable = False
-    rings = [Ring._of(xy[a:b]) for a, b in zip(bounds[:good].tolist(), bounds[1 : good + 1].tolist())]
+    rings = [ring_of(xy[a:b]) for a, b in zip(bounds[:good].tolist(), bounds[1 : good + 1].tolist())]
     if good < count:
         try:
             _parse_coco_ring(raws[good], what(good))

@@ -31,6 +31,7 @@ from .geometry import (
     polygons_of,
     project_points_to_segments,
     ring_faults,
+    ring_of,
     ring_successors,
 )
 from .raster import RasterGrid, bounding_crop, offset_coords, shelf_pack
@@ -475,7 +476,7 @@ def _snapped_rings(vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int],
         if fault[k]:
             continue
         if not merging[k]:
-            rings[k] = Ring._of(xy[a:b])
+            rings[k] = ring_of(xy[a:b])
             continue
         try:
             merged = merged_collinear(xy[a:b], merge_angle)
@@ -483,7 +484,7 @@ def _snapped_rings(vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int],
             continue
         if not ring_faults(merged, np.array([0, len(merged)]))[0]:
             merged.flags.writeable = False
-            rings[k] = Ring._of(merged)
+            rings[k] = ring_of(merged)
     return rings
 
 
@@ -588,7 +589,7 @@ def _dp_rings(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tolerance: float)
     points.flags.writeable = False
     for k, a, b in zip(chain[first].tolist(), [0] + bounds, bounds):
         if b - a >= 3:
-            rings[k] = Ring._of(points[a:b])
+            rings[k] = ring_of(points[a:b])
     return rings
 
 
