@@ -187,9 +187,10 @@ def _sequential_area(xy: np.ndarray) -> float:
     return acc / 2.0
 
 
-def _area_signs(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per ring of (xy, bounds), a value that compares with 0 as its
-    signed_area does (>= 0, <= 0, NaN included).
+def _area_signs(xy: np.ndarray, bounds: np.ndarray) -> list[float]:
+    """Per ring of (xy, bounds), every ring at least three vertices long, a
+    value that compares with 0 as its signed_area does (>= 0, <= 0, NaN
+    included).
 
     The shoelace terms of every ring are summed in one reduceat, in
     numpy's order. Any order of summing n terms t errs by at most
@@ -199,36 +200,36 @@ def _area_signs(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     and so has signed_area's term-by-term sum. Every other ring (zero or
     near-zero area, tiny or overflowing terms) is summed as signed_area
     sums it."""
-    out = np.zeros(len(bounds) - 1)
-    run = np.flatnonzero(np.diff(bounds) > 0)
-    if len(run) == 0:
-        return out
-    succ = ring_successors(bounds)
-    x, y = xy[:, 0], xy[:, 1]
-    starts = bounds[:-1][run]
+    if len(bounds) == 1:
+        return []
+    nxt = xy[ring_successors(bounds)]
+    starts = bounds[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing terms are summed term by term below
-        terms = x * y[succ] - x[succ] * y
+        terms = xy[:, 0] * nxt[:, 1] - nxt[:, 0] * xy[:, 1]
         total = np.add.reduceat(terms, starts)
         scale = np.add.reduceat(np.abs(terms), starts)
-        sure = (np.abs(total) > 8 * 2.0**-53 * np.diff(bounds)[run] * scale) & (scale > 1e-250)
-    out[run] = total
-    for k in run[~sure].tolist():
+        unsure = ~(np.abs(total) > 8 * 2.0**-53 * np.diff(bounds) * scale) | (scale <= 1e-250)
+    out = total.tolist()
+    for k in np.flatnonzero(unsure).tolist():
         out[k] = _sequential_area(xy[bounds[k] : bounds[k + 1]])
     return out
 
 
-def polygons_of(rings: Sequence[Ring], firsts: Sequence[int]) -> list["Polygon"]:
+def polygons_of(
+    rings: Sequence[Ring], firsts: Sequence[int], packed: tuple[np.ndarray, np.ndarray] | None = None
+) -> list["Polygon"]:
     """Polygon(rings[f], tuple(rings[f + 1 : e])) for each consecutive pair
     (f, e) of firsts, with every ring's orientation decided in one pass
-    (_area_signs), as each Polygon constructor decides it."""
-    bounds = offsets([len(ring.coords) for ring in rings])
-    xy = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2))
-    area = _area_signs(xy, bounds)
-    outer = np.zeros(len(rings), dtype=bool)
-    outer[list(firsts[:-1])] = True
-    keep = np.where(outer, area >= 0, area <= 0).tolist()
-    oriented = [ring if kept else ring.reversed() for ring, kept in zip(rings, keep)]
-    return [Polygon._of(oriented[f], tuple(oriented[f + 1 : e])) for f, e in zip(firsts, firsts[1:])]
+    (_area_signs), as each Polygon constructor decides it. packed, when
+    given, is the rings' (xy, bounds) as pack_rings lays them out."""
+    if packed is None:
+        packed = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2)), offsets(list(map(len, rings)))
+    area = _area_signs(*packed)
+    out = []
+    for f, e in zip(firsts, firsts[1:]):
+        outer = rings[f] if area[f] >= 0 else rings[f].reversed()
+        out.append(Polygon._of(outer, tuple(h if area[k] <= 0 else h.reversed() for k, h in enumerate(rings[f + 1 : e], f + 1))))
+    return out
 
 
 def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Polygon"]:
@@ -237,14 +238,15 @@ def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Po
     raises its GeometryError."""
     xy, bounds, firsts = pack_rings(polys)
     with np.errstate(over="ignore", under="ignore"):  # the ring checks reject what overflows
-        xy = xy * np.array([fx, fy], dtype=np.float64)
+        xy *= np.array([fx, fy], dtype=np.float64)
     bad = ring_faults(xy, bounds)
     if bad.any():
         k = int(np.argmax(bad))
         Ring(xy[bounds[k] : bounds[k + 1]])  # raises the ring's GeometryError
     xy.flags.writeable = False
-    rings = [ring_of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return polygons_of(rings, firsts.tolist())
+    cuts = bounds.tolist()
+    rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return polygons_of(rings, firsts.tolist(), (xy, bounds))
 
 
 @dataclass(frozen=True)
@@ -427,7 +429,11 @@ def edge_arrays(polys: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray, np.nd
     by), plus counts, each polygon's number of edges (its vertex_count).
     Edges come polygon by polygon, outer ring then holes, each ring in
     vertex order with its closing edge last: boundary_segments order."""
-    xy, bounds, firsts = pack_rings(polys)
+    return packed_edges(*pack_rings(polys))
+
+
+def packed_edges(xy: np.ndarray, bounds: np.ndarray, firsts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """edge_arrays of the polygons that pack_rings laid out as (xy, bounds, firsts)."""
     b = xy[ring_successors(bounds)]
     return xy[:, 0], xy[:, 1], b[:, 0], b[:, 1], np.diff(bounds[firsts])
 

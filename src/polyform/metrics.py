@@ -36,7 +36,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .geometry import InstanceSet, Polygon, edge_arrays, expand_ranges, near_pairs, pack_rings, project_points_to_segments
+from .geometry import (
+    InstanceSet, Polygon, edge_arrays, expand_ranges, near_pairs, pack_rings, packed_edges, project_points_to_segments,
+)
 from .io import TileRecord
 from .polygonize import VertexSet
 from .raster import RasterGrid, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
@@ -238,10 +240,10 @@ def _mean_distances(p: list[np.ndarray], q: list[np.ndarray], p_ranges: np.ndarr
     return np.array([dist[end - n : end].mean() for end, n in zip(ends, p_ranges[:, 1].tolist())])
 
 
-def _edge_ranges(polys: Sequence[Polygon], index: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The (ax, ay, bx, by) of edge_arrays(polys), and the (first edge, edge
-    count) of polys[i] for each i of index."""
-    *edges, counts = edge_arrays(polys)
+def _edge_ranges(packed: tuple[np.ndarray, np.ndarray, np.ndarray], index: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The (ax, ay, bx, by) of the polygons pack_rings laid out as packed,
+    and the (first edge, edge count) of polygon i for each i of index."""
+    *edges, counts = packed_edges(*packed)
     return edges, np.stack([np.cumsum(counts) - counts, counts], axis=1)[index]
 
 
@@ -282,17 +284,16 @@ def _crops_of(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> tup
     return crops[: len(a)], crops[len(a) :]
 
 
-def _vertex_discount(a: Iterable[Polygon], b: Iterable[Polygon]) -> float:
-    """The C-IoU factor 1 - |N_A - N_B| / (N_A + N_B) over total vertex counts."""
-    na = sum(p.vertex_count() for p in a)
-    nb = sum(p.vertex_count() for p in b)
+def _vertex_discount(na: int, nb: int) -> float:
+    """The C-IoU factor 1 - |N_A - N_B| / (N_A + N_B) of total vertex counts."""
     return 1.0 - (0.0 if na + nb == 0 else abs(na - nb) / (na + nb))
 
 
 def ciou(a: Sequence[Polygon], b: Sequence[Polygon], h: int, w: int) -> float:
     """Complexity-aware IoU: mask IoU discounted by the relative difference
     of total vertex counts, IoU * (1 - |N_A - N_B| / (N_A + N_B))."""
-    return _union_iou(*_crops_of(a, b, h, w)) * _vertex_discount(a, b)
+    counts = (sum(p.vertex_count() for p in polys) for polys in (a, b))
+    return _union_iou(*_crops_of(a, b, h, w)) * _vertex_discount(*counts)
 
 
 def _iou_matrix(preds: Sequence[_Crop], gts: Sequence[_Crop], band: int = 0) -> np.ndarray:
@@ -562,14 +563,15 @@ def evaluate_corpus(
         boundary_tables.append((_iou_matrix(pred_crops, gt_tile_crops, _band_distance(h, w, cfg.boundary_d_frac)), scores))
 
         tile_ious.append(_union_iou(pred_crops, gt_tile_crops))
-        tile_cious.append(tile_ious[-1] * _vertex_discount(pred_polys, gt_polys))
+        pred_rings, gt_rings = pack_rings(pred_polys), pack_rings(gt_polys)
+        tile_cious.append(tile_ious[-1] * _vertex_discount(len(pred_rings[0]), len(gt_rings[0])))
 
         match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]
         matched = np.flatnonzero(match >= 0)
         if matched.size:
-            polis_values += _polis_pairs(*_edge_ranges(pred_polys, matched), *_edge_ranges(gt_polys, match[matched]))
+            polis_values += _polis_pairs(*_edge_ranges(pred_rings, matched), *_edge_ranges(gt_rings, match[matched]))
 
-        tile_vertex_f1.append(_vertex_f1(pack_rings(pred_polys)[0], pack_rings(gt_polys)[0], cfg.vertex_dist_thr))
+        tile_vertex_f1.append(_vertex_f1(pred_rings[0], gt_rings[0], cfg.vertex_dist_thr))
 
     ap, ap50, ap75, ar, ar50, ar75 = _coco_summary(mask_tables)
     total_gts = sum(ious.shape[1] for ious, _ in mask_tables)
