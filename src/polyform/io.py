@@ -276,14 +276,49 @@ def _parse_geojson_ring(positions: list, what: str) -> Ring:
         raise GeoJsonError(f"{what}: {exc}") from exc
 
 
+def _checked_rings(raws: list[list], pos: np.ndarray | None, closed: bool, parse, what) -> tuple[list[Ring], FormatError | None]:
+    """The rings of a file's ring lists raws, whose points pos holds as one
+    (n, 2) f64 array (None when the batched conversion failed), checked in
+    one pass, each without its last point when that closes it: always and
+    required when closed (GeoJSON), else when equal to the first of four or
+    more (COCO). Returns the rings before the first list that fails and the
+    FormatError that parse(raw, what(k)), the list-by-list reference,
+    raises on it (None when every list passes)."""
+    if pos is None:  # a fault, or a value numpy reads otherwise than float(): convert list by list
+        rings: list[Ring] = []
+        for k, raw in enumerate(raws):
+            try:
+                rings.append(parse(raw, what(k)))
+            except FormatError as exc:
+                return rings, exc
+        return rings, None
+    counts = np.diff(offsets([len(raw) for raw in raws])) // (1 if closed else 2)
+    ends = offsets(counts)
+    first, last = ends[:-1], ends[1:] - 1
+    closing = (pos[first] == pos[last]).all(axis=1)
+    drop = np.ones(len(raws), dtype=bool) if closed else (counts > 3) & closing
+    vertex = np.ones(len(pos), dtype=bool)
+    vertex[last[drop]] = False
+    xy, bounds = pos[vertex], offsets(counts - drop)
+    bad = ring_faults(xy, bounds) | (closed & ~closing)  # None reads as NaN
+    good = int(np.argmax(bad)) if bad.any() else len(raws)
+    xy.flags.writeable = False
+    cuts = bounds[: good + 1].tolist()
+    rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if good < len(raws):
+        try:
+            parse(raws[good], what(good))
+        except FormatError as exc:
+            return rings, exc
+    return rings, None
+
+
 def _geojson_rings(raws: list[list], what) -> list[Ring]:
     """The rings of GeoJSON position lists (each a list of at least 4), in
-    order, without their closing positions. Every position is converted in
-    one np.fromiter pass and every ring checked in one pass: positions that
-    are pairs of numbers, closed, finite, and no two consecutive vertices
-    equal. The first ring that fails raises the GeoJsonError that
-    _parse_geojson_ring gives it, what(k) naming ring k's feature."""
-    closed = offsets([len(positions) for positions in raws])
+    order, without their closing positions: every position converted in one
+    np.fromiter pass, then _checked_rings. The first ring that fails raises
+    the GeoJsonError of _parse_geojson_ring, what(k) naming ring k's
+    feature."""
     pos = None
     every = list(itertools.chain.from_iterable(raws))
     if set(map(type, every)) <= {list} and set(map(len, every)) <= {2}:
@@ -291,18 +326,10 @@ def _geojson_rings(raws: list[list], what) -> list[Ring]:
             pos = np.fromiter(itertools.chain.from_iterable(every), np.float64, 2 * len(every)).reshape(-1, 2)
         except (TypeError, ValueError, OverflowError):
             pass
-    if pos is None:
-        return [_parse_geojson_ring(positions, what(k)) for k, positions in enumerate(raws)]
-    last = closed[1:] - 1
-    vertex = np.ones(len(pos), dtype=bool)
-    vertex[last] = False
-    xy, bounds = pos[vertex], closed - np.arange(len(closed))
-    bad = ring_faults(xy, bounds) | (pos[closed[:-1]] != pos[last]).any(axis=1)
-    if bad.any():  # None reads as NaN
-        k = int(np.argmax(bad))
-        _parse_geojson_ring(raws[k], what(k))
-    xy.flags.writeable = False
-    return [ring_of(xy[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    rings, fault = _checked_rings(raws, pos, True, _parse_geojson_ring, what)
+    if fault is not None:
+        raise fault
+    return rings
 
 
 def read_geojson(data: bytes | str) -> list[TileRecord]:
@@ -399,42 +426,13 @@ def _parse_coco_ring(flat: list, what: str) -> Ring:
 def _coco_rings(raws: list[list], what) -> tuple[list[Ring], CocoError | None]:
     """The rings of COCO polygon arrays (each a list of at least 6 values,
     of even length), in order, each without a closing point equal to its
-    first. Every value is converted in one np.fromiter pass and every ring
-    checked in one pass: numbers, finite, and no two consecutive vertices
-    equal. Returns the rings before the first array that fails, and the
-    CocoError that _parse_coco_ring gives that array, what(k) naming array
-    k's annotation (None when every array passes)."""
-    flat_ends = offsets([len(flat) for flat in raws])
+    first: every value converted in one np.fromiter pass, then
+    _checked_rings, with _parse_coco_ring naming the first fault."""
     try:  # numpy reads a number or a numeric string as float() does, and None as NaN
-        values = np.fromiter(itertools.chain.from_iterable(raws), np.float64, flat_ends[-1])
+        pos = np.fromiter(itertools.chain.from_iterable(raws), np.float64, sum(map(len, raws))).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError):
-        values = None
-    count = len(raws)
-    if values is None:
-        rings: list[Ring] = []
-        for k, flat in enumerate(raws):
-            try:
-                rings.append(_parse_coco_ring(flat, what(k)))
-            except CocoError as exc:
-                return rings, exc
-        return rings, None
-    pos = values.reshape(-1, 2)
-    ends = flat_ends // 2
-    first, last = ends[:-1], ends[1:] - 1
-    closing = (np.diff(ends) > 3) & (pos[first] == pos[last]).all(axis=1)
-    vertex = np.ones(len(pos), dtype=bool)
-    vertex[last[closing]] = False
-    xy, bounds = pos[vertex], offsets(np.diff(ends) - closing)
-    bad = ring_faults(xy, bounds)  # None reads as NaN
-    good = int(np.argmax(bad)) if bad.any() else count
-    xy.flags.writeable = False
-    rings = [ring_of(xy[a:b]) for a, b in zip(bounds[:good].tolist(), bounds[1 : good + 1].tolist())]
-    if good < count:
-        try:
-            _parse_coco_ring(raws[good], what(good))
-        except CocoError as exc:
-            return rings, exc
-    return rings, None
+        pos = None
+    return _checked_rings(raws, pos, False, _parse_coco_ring, what)
 
 
 def read_coco_annotations(path: str | Path) -> list[TileRecord]:

@@ -13,6 +13,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
+import warnings
+
 from polyform.geometry import (
     FRAME_TOL,
     GeometryError,
@@ -23,9 +25,13 @@ from polyform.geometry import (
     ScoredPolygon,
     edge_arrays,
     merge_collinear_edges,
+    point_in_polygon,
     project_points_to_segments,
+    signed_area,
 )
-from polyform.io import FormatError, GeoJsonError, TileRecord, _finite_score, _reject_repeats, _size_pair, _string_id
+from polyform.io import (
+    CocoError, FormatError, GeoJsonError, TileRecord, _finite_score, _is_int, _reject_repeats, _size_pair, _string_id,
+)
 from polyform.metrics import MatchResult
 from polyform.raster import RasterError, RasterGrid, VertexGrids
 
@@ -813,14 +819,89 @@ def geojson_records_objects(doc) -> list:
             raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
         score = _finite_score(props.get("score", 1.0), what, GeoJsonError)
         by_tile[tile_id].append(ScoredPolygon(Polygon(outer, holes), score))
+    return _frame_checked_records(order, {tid: (tid, *sizes[tid]) for tid in order}, by_tile)
+
+
+def _frame_checked_records(order, sizes, instances) -> list:
+    """TileRecords in the order of the keys, sizes[key] = (tile id, h, w),
+    each tile's vertices checked against its frame one Point2 at a time, as
+    TileRecord checked them before."""
     records = []
-    for tid in order:
-        h, w = sizes[tid]
+    for key in order:
+        tile_id, h, w = sizes[key]
         if not (1 <= h <= 2**29 and 1 <= w <= 2**29):
-            raise FormatError(f"tile {tid!r}: bad image size {(h, w)}")
-        for sp in by_tile[tid]:
+            raise FormatError(f"tile {tile_id!r}: bad image size {(h, w)}")
+        for sp in instances[key]:
             for v in sp.polygon.all_vertices():
                 if not _in_frame(v, h, w):
-                    raise FormatError(f"tile {tid!r}: vertex ({v.x}, {v.y}) outside {w}x{h} bounds")
-        records.append(TileRecord(tid, (h, w), InstanceSet(tuple(by_tile[tid]))))
+                    raise FormatError(f"tile {tile_id!r}: vertex ({v.x}, {v.y}) outside {w}x{h} bounds")
+        records.append(TileRecord(tile_id, (h, w), InstanceSet(tuple(instances[key]))))
     return records
+
+
+def coco_records_objects(doc) -> list:
+    """The library's earlier io._coco_records on a parsed document: each
+    annotation's polygon arrays converted value by value into Point2 rings,
+    sorted by absolute signed area, and a Polygon built, with the
+    disjoint-hole warning, before the next annotation is read. The image
+    entries, ids and scores go through the library's own io._is_int,
+    io._string_id, io._size_pair, io._reject_repeats and io._finite_score."""
+    if not isinstance(doc, dict) or "images" not in doc:
+        raise CocoError("missing 'images' list")
+    images, order = {}, []
+    try:
+        for img in doc["images"]:
+            image_id = img["id"]
+            if not _is_int(image_id):
+                raise CocoError(f"image id {image_id!r} is not an int")
+            tile_id = _string_id(img["file_name"], "file_name", CocoError) if "file_name" in img else str(image_id)
+            images[image_id] = (tile_id, *_size_pair([img["height"], img["width"]], f"image {image_id} size", CocoError))
+            order.append(image_id)
+    except (KeyError, TypeError) as exc:
+        raise CocoError(f"bad 'images' entry: {exc!r}") from exc
+    _reject_repeats(order, "image id", CocoError)
+    _reject_repeats([images[i][0] for i in order], "tile id (file_name)", CocoError)
+    by_image = {i: [] for i in order}
+    crowd_seen = 0
+    annotations = doc.get("annotations", [])
+    if not isinstance(annotations, list):
+        raise CocoError("'annotations' is not a list")
+    for k, ann in enumerate(annotations):
+        if not isinstance(ann, dict):
+            raise CocoError(f"annotation {k}: not an object")
+        what = f"annotation {ann.get('id', k)}"
+        image_id = ann.get("image_id")
+        score = _finite_score(ann.get("score", 1.0), what, CocoError)
+        if not _is_int(image_id) or image_id not in images:
+            raise CocoError(f"{what}: unknown image_id {image_id!r}")
+        if ann.get("iscrowd"):
+            crowd_seen += 1
+        seg = ann.get("segmentation")
+        if isinstance(seg, dict):
+            raise CocoError(f"{what}: unsupported encoding (RLE segmentation)")
+        if not isinstance(seg, list) or not seg:
+            raise CocoError(f"{what}: empty segmentation")
+        rings = []
+        for flat in seg:
+            if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2 != 0:
+                raise CocoError(f"{what}: bad polygon array of length {len(flat) if isinstance(flat, list) else '?'}")
+            try:
+                pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
+            if len(pts) > 3 and pts[0] == pts[-1]:
+                pts = pts[:-1]
+            try:
+                rings.append(Ring.from_coords(pts))
+            except ValueError as exc:
+                raise CocoError(f"{what}: {exc}") from exc
+        rings.sort(key=lambda r: -abs(signed_area(r)))
+        outer, holes = rings[0], tuple(rings[1:])
+        for hole in holes:
+            if not point_in_polygon(hole.vertices[0], Polygon(outer)):
+                warnings.warn(f"{what}: disjoint ring treated as hole")
+                break
+        by_image[image_id].append(ScoredPolygon(Polygon(outer, holes), score))
+    if crowd_seen:
+        warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations")
+    return _frame_checked_records(order, images, by_image)

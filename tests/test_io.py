@@ -2,6 +2,7 @@ import copy
 import json
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from polyform.io import (
     read_coco_annotations,
     read_geojson,
     read_manifest,
+    _coco_records,
     read_rgf,
     render_svg,
     rgf_parts,
@@ -31,7 +33,7 @@ from polyform.io import (
 )
 from polyform.raster import RasterGrid
 
-from oracles import geojson_records_objects
+from oracles import coco_records_objects, geojson_records_objects
 from synth import annulus, rectangle
 
 
@@ -623,7 +625,7 @@ def feature_collections(draw):
             ring[p] = [*ring[p], 0.0]
         elif fault == "short":
             rings[r] = ring[:3]
-        elif fault == "unclosed" and isinstance(ring[-1], list) and ring[-1]:
+        elif fault == "unclosed" and isinstance(ring[-1], list) and ring[-1] and isinstance(ring[-1][0], float):
             ring[-1] = [ring[-1][0] + 0.5, *ring[-1][1:]]
         elif fault == "1e999" and isinstance(ring[p], list) and ring[p]:
             ring[p] = [OVERFLOW_MARK, *ring[p][1:]]
@@ -700,6 +702,86 @@ class TestReaderOracle:
         text = json.dumps({"type": "FeatureCollection", "tiles": [{"tile_id": "a", "image_size": [8, 8]}], "features": features})
         with pytest.raises(GeoJsonError, match="^feature 0: unknown tile_id 'z'$"):
             read_geojson(text)
+
+
+COCO_FAULTS = ("non-number", "short", "odd", "1e999", "duplicate", "outside", "unknown image", "rle", "none", "crowd")
+
+
+@st.composite
+def coco_documents(draw):
+    """The text of a COCO document of two images whose annotations hold
+    one to three random polygon arrays (closed or not, so holes may lie
+    outside the largest ring), with up to three faults applied: a
+    non-number value, fewer than 6 values, an odd count, 1e999, a
+    consecutive duplicate, a vertex outside the frame, an unknown image_id,
+    an RLE segmentation, a null value, or an iscrowd flag."""
+    images = [{"id": 1, "file_name": "a", "height": 8, "width": 8}, {"id": 2, "file_name": "b", "height": 9, "width": 10}]
+    annotations = []
+    for k in range(draw(st.integers(0, 4))):
+        seg = []
+        for _ in range(draw(st.integers(1, 3))):
+            pts = draw(st.lists(st.tuples(READER_COORDS, READER_COORDS), min_size=3, max_size=6, unique=True))
+            seg.append([v for p in pts + pts[:1] * draw(st.integers(0, 1)) for v in p])
+        annotations.append({"id": k + 1, "image_id": draw(st.sampled_from([1, 2])), "segmentation": seg,
+                            "score": draw(st.floats(0.0, 1.0))})
+    for _ in range(draw(st.integers(0, 3)) if annotations else 0):
+        ann = draw(st.sampled_from(annotations))
+        fault = draw(st.sampled_from(COCO_FAULTS))
+        seg = ann["segmentation"]
+        if not isinstance(seg, list):
+            continue
+        flat = draw(st.sampled_from(seg))
+        i = draw(st.integers(0, len(flat) - 1))
+        if fault == "non-number":
+            flat[i] = draw(st.sampled_from(["x", [1.0], {"x": 1.0}]))
+        elif fault == "short":
+            del flat[4:]
+        elif fault == "odd":
+            flat.append(1.0)
+        elif fault == "1e999":
+            flat[i] = OVERFLOW_MARK
+        elif fault == "duplicate" and len(flat) % 2 == 0:
+            flat[i - i % 2 : i - i % 2] = flat[i - i % 2 : i - i % 2 + 2]
+        elif fault == "outside":
+            flat[i] = 10.5
+        elif fault == "unknown image":
+            ann["image_id"] = 7
+        elif fault == "rle":
+            ann["segmentation"] = {"counts": [1, 2], "size": [8, 8]}
+        elif fault == "none":
+            flat[i] = None
+        elif fault == "crowd":
+            ann["iscrowd"] = 1
+    doc = {"images": images, "annotations": annotations, "categories": [{"id": 1, "name": "building"}]}
+    return json.dumps(doc).replace(repr(OVERFLOW_MARK), "1e999")
+
+
+def coco_outcome(read, text):
+    """reader_outcome of a COCO reader on a document's text, with the
+    messages of the warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = reader_outcome(read, text)
+    return outcome, [str(w.message) for w in caught]
+
+
+class TestCocoReaderOracle:
+    """The COCO reader, which converts and checks every ring of a file in
+    batched array passes, against the object-based reader it replaced:
+    equal records, faults and warnings."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(coco_documents())
+    def test_generated_documents_read_as_the_object_reader_reads_them(self, text):
+        want = coco_outcome(lambda t: coco_records_objects(json.loads(t)), text)
+        assert coco_outcome(lambda t: _coco_records(json.loads(t)), text) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(VALID_COCO))
+    def test_mutated_documents_read_as_the_object_reader_reads_them(self, doc):
+        text = json.dumps(doc)
+        want = coco_outcome(lambda t: coco_records_objects(json.loads(t)), text)
+        assert coco_outcome(lambda t: _coco_records(json.loads(t)), text) == want
 
 
 class TestManifest:
