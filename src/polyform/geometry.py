@@ -223,13 +223,16 @@ def polygons_of(
     (_area_signs), as each Polygon constructor decides it. packed, when
     given, is the rings' (xy, bounds) as pack_rings lays them out."""
     if packed is None:
-        packed = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2)), offsets(list(map(len, rings)))
+        xy = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2))
+        packed = xy, offsets([len(ring) for ring in rings])
     area = _area_signs(*packed)
-    out = []
+    polys = []
     for f, e in zip(firsts, firsts[1:]):
-        outer = rings[f] if area[f] >= 0 else rings[f].reversed()
-        out.append(Polygon._of(outer, tuple(h if area[k] <= 0 else h.reversed() for k, h in enumerate(rings[f + 1 : e], f + 1))))
-    return out
+        poly = object.__new__(Polygon)  # its fields set as the frozen dataclass's own unpickling sets them
+        poly.__dict__["outer"] = rings[f] if area[f] >= 0 else rings[f].reversed()
+        poly.__dict__["holes"] = () if e == f + 1 else tuple([h if area[k] <= 0 else h.reversed() for k, h in enumerate(rings[f + 1 : e], f + 1)])
+        polys.append(poly)
+    return polys
 
 
 def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Polygon"]:
@@ -267,14 +270,6 @@ class Polygon:
         object.__setattr__(self, "holes", holes)
 
     @classmethod
-    def _of(cls, outer: Ring, holes: tuple[Ring, ...]) -> "Polygon":
-        """A polygon on rings already oriented as the constructor orients them."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "outer", outer)
-        object.__setattr__(poly, "holes", holes)
-        return poly
-
-    @classmethod
     def from_coords(
         cls,
         outer: Sequence[tuple[float, float]],
@@ -290,7 +285,7 @@ class Polygon:
         return [v for ring in self.rings() for v in ring.vertices]
 
     def vertex_count(self) -> int:
-        return len(self.outer.coords) + sum(len(h.coords) for h in self.holes)
+        return sum(len(r) for r in self.rings())
 
     def boundary_segments(self) -> list[tuple[Point2, Point2]]:
         """The edges of edge_arrays([self]) as (start, end) pairs, in its order."""
@@ -392,9 +387,10 @@ def _turn_angle_deg(ax: float, ay: float, bx: float, by: float, cx: float, cy: f
 
 def merged_collinear(xy: np.ndarray, angle_tol: float) -> np.ndarray:
     """merge_collinear_edges on a ring's (n, 2) vertices, as a new (m, 2)
-    array: the vertices whose turn exceeds angle_tol when each is visited in
-    order, every removal counted at once, repeated to a fixpoint. Raises
-    DegenerateRingError when fewer than three would remain."""
+    array: vertices are visited in order and each whose turn between its
+    current neighbours is at most angle_tol is removed, in sweeps repeated
+    until one removes nothing. Raises DegenerateRingError when fewer than
+    three would remain."""
     verts = xy.tolist()
     changed = True
     while changed:

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    FRAME_TOL, InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon,
+    InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon,
     polygons_of, ring_faults, ring_of, signed_area,
 )
 from .raster import RasterGrid
@@ -137,13 +137,10 @@ class TileRecord:
         if not (1 <= h <= _MAX_SIDE and 1 <= w <= _MAX_SIDE):
             raise FormatError(f"tile {self.tile_id!r}: bad image size {self.image_size}")
         object.__setattr__(self, "image_size", (int(h), int(w)))
-        rings = [ring.coords for sp in self.instances for ring in sp.polygon.rings()]
-        if not rings:
-            return
-        xy = np.concatenate(rings)
-        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
-        if not (-FRAME_TOL <= min(x0, y0) and x1 <= w + FRAME_TOL and y1 <= h + FRAME_TOL):
-            x, y = xy[np.argmax(outside_frame(xy, h, w))].tolist()
+        xy = pack_rings([sp.polygon for sp in self.instances])[0]
+        outside = outside_frame(xy, h, w)
+        if outside.any():
+            x, y = xy[np.argmax(outside)].tolist()
             raise FormatError(f"tile {self.tile_id!r}: vertex ({x}, {y}) outside {w}x{h} bounds")
 
 
@@ -276,7 +273,9 @@ def _parse_geojson_ring(positions: list, what: str) -> Ring:
         raise GeoJsonError(f"{what}: {exc}") from exc
 
 
-def _checked_rings(raws: list[list], pos: np.ndarray | None, closed: bool, parse, what) -> tuple[list[Ring], FormatError | None]:
+def _checked_rings(
+    raws: list[list], pos: np.ndarray | None, closed: bool, parse, what
+) -> tuple[list[Ring], FormatError | None]:
     """The rings of a file's ring lists raws, whose points pos holds as one
     (n, 2) f64 array (None when the batched conversion failed), checked in
     one pass, each without its last point when that closes it: always and
@@ -494,9 +493,8 @@ def _coco_records(doc: object) -> list[TileRecord]:
         ring_order += [f] if e - f == 1 else sorted(range(f, e), key=lambda r: -abs(signed_area(rings[r])))
     polys = polygons_of([rings[r] for r in ring_order], firsts[: done + 1])
     for (image_id, score), what, poly, f, e in zip(owners, whats, polys, firsts, firsts[1:]):
-        outer = Polygon._of(poly.outer, ())
         for r in ring_order[f + 1 : e]:
-            if not point_in_polygon(tuple(rings[r].coords[0].tolist()), outer):
+            if not point_in_polygon(tuple(rings[r].coords[0].tolist()), Polygon(rings[ring_order[f]])):
                 warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=3)
                 break
         by_image[image_id].append(ScoredPolygon(poly, score))

@@ -240,7 +240,9 @@ def _mean_distances(p: list[np.ndarray], q: list[np.ndarray], p_ranges: np.ndarr
     return np.array([dist[end - n : end].mean() for end, n in zip(ends, p_ranges[:, 1].tolist())])
 
 
-def _edge_ranges(packed: tuple[np.ndarray, np.ndarray, np.ndarray], index: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _edge_ranges(
+    packed: tuple[np.ndarray, np.ndarray, np.ndarray], index: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The (ax, ay, bx, by) of the polygons pack_rings laid out as packed,
     and the (first edge, edge count) of polygon i for each i of index."""
     *edges, counts = packed_edges(*packed)
@@ -347,7 +349,7 @@ def _greedy_match(ious: np.ndarray, scores: Sequence[float], thresholds: Sequenc
         for i in _score_order(scores):
             if not candidates[i]:
                 continue
-            for t, (bound, used, row) in enumerate(zip(thr, taken, matches)):
+            for bound, used, row in zip(thr, taken, matches):
                 best, best_iou = -1, bound
                 for j, iou in candidates[i]:
                     if iou >= best_iou and (best < 0 or iou > best_iou) and j not in used:

@@ -443,7 +443,9 @@ def _snap_winners(
 _TURN_MARGIN = 1e-6
 
 
-def _snapped_rings(vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int], merge_angle: float) -> list[Ring | None]:
+def _snapped_rings(
+    vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int], merge_angle: float
+) -> list[Ring | None]:
     """The snapped ring of each chain k, through the vertices
     vtx[vertex_ids[cuts[k]:cuts[k + 1]]] with near-collinear joints merged
     (geometry.merge_collinear_edges), or None where the chain falls back:
@@ -471,7 +473,7 @@ def _snapped_rings(vtx: np.ndarray, vertex_ids: np.ndarray, cuts: Sequence[int],
     run = np.flatnonzero(np.diff(bounds) > 0)
     merging = np.zeros(len(rings), dtype=bool)
     merging[run] = np.logical_or.reduceat(near, starts[run])
-    fault = ring_faults(xy, bounds)
+    merging, fault = merging.tolist(), ring_faults(xy, bounds).tolist()
     for k, (a, b) in enumerate(zip(starts.tolist(), bounds[1:].tolist())):
         if fault[k]:
             continue

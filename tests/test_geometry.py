@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -446,9 +448,6 @@ class TestRingValues:
             Ring(np.zeros((3, 3)))
 
     def test_copy_and_pickle_keep_the_value(self):
-        import copy
-        import pickle
-
         poly = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)], holes=[[(1, 1), (2, 1), (2, 2)]])
         assert copy.deepcopy(poly) == poly and pickle.loads(pickle.dumps(poly)) == poly
 

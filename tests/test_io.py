@@ -655,7 +655,7 @@ class TestReaderOracle:
     """read_geojson, which converts and checks every ring of a file in
     batched array passes, against the object-based reader it replaced."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(feature_collections())
     def test_generated_collections_read_as_the_object_reader_reads_them(self, text):
         want = reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text)
@@ -770,7 +770,7 @@ class TestCocoReaderOracle:
     batched array passes, against the object-based reader it replaced:
     equal records, faults and warnings."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(coco_documents())
     def test_generated_documents_read_as_the_object_reader_reads_them(self, text):
         want = coco_outcome(lambda t: coco_records_objects(json.loads(t)), text)
