@@ -282,7 +282,8 @@ def _checked_rings(
     required when closed (GeoJSON), else when equal to the first of four or
     more (COCO). Returns the rings before the first list that fails and the
     FormatError that parse(raw, what(k)), the list-by-list reference,
-    raises on it (None when every list passes)."""
+    raises on it (None when every list passes); from the first list the
+    batched pass rejects, the lists are read by the reference."""
     if pos is None:  # a fault, or a value numpy reads otherwise than float(): convert list by list
         rings: list[Ring] = []
         for k, raw in enumerate(raws):
@@ -304,12 +305,10 @@ def _checked_rings(
     xy.flags.writeable = False
     cuts = bounds[: good + 1].tolist()
     rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if good < len(raws):
-        try:
-            parse(raws[good], what(good))
-        except FormatError as exc:
-            return rings, exc
-    return rings, None
+    if good == len(raws):
+        return rings, None
+    rest, fault = _checked_rings(raws[good:], None, closed, parse, lambda k: what(good + k))
+    return rings + rest, fault
 
 
 def _geojson_rings(raws: list[list], what) -> list[Ring]:

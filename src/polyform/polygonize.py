@@ -641,9 +641,9 @@ def polygonize_components(
     detected vertices in one vectorised pass over (chain pixel, nearby
     vertex) pairs. The chains whose snapping keeps fewer than three vertices
     or degenerates fall back to Douglas-Peucker on their pixel centres, all
-    in one _dp_rings call. Points and rings are built only for the rings
-    emitted. Polygons are scored by
-    the crop's score and rescaled by config.scale. Components whose outer
+    in one _dp_rings call. Every ring is a view of a coordinate array, and
+    polygons_of orients them all in one pass. Polygons are scored by the
+    crop's score and rescaled by config.scale. Components whose outer
     ring fails both simplifiers are dropped (warned); failed hole rings are
     dropped silently. Each chain's ring is the one mav_attract_simplify,
     else douglas_peucker, gives for that chain alone.
