@@ -177,68 +177,10 @@ def ring_faults(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _sequential_area(xy: np.ndarray) -> float:
-    """Shoelace area of one ring's (n, 2) vertices, summed term by term in
-    vertex order: the value every orientation decision rests on."""
-    xs, ys = xy.T.tolist()
-    acc = 0.0
-    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
-        acc += ax * by - bx * ay
-    return acc / 2.0
-
-
-def _area_signs(xy: np.ndarray, bounds: np.ndarray) -> list[float]:
-    """Per ring of (xy, bounds), every ring at least three vertices long, a
-    value that compares with 0 as its signed_area does (>= 0, <= 0, NaN
-    included).
-
-    The shoelace terms of every ring are summed in one reduceat, in
-    numpy's order. Any order of summing n terms t errs by at most
-    gamma = (n - 1) u / (1 - (n - 1) u) times sum |t|, u = 2**-53, so where
-    the sum exceeds 8 n u sum |t| (above 2 gamma with room for the
-    rounding of sum |t| and of the bound) it has the sign of the exact sum,
-    and so has signed_area's term-by-term sum. Every other ring (zero or
-    near-zero area, tiny or overflowing terms) is summed as signed_area
-    sums it."""
-    if len(bounds) == 1:
-        return []
-    nxt = xy[ring_successors(bounds)]
-    starts = bounds[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing terms are summed term by term below
-        terms = xy[:, 0] * nxt[:, 1] - nxt[:, 0] * xy[:, 1]
-        total = np.add.reduceat(terms, starts)
-        scale = np.add.reduceat(np.abs(terms), starts)
-        unsure = ~(np.abs(total) > 8 * 2.0**-53 * np.diff(bounds) * scale) | (scale <= 1e-250)
-    out = total.tolist()
-    for k in np.flatnonzero(unsure).tolist():
-        out[k] = _sequential_area(xy[bounds[k] : bounds[k + 1]])
-    return out
-
-
-def polygons_of(
-    rings: Sequence[Ring], firsts: Sequence[int], packed: tuple[np.ndarray, np.ndarray] | None = None
-) -> list["Polygon"]:
-    """Polygon(rings[f], tuple(rings[f + 1 : e])) for each consecutive pair
-    (f, e) of firsts, with every ring's orientation decided in one pass
-    (_area_signs), as each Polygon constructor decides it. packed, when
-    given, is the rings' (xy, bounds) as pack_rings lays them out."""
-    if packed is None:
-        xy = np.concatenate([ring.coords for ring in rings]) if rings else np.zeros((0, 2))
-        packed = xy, offsets([len(ring) for ring in rings])
-    area = _area_signs(*packed)
-    polys = []
-    for f, e in zip(firsts, firsts[1:]):
-        poly = object.__new__(Polygon)  # its fields set as the frozen dataclass's own unpickling sets them
-        poly.__dict__["outer"] = rings[f] if area[f] >= 0 else rings[f].reversed()
-        poly.__dict__["holes"] = () if e == f + 1 else tuple([h if area[k] <= 0 else h.reversed() for k, h in enumerate(rings[f + 1 : e], f + 1)])
-        polys.append(poly)
-    return polys
-
-
 def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Polygon"]:
-    """Polygon.scaled(fx, fy) of each polygon, every ring checked and
-    oriented in one pass; the first ring the Ring constructor rejects
-    raises its GeometryError."""
+    """Polygon.scaled(fx, fy) of each polygon, every scaled ring checked in
+    one pass; the first ring the Ring constructor rejects raises its
+    GeometryError."""
     xy, bounds, firsts = pack_rings(polys)
     with np.errstate(over="ignore", under="ignore"):  # the ring checks reject what overflows
         xy *= np.array([fx, fy], dtype=np.float64)
@@ -249,7 +191,8 @@ def scale_polygons(polys: Sequence["Polygon"], fx: float, fy: float) -> list["Po
     xy.flags.writeable = False
     cuts = bounds.tolist()
     rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return polygons_of(rings, firsts.tolist(), (xy, bounds))
+    firsts = firsts.tolist()
+    return [Polygon(rings[f], tuple(rings[f + 1 : e])) for f, e in zip(firsts, firsts[1:])]
 
 
 @dataclass(frozen=True)
@@ -340,7 +283,11 @@ class InstanceSet:
 
 def signed_area(ring: Ring) -> float:
     """Shoelace area of a ring; positive iff the ring is CCW."""
-    return _sequential_area(ring.coords)
+    xs, ys = ring.coords.T.tolist()
+    acc = 0.0
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        acc += ax * by - bx * ay
+    return acc / 2.0
 
 
 def project_points_to_segments(px, py, ax, ay, bx, by, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .geometry import (
     InstanceSet, Polygon, Ring, ScoredPolygon, offsets, outside_frame, pack_rings, point_in_polygon,
-    polygons_of, ring_faults, ring_of, signed_area,
+    ring_faults, ring_of, signed_area,
 )
 from .raster import RasterGrid
 
@@ -292,7 +292,7 @@ def _checked_rings(
             except FormatError as exc:
                 return rings, exc
         return rings, None
-    counts = np.diff(offsets([len(raw) for raw in raws])) // (1 if closed else 2)
+    counts = np.array([len(raw) for raw in raws], dtype=np.int64) // (1 if closed else 2)
     ends = offsets(counts)
     first, last = ends[:-1], ends[1:] - 1
     closing = (pos[first] == pos[last]).all(axis=1)
@@ -371,8 +371,8 @@ def _geojson_records(doc: object) -> list[TileRecord]:
     rings = _geojson_rings(raws, lambda k: f"feature {bisect.bisect_right(firsts, k) - 1}")
     if fault is not None:
         raise fault
-    for (tile_id, score), poly in zip(owners, polygons_of(rings, firsts)):
-        by_tile[tile_id].append(ScoredPolygon(poly, score))
+    for (tile_id, score), f, e in zip(owners, firsts, firsts[1:]):
+        by_tile[tile_id].append(ScoredPolygon(Polygon(rings[f], tuple(rings[f + 1 : e])), score))
     return [
         TileRecord(tid, sizes[tid], InstanceSet(tuple(by_tile[tid]))) for tid in order
     ]
@@ -490,13 +490,13 @@ def _coco_records(doc: object) -> list[TileRecord]:
     ring_order = []
     for f, e in zip(firsts[:done], firsts[1 : done + 1]):
         ring_order += [f] if e - f == 1 else sorted(range(f, e), key=lambda r: -abs(signed_area(rings[r])))
-    polys = polygons_of([rings[r] for r in ring_order], firsts[: done + 1])
-    for (image_id, score), what, poly, f, e in zip(owners, whats, polys, firsts, firsts[1:]):
-        for r in ring_order[f + 1 : e]:
-            if not point_in_polygon(tuple(rings[r].coords[0].tolist()), Polygon(rings[ring_order[f]])):
+    for (image_id, score), what, f, e in zip(owners, whats, firsts[:done], firsts[1 : done + 1]):
+        outer, holes = rings[ring_order[f]], tuple(rings[r] for r in ring_order[f + 1 : e])
+        if holes:
+            alone = Polygon(outer)
+            if not all(point_in_polygon(tuple(h.coords[0].tolist()), alone) for h in holes):
                 warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=3)
-                break
-        by_image[image_id].append(ScoredPolygon(poly, score))
+        by_image[image_id].append(ScoredPolygon(Polygon(outer, holes), score))
     if ring_fault is not None:
         raise ring_fault
     if fault is not None:

@@ -21,14 +21,16 @@ from scipy import ndimage
 
 from .geometry import (
     DegenerateRingError,
+    GeometryError,
     InstanceSet,
     Point2,
+    Polygon,
     Ring,
     ScoredPolygon,
     expand_ranges,
+    merge_collinear_edges,
     merged_collinear,
     near_pairs,
-    polygons_of,
     project_points_to_segments,
     ring_faults,
     ring_of,
@@ -513,9 +515,13 @@ def mav_attract_simplify(
         raise FallbackRequired("no vertices within tau_d of the chain")
     if len(winners) < 3:
         raise FallbackRequired(f"{len(winners)} surviving vertices")
-    ring = _snapped_rings(vertices.coords(), winners, (0, len(winners)), merge_angle)[0]
-    if ring is None:
-        raise FallbackRequired("coincident vertex coordinates or a degenerate collinear merge")
+    vtx = vertices.coords()
+    ring = _snapped_rings(vtx, winners, (0, len(winners)), merge_angle)[0] if merge_angle >= 0 else None
+    if ring is None:  # merge_collinear_edges says why: coincident vertices, a degenerate merge or a negative angle
+        try:
+            return merge_collinear_edges(Ring(vtx[winners]), merge_angle)
+        except GeometryError as exc:
+            raise FallbackRequired(str(exc)) from exc
     return ring
 
 
@@ -641,9 +647,9 @@ def polygonize_components(
     detected vertices in one vectorised pass over (chain pixel, nearby
     vertex) pairs. The chains whose snapping keeps fewer than three vertices
     or degenerates fall back to Douglas-Peucker on their pixel centres, all
-    in one _dp_rings call. Every ring is a view of a coordinate array, and
-    polygons_of orients them all in one pass. Polygons are scored by the
-    crop's score and rescaled by config.scale. Components whose outer
+    in one _dp_rings call. Every ring is a view of a coordinate array.
+    Polygons are scored by the crop's score and rescaled by config.scale
+    (Polygon orients each ring at both scales). Components whose outer
     ring fails both simplifiers are dropped (warned); failed hole rings are
     dropped silently. Each chain's ring is the one mav_attract_simplify,
     else douglas_peucker, gives for that chain alone.
@@ -662,19 +668,17 @@ def polygonize_components(
     for k, ring in zip(fallback.tolist(), simplified):
         rings[k] = ring
     dropped = 0
-    kept: list[Ring] = []
-    firsts, scores = [0], []
+    scored: list[ScoredPolygon] = []
     for (_r0, _c0, _region, score), first, end in zip(crops, chains.firsts, chains.firsts[1:]):
-        if rings[first] is None:
+        outer = rings[first]
+        if outer is None:
             dropped += 1
             continue
-        kept += [ring for ring in rings[first:end] if ring is not None]
-        firsts.append(len(kept))
-        scores.append(score)
+        holes = tuple(hole for hole in rings[first + 1 : end] if hole is not None)
+        scored.append(ScoredPolygon(Polygon(outer, holes), score))
     if dropped:
         warnings.warn(f"dropped {dropped} components that failed simplification", stacklevel=2)
-    polys = polygons_of(kept, firsts)
-    return rescale_polygons(InstanceSet(tuple(map(ScoredPolygon, polys, scores))), cfg.scale)
+    return rescale_polygons(InstanceSet(tuple(scored)), cfg.scale)
 
 
 def rescale_polygons(instances: InstanceSet, s: float) -> InstanceSet:

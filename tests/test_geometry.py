@@ -18,7 +18,6 @@ from polyform.geometry import (
     edge_arrays,
     merge_collinear_edges,
     pack_rings,
-    polygons_of,
     near_pairs,
     point_in_polygon,
     project_points_to_segments,
@@ -452,44 +451,9 @@ class TestRingValues:
         assert copy.deepcopy(poly) == poly and pickle.loads(pickle.dumps(poly)) == poly
 
 
-# coordinates on a coarse lattice, so rings often have zero or tiny area, and
-# huge ones whose shoelace terms overflow
-area_coord = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3) | st.sampled_from([1e-160, -1e-160, 1e160, 2.0**-1074])
-
-
-# points on one line whose coordinates round off it: areas of rounding size
-line_point = st.floats(-50, 50).map(lambda x: (x, 0.1 * x + 0.3))
-ring_points = st.lists(st.tuples(area_coord, area_coord), min_size=3, max_size=7) | st.lists(line_point, min_size=3, max_size=9)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(ring_points, min_size=1, max_size=6), st.lists(st.integers(1, 3), min_size=1, max_size=6))
-def test_batched_orientation_is_signed_areas(ring_coords, sizes):
-    # polygons_of orients every ring as Polygon does, by the sign of
-    # signed_area's term-by-term sum, zero and non-finite areas included
-    rings = []
-    for coords in ring_coords:
-        try:
-            rings.append(Ring(coords))
-        except GeometryError:
-            pass
-    assume(rings)
-    firsts = [0]
-    for size in sizes:
-        if firsts[-1] < len(rings):
-            firsts.append(min(len(rings), firsts[-1] + size))
-    if firsts[-1] < len(rings):
-        firsts.append(len(rings))
-    got = polygons_of(rings, firsts)
-    want = [Polygon(rings[f], tuple(rings[f + 1 : e])) for f, e in zip(firsts, firsts[1:])]
-    assert got == want
-    for g, w in zip(got, want):
-        assert [r.coords.tolist() for r in g.rings()] == [r.coords.tolist() for r in w.rings()]
-
-
 def test_zero_area_rings_keep_their_order():
     flat = Ring([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
-    poly = polygons_of([flat, flat], [0, 2])[0]
+    poly = Polygon(flat, (flat,))
     assert signed_area(flat) == 0.0
     assert poly.outer.coords.tolist() == flat.coords.tolist() == poly.holes[0].coords.tolist()
 

@@ -450,6 +450,20 @@ class TestMavAttractSimplify:
         with pytest.raises(FallbackRequired):
             mav_attract_simplify(chain, VertexSet(()), 5.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "coords, merge_angle, message",
+        [
+            ([(2, 2), (12, 2), (22, 2)], 10.0, "degenerate ring after collinear merge"),
+            ([(2, 2), (22, 2), (22, 22), (2, 22)], -1.0, "negative angle tolerance -1.0"),
+        ],
+    )
+    def test_fallback_carries_the_geometry_message(self, coords, merge_angle, message):
+        chain = square_chain(2, 2, 22, 22, 26, 26)
+        vs = VertexSet(tuple((Point2(*c), 1.0) for c in coords))
+        with pytest.raises(FallbackRequired) as info:
+            mav_attract_simplify(chain, vs, 5.0, merge_angle)
+        assert str(info.value) == message
+
     def test_decoy_vertex_filtered_by_distance(self):
         chain = square_chain(2, 2, 12, 12, 30, 30)
         corners = [Point2(2, 2), Point2(12, 2), Point2(12, 12), Point2(2, 12)]
