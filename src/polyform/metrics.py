@@ -26,6 +26,13 @@ crop's side, in its own row or column, and that pixel is a gap pixel
 past the atlas border: background, as the frame is past the crop's
 bounding box. So the pixel erodes away in the atlas as on the frame. A
 full frame is one crop.
+
+A crop with a side of at most 2d is its own band and skips the atlas.
+Along a side of n <= 2d pixels, pixel i lies i + 1 pixels from the row
+(or column) before the crop and n - i from the one after it, both
+background, and min(i + 1, n - i) <= (n + 1) / 2 < d + 1. So every pixel
+of the crop is within distance d of background, and the erosion clears
+it.
 """
 from __future__ import annotations
 
@@ -189,18 +196,23 @@ def _band_distance(h: int, w: int, d_frac: float) -> int:
 
 
 def _inner_bands(masks: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
-    """The Boundary IoU band at distance d of each boolean mask, from one
-    erosion of one atlas (see the module docstring)."""
-    if not masks:
-        return []
-    ys, xs, height, width = shelf_pack([(m.shape[0] + 1, m.shape[1] + 1) for m in masks])
+    """The Boundary IoU band at distance d of each boolean mask, in input
+    order: a mask with a side of at most 2d is its own band, and the others
+    come from one erosion of one atlas (see the module docstring)."""
+    bands = list(masks)
+    deep = [(i, m) for i, m in enumerate(masks) if min(m.shape) > 2 * d]
+    if not deep:
+        return bands
+    ys, xs, height, width = shelf_pack([(m.shape[0] + 1, m.shape[1] + 1) for _, m in deep])
     atlas = np.zeros((height, width), dtype=bool)
-    for m, y, x in zip(masks, ys, xs):
+    for (_, m), y, x in zip(deep, ys, xs):
         atlas[y : y + m.shape[0], x : x + m.shape[1]] = m
     eroded = ndimage.minimum_filter1d(atlas, 2 * d + 1, axis=0, mode="constant", cval=0)
     eroded = ndimage.minimum_filter1d(eroded, 2 * d + 1, axis=1, mode="constant", cval=0)
     band = atlas & ~eroded
-    return [band[y : y + m.shape[0], x : x + m.shape[1]] for m, y, x in zip(masks, ys, xs)]
+    for (i, m), y, x in zip(deep, ys, xs):
+        bands[i] = band[y : y + m.shape[0], x : x + m.shape[1]]
+    return bands
 
 
 def boundary_iou(a: RasterGrid, b: RasterGrid, d_frac: float = 0.02) -> float:

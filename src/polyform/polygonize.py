@@ -36,7 +36,7 @@ from .geometry import (
     ring_of,
     ring_successors,
 )
-from .raster import RasterGrid, bounding_crop, offset_coords, shelf_pack
+from .raster import RasterGrid, bounding_crop, content_rows, offset_coords, shelf_pack
 
 FOUR = "four"
 EIGHT = "eight"
@@ -130,14 +130,15 @@ def component_crops(
     (r0, c0) and the f64 mean of the soft mask over its pixels. A component
     whose mean is not finite (it holds +inf) raises PolygonizeError."""
     values = soft.channel()
-    lab, boxes = _label_boxes(values > tau, connectivity)
+    lab, rows, boxes = _label_boxes(values > tau, connectivity)
     out = []
-    for comp, (rows, cols) in enumerate(boxes, start=1):
-        region = lab[rows, cols] == comp
-        score = float(values[rows, cols][region].astype(np.float64).mean())
+    for comp, (lab_rows, cols) in enumerate(boxes, start=1):
+        region = lab[lab_rows, cols] == comp
+        r0 = lab_rows.start if rows is None else int(rows[lab_rows.start])
+        score = float(values[r0 : r0 + region.shape[0], cols][region].astype(np.float64).mean())
         if not math.isfinite(score):
-            raise PolygonizeError(f"component {comp} at row {rows.start}, col {cols.start}: soft-mask mean {score} is not finite")
-        out.append((rows.start, cols.start, region, score))
+            raise PolygonizeError(f"component {comp} at row {r0}, col {cols.start}: soft-mask mean {score} is not finite")
+        out.append((r0, cols.start, region, score))
     return out
 
 
@@ -147,13 +148,30 @@ def connected_components(binary: RasterGrid, connectivity: str = EIGHT) -> tuple
     Labels are assigned in raster-scan order of each component's first
     pixel, so the result is deterministic for a given mask.
     """
-    labels, boxes = _label_boxes(binary.channel() != 0, connectivity)
+    mask = binary.channel() != 0
+    labels, rows, boxes = _label_boxes(mask, connectivity)
+    if rows is not None:
+        frame = np.zeros(mask.shape, dtype=np.uint32)
+        frame[rows] = labels
+        labels = frame
     return RasterGrid.from_array(labels), len(boxes)
 
 
-def _label_boxes(mask: np.ndarray, connectivity: str) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
-    """connected_components of a boolean frame as u32 labels, plus each
-    label's bounding box (ndimage.find_objects, label order).
+def _label_boxes(
+    mask: np.ndarray, connectivity: str
+) -> tuple[np.ndarray, np.ndarray | None, list[tuple[slice, slice]]]:
+    """connected_components of a boolean frame on its content rows
+    (raster.content_rows with reach 1) only: the u32 labels of mask[rows],
+    rows (None when every row is kept, the labels then covering the frame),
+    and each label's bounding box in the labels' rows (ndimage.find_objects,
+    label order). Frame row rows[i] is labels row i.
+
+    Each removed run of rows leaves a kept empty row on each side (or lies
+    past the frame's edge), so no two set pixels become neighbours that
+    were not, and none stop being: the components and the raster order of
+    their pixels are the frame's, under either connectivity. A component's
+    rows are consecutive content rows, so its box is a box in the frame too,
+    starting at frame row rows[box start].
 
     A component's first pixel is its box's first row at the first column of
     that row holding the label. ndimage.label already numbers components in
@@ -162,12 +180,17 @@ def _label_boxes(mask: np.ndarray, connectivity: str) -> tuple[np.ndarray, list[
     """
     if connectivity not in (FOUR, EIGHT):
         raise PolygonizeError(f"unknown connectivity {connectivity!r}")
+    rows = content_rows(mask, 1)
+    if rows is not None:
+        mask = mask[rows]
+    if not mask.size:  # no component; ndimage.label rejects an empty array
+        return np.zeros(mask.shape, dtype=np.uint32), rows, []
     structure = np.ones((3, 3), dtype=bool) if connectivity == EIGHT else _FOUR_STRUCTURE
     labels, count = ndimage.label(mask, structure=structure, output=np.uint32)
     boxes = ndimage.find_objects(labels)
     first = [
-        (rows.start, cols.start + int(np.argmax(labels[rows.start, cols] == comp)))
-        for comp, (rows, cols) in enumerate(boxes, start=1)
+        (box_rows.start, cols.start + int(np.argmax(labels[box_rows.start, cols] == comp)))
+        for comp, (box_rows, cols) in enumerate(boxes, start=1)
     ]
     if any(a > b for a, b in zip(first, first[1:])):
         order = sorted(range(count), key=first.__getitem__)
@@ -175,7 +198,7 @@ def _label_boxes(mask: np.ndarray, connectivity: str) -> tuple[np.ndarray, list[
         remap[np.array(order) + 1] = np.arange(1, count + 1, dtype=np.uint32)
         labels = remap[labels]
         boxes = [boxes[i] for i in order]
-    return labels, boxes
+    return labels, rows, boxes
 
 
 # clockwise Moore neighborhood starting north
@@ -338,22 +361,39 @@ def _vertex_arrays(
     heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """extract_vertices as arrays: the (x, y) coordinates, shape (n, 2), and
-    the f64 scores of the vertices, strongest first."""
+    the f64 scores of the vertices, strongest first.
+
+    The NMS runs on the rows within one row of a pixel above tau_v
+    (raster.content_rows): only such a pixel can survive, and its 3 x 3
+    neighbourhood is the same in those rows as in the frame. Survivors are
+    mapped back to frame indices, which keeps their order, before the top_k
+    order breaks ties toward the lower frame index."""
     if (heatmap.height, heatmap.width) != (offsets.height, offsets.width):
         raise PolygonizeError("heatmap and offsets shapes differ")
     # f32 (f64 for wider inputs) holds every heatmap value exactly, so the
-    # neighbour comparisons match f64 ones; tau_v is compared at f64
+    # neighbour comparisons match f64 ones. A value of that type lies above
+    # tau_v exactly when it lies above the type's largest value at or below
+    # tau_v, so the threshold is compared in the values' own type
     channel = heatmap.channel()
     values = np.ascontiguousarray(channel, dtype=np.result_type(channel, np.float32))
-    padded = np.pad(values, 1, constant_values=-np.inf)
-    heat = padded[1:-1, 1:-1]
+    floor = values.dtype.type(tau_v)
+    if float(floor) > tau_v:
+        floor = np.nextafter(floor, values.dtype.type(-np.inf))
+    keep = np.greater(values, floor)
+    kept = content_rows(keep, 1)
+    heat = values
+    if kept is not None:
+        heat, keep = values[kept], keep[kept]
+    padded = np.pad(heat, 1, constant_values=-np.inf)
     h, w = heat.shape
-    keep = np.greater(heat, np.float64(tau_v))
     for dr, dc in _DIRS:
         neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]  # value of the (dr, dc) neighbor
         earlier = dr < 0 or (dr == 0 and dc < 0)
         keep &= (heat > neighbor) if earlier else (heat >= neighbor)
     flat = np.flatnonzero(keep)
+    if kept is not None:
+        at, col = np.divmod(flat, w)
+        flat = kept[at] * w + col
     scores = values.ravel()[flat].astype(np.float64)
     if 0 < top_k < len(flat):
         # the top_k strongest all score at least the top_k-th largest score

@@ -236,6 +236,23 @@ def bounding_crop(mask: np.ndarray) -> tuple[int, int, np.ndarray]:
     return int(rows[0]), int(cols[0]), band[:, cols[0] : cols[-1] + 1]
 
 
+def content_rows(mask: np.ndarray, reach: int) -> np.ndarray | None:
+    """The ascending indices of the rows of a 2-D boolean mask within reach
+    rows of a row holding a set pixel, or None when that is every row.
+
+    polygonize labels and suppresses only these rows of a frame. With
+    reach >= 1, each removed run of rows is bordered, on each side where
+    the frame goes on, by a kept row without set pixels, so the 3 x 3
+    neighbourhood of a set pixel is the same in the kept rows as in the
+    frame."""
+    near = mask.any(axis=1)
+    held = near.copy()
+    for k in range(1, reach + 1):
+        near[k:] |= held[:-k]
+        near[:-k] |= held[k:]
+    return None if near.all() else np.flatnonzero(near)
+
+
 def shelf_pack(shapes: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int]:
     """Top-left corners (ys, xs) of (h, w) rectangles packed on shelves,
     tallest first, and the packing's (height, width). The rectangles of a

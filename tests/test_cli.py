@@ -821,6 +821,38 @@ class TestRoundtrip:
         assert len(labelled) == 2 + 4
         assert once.read_bytes() == twice.read_bytes()
 
+    def test_labelling_and_nms_see_content_rows_only(self, tmp_path, monkeypatch):
+        # two buildings with empty grid rows between them: the labelling and
+        # the NMS get fewer rows than the 64-row grid; heatmap noise puts a
+        # candidate in every row, and the NMS gets the whole frame
+        src = tmp_path / "gt.geojson"
+        src.write_bytes(write_geojson([
+            TileRecord("t", (256, 256), InstanceSet.of([rectangle(16, 16, 96, 48), rectangle(120, 176, 224, 224)])),
+        ]))
+        real_label, real_pad = polygonize.ndimage.label, np.pad
+        labelled, suppressed = [], []
+
+        def label(mask, *args, **kwargs):
+            if kwargs.get("output") is np.uint32:  # the component labelling, not the trace atlas
+                labelled.append(mask.shape)
+            return real_label(mask, *args, **kwargs)
+
+        def pad(array, *args, **kwargs):
+            if kwargs.get("constant_values") == -np.inf:  # the NMS's -inf border
+                suppressed.append(array.shape)
+            return real_pad(array, *args, **kwargs)
+
+        monkeypatch.setattr(polygonize.ndimage, "label", label)
+        monkeypatch.setattr(polygonize.np, "pad", pad)
+        monkeypatch.setenv("POLYFORM_WORKERS", "1")
+        assert main(["roundtrip", str(src), str(tmp_path / "clean.json"), "--scale", "4"]) == 0
+        assert len(labelled) == len(suppressed) == 1
+        assert labelled[0][1] == suppressed[0][1] == 64
+        assert 0 < labelled[0][0] < 64 and 0 < suppressed[0][0] < 64
+        noisy = ["--scale", "4", "--heatmap-noise-sigma", "0.05", "--seed", "2"]
+        assert main(["roundtrip", str(src), str(tmp_path / "noisy.json"), *noisy]) == 0
+        assert suppressed[1:] == [(64, 64)]
+
     def test_report_onto_a_directory_fails_before_any_tile(self, gt_geojson, tmp_path, capsys, monkeypatch):
         report = tmp_path / "rt.json"
         report.mkdir()

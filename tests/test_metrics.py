@@ -104,6 +104,19 @@ def band_crop_sets(draw):
     return h, w, d, [(r0, c0, rng.random((bh, bw)) < density) for r0, c0, bh, bw in boxes]
 
 
+@st.composite
+def side_threshold_crops(draw):
+    """A band distance d from 1 to 4 and 1-8 masks whose sides are each
+    2d - 1, 2d or 2d + 1, of drawn densities: the crops that erode to
+    nothing and those that may not, mixed in one list."""
+    d = draw(st.integers(1, 4), label="d")
+    sides = st.sampled_from((2 * d - 1, 2 * d, 2 * d + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=8), label="shapes")
+    densities = st.sampled_from([0.5, 0.9, 1.0])
+    return d, [rng.random(shape) < draw(densities) for shape in shapes]
+
+
 class TestBoundaryIou:
     def test_identical_masks(self):
         arr = np.zeros((20, 20), dtype=np.uint8)
@@ -154,6 +167,20 @@ class TestBoundaryIou:
             frame[rows, cols] = m
             assert np.array_equal(band, inner_band_full(frame, d)[rows, cols])
             assert np.array_equal(band, boundary_band_enum(m, d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(side_threshold_crops())
+    @example((2, [np.ones((5, 5), bool), np.ones((3, 4), bool), np.ones((4, 5), bool), np.ones((6, 5), bool)]))
+    def test_shallow_crops_are_their_own_bands(self, case):
+        # a crop with a side of at most 2d erodes to nothing; the others go
+        # through the atlas, and every band comes back in input order
+        d, masks = case
+        bands = _inner_bands(masks, d)
+        assert len(bands) == len(masks)
+        for m, band in zip(masks, bands):
+            assert np.array_equal(band, boundary_band_enum(m, d))
+            if min(m.shape) <= 2 * d:
+                assert band is m
 
     def test_range(self):
         rng = np.random.default_rng(43)

@@ -75,6 +75,39 @@ class TestThresholdMask:
         assert out.channel().sum() == 0
 
 
+@st.composite
+def row_run_masks(draw, max_width=16):
+    """Bool masks of 1-4 row bands of speckle, the bands and the frame's two
+    ends separated by runs of 0-3 empty rows: a run of three between bands,
+    or of two or three at an end, holds rows the labelling drops."""
+    w = draw(st.integers(1, max_width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts.append(np.zeros((draw(st.integers(0, 3)), w), dtype=bool))
+        density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
+        parts.append(rng.random((draw(st.integers(1, 4)), w)) < density)
+    parts.append(np.zeros((draw(st.integers(0, 3)), w), dtype=bool))
+    return np.concatenate(parts)
+
+
+def mask_of(shape, *pixels):
+    mask = np.zeros(shape, dtype=bool)
+    for r, c in pixels:
+        mask[r, c] = True
+    return mask
+
+
+# pixels diagonally apart across one empty row, and across three (the
+# middle one dropped); components on the first and last rows; no component
+ROW_RUN_EXAMPLES = (
+    mask_of((3, 3), (0, 0), (2, 1)),
+    mask_of((9, 3), (0, 0), (4, 1), (4, 2), (8, 1), (7, 0)),
+    mask_of((9, 5), (0, 1), (0, 2), (8, 0), (8, 4)),
+    mask_of((6, 4)),
+)
+
+
 class TestConnectedComponents:
     def test_two_blocks(self):
         arr = np.zeros((8, 8), dtype=np.uint8)
@@ -125,6 +158,28 @@ class TestConnectedComponents:
             for comp in range(1, count + 1)
         ]
 
+    @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+    @settings(max_examples=200, deadline=None)
+    @given(mask=row_run_masks(), seed=st.integers(0, 2**32 - 1))
+    @example(mask=ROW_RUN_EXAMPLES[0], seed=0)
+    @example(mask=ROW_RUN_EXAMPLES[1], seed=1)
+    @example(mask=ROW_RUN_EXAMPLES[2], seed=2)
+    @example(mask=ROW_RUN_EXAMPLES[3], seed=3)
+    def test_row_runs_equal_scipy_labels_renumbered(self, mask, seed, connectivity):
+        # the labelling drops the empty rows more than one row from the
+        # foreground; labels, crops and scores are the whole frame's
+        rng = np.random.default_rng(seed)
+        soft = (mask * 0.75 + rng.random(mask.shape) * 0.2).astype(np.float32)
+        want, want_count = label_raster_order(mask, connectivity)
+        labels, count = connected_components(grid_u8(mask), connectivity)
+        assert count == want_count and np.array_equal(labels.channel(), want)
+        crops = component_crops(grid_f32(soft), 0.5, connectivity)
+        assert [(r0, c0, crop.tolist(), score) for r0, c0, crop, score in crops] == [
+            (*bounding_crop(want == comp)[:2], bounding_crop(want == comp)[2].tolist(),
+             float(soft[want == comp].astype(np.float64).mean()))
+            for comp in range(1, count + 1)
+        ]
+
     @settings(max_examples=100, deadline=None)
     @given(mask=st.deferred(lambda: trace_masks(max_side=24)), tau=st.floats(1e-6, 1 - 1e-6))
     def test_u8_mask_crops_equal_f32_crops(self, mask, tau):
@@ -137,29 +192,35 @@ class TestConnectedComponents:
 
     @pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
     def test_renumbers_labels_out_of_raster_order(self, monkeypatch, connectivity):
-        # components 1 and 2 start on the same row, so only the column order tells them apart
+        # components 1 and 2 start on the same row, so only the column order
+        # tells them apart; the second mask widens the empty row 3 into a
+        # run of five, whose middle three rows the labelling drops
         mask = np.zeros((9, 12), dtype=bool)
         mask[1, 2] = mask[1, 8] = mask[2, 5:7] = True
         mask[4:8, 1:4] = mask[6, 9:11] = mask[8, 0] = True
-        want, want_count = label_raster_order(mask, connectivity)
-        want_crops = component_crops(grid_f32(mask), 0.5, connectivity)
+        spread = np.concatenate([mask[:3], np.zeros((4, 12), dtype=bool), mask[3:]])
         real_label = ndimage.label
-        reversals = []
+        for mask, dropped in ((mask, 0), (spread, 3)):
+            want, want_count = label_raster_order(mask, connectivity)
+            want_crops = component_crops(grid_f32(mask), 0.5, connectivity)
+            reversals, labelled_rows = [], []
 
-        def reversed_label(*args, **kwargs):  # scipy's labels, numbered last to first
-            labels, count = real_label(*args, **kwargs)
-            reversals.append(count)
-            return np.where(labels > 0, count + 1 - labels, 0).astype(labels.dtype), count
+            def reversed_label(*args, **kwargs):  # scipy's labels, numbered last to first
+                labels, count = real_label(*args, **kwargs)
+                reversals.append(count)
+                labelled_rows.append(len(args[0]))
+                return np.where(labels > 0, count + 1 - labels, 0).astype(labels.dtype), count
 
-        monkeypatch.setattr(ndimage, "label", reversed_label)
-        labels, count = connected_components(grid_u8(mask), connectivity)
-        crops = component_crops(grid_f32(mask), 0.5, connectivity)
-        monkeypatch.undo()
-        assert reversals == [want_count, want_count] and want_count >= 5
-        assert count == want_count and np.array_equal(labels.channel(), want)
-        assert [(r0, c0, crop.tolist(), score) for r0, c0, crop, score in crops] == [
-            (r0, c0, crop.tolist(), score) for r0, c0, crop, score in want_crops
-        ]
+            monkeypatch.setattr(ndimage, "label", reversed_label)
+            labels, count = connected_components(grid_u8(mask), connectivity)
+            crops = component_crops(grid_f32(mask), 0.5, connectivity)
+            monkeypatch.undo()
+            assert reversals == [want_count, want_count] and want_count >= 5
+            assert labelled_rows == [len(mask) - dropped] * 2
+            assert count == want_count and np.array_equal(labels.channel(), want)
+            assert [(r0, c0, crop.tolist(), score) for r0, c0, crop, score in crops] == [
+                (r0, c0, crop.tolist(), score) for r0, c0, crop, score in want_crops
+            ]
 
 
 def paint(mask, op, r, c, a, b):
@@ -406,6 +467,50 @@ def plateau_heatmaps(draw):
     return heat, offsets, tau_v
 
 
+@st.composite
+def row_run_heatmaps(draw):
+    """(heat f32, offsets f32, tau_v): quiet rows (0, 0.005, NaN or -inf,
+    never above tau_v) with 1-3 bands of 1-2 rows drawn from HEAT_VALUES,
+    -inf, float32(tau_v) and the f32 values either side of it, the bands
+    and the frame's two ends separated by runs of 0-3 quiet rows, so only a
+    few rows hold candidates. float32(tau_v) lies above tau_v for 0.008
+    and 0.3, equals it for 0.25 and lies below it for 0.7."""
+    tau_v = draw(st.sampled_from((0.008, 0.25, 0.3, 0.7)))
+    w = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quiet = np.array([0.0, 0.005, np.nan, -np.inf], dtype=np.float32)
+    at = np.float32(tau_v)
+    near = (at, np.nextafter(at, np.float32(0)), np.nextafter(at, np.float32(1)))
+    loud = np.array([*HEAT_VALUES, -np.inf, *near], dtype=np.float32)
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts.append(rng.choice(quiet, (draw(st.integers(0, 3)), w)))
+        parts.append(rng.choice(loud, (draw(st.integers(1, 2)), w)))
+    parts.append(rng.choice(quiet, (draw(st.integers(0, 3)), w)))
+    heat = np.concatenate(parts)
+    return heat, rng.uniform(-0.5, 0.5, (*heat.shape, 2)).astype(np.float32), tau_v
+
+
+def heat_of(shape, cells):
+    """(heat, offsets, tau_v 0.008): a zero f32 heatmap holding the values
+    of cells, {(row, col): value}, and zero offsets."""
+    heat = np.zeros(shape, dtype=np.float32)
+    for at, value in cells.items():
+        heat[at] = value
+    return heat, np.zeros((*shape, 2), dtype=np.float32), 0.008
+
+
+NAN, INF = float("nan"), float("inf")
+# NaN and +-inf beside peaks; peaks on the first and last rows; equal
+# peaks on both sides of a run of empty rows whose middle rows are dropped
+ROW_RUN_HEATMAPS = (
+    heat_of((8, 3), {(1, 0): NAN, (1, 1): 0.5, (1, 2): -INF, (2, 0): INF, (2, 1): NAN, (2, 2): 0.5,
+                     (6, 1): -INF, (7, 1): 0.5}),
+    heat_of((7, 4), {(0, 2): 0.5, (6, 1): 0.5, (6, 2): 0.25}),
+    heat_of((8, 3), {(1, 2): 0.5, (6, 2): 0.5, (6, 0): 0.5}),
+)
+
+
 class TestExtractVerticesOracle:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_heatmaps(), st.integers(1, 40), st.sampled_from([0.008, 0.25, 0.5]))
@@ -417,6 +522,18 @@ class TestExtractVerticesOracle:
     @settings(max_examples=300, deadline=None)
     @given(plateau_heatmaps(), st.integers(1, 60))
     def test_equals_shifted_copy_nms_on_plateaus(self, heat_offs_tau, top_k):
+        heat, offs, tau_v = heat_offs_tau
+        got = extract_vertices(grid_f32(heat), RasterGrid(offs), top_k, tau_v)
+        assert [(tuple(p), s) for p, s in got.points] == nms_vertices_shifted(heat, offs, top_k, tau_v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_run_heatmaps(), st.integers(1, 20))
+    @example(ROW_RUN_HEATMAPS[0], 20)
+    @example(ROW_RUN_HEATMAPS[1], 20)
+    @example(ROW_RUN_HEATMAPS[2], 1)
+    @example(ROW_RUN_HEATMAPS[2], 2)
+    def test_equals_shifted_copy_nms_on_row_runs(self, heat_offs_tau, top_k):
+        # the NMS runs on the rows within one row of a candidate only
         heat, offs, tau_v = heat_offs_tau
         got = extract_vertices(grid_f32(heat), RasterGrid(offs), top_k, tau_v)
         assert [(tuple(p), s) for p, s in got.points] == nms_vertices_shifted(heat, offs, top_k, tau_v)

@@ -18,6 +18,7 @@ from polyform.raster import (
     RasterGrid,
     VertexGrids,
     _square_morph,
+    content_rows,
     degrade,
     downscale_targets,
     encode_afm,
@@ -598,6 +599,26 @@ class TestSquareMorph:
         if clamped < radius:
             assert np.array_equal(want, scipy_op(mask, structure=square(clamped + 2)))
         assert np.array_equal(mask, before)
+
+
+class TestContentRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 5), st.lists(st.integers(0, 13), max_size=4), st.integers(0, 3))
+    def test_rows_within_reach_of_a_set_pixel(self, h, w, set_rows, reach):
+        mask = np.zeros((h, w), dtype=bool)
+        for r in set_rows:
+            mask[min(r, h - 1), r % w] = True
+        want = [r for r in range(h) if mask[max(0, r - reach) : r + reach + 1].any()]
+        got = content_rows(mask, reach)
+        if len(want) == h:
+            assert got is None
+        else:
+            assert got.dtype.kind == "i" and got.tolist() == want
+
+    def test_empty_masks(self):
+        assert content_rows(np.zeros((4, 3), dtype=bool), 1).tolist() == []
+        assert content_rows(np.zeros((4, 0), dtype=bool), 1).tolist() == []
+        assert content_rows(np.zeros((0, 3), dtype=bool), 1) is None
 
 
 class TestDownscaleTargets:
