@@ -13,6 +13,7 @@ r + 0.5). Vertex offsets are relative to that center and live in
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -112,6 +113,11 @@ class DegradeSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in ("dilate_radius", "erode_radius", "spurious_vertex_count", "rng_seed"):
+            try:
+                operator.index(getattr(self, field))
+            except TypeError:
+                raise RasterError(f"{field} must be an integer, got {getattr(self, field)!r}") from None
         if min(self.dilate_radius, self.erode_radius, self.boundary_jitter_sigma,
                self.heatmap_noise_sigma, self.spurious_vertex_count) < 0:
             raise RasterError("degradation parameters must be nonnegative")
@@ -240,14 +246,19 @@ def content_rows(mask: np.ndarray, reach: int) -> np.ndarray | None:
     """The ascending indices of the rows of a 2-D boolean mask within reach
     rows of a row holding a set pixel, or None when that is every row.
 
-    polygonize labels and suppresses only these rows of a frame. With
-    reach >= 1, each removed run of rows is bordered, on each side where
-    the frame goes on, by a kept row without set pixels, so the 3 x 3
-    neighbourhood of a set pixel is the same in the kept rows as in the
-    frame."""
+    polygonize labels and suppresses only these rows of a frame, and
+    degrade morphs and jitters only these rows of its mask. Each removed
+    run of rows is bordered, on each side where the frame goes on, by
+    reach kept rows without set pixels (the kept row next to the run is
+    within reach of a set row and the run's first row is not, so that set
+    row lies reach + 1 rows from the run, and none lies nearer); with
+    reach >= 1 the 3 x 3 neighbourhood of a set pixel is therefore the
+    same in the kept rows as in the frame. A reach of at least the frame
+    height keeps every row of a mask with a set pixel, and is clamped
+    there: the loop runs at most h times."""
     near = mask.any(axis=1)
     held = near.copy()
-    for k in range(1, reach + 1):
+    for k in range(1, min(reach, len(near)) + 1):
         near[k:] |= held[:-k]
         near[:-k] |= held[k:]
     return None if near.all() else np.flatnonzero(near)
@@ -293,7 +304,7 @@ def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     if h < 1 or w < 1:
         raise RasterError(f"mask shape must be positive, got {h}x{w}")
     grid = union_of_crops(polygon_mask_crops([sp.polygon for sp in instances], h, w), h, w)
-    return RasterGrid.from_array(grid.astype(np.uint8))
+    return RasterGrid.from_array(grid.view(np.uint8))  # a bool is one byte, 0 or 1
 
 
 # encode_afm prunes on square pixel cells, _AFM_BAND cell rows at a time,
@@ -461,6 +472,29 @@ def _square_morph(binary: np.ndarray, radius: int, dilate: bool) -> np.ndarray:
     return out
 
 
+# frame rows of jitter noise per draw: one reused buffer of 128 KB on a
+# 512-pixel-wide grid, where one full-frame draw allocated 2 MB
+_JITTER_BLOCK = 32
+
+
+def _normal_at(rng: np.random.Generator, at: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The standard normal values at the ascending flat indices `at` (all
+    below h * w) of an h x w frame drawn from rng in raster order.
+    The frame is drawn _JITTER_BLOCK rows at a time into one buffer:
+    Generator.standard_normal takes each value from the bit generator in
+    turn, so the blocks hold the values that one call for the whole frame
+    gives, and leave rng where that call leaves it."""
+    out = np.empty(len(at))
+    buf = np.empty(min(_JITTER_BLOCK, h) * w)
+    hi = 0
+    for r0 in range(0, h, _JITTER_BLOCK):
+        first = r0 * w
+        block = rng.standard_normal(out=buf[: (min(r0 + _JITTER_BLOCK, h) - r0) * w])
+        lo, hi = hi, int(np.searchsorted(at, first + block.size))
+        out[lo:hi] = block[at[lo:hi] - first]
+    return out
+
+
 def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[RasterGrid, VertexGrids]:
     """Deterministically corrupt a mask and vertex grids.
 
@@ -468,7 +502,33 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
     the boundary band (clamped to [0, 1]), full-grid heatmap noise (also
     clamped), vertex dropout, and spurious vertex injection. A counter-based
     Philox generator keyed by rng_seed makes runs reproducible. The jitter
-    draws a full frame of noise and uses it on the band pixels only.
+    draws a frame of noise in raster order, as one rng.normal call of the
+    frame's shape would, and uses it on the band pixels only.
+
+    The morphology and the band run on the rows within R = dilate_radius + 1
+    rows of a row holding a set pixel (content_rows), gathered; the soft
+    mask is 0 on the other rows. Next to a removed run of rows, on each
+    side where the frame goes on, lie R kept rows without set pixels
+    (content_rows), so the dilated mask reaches no removed row and leaves
+    the kept row next to the run empty. A window that crosses a run
+    therefore gives the same result on the gathered rows as on the frame:
+    a dilation window holds fewer than R rows beyond the run, all empty in
+    both; an erosion window, or one of the band's 3 x 3 erosion, holds the
+    empty row next to the run in both, so is False in both; the band's
+    3 x 3 dilation at that row sees beyond the run a removed row or the
+    run's other neighbour, both empty. Where a run ends at the frame's
+    edge, the gathered rows see the outside of the frame, which counts as
+    empty, where the frame sees removed rows. So every kept pixel gets its
+    frame value, and the band, within one row of the eroded mask, misses
+    the removed rows. A frame whose every row qualifies runs the same code
+    on all rows.
+
+    The noise is drawn _JITTER_BLOCK rows at a time (_normal_at), and
+    rng.normal(0, sigma) is 0.0 + sigma * the standard normal value. When
+    no later stage draws (heatmap noise, dropout and spurious vertices all
+    off) the draw stops after the last band row; otherwise it covers the
+    whole frame, so that those stages see the generator as a full-frame
+    draw leaves it.
 
     The heatmap and offsets are returned as f32. A vertex grid is copied
     only when a stage writes into it (heatmap noise the heatmap; dropout
@@ -476,16 +536,28 @@ def degrade(mask: RasterGrid, grids: VertexGrids, spec: DegradeSpec) -> tuple[Ra
     sharing the input's read-only data, converted only if it is not f32.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.rng_seed))
-    binary = _square_morph(mask.channel() > 0.5, spec.dilate_radius, dilate=True)
+    binary = mask.channel() > 0.5
+    h, w = binary.shape
+    rows = content_rows(binary, spec.dilate_radius + 1)
+    kept = slice(None) if rows is None else rows
+    binary = _square_morph(binary[kept], spec.dilate_radius, dilate=True)
     binary = _square_morph(binary, spec.erode_radius, dilate=False)
-    soft = binary.astype(np.float32)
-    if spec.boundary_jitter_sigma > 0:
-        band = _square_morph(binary, 1, dilate=True) & ~_square_morph(binary, 1, dilate=False)
-        noise = rng.normal(0.0, spec.boundary_jitter_sigma, size=soft.shape)
-        soft[band] = np.clip(soft[band] + noise[band].astype(np.float32), 0.0, 1.0)
-
+    soft = np.zeros((h, w), dtype=np.float32)
+    soft[kept] = binary
     vertex_edits = spec.vertex_dropout_prob > 0 or spec.spurious_vertex_count > 0
     heat_written = vertex_edits or spec.heatmap_noise_sigma > 0
+    if spec.boundary_jitter_sigma > 0:
+        band = _square_morph(binary, 1, dilate=True) & ~_square_morph(binary, 1, dilate=False)
+        r, c = np.nonzero(band)
+        if rows is not None:
+            r = rows[r]
+        at = r * w + c
+        # the stages after the jitter that draw are those that write the heatmap
+        drawn = h if heat_written else int(r.max(initial=-1)) + 1
+        noise = 0.0 + spec.boundary_jitter_sigma * _normal_at(rng, at, drawn, w)
+        flat = soft.reshape(-1)
+        flat[at] = np.clip(flat[at] + noise.astype(np.float32), 0.0, 1.0)
+
     heat = grids.heatmap.channel().astype(np.float32, copy=heat_written)
     off = grids.offsets.data.astype(np.float32, copy=vertex_edits)
     if spec.heatmap_noise_sigma > 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyform import cli, polygonize
+from polyform import cli, polygonize, raster
 from polyform.cli import main
 from polyform.geometry import InstanceSet, Polygon, Ring
 from polyform.io import TileRecord, read_geojson, read_rgf, write_coco_annotations, write_geojson, write_rgf
@@ -852,6 +852,36 @@ class TestRoundtrip:
         noisy = ["--scale", "4", "--heatmap-noise-sigma", "0.05", "--seed", "2"]
         assert main(["roundtrip", str(src), str(tmp_path / "noisy.json"), *noisy]) == 0
         assert suppressed[1:] == [(64, 64)]
+
+    def test_degrade_morphs_content_rows_only(self, tmp_path, monkeypatch):
+        # the two-building tile above: the dilation, the erosion and the
+        # jitter band's two passes get fewer rows than the 64-row grid; a
+        # dilation as wide as the grid reaches every row, and they get it all
+        src = tmp_path / "gt.geojson"
+        src.write_bytes(write_geojson([
+            TileRecord("t", (256, 256), InstanceSet.of([rectangle(16, 16, 96, 48), rectangle(120, 176, 224, 224)])),
+        ]))
+        real = raster._square_morph
+        morphed = []
+        monkeypatch.setattr(raster, "_square_morph", lambda binary, *a, **k: morphed.append(binary.shape) or real(binary, *a, **k))
+        flags = ["--scale", "4", "--erode", "1", "--jitter-sigma", "0.5"]
+        assert main(["roundtrip", str(src), str(tmp_path / "near.json"), *flags, "--dilate", "1"]) == 0
+        assert len(morphed) == 4
+        assert all(0 < rows < 64 and cols == 64 for rows, cols in morphed)
+        morphed.clear()
+        assert main(["roundtrip", str(src), str(tmp_path / "wide.json"), *flags, "--dilate", "64"]) == 0
+        assert morphed == [(64, 64)] * 4
+
+    def test_huge_radii_end_like_grid_wide_ones(self, tmp_path):
+        # radii far past the 64 x 64 grid neither loop nor fail: dilated to
+        # the whole grid and eroded to nothing, as by radii of 64
+        src = tmp_path / "gt.geojson"
+        src.write_bytes(write_geojson([TileRecord("t", (64, 64), InstanceSet.of([rectangle(8, 8, 40, 32)]))]))
+        huge, wide = tmp_path / "huge.json", tmp_path / "wide.json"
+        argv = ["roundtrip", str(src), str(huge), "--dilate", "1000000000", "--erode", "1000000000", "--jitter-sigma", "0.5"]
+        assert main(argv) == 0
+        assert main(["roundtrip", str(src), str(wide), "--dilate", "64", "--erode", "64"]) == 0
+        assert huge.read_bytes() == wide.read_bytes()
 
     def test_report_onto_a_directory_fails_before_any_tile(self, gt_geojson, tmp_path, capsys, monkeypatch):
         report = tmp_path / "rt.json"

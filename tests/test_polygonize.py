@@ -76,18 +76,18 @@ class TestThresholdMask:
 
 
 @st.composite
-def row_run_masks(draw, max_width=16):
+def row_run_masks(draw, max_width=16, max_run=3):
     """Bool masks of 1-4 row bands of speckle, the bands and the frame's two
-    ends separated by runs of 0-3 empty rows: a run of three between bands,
-    or of two or three at an end, holds rows the labelling drops."""
+    ends separated by runs of 0 to max_run empty rows: a run of three between
+    bands, or of two or three at an end, holds rows the labelling drops."""
     w = draw(st.integers(1, max_width))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts = []
     for _ in range(draw(st.integers(1, 4))):
-        parts.append(np.zeros((draw(st.integers(0, 3)), w), dtype=bool))
+        parts.append(np.zeros((draw(st.integers(0, max_run)), w), dtype=bool))
         density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
         parts.append(rng.random((draw(st.integers(1, 4)), w)) < density)
-    parts.append(np.zeros((draw(st.integers(0, 3)), w), dtype=bool))
+    parts.append(np.zeros((draw(st.integers(0, max_run)), w), dtype=bool))
     return np.concatenate(parts)
 
 

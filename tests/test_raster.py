@@ -39,6 +39,7 @@ from oracles import (
 )
 from synth import annulus, random_star_polygon, random_tile, rectangle
 from test_fill import coordinate, free_ring, polygon_in
+from test_polygonize import row_run_masks
 
 
 def segments_of(instances):
@@ -417,6 +418,40 @@ def test_encode_vertices_is_the_point_loop_bitwise(inst, size):
         assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
 
 
+def _bands(h, w, *row_spans):
+    mask = np.zeros((h, w), dtype=bool)
+    for r0, r1 in row_spans:
+        mask[r0:r1, 1 : w - 1] = True
+    return mask
+
+
+# mask, (dilate_radius, erode_radius) pairs: an empty mask; content on the
+# last row only, so the band reaches the last row; a pixel on every row, so
+# no row is skipped; radii of at least the frame's height and width
+ROW_RUN_DEGRADE_EXAMPLES = {
+    "empty": (np.zeros((12, 5), dtype=bool), [(0, 0), (1, 0), (2, 1)]),
+    "band-on-last-row": (_bands(14, 6, (13, 14)), [(0, 0), (1, 0), (2, 1), (0, 1)]),
+    "every-row": (np.eye(9, 9, dtype=bool) | np.eye(9, 9, 3, dtype=bool), [(0, 0), (1, 0), (1, 2)]),
+    "radius-past-frame": (_bands(15, 6, (2, 4), (12, 13)), [(15, 0), (16, 2), (40, 40), (0, 15)]),
+}
+
+
+@st.composite
+def degrade_specs(draw):
+    """DegradeSpecs with each radius 0-3, the jitter on or off and each
+    later stage (heatmap noise, dropout, spurious vertices) on or off."""
+    on = lambda strategy, off: st.one_of(st.just(off), strategy)
+    return DegradeSpec(
+        dilate_radius=draw(st.integers(0, 3)),
+        erode_radius=draw(st.integers(0, 3)),
+        boundary_jitter_sigma=draw(on(st.floats(0.01, 3.0), 0.0)),
+        heatmap_noise_sigma=draw(on(st.floats(0.001, 0.5), 0.0)),
+        vertex_dropout_prob=draw(on(st.floats(0.05, 1.0), 0.0)),
+        spurious_vertex_count=draw(on(st.integers(1, 30), 0)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
 class TestDegrade:
     def _fixture(self):
         inst = InstanceSet.of([rectangle(3, 3, 10, 10)])
@@ -515,6 +550,20 @@ class TestDegrade:
         with pytest.raises(RasterError):
             DegradeSpec(rng_seed=seed)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dilate_radius", 1.5), ("erode_radius", 2.0), ("spurious_vertex_count", 2.5), ("rng_seed", 1.5),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        # a float radius reached range() as a bare TypeError, a float count
+        # rng.choice, and a float seed silently keyed Philox with its floor
+        with pytest.raises(RasterError, match=f"^{field} must be an integer"):
+            DegradeSpec(**{field: value})
+
+    def test_integral_counts_accepted(self):
+        spec = DegradeSpec(dilate_radius=np.int64(2), erode_radius=True, spurious_vertex_count=np.uint8(3), rng_seed=2**127)
+        mask, grids = self._fixture()
+        degrade(mask, grids, spec)
+
     @pytest.mark.parametrize("field", ["boundary_jitter_sigma", "heatmap_noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_sigma_rejected(self, field, value):
@@ -549,6 +598,63 @@ class TestDegrade:
             assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
             assert a.data.tobytes() == b.data.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(row_run_masks(max_width=12, max_run=10), degrade_specs(), st.integers(0, 2**32 - 1))
+    def test_row_runs_equal_scipy_oracle(self, mask, spec, seed):
+        """Runs of up to 10 empty rows above, between and below the content:
+        a run longer than 2 (dilate_radius + 1) rows, or longer than
+        dilate_radius + 1 at an end, holds rows the morphology skips."""
+        self._assert_oracle(mask, spec, seed)
+
+    @pytest.mark.parametrize("later", [False, True])
+    @pytest.mark.parametrize("case", sorted(ROW_RUN_DEGRADE_EXAMPLES))
+    def test_row_run_examples_equal_scipy_oracle(self, case, later):
+        mask, radii = ROW_RUN_DEGRADE_EXAMPLES[case]
+        stages = dict(heatmap_noise_sigma=0.1, vertex_dropout_prob=0.5, spurious_vertex_count=3) if later else {}
+        for dilate, erode in radii:
+            for sigma in (0.0, 0.8):
+                spec = DegradeSpec(dilate_radius=dilate, erode_radius=erode, boundary_jitter_sigma=sigma, rng_seed=5, **stages)
+                self._assert_oracle(mask, spec, 6)
+
+    @staticmethod
+    def _assert_oracle(mask, spec, seed):
+        rng = np.random.default_rng(seed)
+        peaks = rng.random(mask.shape) < 0.1
+        offsets = np.where(peaks[:, :, None], rng.uniform(-0.5, 0.5, (*mask.shape, 2)), 0.0).astype(np.float32)
+        grids = VertexGrids(RasterGrid.from_array(peaks.astype(np.float32)), RasterGrid(offsets))
+        mask = RasterGrid.from_array(mask.astype(np.uint8))
+        got_soft, got = degrade(mask, grids, spec)
+        want_soft, want = degrade_scipy(mask, grids, spec)
+        for a, b in ((got_soft, want_soft), (got.heatmap, want.heatmap), (got.offsets, want.offsets)):
+            assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("later", [{}, {"heatmap_noise_sigma": 0.1}, {"vertex_dropout_prob": 0.5},
+                                       {"spurious_vertex_count": 3}], ids=["none", "noise", "dropout", "spurious"])
+    def test_jitter_draws_to_the_last_band_row_unless_a_later_stage_draws(self, later, monkeypatch):
+        # a building on rows 6-9 of a 30-row frame: dilated by 1 it spans
+        # rows 5-10, and its band rows 4-11; when no later stage draws, the
+        # jitter draws 12 rows of noise, else all 30 (the oracle draws
+        # through normal, which is not counted)
+        mask = np.zeros((30, 7), dtype=bool)
+        mask[6:10, 2:5] = True
+        drawn = []
+        real = np.random.Generator
+
+        class Recording:
+            def __init__(self, bit_generator):
+                self.rng = real(bit_generator)
+
+            def standard_normal(self, *args, out=None, **kwargs):
+                drawn.append(out.size)
+                return self.rng.standard_normal(*args, out=out, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        self._assert_oracle(mask, DegradeSpec(dilate_radius=1, boundary_jitter_sigma=0.5, rng_seed=3, **later), 0)
+        assert sum(drawn) == (30 if later else 12) * 7
 
 def bool_frames(max_side: int = 40):
     """Bool frames from 1 x 1 to max_side x max_side, 1-row and 1-column ones
