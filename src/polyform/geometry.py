@@ -169,8 +169,6 @@ def ring_faults(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     consecutive equal vertices."""
     starts = bounds[:-1]
     bad = np.diff(bounds) < 3
-    if len(xy) == 0:
-        return bad
     flawed = ~np.isfinite(xy).all(axis=1) | (xy == xy[ring_successors(bounds)]).all(axis=1)
     run = bounds[1:] > starts
     bad[run] |= np.logical_or.reduceat(flawed, starts[run])
@@ -351,8 +349,6 @@ def merged_collinear(xy: np.ndarray, angle_tol: float) -> np.ndarray:
                 changed = True
             else:
                 i += 1
-    if len(verts) < 3:
-        raise DegenerateRingError("degenerate ring after collinear merge")
     return np.array(verts, dtype=np.float64)
 
 

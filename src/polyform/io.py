@@ -305,8 +305,6 @@ def _checked_rings(
     xy.flags.writeable = False
     cuts = bounds[: good + 1].tolist()
     rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if good == len(raws):
-        return rings, None
     rest, fault = _checked_rings(raws[good:], None, closed, parse, lambda k: what(good + k))
     return rings + rest, fault
 

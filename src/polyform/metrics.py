@@ -235,14 +235,8 @@ def _mean_distances(p: list[np.ndarray], q: list[np.ndarray], p_ranges: np.ndarr
     count) of edge set p to the nearest edge of q_ranges[k] in edge set q,
     each set the (ax, ay, bx, by) of geometry.edge_arrays (each vertex starts
     one edge). The (vertex, edge) elements of all pairs are gathered into
-    one projection call; a lone pair is broadcast instead, vertices against
-    edges, so it takes no gathered copies. Each pair's mean is taken over
-    its own contiguous slice of vertices."""
-    if len(p_ranges) == 1:
-        (first, n), (q_first, q_n) = p_ranges[0].tolist(), q_ranges[0].tolist()
-        v, e = slice(first, first + n), slice(q_first, q_first + q_n)
-        d2 = project_points_to_segments(p[0][v, None], p[1][v, None], *(side[e] for side in q))[2]
-        return np.sqrt(d2.min(axis=1)).mean(keepdims=True)
+    one projection call. Each pair's mean is taken over its own contiguous
+    slice of vertices."""
     pair, vertex = expand_ranges(p_ranges[:, 0], p_ranges.sum(axis=1) - 1)
     first, count = q_ranges[pair].T
     row, edge = expand_ranges(first, first + count - 1)
@@ -359,8 +353,6 @@ def _greedy_match(ious: np.ndarray, scores: Sequence[float], thresholds: Sequenc
             candidates[i].append((j, iou))
         taken: list[set[int]] = [set() for _ in thr]
         for i in _score_order(scores):
-            if not candidates[i]:
-                continue
             for bound, used, row in zip(thr, taken, matches):
                 best, best_iou = -1, bound
                 for j, iou in candidates[i]:
@@ -582,8 +574,7 @@ def evaluate_corpus(
 
         match = _greedy_match(ious, scores, (cfg.iou_thr,))[0]
         matched = np.flatnonzero(match >= 0)
-        if matched.size:
-            polis_values += _polis_pairs(*_edge_ranges(pred_rings, matched), *_edge_ranges(gt_rings, match[matched]))
+        polis_values += _polis_pairs(*_edge_ranges(pred_rings, matched), *_edge_ranges(gt_rings, match[matched]))
 
         tile_vertex_f1.append(_vertex_f1(pred_rings[0], gt_rings[0], cfg.vertex_dist_thr))
 

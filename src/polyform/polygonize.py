@@ -325,8 +325,6 @@ def _trace_windows(windows: Sequence[tuple[int, int, np.ndarray]]) -> _Chains:
         atlas[y + 1 : y + h + 1, x + 1 : x + w + 1] = mask
         owner[y : y + h + 2, x : x + w + 2] = i
         first = int(np.argmax(mask))  # the raster-first component pixel
-        if not mask.flat[first]:
-            raise PolygonizeError("empty component mask")
         walks.append([((y + 1 + first // w) * width + x + 1 + first % w, _WEST)])
     codes = np.zeros((height, width), dtype=np.uint8)
     inner = codes[1:-1, 1:-1]
@@ -434,8 +432,6 @@ def _nearest_vertices(pix: np.ndarray, vtx: np.ndarray, tau_d: float) -> tuple[n
     einsum of the (pixel - vertex) differences.
     """
     pixel, vertex = near_pairs(pix, vtx, tau_d + 1.0)
-    if len(pixel) == 0:
-        return _NONE, _NONE, _NONE
     diff = pix[pixel] - vtx[vertex]
     d2 = np.einsum("ij,ij->i", diff, diff)
     seg = np.flatnonzero(np.diff(pixel, prepend=-1))  # each pixel's first pair
@@ -466,11 +462,9 @@ def _snap_winners(
     cannot displace a survivor, because a survivor lies closer than tau_d to
     its vertex and the pixel does not.
     """
-    if not tau_d > 0 or len(pix) == 0:
+    if not tau_d > 0:
         return _NONE, _NONE
     pixel, match, dist = _nearest_vertices(pix, vtx, tau_d)
-    if len(pixel) == 0:
-        return _NONE, _NONE
     chain = np.searchsorted(bounds, pixel, "right") - 1
     key = chain * len(vtx) + match
     order = np.lexsort((pixel, dist, key))
@@ -501,8 +495,6 @@ def _snapped_rings(
     rings: list[Ring | None] = [None] * (len(cuts) - 1)
     bounds = np.asarray(cuts, dtype=np.int64)
     xy = vtx[vertex_ids]
-    if len(xy) == 0:
-        return rings
     xy.flags.writeable = False
     succ = ring_successors(bounds)
     prev = np.empty_like(succ)
