@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .io import TileRecord
 from .polygonize import VertexSet
-from .raster import RasterGrid, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
+from .raster import RasterGrid, _check_numbers, bounding_crop, polygon_mask_crops, shelf_pack, union_of_crops
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -80,6 +80,7 @@ class EvalConfig:
     boundary_d_frac: float = 0.02
 
     def __post_init__(self) -> None:
+        _check_numbers(self, MetricsError, (), ("iou_thr", "vertex_dist_thr", "boundary_d_frac"))
         if not 0.0 <= self.iou_thr <= 1.0:
             raise MetricsError(f"iou_thr must be in [0, 1], got {self.iou_thr}")
         for name in ("vertex_dist_thr", "boundary_d_frac"):

@@ -36,7 +36,7 @@ from .geometry import (
     ring_of,
     ring_successors,
 )
-from .raster import RasterGrid, bounding_crop, content_rows, offset_coords, shelf_pack
+from .raster import RasterGrid, _check_numbers, bounding_crop, content_rows, offset_coords, shelf_pack
 
 FOUR = "four"
 EIGHT = "eight"
@@ -65,6 +65,10 @@ class PolygonizeConfig:
     dp_fallback_tolerance: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(
+            self, PolygonizeError, ("top_k",),
+            ("mask_threshold", "vertex_threshold", "attract_dist", "merge_angle", "scale", "dp_fallback_tolerance"),
+        )
         if not 0.0 < self.mask_threshold < 1.0:
             raise PolygonizeError(f"mask_threshold {self.mask_threshold} outside (0, 1)")
         if not 0.0 < self.vertex_threshold < 1.0:

@@ -100,6 +100,25 @@ class VertexGrids:
             raise RasterError("heatmap and offsets shapes differ")
 
 
+def _check_numbers(config, error: type[ValueError], integers: Sequence[str], reals: Sequence[str]) -> None:
+    """Raise error, naming the field, at the first field of config among
+    integers that operator.index rejects, or among reals that is not a
+    finite number (math.isfinite rejects a string, and overflows on an int
+    that no float holds)."""
+    for field in integers:
+        try:
+            operator.index(getattr(config, field))
+        except TypeError:
+            raise error(f"{field} must be an integer, got {getattr(config, field)!r}") from None
+    for field in reals:
+        try:
+            finite = math.isfinite(getattr(config, field))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise error(f"{field} must be a finite number, got {getattr(config, field)!r}")
+
+
 @dataclass(frozen=True)
 class DegradeSpec:
     """Synthetic corruption parameters. All-zero settings are the identity."""
@@ -113,16 +132,13 @@ class DegradeSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for field in ("dilate_radius", "erode_radius", "spurious_vertex_count", "rng_seed"):
-            try:
-                operator.index(getattr(self, field))
-            except TypeError:
-                raise RasterError(f"{field} must be an integer, got {getattr(self, field)!r}") from None
+        _check_numbers(
+            self, RasterError, ("dilate_radius", "erode_radius", "spurious_vertex_count", "rng_seed"),
+            ("boundary_jitter_sigma", "heatmap_noise_sigma", "vertex_dropout_prob"),
+        )
         if min(self.dilate_radius, self.erode_radius, self.boundary_jitter_sigma,
                self.heatmap_noise_sigma, self.spurious_vertex_count) < 0:
             raise RasterError("degradation parameters must be nonnegative")
-        if not (math.isfinite(self.boundary_jitter_sigma) and math.isfinite(self.heatmap_noise_sigma)):
-            raise RasterError("boundary_jitter_sigma and heatmap_noise_sigma must be finite")
         if not 0.0 <= self.vertex_dropout_prob <= 1.0:
             raise RasterError(f"vertex_dropout_prob {self.vertex_dropout_prob} outside [0, 1]")
         if not 0 <= self.rng_seed < 2**128:  # the key range of np.random.Philox

@@ -95,3 +95,44 @@ def test_every_module_level_definition_is_used():
         and node.name not in bench
     ]
     assert unused == []
+
+
+def loaded(tree: ast.AST) -> Counter:
+    """How often each bare name is read in the tree."""
+    return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
+def bindings(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) for every name the module imports, and for every private
+    name (one leading underscore) it defines at module level, node being
+    the statement that binds it."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.asname or alias.name.partition(".")[0], node) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(alias.asname or alias.name, node) for alias in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(INIT.parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_and_private_name_is_used_in_its_module(path):
+    """A deletion leaves no dead name behind: each name a src/polyform module
+    imports, and each private name it defines at module level, is read in
+    that module outside the statement that binds it, or re-exported by
+    __init__.py (whose own imports are the re-exports)."""
+    tree = ast.parse(path.read_text(), str(path))
+    module = "polyform" if path == INIT else f"polyform.{path.stem}"
+    exported = {name for source, name in polyform_imports(INIT) if module in ("polyform", source)}
+    reads = loaded(tree)
+    unused = [name for name, node in bindings(tree) if name not in exported and reads[name] == loaded(node)[name]]
+    assert unused == []

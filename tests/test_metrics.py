@@ -739,6 +739,7 @@ def test_math_sanity_translated_square_by_hand():
     ("iou_thr", math.nan), ("iou_thr", 1.5), ("iou_thr", -0.1), ("iou_thr", math.inf),
     ("vertex_dist_thr", 0.0), ("vertex_dist_thr", -1.0), ("vertex_dist_thr", math.nan), ("vertex_dist_thr", math.inf),
     ("boundary_d_frac", 0.0), ("boundary_d_frac", math.nan), ("boundary_d_frac", math.inf),
+    ("iou_thr", "a"), pytest.param("vertex_dist_thr", 10**400, id="vertex_dist_thr-10**400"),
 ])
 def test_eval_config_rejects_out_of_range(field, value):
     with pytest.raises(MetricsError, match=field):

@@ -567,6 +567,12 @@ class TestMavAttractSimplify:
         with pytest.raises(FallbackRequired):
             mav_attract_simplify(chain, VertexSet(()), 5.0, 10.0)
 
+    def test_empty_chain_signals_fallback(self):
+        # the one input that reaches the snapping pass without chain pixels
+        vs = VertexSet(((Point2(2.0, 2.0), 1.0), (Point2(9.0, 2.0), 1.0), (Point2(9.0, 9.0), 1.0)))
+        with pytest.raises(FallbackRequired, match="no vertices"):
+            mav_attract_simplify(BoundaryChain((), "outer"), vs, 5.0, 10.0)
+
     @pytest.mark.parametrize(
         "coords, merge_angle, message",
         [
@@ -1058,8 +1064,13 @@ class TestPolygonizeConfig:
             {"merge_angle": float("inf")},
             {"dp_fallback_tolerance": float("nan")},
             {"dp_fallback_tolerance": float("inf")},
+            {"mask_threshold": "a"},
+            {"top_k": "3"},
+            {"top_k": 2.5},  # polygonize_pipeline's partition failed on it
+            {"attract_dist": 10**400},  # no float holds it
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(PolygonizeError):
+        (field,) = kwargs
+        with pytest.raises(PolygonizeError, match=field):
             PolygonizeConfig(**kwargs)

@@ -559,6 +559,15 @@ class TestDegrade:
         with pytest.raises(RasterError, match=f"^{field} must be an integer"):
             DegradeSpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("boundary_jitter_sigma", 10**400, id="boundary_jitter_sigma-10**400"),
+        ("heatmap_noise_sigma", "a"), ("vertex_dropout_prob", "a"),
+    ])
+    def test_non_float_values_rejected(self, field, value):
+        # an int no float holds raised OverflowError, a string TypeError
+        with pytest.raises(RasterError, match=f"^{field} must be a finite number"):
+            DegradeSpec(**{field: value})
+
     def test_integral_counts_accepted(self):
         spec = DegradeSpec(dilate_radius=np.int64(2), erode_radius=True, spurious_vertex_count=np.uint8(3), rng_seed=2**127)
         mask, grids = self._fixture()
