@@ -100,7 +100,7 @@ class VertexGrids:
             raise RasterError("heatmap and offsets shapes differ")
 
 
-def _check_numbers(config, error: type[ValueError], integers: Sequence[str], reals: Sequence[str]) -> None:
+def _check_numbers(config: object, error: type[ValueError], integers: Sequence[str], reals: Sequence[str]) -> None:
     """Raise error, naming the field, at the first field of config among
     integers that operator.index rejects, or among reals that is not a
     finite number (math.isfinite rejects a string, and overflows on an int

@@ -1066,7 +1066,7 @@ class TestPolygonizeConfig:
             {"dp_fallback_tolerance": float("inf")},
             {"mask_threshold": "a"},
             {"top_k": "3"},
-            {"top_k": 2.5},  # polygonize_pipeline's partition failed on it
+            {"top_k": 2.5},  # np.partition takes only an integer
             {"attract_dist": 10**400},  # no float holds it
         ],
     )

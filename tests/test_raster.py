@@ -564,7 +564,7 @@ class TestDegrade:
         ("heatmap_noise_sigma", "a"), ("vertex_dropout_prob", "a"),
     ])
     def test_non_float_values_rejected(self, field, value):
-        # an int no float holds raised OverflowError, a string TypeError
+        # no float holds the int, and a string is no number
         with pytest.raises(RasterError, match=f"^{field} must be a finite number"):
             DegradeSpec(**{field: value})
 
