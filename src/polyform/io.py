@@ -23,7 +23,10 @@ Formats:
   - SVG: deterministic polygon overlays, one even-odd path per instance.
 
 Readers raise typed FormatError subclasses on malformed input, never
-arbitrary exceptions. Instance scores must be finite: they rank the
+arbitrary exceptions. A GeoJSON position is a list of two values and a
+COCO polygon array a flat list of values; each value converts as float()
+converts it (a numeric string such as "1.5" reads as 1.5), and null is a
+bad position or coordinate. Instance scores must be finite: they rank the
 predictions for matching, and the writers raise on a non-finite one too.
 Image sizes are positive ints and COCO image ids are ints (a bool or a
 float is neither). Tile ids (and COCO image ids) must be unique: tiles are
@@ -253,45 +256,40 @@ def write_geojson(records: Sequence[TileRecord], metadata: dict | None = None) -
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def _parse_geojson_ring(positions: list, what: str) -> Ring:
-    """One ring's positions (a list of at least 4) checked and converted one
-    by one, closing position included: the reference that names the first
-    fault of a ring the batched _geojson_rings rejects."""
-    pts = []
-    for pos in positions:
-        if not (isinstance(pos, list) and len(pos) == 2):
-            raise GeoJsonError(f"{what}: bad position {pos!r}")
-        try:
-            pts.append((float(pos[0]), float(pos[1])))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GeoJsonError(f"{what}: bad position {pos!r}") from exc
-    if pts[0] != pts[-1]:
-        raise GeoJsonError(f"{what}: unclosed ring")
+def _converts(values: list) -> bool:
+    """Whether float() converts every one of values."""
     try:
-        return Ring(pts[:-1])
-    except ValueError as exc:
-        raise GeoJsonError(f"{what}: {exc}") from exc
+        list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _points(values, count: int) -> np.ndarray:
+    """count coordinates x, y, x, y, ..., each converted by float(), as the
+    rows of one (count / 2, 2) f64 array."""
+    return np.fromiter(map(float, values), np.float64, count).reshape(-1, 2)
 
 
 def _checked_rings(
-    raws: list[list], pos: np.ndarray | None, closed: bool, parse, what
+    raws: list[list], closed: bool, points, value_fault, error: type[FormatError], what
 ) -> tuple[list[Ring], FormatError | None]:
-    """The rings of a file's ring lists raws, whose points pos holds as one
-    (n, 2) f64 array (None when the batched conversion failed), checked in
-    one pass, each without its last point when that closes it: always and
-    required when closed (GeoJSON), else when equal to the first of four or
-    more (COCO). Returns the rings before the first list that fails and the
-    FormatError that parse(raw, what(k)), the list-by-list reference,
-    raises on it (None when every list passes); from the first list the
-    batched pass rejects, the lists are read by the reference."""
-    if pos is None:  # a fault, or a value numpy reads otherwise than float(): convert list by list
-        rings: list[Ring] = []
-        for k, raw in enumerate(raws):
-            try:
-                rings.append(parse(raw, what(k)))
-            except FormatError as exc:
-                return rings, exc
-        return rings, None
+    """The rings of a file's coordinate lists raws, in order, each without
+    its last point when that closes it: always and required when closed
+    (GeoJSON), else when equal to the first of four or more (COCO).
+    points(raws) converts every value in one pass, and every ring is checked
+    in one pass. Returns the rings before the first list that fails and its
+    error, naming what(k) for list k (None when every list passes). When the
+    conversion raises, value_fault(raw) (a message, or None) finds the first
+    list with a bad value, the same checks run on the lists before it, and
+    the earlier of the two faults wins; a ring's fault is the one the Ring
+    constructor raises on that ring's array."""
+    try:
+        pos, fault = points(raws), None
+    except (TypeError, ValueError, OverflowError):
+        k, message = next((k, m) for k, m in enumerate(map(value_fault, raws)) if m is not None)
+        raws, fault = raws[:k], error(f"{what(k)}: {message}")
+        pos = points(raws)
     counts = np.array([len(raw) for raw in raws], dtype=np.int64) // (1 if closed else 2)
     ends = offsets(counts)
     first, last = ends[:-1], ends[1:] - 1
@@ -300,32 +298,38 @@ def _checked_rings(
     vertex = np.ones(len(pos), dtype=bool)
     vertex[last[drop]] = False
     xy, bounds = pos[vertex], offsets(counts - drop)
-    bad = ring_faults(xy, bounds) | (closed & ~closing)  # None reads as NaN
+    bad = ring_faults(xy, bounds) | (closed & ~closing)
     good = int(np.argmax(bad)) if bad.any() else len(raws)
+    if good < len(raws):
+        # closure as Python compares the positions: a NaN equals the same NaN object
+        if closed and list(map(float, raws[good][0])) != list(map(float, raws[good][-1])):
+            fault = error(f"{what(good)}: unclosed ring")
+        else:
+            try:
+                Ring(xy[bounds[good] : bounds[good + 1]])
+            except ValueError as exc:
+                fault = error(f"{what(good)}: {exc}")
     xy.flags.writeable = False
     cuts = bounds[: good + 1].tolist()
-    rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
-    rest, fault = _checked_rings(raws[good:], None, closed, parse, lambda k: what(good + k))
-    return rings + rest, fault
+    return [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])], fault
 
 
-def _geojson_rings(raws: list[list], what) -> list[Ring]:
-    """The rings of GeoJSON position lists (each a list of at least 4), in
-    order, without their closing positions: every position converted in one
-    np.fromiter pass, then _checked_rings. The first ring that fails raises
-    the GeoJsonError of _parse_geojson_ring, what(k) naming ring k's
-    feature."""
-    pos = None
+def _geojson_points(raws: list[list]) -> np.ndarray:
+    """The positions of GeoJSON rings as _points; a position that is not a
+    list of two values raises TypeError."""
     every = list(itertools.chain.from_iterable(raws))
-    if set(map(type, every)) <= {list} and set(map(len, every)) <= {2}:
-        try:  # numpy reads a number or a numeric string as float() does, and None as NaN
-            pos = np.fromiter(itertools.chain.from_iterable(every), np.float64, 2 * len(every)).reshape(-1, 2)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    rings, fault = _checked_rings(raws, pos, True, _parse_geojson_ring, what)
-    if fault is not None:
-        raise fault
-    return rings
+    if not (set(map(type, every)) <= {list} and set(map(len, every)) <= {2}):
+        raise TypeError("a position is not a list of two values")
+    return _points(itertools.chain.from_iterable(every), 2 * len(every))
+
+
+def _position_fault(positions: list) -> str | None:
+    """The fault of the first of a ring's positions that is not a list of
+    two values float() converts."""
+    for pos in positions:
+        if not (isinstance(pos, list) and len(pos) == 2 and _converts(pos)):
+            return f"bad position {pos!r}"
+    return None
 
 
 def read_geojson(data: bytes | str) -> list[TileRecord]:
@@ -366,7 +370,12 @@ def _geojson_records(doc: object) -> list[TileRecord]:
             fault = exc
             break
         firsts.append(len(raws))
-    rings = _geojson_rings(raws, lambda k: f"feature {bisect.bisect_right(firsts, k) - 1}")
+    rings, ring_fault = _checked_rings(
+        raws, True, _geojson_points, _position_fault, GeoJsonError,
+        lambda k: f"feature {bisect.bisect_right(firsts, k) - 1}",
+    )
+    if ring_fault is not None:
+        raise ring_fault
     if fault is not None:
         raise fault
     for (tile_id, score), f, e in zip(owners, firsts, firsts[1:]):
@@ -379,7 +388,7 @@ def _geojson_records(doc: object) -> list[TileRecord]:
 def _geojson_feature(feature: object, what: str, raws: list[list], by_tile: dict) -> tuple[str, float]:
     """A feature's tile id and score, after appending the position list of
     each of its rings to raws; the positions themselves are checked by
-    _geojson_rings."""
+    _checked_rings."""
     if not isinstance(feature, dict):
         raise GeoJsonError(f"{what}: not an object")
     geom = feature.get("geometry")
@@ -400,35 +409,6 @@ def _geojson_feature(feature: object, what: str, raws: list[list], by_tile: dict
     if tile_id not in by_tile:
         raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
     return tile_id, _finite_score(props.get("score", 1.0), what, GeoJsonError)
-
-
-def _parse_coco_ring(flat: list, what: str) -> Ring:
-    """One polygon array (a list of at least 6 values, of even length)
-    checked and converted value by value, a closing point equal to the first
-    dropped: the reference that names the fault of a ring the batched
-    _coco_rings rejects."""
-    try:
-        pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
-    if len(pts) > 3 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    try:
-        return Ring(pts)
-    except ValueError as exc:
-        raise CocoError(f"{what}: {exc}") from exc
-
-
-def _coco_rings(raws: list[list], what) -> tuple[list[Ring], CocoError | None]:
-    """The rings of COCO polygon arrays (each a list of at least 6 values,
-    of even length), in order, each without a closing point equal to its
-    first: every value converted in one np.fromiter pass, then
-    _checked_rings, with _parse_coco_ring naming the first fault."""
-    try:  # numpy reads a number or a numeric string as float() does, and None as NaN
-        pos = np.fromiter(itertools.chain.from_iterable(raws), np.float64, sum(map(len, raws))).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError):
-        pos = None
-    return _checked_rings(raws, pos, False, _parse_coco_ring, what)
 
 
 def read_coco_annotations(path: str | Path) -> list[TileRecord]:
@@ -482,7 +462,11 @@ def _coco_records(doc: object) -> list[TileRecord]:
         if ann.get("iscrowd"):
             crowd_seen += 1
         firsts.append(len(raws))
-    rings, ring_fault = _coco_rings(raws, lambda r: whats[bisect.bisect_right(firsts, r) - 1])
+    rings, ring_fault = _checked_rings(
+        raws, False, lambda raws: _points(itertools.chain.from_iterable(raws), sum(map(len, raws))),
+        lambda flat: None if _converts(flat) else f"bad coordinate in {flat!r}", CocoError,
+        lambda r: whats[bisect.bisect_right(firsts, r) - 1],
+    )
     done = bisect.bisect_right(firsts, len(rings)) - 1  # the annotations whose rings all passed
     # each annotation's rings, the largest by absolute area first: its outer boundary
     ring_order = []
@@ -509,7 +493,7 @@ def _coco_records(doc: object) -> list[TileRecord]:
 def _coco_annotation(ann: dict, what: str, images: dict, raws: list[list]) -> tuple[int, float]:
     """An annotation's image id and score, after appending each of its
     polygon arrays to raws; the values themselves are checked by
-    _coco_rings."""
+    _checked_rings."""
     image_id = ann.get("image_id")
     score = _finite_score(ann.get("score", 1.0), what, CocoError)
     if not _is_int(image_id) or image_id not in images:

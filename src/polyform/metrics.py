@@ -561,6 +561,8 @@ def evaluate_corpus(
         if gt_crops is None:
             pred_crops, gt_tile_crops = _crops_of(pred_polys, gt_polys, h, w)
         else:
+            if tile not in gt_crops:
+                raise MetricsError(f"tile {tile!r}: no ground-truth crops given")
             pred_crops, gt_tile_crops = polygon_mask_crops(pred_polys, h, w), gt_crops[tile]
             if len(gt_tile_crops) != len(gt_polys):
                 raise MetricsError(f"tile {tile!r}: {len(gt_tile_crops)} ground-truth crops for {len(gt_polys)} polygons")

@@ -36,7 +36,7 @@ from .geometry import (
     ring_of,
     ring_successors,
 )
-from .raster import RasterGrid, _check_numbers, bounding_crop, content_rows, offset_coords, shelf_pack
+from .raster import RasterGrid, _check_numbers, _shown, bounding_crop, content_rows, offset_coords, shelf_pack
 
 FOUR = "four"
 EIGHT = "eight"
@@ -74,7 +74,7 @@ class PolygonizeConfig:
         if not 0.0 < self.vertex_threshold < 1.0:
             raise PolygonizeError(f"vertex_threshold {self.vertex_threshold} outside (0, 1)")
         if self.top_k < 1:
-            raise PolygonizeError(f"top_k must be >= 1, got {self.top_k}")
+            raise PolygonizeError(f"top_k must be >= 1, got {_shown(self.top_k)}")
         if not 0 < self.attract_dist < math.inf:
             raise PolygonizeError(f"attract_dist must be finite and > 0, got {self.attract_dist}")
         if self.connectivity not in (FOUR, EIGHT):

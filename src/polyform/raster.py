@@ -100,6 +100,15 @@ class VertexGrids:
             raise RasterError("heatmap and offsets shapes differ")
 
 
+def _shown(value: object) -> str:
+    """repr(value) for a config error message; an int too long for Python's
+    int-to-text limit shows as its sign and bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+
+
 def _check_numbers(config: object, error: type[ValueError], integers: Sequence[str], reals: Sequence[str]) -> None:
     """Raise error, naming the field, at the first field of config among
     integers that operator.index rejects, or among reals that is not a
@@ -109,14 +118,14 @@ def _check_numbers(config: object, error: type[ValueError], integers: Sequence[s
         try:
             operator.index(getattr(config, field))
         except TypeError:
-            raise error(f"{field} must be an integer, got {getattr(config, field)!r}") from None
+            raise error(f"{field} must be an integer, got {_shown(getattr(config, field))}") from None
     for field in reals:
         try:
             finite = math.isfinite(getattr(config, field))
         except (TypeError, OverflowError):
             finite = False
         if not finite:
-            raise error(f"{field} must be a finite number, got {getattr(config, field)!r}")
+            raise error(f"{field} must be a finite number, got {_shown(getattr(config, field))}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ class DegradeSpec:
         if not 0.0 <= self.vertex_dropout_prob <= 1.0:
             raise RasterError(f"vertex_dropout_prob {self.vertex_dropout_prob} outside [0, 1]")
         if not 0 <= self.rng_seed < 2**128:  # the key range of np.random.Philox
-            raise RasterError(f"rng_seed {self.rng_seed} outside [0, 2**128)")
+            raise RasterError(f"rng_seed {_shown(self.rng_seed)} outside [0, 2**128)")
 
 
 # the edge test of polygon_mask_crops visits a band of pixels along each edge,

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import struct
 import sys
 import warnings
@@ -688,6 +689,32 @@ class TestReaderOracle:
             assert message in str(caught.value)
             assert reader_outcome(read_geojson, text) == reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text)
 
+    @pytest.mark.parametrize("rings, want", [
+        pytest.param([[[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 2.0]], [[1.0, 1.0], [None, 1.0], [4.0, 4.0], [1.0, 1.0]]],
+                     "feature 0: unclosed ring", id="unclosed-before-null"),
+        pytest.param([[[1.0, 1.0], [None, 1.0], [4.0, 4.0], [1.0, 1.0]], [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 2.0]]],
+                     "feature 0: bad position [None, 1.0]", id="null-before-unclosed"),
+        pytest.param([[[1.0, 1.0], [4.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 1.0]], [[1.0, 1.0], ["x", 1.0], [4.0, 4.0], [1.0, 1.0]]],
+                     "feature 0: consecutive duplicate vertex Point2(x=4.0, y=1.0) at index 1", id="duplicate-before-string"),
+        pytest.param([[["1.5", " 1 "], ["4", "1_0"], ["4e0", 4], ["1.5", "1"]]],
+                     [[[1.5, 1.0], [4.0, 10.0], [4.0, 4.0], [1.5, 1.0]]], id="numeric-strings"),
+        # json reads every NaN literal as one float object, which Python's
+        # comparison finds equal to itself: the ring is closed, and not finite
+        pytest.param([[[math.nan, 1.0], [4.0, 1.0], [4.0, 4.0], [math.nan, 1.0]]],
+                     "feature 0: non-finite coordinates (nan, 1.0)", id="nan-closing-position"),
+    ])
+    def test_the_earlier_of_two_faults_is_named(self, rings, want):
+        # one feature per ring: a later ring's fault is named only when every
+        # earlier ring passes; without a fault, want holds the rings as numbers
+        def text(rings):
+            features = [{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]}, "properties": {"tile_id": "a"}}
+                        for ring in rings]
+            return json.dumps({"type": "FeatureCollection", "tiles": [{"tile_id": "a", "image_size": [16, 16]}], "features": features})
+
+        outcome = reader_outcome(read_geojson, text(rings))
+        assert outcome == reader_outcome(lambda t: geojson_records_objects(json.loads(t)), text(rings))
+        assert outcome == ((GeoJsonError, want) if isinstance(want, str) else reader_outcome(read_geojson, text(want)))
+
     def test_an_earlier_ring_fault_comes_before_a_later_feature_fault(self):
         good = [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 1.0]]
         unclosed = [[1.0, 1.0], [4.0, 1.0], [4.0, 4.0], [1.0, 2.0]]
@@ -782,6 +809,34 @@ class TestCocoReaderOracle:
         text = json.dumps(doc)
         want = coco_outcome(lambda t: coco_records_objects(json.loads(t)), text)
         assert coco_outcome(lambda t: _coco_records(json.loads(t)), text) == want
+
+
+    @pytest.mark.parametrize("arrays, want", [
+        pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, 1.0, "x", 1.0, 4.0, 4.0]],
+                     "annotation 1: consecutive duplicate vertex Point2(x=4.0, y=1.0) at index 1", id="duplicate-before-string"),
+        pytest.param([[1.0, 1.0, "x", 1.0, 4.0, 4.0], [1.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0, 4.0]],
+                     "annotation 1: bad coordinate in [1.0, 1.0, 'x', 1.0, 4.0, 4.0]", id="string-before-duplicate"),
+        pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, None, 4.0, 1.0, 4.0, 4.0]],
+                     "annotation 2: bad coordinate in [1.0, None, 4.0, 1.0, 4.0, 4.0]", id="null"),
+        pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, 1.0, 1e999, 1.0, 4.0, 4.0]],
+                     "annotation 2: non-finite coordinates (inf, 1.0)", id="overflow"),
+        pytest.param([["1.5", " 1 ", "4", "1_0", "4e0", 4, "1.5", "1"]],
+                     [[1.5, 1.0, 4.0, 10.0, 4.0, 4.0, 1.5, 1.0]], id="numeric-strings"),
+    ])
+    def test_the_earlier_of_two_faults_is_named(self, arrays, want):
+        # one annotation per polygon array: a later array's fault is named
+        # only when every earlier array passes; without a fault, want holds
+        # the arrays as numbers
+        def text(arrays):
+            annotations = [{"id": k + 1, "image_id": 1, "segmentation": [flat]} for k, flat in enumerate(arrays)]
+            return json.dumps({"images": [{"id": 1, "file_name": "a", "height": 16, "width": 16}], "annotations": annotations})
+
+        outcome = coco_outcome(lambda t: _coco_records(json.loads(t)), text(arrays))
+        assert outcome == coco_outcome(lambda t: coco_records_objects(json.loads(t)), text(arrays))
+        if isinstance(want, str):
+            assert outcome == ((CocoError, want), [])
+        else:
+            assert outcome == coco_outcome(lambda t: _coco_records(json.loads(t)), text(want))
 
 
 class TestManifest:

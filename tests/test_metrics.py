@@ -401,6 +401,11 @@ class TestGivenGroundTruthCrops:
         with pytest.raises(MetricsError, match="1 ground-truth crops for 2 polygons"):
             evaluate_corpus([pred], [gt], gt_crops=crops)
 
+    def test_a_tile_without_crops_is_named(self):
+        pred, gt = ONE_MATCH
+        with pytest.raises(MetricsError, match=f"^tile {gt.tile_id!r}: no ground-truth crops given$"):
+            evaluate_corpus([pred], [gt], gt_crops={})
+
 
 class TestCiou:
     def test_identical_equals_iou_one(self):
@@ -740,6 +745,7 @@ def test_math_sanity_translated_square_by_hand():
     ("vertex_dist_thr", 0.0), ("vertex_dist_thr", -1.0), ("vertex_dist_thr", math.nan), ("vertex_dist_thr", math.inf),
     ("boundary_d_frac", 0.0), ("boundary_d_frac", math.nan), ("boundary_d_frac", math.inf),
     ("iou_thr", "a"), pytest.param("vertex_dist_thr", 10**400, id="vertex_dist_thr-10**400"),
+    pytest.param("iou_thr", 10**5000, id="iou_thr-10**5000"),
 ])
 def test_eval_config_rejects_out_of_range(field, value):
     with pytest.raises(MetricsError, match=field):

@@ -1068,6 +1068,8 @@ class TestPolygonizeConfig:
             {"top_k": "3"},
             {"top_k": 2.5},  # np.partition takes only an integer
             {"attract_dist": 10**400},  # no float holds it
+            {"top_k": -10**5000},  # past Python's int-to-text limit
+            {"scale": 10**5000},
         ],
     )
     def test_invalid_rejected(self, kwargs):

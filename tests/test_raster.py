@@ -545,9 +545,10 @@ class TestDegrade:
         with pytest.raises(RasterError):
             DegradeSpec(vertex_dropout_prob=1.5)
 
-    @pytest.mark.parametrize("seed", [-1, 2**128])
+    @pytest.mark.parametrize("seed", [-1, 2**128, pytest.param(10**5000, id="10**5000")])
     def test_seed_outside_philox_key_range_rejected(self, seed):
-        with pytest.raises(RasterError):
+        # an int past Python's int-to-text limit is named without its digits
+        with pytest.raises(RasterError, match="^rng_seed "):
             DegradeSpec(rng_seed=seed)
 
     @pytest.mark.parametrize("field, value", [
@@ -561,6 +562,7 @@ class TestDegrade:
 
     @pytest.mark.parametrize("field, value", [
         pytest.param("boundary_jitter_sigma", 10**400, id="boundary_jitter_sigma-10**400"),
+        pytest.param("boundary_jitter_sigma", 10**5000, id="boundary_jitter_sigma-10**5000"),
         ("heatmap_noise_sigma", "a"), ("vertex_dropout_prob", "a"),
     ])
     def test_non_float_values_rejected(self, field, value):
