@@ -118,7 +118,7 @@ def _check_numbers(config: object, error: type[ValueError], integers: Sequence[s
         try:
             operator.index(getattr(config, field))
         except TypeError:
-            raise error(f"{field} must be an integer, got {_shown(getattr(config, field))}") from None
+            raise error(f"{field} must be an integer, got {getattr(config, field)!r}") from None
     for field in reals:
         try:
             finite = math.isfinite(getattr(config, field))
