@@ -332,6 +332,15 @@ def _position_fault(positions: list) -> str | None:
     return None
 
 
+def _coordinate_fault(values: list) -> str | None:
+    """The fault of the first value of a COCO polygon array that float()
+    rejects, naming the value and its index."""
+    for i, value in enumerate(values):
+        if not _converts([value]):
+            return f"bad coordinate {value!r} at index {i}"
+    return None
+
+
 def read_geojson(data: bytes | str) -> list[TileRecord]:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -464,7 +473,7 @@ def _coco_records(doc: object) -> list[TileRecord]:
         firsts.append(len(raws))
     rings, ring_fault = _checked_rings(
         raws, False, lambda raws: _points(itertools.chain.from_iterable(raws), sum(map(len, raws))),
-        lambda flat: None if _converts(flat) else f"bad coordinate in {flat!r}", CocoError,
+        _coordinate_fault, CocoError,
         lambda r: whats[bisect.bisect_right(firsts, r) - 1],
     )
     done = bisect.bisect_right(firsts, len(rings)) - 1  # the annotations whose rings all passed

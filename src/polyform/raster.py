@@ -332,6 +332,31 @@ def rasterize_mask(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     return RasterGrid.from_array(grid.view(np.uint8))  # a bool is one byte, 0 or 1
 
 
+def _separable_terms(
+    u: np.ndarray, au: np.ndarray, av: np.ndarray, bu: np.ndarray, bv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """encode_afm's separable kernel for segments a-b that run along the u
+    axis (av == bv), over the coordinates u: (feet, du2), each of shape
+    (segments, len(u)), the u coordinate of the foot of (u[i], av[k]) on
+    segment k and its squared distance to it. The foot of a point (u[i], v)
+    is then (feet[k, i], av[k]), and its squared distance du2[k, i] +
+    (v - av[k]) ** 2. Horizontal segments pass (x, ax, ay, bx, by),
+    vertical ones (y, ay, ax, by, bx)."""
+    feet, _, du2 = project_points_to_segments(u, av[:, None], au[:, None], av[:, None], bu[:, None], bv[:, None])
+    return feet, du2
+
+
+def _keep_nearer(d2: np.ndarray, fx, fy, best_d2: np.ndarray, field: np.ndarray, better: np.ndarray) -> None:
+    """encode_afm's sweep step on one rectangle: where d2 is strictly below
+    best_d2, write it there and the foot (fx, fy), each broadcast to the
+    rectangle, into the field's two channels. better is a boolean scratch
+    array of d2's shape."""
+    np.less(d2, best_d2, out=better)
+    np.copyto(best_d2, d2, where=better)
+    np.copyto(field[:, :, 0], fx, where=better)
+    np.copyto(field[:, :, 1], fy, where=better)
+
+
 # encode_afm prunes on square pixel cells, _AFM_BAND cell rows at a time,
 # each bounded by the exact distance at its centre, with a relative slack
 # on that bound of _AFM_SLACK per unit of coordinate magnitude
@@ -370,6 +395,24 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     squaring errs by a few ulps of M times the distance; over a bound of at
     least r ** 2 = 24.5 that stays below 1e-14 per unit. A NaN or infinite
     upper bound prunes nothing.
+
+    Horizontal segments (by - ay == 0) and vertical ones (bx - ax == 0)
+    take a separable kernel (_separable_terms), both in the centre sample
+    and in the sweep: the squared distance from (x, y) to a horizontal
+    segment is the squared distance from (x, ay), which
+    project_points_to_segments gives once per pixel column with its foot,
+    plus (y - ay) ** 2, and a vertical segment is the transpose. That is
+    the general kernel's arithmetic with one component of b - a zero. The
+    products (p - a) * 0 of that component are +0 or -0, so t and the foot
+    can differ from the general kernel's only in the sign of a zero, and
+    the squared distance not at all: the zero component's term is an exact
+    +0, and the other side's difference is the same number. The centre
+    sample takes the least of the oblique and the axis-aligned segments'
+    distances, which min gives exactly in any order (a cell whose every
+    distance is NaN reads inf, which prunes nothing too). The displacement
+    foot - centre, with every centre at least 0.5, erases the sign of a
+    zero foot, so the ties and every byte of the field are the general
+    kernel's. Oblique segments keep the general kernel.
     """
     ax, ay, bx, by, _ = edge_arrays([sp.polygon for sp in instances])
     if not ax.size or h == 0 or w == 0:
@@ -394,10 +437,31 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
     size = min(_AFM_BAND * block, h) * w
     buffers = [np.empty(size) for _ in range(4)]
     better_buffer = np.empty(size, dtype=bool)
+    # horizontal and vertical segments take the separable kernel: their
+    # feet and squared distances along the segment are tabulated once per
+    # tile, over the cell centres for the bound and over the padded frame's
+    # pixel centres for the sweep, as (segments, columns or rows); built
+    # after the field is allocated, which keeps the peak heap lower
+    flat = by - ay == 0
+    upright = (bx - ax == 0) & ~flat
+    oblique = ~(flat | upright)
+    slot = np.where(flat, np.cumsum(flat), np.cumsum(upright)) - 1  # a segment's row in its tables
+    h_ends = ax[flat], ay[flat], bx[flat], by[flat]
+    v_ends = ay[upright], ax[upright], by[upright], bx[upright]  # running along y
+    o_ends = ax[oblique], ay[oblique], bx[oblique], by[oblique]
+    h_fx, h_cols = _separable_terms(xs, *h_ends)
+    v_fy, v_rows = _separable_terms(ys, *v_ends)
+    sample_terms = (  # (column terms, row terms) over the cell centres
+        (_separable_terms(q_x[:, 0], *h_ends)[1], (q_y[:, 0] - h_ends[1][:, None]) ** 2),
+        ((q_x[:, 0] - v_ends[1][:, None]) ** 2, _separable_terms(q_y[:, 0], *v_ends)[1]),
+    )
     for b0 in range(0, len(y_lo), _AFM_BAND):
         band = slice(b0, b0 + _AFM_BAND)
-        # NaN distances bound nothing: fmin skips a segment with a NaN distance
-        f2 = np.fmin.reduce(project_points_to_segments(q_x, q_y[band, None], ax, ay, bx, by)[2], axis=-1)
+        # NaN distances bound nothing: fmin skips a segment with a NaN
+        # distance, and either set of segments may be empty
+        f2 = np.fmin.reduce(project_points_to_segments(q_x, q_y[band, None], *o_ends)[2], axis=-1, initial=np.inf)
+        for cols, rows in sample_terms:
+            np.fmin(f2, np.fmin.reduce(cols[:, None, :] + rows[:, band, None], axis=0, initial=np.inf), out=f2)
         upper = (np.sqrt(f2) + reach) ** 2
         limit = np.where(np.isfinite(upper), upper * slack, np.inf)
         cand = gap_y[band, None, :] + gap_x[None, :, :] <= limit[:, :, None]
@@ -409,13 +473,18 @@ def encode_afm(instances: InstanceSet, h: int, w: int) -> RasterGrid:
             c0, c1 = c_first[k] * block, min(c_last[k] * block, w)
             shape = (r1 - r0, c1 - c0)
             n = shape[0] * shape[1]
-            out = [buf[:n].reshape(shape) for buf in buffers]
-            fx, fy, d2 = project_points_to_segments(xs[c0:c1], ys[r0:r1, None], ax[k], ay[k], bx[k], by[k], out=out)
-            win_d2 = best_d2[r0:r1, c0:c1]
-            better = np.less(d2, win_d2, out=better_buffer[:n].reshape(shape))
-            np.copyto(win_d2, d2, where=better)
-            np.copyto(field[r0:r1, c0:c1, 0], fx, where=better)
-            np.copyto(field[r0:r1, c0:c1, 1], fy, where=better)
+            d2 = buffers[2][:n].reshape(shape)
+            j = slot[k]
+            if flat[k]:
+                fx, fy = h_fx[j, c0:c1], ay[k]
+                np.add(h_cols[j, c0:c1], ((ys[r0:r1] - ay[k]) ** 2)[:, None], out=d2)
+            elif upright[k]:
+                fx, fy = ax[k], v_fy[j, r0:r1, None]
+                np.add((xs[c0:c1] - ax[k]) ** 2, v_rows[j, r0:r1, None], out=d2)
+            else:
+                out = [buf[:n].reshape(shape) for buf in buffers]
+                fx, fy, d2 = project_points_to_segments(xs[c0:c1], ys[r0:r1, None], ax[k], ay[k], bx[k], by[k], out=out)
+            _keep_nearer(d2, fx, fy, best_d2[r0:r1, c0:c1], field[r0:r1, c0:c1], better_buffer[:n].reshape(shape))
     field[:, :, 0] -= xs[:w]
     field[:, :, 1] -= ys[:h, None]
     return RasterGrid(field)

@@ -885,10 +885,13 @@ def coco_records_objects(doc) -> list:
         for flat in seg:
             if not isinstance(flat, list) or len(flat) < 6 or len(flat) % 2 != 0:
                 raise CocoError(f"{what}: bad polygon array of length {len(flat) if isinstance(flat, list) else '?'}")
-            try:
-                pts = [(float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2)]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CocoError(f"{what}: bad coordinate in {flat!r}") from exc
+            values = []
+            for i, value in enumerate(flat):
+                try:
+                    values.append(float(value))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise CocoError(f"{what}: bad coordinate {value!r} at index {i}") from exc
+            pts = list(zip(values[::2], values[1::2]))
             if len(pts) > 3 and pts[0] == pts[-1]:
                 pts = pts[:-1]
             try:

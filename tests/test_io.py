@@ -815,9 +815,9 @@ class TestCocoReaderOracle:
         pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, 1.0, "x", 1.0, 4.0, 4.0]],
                      "annotation 1: consecutive duplicate vertex Point2(x=4.0, y=1.0) at index 1", id="duplicate-before-string"),
         pytest.param([[1.0, 1.0, "x", 1.0, 4.0, 4.0], [1.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0, 4.0]],
-                     "annotation 1: bad coordinate in [1.0, 1.0, 'x', 1.0, 4.0, 4.0]", id="string-before-duplicate"),
+                     "annotation 1: bad coordinate 'x' at index 2", id="string-before-duplicate"),
         pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, None, 4.0, 1.0, 4.0, 4.0]],
-                     "annotation 2: bad coordinate in [1.0, None, 4.0, 1.0, 4.0, 4.0]", id="null"),
+                     "annotation 2: bad coordinate None at index 1", id="null"),
         pytest.param([[1.0, 1.0, 4.0, 1.0, 4.0, 4.0], [1.0, 1.0, 1e999, 1.0, 4.0, 4.0]],
                      "annotation 2: non-finite coordinates (inf, 1.0)", id="overflow"),
         pytest.param([["1.5", " 1 ", "4", "1_0", "4e0", 4, "1.5", "1"]],

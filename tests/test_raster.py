@@ -231,21 +231,63 @@ class TestEncodeAfm:
         assert np.array_equal(encode_afm(inst, h, w).data, afm_full_sweep(inst, h, w))
 
     def test_projected_pixels_on_a_sparse_tile(self, monkeypatch):
-        # the sweep's work: pixels projected onto candidate segments, summed
-        # over the kernel's out= buffers. The cell-centre bound projects
-        # 1,152,704 (4.40 per pixel) on this tile; the 16 px block-corner
-        # bound it replaced projected 1,647,872, so a looser bound fails
+        # the sweep's work: the pixels of the candidate rectangles, summed
+        # over both kernels. The cell-centre bound sweeps 1,152,704 (4.40
+        # per pixel) on this tile; the 16 px block-corner bound it replaced
+        # swept 1,647,872, so a looser bound fails. Every edge of the tile
+        # is horizontal or vertical, so none takes the general kernel
         inst = random_tile(np.random.default_rng(20), 512, 512)
-        projected = []
+        swept, general = [], []
 
-        def counting(*args, out=None):
+        def counting_sweep(d2, *args):
+            swept.append(d2.size)
+            return keep_nearer(d2, *args)
+
+        def counting_projection(*args, out=None):
             if out is not None:
-                projected.append(out[0].size)
+                general.append(out[0].size)
             return project_points_to_segments(*args, out=out)
 
-        monkeypatch.setattr(raster, "project_points_to_segments", counting)
+        keep_nearer = raster._keep_nearer
+        monkeypatch.setattr(raster, "_keep_nearer", counting_sweep)
+        monkeypatch.setattr(raster, "project_points_to_segments", counting_projection)
         encode_afm(inst, 512, 512)
-        assert len(inst) == 7 and 0 < sum(projected) <= 1_152_704
+        assert len(inst) == 7 and 0 < sum(swept) <= 1_152_704
+        assert general == []
+
+    def test_signed_zero_coordinates_give_the_full_sweep_bytes(self):
+        # axis-aligned edges on -0.0 coordinates, one from +0.0 to -0.0 in y
+        # and one from -0.0 to +0.0 in x: the separable kernel's feet may
+        # differ from the general kernel's in the sign of a zero, which
+        # np.array_equal cannot see, so the serialized bytes are compared
+        inst = InstanceSet.of([
+            Polygon.from_coords([(-0.0, -0.0), (12.0, -0.0), (12.0, 9.0), (-0.0, 9.0)]),
+            Polygon.from_coords([(20.0, 0.0), (30.0, -0.0), (30.0, 7.0), (20.0, 7.0)]),
+            Polygon.from_coords([(-0.0, 14.0), (6.0, 14.0), (6.0, 20.0), (0.0, 20.0)]),
+        ])
+        for h, w in ((24, 40), (7, 5)):
+            got = encode_afm(inst, h, w).data
+            want = afm_full_sweep(inst, h, w)
+            assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes()
+            assert got.tobytes() == want.tobytes()
+
+    def test_mixed_oblique_and_axis_aligned_tile_gives_the_full_sweep_bytes(self):
+        # rectilinear buildings (separable kernel) beside a diamond, a
+        # rotated box and a star (general kernel), close enough that cells
+        # hold candidates of both kinds
+        rng = np.random.default_rng(32)
+        inst = InstanceSet.of([
+            rectangle(4, 4, 30, 22),
+            Polygon.from_coords([(40, 6), (52, 6), (52, 14), (60, 14), (60, 30), (40, 30)]),
+            Polygon.from_coords([(20, 30), (32, 42), (20, 54), (8, 42)]),
+            Polygon.from_coords([(40.5, 36.0), (58.25, 42.5), (53.5, 55.75), (35.75, 49.25)]),
+            random_star_polygon(rng, 70, 20, 4, 10, 9),
+            annulus(62, 36, 90, 60, 66, 40, 86, 56),
+        ])
+        got = encode_afm(inst, 64, 96).data
+        want = afm_full_sweep(inst, 64, 96)
+        assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_bitwise_equal_on_dense_tile_with_courtyards(self):
         # a perfbench dense_corpus-style tile: 25-40 buildings, every fifth
