@@ -71,6 +71,8 @@ def _tile_map(fn: Callable, items: Sequence, tile_id: Callable, workers: int) ->
         except Exception as exc:  # collected per tile
             return None, f"{type(exc).__name__}: {exc}"
 
+    # one worker runs on the calling thread: a single pool thread ran
+    # sparse-clean tiles 8-12% slower (2-vCPU host, glibc 2.36)
     if workers <= 1 or len(items) <= 1:
         outcomes = [guarded(item) for item in items]
     else:

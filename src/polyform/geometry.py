@@ -358,6 +358,8 @@ def merge_collinear_edges(ring: Ring, angle_tol: float) -> Ring:
     Runs to a fixpoint, so the result is idempotent. Raises
     DegenerateRingError if merging would leave fewer than three vertices.
     """
+    if not math.isfinite(angle_tol):
+        raise GeometryError(f"non-finite angle tolerance {angle_tol}")
     if angle_tol < 0:
         raise GeometryError(f"negative angle tolerance {angle_tol}")
     return Ring(merged_collinear(ring.coords, angle_tol))

@@ -44,7 +44,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,31 +265,66 @@ def _converts(values: list) -> bool:
     return True
 
 
-def _points(values, count: int) -> np.ndarray:
-    """count coordinates x, y, x, y, ..., each converted by float(), as the
-    rows of one (count / 2, 2) f64 array."""
-    return np.fromiter(map(float, values), np.float64, count).reshape(-1, 2)
+def _values(raws: list[list], closed: bool) -> np.ndarray:
+    """Every value of the coordinate lists raws, converted by float(), as the
+    rows of one (n, 2) f64 array: COCO lists are flat x, y, x, y, ...; closed
+    (GeoJSON) lists hold positions, and one that is not a list of two values
+    raises TypeError."""
+    if closed:
+        raws = list(itertools.chain.from_iterable(raws))
+        if not (set(map(type, raws)) <= {list} and set(map(len, raws)) <= {2}):
+            raise TypeError("a position is not a list of two values")
+    count = 2 * len(raws) if closed else sum(map(len, raws))
+    return np.fromiter(map(float, itertools.chain.from_iterable(raws)), np.float64, count).reshape(-1, 2)
 
 
-def _checked_rings(
-    raws: list[list], closed: bool, points, value_fault, error: type[FormatError], what
-) -> tuple[list[Ring], FormatError | None]:
-    """The rings of a file's coordinate lists raws, in order, each without
-    its last point when that closes it: always and required when closed
-    (GeoJSON), else when equal to the first of four or more (COCO).
-    points(raws) converts every value in one pass, and every ring is checked
-    in one pass. Returns the rings before the first list that fails and its
-    error, naming what(k) for list k (None when every list passes). When the
-    conversion raises, value_fault(raw) (a message, or None) finds the first
-    list with a bad value, the same checks run on the lists before it, and
-    the earlier of the two faults wins; a ring's fault is the one the Ring
-    constructor raises on that ring's array."""
+def _read_items(
+    items: object, noun: str, key: str | None, read: Callable, table: dict, closed: bool, error: type[FormatError]
+) -> tuple[Iterator[tuple[str, object, list[Ring]]], FormatError | None]:
+    """The one pass over a document's items, GeoJSON features (closed) or
+    COCO annotations, up to the first item that fails its own checks.
+
+    Item k must be an object, named f"{noun} {item[key]}" in messages, or
+    f"{noun} {k}" when key is None or the item has no such member.
+    read(item, what, table, raws) appends each of the item's coordinate
+    lists to raws and returns the item's owner, or raises error. Then every
+    value read converts in one pass (_values) and every ring is checked in
+    one pass; a ring is its list without the last point when that closes
+    it: always and required when closed, else when equal to the first of
+    four or more.
+
+    Returns an iterator of (what, owner, rings) for each item whose rings
+    all passed, in file order, and the earliest fault in file order, or
+    None: the first list with a value float() rejects (named by
+    _position_fault or _coordinate_fault) or the first ring before it that
+    the Ring constructor rejects, with that constructor's message; else the
+    item's fault. The lists an item appended before it raised are checked
+    too, so their faults come first."""
+    if not isinstance(items, list):
+        raise error(f"'{noun}s' is not a list")
+    raws: list[list] = []  # every coordinate list, in file order
+    firsts = [0]  # item k has lists firsts[k]:firsts[k + 1]
+    whats: list[str] = []
+    owners: list = []
+    fault = None
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            fault = error(f"{noun} {k}: not an object")
+            break
+        whats.append(f"{noun} {item.get(key, k) if key else k}")
+        try:
+            owners.append(read(item, whats[-1], table, raws))
+        except error as exc:
+            fault = exc
+            break
+        firsts.append(len(raws))
     try:
-        pos, fault = points(raws), None
+        pos = _values(raws, closed)
     except (TypeError, ValueError, OverflowError):
-        k, message = next((k, m) for k, m in enumerate(map(value_fault, raws)) if m is not None)
-        raws, fault = raws[:k], error(f"{what(k)}: {message}")
-        pos = points(raws)
+        value_fault = _position_fault if closed else _coordinate_fault
+        j, message = next((j, m) for j, m in enumerate(map(value_fault, raws)) if m is not None)
+        raws, fault = raws[:j], error(f"{whats[bisect.bisect_right(firsts, j) - 1]}: {message}")
+        pos = _values(raws, closed)
     counts = np.array([len(raw) for raw in raws], dtype=np.int64) // (1 if closed else 2)
     ends = offsets(counts)
     first, last = ends[:-1], ends[1:] - 1
@@ -301,26 +336,20 @@ def _checked_rings(
     bad = ring_faults(xy, bounds) | (closed & ~closing)
     good = int(np.argmax(bad)) if bad.any() else len(raws)
     if good < len(raws):
+        what = whats[bisect.bisect_right(firsts, good) - 1]
         # closure as Python compares the positions: a NaN equals the same NaN object
         if closed and list(map(float, raws[good][0])) != list(map(float, raws[good][-1])):
-            fault = error(f"{what(good)}: unclosed ring")
+            fault = error(f"{what}: unclosed ring")
         else:
             try:
                 Ring(xy[bounds[good] : bounds[good + 1]])
             except ValueError as exc:
-                fault = error(f"{what(good)}: {exc}")
+                fault = error(f"{what}: {exc}")
     xy.flags.writeable = False
     cuts = bounds[: good + 1].tolist()
-    return [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])], fault
-
-
-def _geojson_points(raws: list[list]) -> np.ndarray:
-    """The positions of GeoJSON rings as _points; a position that is not a
-    list of two values raises TypeError."""
-    every = list(itertools.chain.from_iterable(raws))
-    if not (set(map(type, every)) <= {list} and set(map(len, every)) <= {2}):
-        raise TypeError("a position is not a list of two values")
-    return _points(itertools.chain.from_iterable(every), 2 * len(every))
+    rings = [ring_of(xy[a:b]) for a, b in zip(cuts, cuts[1:])]
+    done = bisect.bisect_right(firsts, good) - 1  # the items whose rings all passed
+    return zip(whats, owners, [rings[f:e] for f, e in zip(firsts, firsts[1 : done + 1])]), fault
 
 
 def _position_fault(positions: list) -> str | None:
@@ -365,41 +394,20 @@ def _geojson_records(doc: object) -> list[TileRecord]:
         raise GeoJsonError(f"bad 'tiles' member: {exc!r}") from exc
     _reject_repeats(order, "tile_id", GeoJsonError)
     by_tile: dict[str, list[ScoredPolygon]] = {tid: [] for tid in order}
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise GeoJsonError("'features' is not a list")
-    raws: list[list] = []  # every ring's positions, in file order
-    firsts = [0]  # feature i has rings firsts[i]:firsts[i + 1]
-    owners: list[tuple[str, float]] = []  # each feature's tile id and score
-    fault = None
-    for i, feature in enumerate(features):
-        try:
-            owners.append(_geojson_feature(feature, f"feature {i}", raws, by_tile))
-        except GeoJsonError as exc:  # raised once the rings before it are checked
-            fault = exc
-            break
-        firsts.append(len(raws))
-    rings, ring_fault = _checked_rings(
-        raws, True, _geojson_points, _position_fault, GeoJsonError,
-        lambda k: f"feature {bisect.bisect_right(firsts, k) - 1}",
-    )
-    if ring_fault is not None:
-        raise ring_fault
+    done, fault = _read_items(doc.get("features", []), "feature", None, _geojson_feature, sizes, True, GeoJsonError)
     if fault is not None:
         raise fault
-    for (tile_id, score), f, e in zip(owners, firsts, firsts[1:]):
-        by_tile[tile_id].append(ScoredPolygon(Polygon(rings[f], tuple(rings[f + 1 : e])), score))
+    for _, (tile_id, score), rings in done:  # the first ring is the outer boundary
+        by_tile[tile_id].append(ScoredPolygon(Polygon(rings[0], tuple(rings[1:])), score))
     return [
         TileRecord(tid, sizes[tid], InstanceSet(tuple(by_tile[tid]))) for tid in order
     ]
 
 
-def _geojson_feature(feature: object, what: str, raws: list[list], by_tile: dict) -> tuple[str, float]:
+def _geojson_feature(feature: dict, what: str, sizes: dict, raws: list[list]) -> tuple[str, float]:
     """A feature's tile id and score, after appending the position list of
     each of its rings to raws; the positions themselves are checked by
-    _checked_rings."""
-    if not isinstance(feature, dict):
-        raise GeoJsonError(f"{what}: not an object")
+    _read_items."""
     geom = feature.get("geometry")
     kind = geom.get("type") if isinstance(geom, dict) else None
     if kind != "Polygon":
@@ -415,7 +423,7 @@ def _geojson_feature(feature: object, what: str, raws: list[list], by_tile: dict
     if not isinstance(props, dict):
         raise GeoJsonError(f"{what}: properties is not an object")
     tile_id = _string_id(props.get("tile_id"), f"{what}: tile_id", GeoJsonError)
-    if tile_id not in by_tile:
+    if tile_id not in sizes:
         raise GeoJsonError(f"{what}: unknown tile_id {tile_id!r}")
     return tile_id, _finite_score(props.get("score", 1.0), what, GeoJsonError)
 
@@ -449,49 +457,19 @@ def _coco_records(doc: object) -> list[TileRecord]:
     _reject_repeats(order, "image id", CocoError)
     _reject_repeats([images[i][0] for i in order], "tile id (file_name)", CocoError)
     by_image: dict[int, list[ScoredPolygon]] = {i: [] for i in order}
-    crowd_seen = 0
     annotations = doc.get("annotations", [])
-    if not isinstance(annotations, list):
-        raise CocoError("'annotations' is not a list")
-    raws: list[list] = []  # every polygon array, in file order
-    firsts = [0]  # annotation k has rings firsts[k]:firsts[k + 1]
-    whats: list[str] = []  # each annotation's name in messages
-    owners: list[tuple[int, float]] = []  # each annotation's image id and score
-    fault = None
-    for k, ann in enumerate(annotations):
-        if not isinstance(ann, dict):
-            fault = CocoError(f"annotation {k}: not an object")
-            break
-        whats.append(f"annotation {ann.get('id', k)}")
-        try:
-            owners.append(_coco_annotation(ann, whats[-1], images, raws))
-        except CocoError as exc:  # raised once the rings before it are checked
-            fault = exc
-            break
-        if ann.get("iscrowd"):
-            crowd_seen += 1
-        firsts.append(len(raws))
-    rings, ring_fault = _checked_rings(
-        raws, False, lambda raws: _points(itertools.chain.from_iterable(raws), sum(map(len, raws))),
-        _coordinate_fault, CocoError,
-        lambda r: whats[bisect.bisect_right(firsts, r) - 1],
-    )
-    done = bisect.bisect_right(firsts, len(rings)) - 1  # the annotations whose rings all passed
-    # each annotation's rings, the largest by absolute area first: its outer boundary
-    ring_order = []
-    for f, e in zip(firsts[:done], firsts[1 : done + 1]):
-        ring_order += [f] if e - f == 1 else sorted(range(f, e), key=lambda r: -abs(signed_area(rings[r])))
-    for (image_id, score), what, f, e in zip(owners, whats, firsts[:done], firsts[1 : done + 1]):
-        outer, holes = rings[ring_order[f]], tuple(rings[r] for r in ring_order[f + 1 : e])
+    done, fault = _read_items(annotations, "annotation", "id", _coco_annotation, images, False, CocoError)
+    for what, (image_id, score), rings in done:  # the warnings of the annotations before a fault fire too
+        # the largest ring by absolute area is the outer boundary
+        outer, *holes = rings if len(rings) == 1 else sorted(rings, key=lambda r: -abs(signed_area(r)))
         if holes:
             alone = Polygon(outer)
             if not all(point_in_polygon(tuple(h.coords[0].tolist()), alone) for h in holes):
                 warnings.warn(f"{what}: disjoint ring treated as hole", stacklevel=3)
-        by_image[image_id].append(ScoredPolygon(Polygon(outer, holes), score))
-    if ring_fault is not None:
-        raise ring_fault
+        by_image[image_id].append(ScoredPolygon(Polygon(outer, tuple(holes)), score))
     if fault is not None:
         raise fault
+    crowd_seen = sum(1 for ann in annotations if ann.get("iscrowd"))
     if crowd_seen:
         warnings.warn(f"ignored iscrowd flag on {crowd_seen} annotations", stacklevel=3)
     return [
@@ -502,7 +480,7 @@ def _coco_records(doc: object) -> list[TileRecord]:
 def _coco_annotation(ann: dict, what: str, images: dict, raws: list[list]) -> tuple[int, float]:
     """An annotation's image id and score, after appending each of its
     polygon arrays to raws; the values themselves are checked by
-    _checked_rings."""
+    _read_items."""
     image_id = ann.get("image_id")
     score = _finite_score(ann.get("score", 1.0), what, CocoError)
     if not _is_int(image_id) or image_id not in images:

@@ -369,7 +369,9 @@ def match_instances(
     preds: InstanceSet, gts: InstanceSet, h: int, w: int, iou_thr: float = 0.5
 ) -> MatchResult:
     """Greedy one-to-one matching in descending prediction score order; each
-    prediction takes the highest-IoU unmatched ground truth with IoU >= iou_thr."""
+    prediction takes the highest-IoU unmatched ground truth with IoU >= iou_thr,
+    which follows EvalConfig's iou_thr rule."""
+    EvalConfig(iou_thr=iou_thr)  # raises MetricsError naming the field
     ious = _iou_matrix(*_crops_of([sp.polygon for sp in preds], [sp.polygon for sp in gts], h, w))
     match = _greedy_match(ious, [sp.score for sp in preds], (iou_thr,))[0]
     matched = np.flatnonzero(match >= 0).tolist()

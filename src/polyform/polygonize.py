@@ -270,7 +270,7 @@ def trace_boundary(labels: RasterGrid, component_id: int) -> list[BoundaryChain]
     fixed border orientations of Suzuki and Abe's border following, 1985).
     """
     r0, c0, window = bounding_crop(labels.channel() == component_id)
-    if window.size == 0:
+    if window.size == 0 or component_id == 0:  # 0 labels the background
         raise PolygonizeError(f"component {component_id} not found")
     return _trace_window(window, r0, c0)
 
@@ -415,8 +415,10 @@ def extract_vertices(heatmap: RasterGrid, offsets: RasterGrid, top_k: int, tau_v
 
     A pixel survives NMS only if it is strictly greater than every neighbor,
     with ties broken toward the lower raster index. Each survivor becomes
-    the sub-pixel point (c + 0.5 + offset_x, r + 0.5 + offset_y).
+    the sub-pixel point (c + 0.5 + offset_x, r + 0.5 + offset_y). top_k and
+    tau_v follow PolygonizeConfig's top_k and vertex_threshold rules.
     """
+    PolygonizeConfig(top_k=top_k, vertex_threshold=tau_v)  # raises PolygonizeError naming the field
     coords, scores = _vertex_arrays(heatmap, offsets, top_k, tau_v)
     return VertexSet(tuple((Point2(x, y), s) for (x, y), s in zip(coords.tolist(), scores.tolist())))
 
@@ -552,8 +554,8 @@ def mav_attract_simplify(
     if len(winners) < 3:
         raise FallbackRequired(f"{len(winners)} surviving vertices")
     vtx = vertices.coords()
-    ring = _snapped_rings(vtx, winners, (0, len(winners)), merge_angle)[0] if merge_angle >= 0 else None
-    if ring is None:  # merge_collinear_edges says why: coincident vertices, a degenerate merge or a negative angle
+    ring = _snapped_rings(vtx, winners, (0, len(winners)), merge_angle)[0] if 0 <= merge_angle < math.inf else None
+    if ring is None:  # merge_collinear_edges says why: coincident vertices, a degenerate merge or a bad angle
         try:
             return merge_collinear_edges(Ring(vtx[winners]), merge_angle)
         except GeometryError as exc:

@@ -659,6 +659,20 @@ class TestEval:
         assert main(["eval", str(gt_geojson), str(gt_geojson), str(report)]) == 0
         assert json.loads(report.read_text())["ap"] == pytest.approx(1.0)
 
+    def test_coco_fault_follows_the_warning_of_the_annotation_before_it(self, gt_geojson, tmp_path, capsys):
+        # annotation 1 is read and warned about, then the entry after it ends the run
+        gt, report = tmp_path / "gt.coco.json", tmp_path / "r.json"
+        disjoint = {"id": 1, "image_id": 1, "segmentation": [[8, 8, 40, 8, 40, 32, 8, 32], [50, 50, 52, 50, 52, 52]]}
+        gt.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "t0", "height": 64, "width": 64}], "annotations": [disjoint, 7],
+        }))
+        assert main(["eval", str(gt_geojson), str(gt), str(report)]) == 1
+        assert capsys.readouterr().err == (
+            '{"errors": [{"error": "CocoError: annotation 1: not an object", "tile_id": null}], '
+            '"warnings": ["annotation 1: disjoint ring treated as hole"]}\n'
+        )
+        assert not report.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "none.geojson"), str(tmp_path / "g.json"), str(tmp_path / "r.json")]) == 1
         err = json.loads(capsys.readouterr().err)

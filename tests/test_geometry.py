@@ -152,6 +152,13 @@ class TestMergeCollinearEdges:
         assert Point2(10, 0.1) not in merged.vertices
         assert len(merged) == 4
 
+    @pytest.mark.parametrize("angle_tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_raises(self, angle_tol):
+        # NaN compares false with every turn, so unchecked it would merge nothing
+        ring = Ring.from_coords([(0, 0), (2, 0), (4, 0.01), (4, 4), (0, 4)])
+        with pytest.raises(GeometryError, match="non-finite angle tolerance"):
+            merge_collinear_edges(ring, angle_tol)
+
     def test_degenerate_result_raises(self):
         ring = Ring.from_coords([(0, 0), (1, 0.001), (2, 0)])
         with pytest.raises(DegenerateRingError):

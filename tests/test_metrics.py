@@ -449,6 +449,13 @@ class TestMatchInstances:
         assert result.pairs[0][1] == 1  # the closer ground truth
         assert result.unmatched_gts == (0,)
 
+    @pytest.mark.parametrize("iou_thr", [-0.1, 1.5, math.nan])
+    def test_threshold_follows_the_config_rule(self, iou_thr):
+        # unchecked, -0.1 matches two disjoint squares at IoU 0.0 and NaN matches nothing
+        a, b = InstanceSet.of([rectangle(0, 0, 4, 4)]), InstanceSet.of([rectangle(8, 8, 12, 12)])
+        with pytest.raises(MetricsError, match="iou_thr"):
+            match_instances(a, b, 16, 16, iou_thr)
+
     def test_empty_preds(self):
         gt = rectangle(1, 1, 5, 5)
         result = match_instances(InstanceSet(), InstanceSet.of([gt]), 8, 8)

@@ -375,6 +375,14 @@ class TestTraceBoundary:
         with pytest.raises(PolygonizeError):
             trace_boundary(labels, 9)
 
+    def test_background_is_not_a_component(self):
+        # 0 labels the background, which has chains too (28 and 12 pixels here)
+        arr = np.zeros((8, 8), dtype=np.uint8)
+        arr[2:5, 3:6] = 1
+        labels, _ = labels_of(arr)
+        with pytest.raises(PolygonizeError, match="component 0"):
+            trace_boundary(labels, 0)
+
 
 class TestExtractVertices:
     def test_single_peak(self):
@@ -402,6 +410,18 @@ class TestExtractVertices:
         offs = np.zeros((8, 8, 2), dtype=np.float32)
         vs = extract_vertices(grid_f32(heat), RasterGrid(offs), 2, 0.008)
         assert [s for _p, s in vs.points] == [pytest.approx(0.9), pytest.approx(0.8)]
+
+    @pytest.mark.parametrize(
+        "top_k, tau_v, field",
+        [(-1, 0.008, "top_k"), (0, 0.008, "top_k"), (300, -1.0, "vertex_threshold"), (300, math.nan, "vertex_threshold")],
+    )
+    def test_arguments_follow_the_config_rules(self, top_k, tau_v, field):
+        # unchecked, these keep 2, 0, 4 (one a zero pixel) and 0 of the 3 peaks
+        heat = np.zeros((16, 16), dtype=np.float32)
+        heat[2, 2], heat[2, 10], heat[10, 6] = 0.9, 0.7, 0.5
+        offs = RasterGrid(np.zeros((16, 16, 2), dtype=np.float32))
+        with pytest.raises(PolygonizeError, match=field):
+            extract_vertices(grid_f32(heat), offs, top_k, tau_v)
 
     def test_roundtrip_with_encoder(self):
         inst = InstanceSet.of([rectangle(2, 2, 9, 9), rectangle(12, 12, 20, 18)])
@@ -578,6 +598,7 @@ class TestMavAttractSimplify:
         [
             ([(2, 2), (12, 2), (22, 2)], 10.0, "degenerate ring after collinear merge"),
             ([(2, 2), (22, 2), (22, 22), (2, 22)], -1.0, "negative angle tolerance -1.0"),
+            ([(2, 2), (22, 2), (22, 22), (2, 22)], NAN, "non-finite angle tolerance nan"),
         ],
     )
     def test_fallback_carries_the_geometry_message(self, coords, merge_angle, message):
